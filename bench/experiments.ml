@@ -84,8 +84,10 @@ let e1 () =
   print_endline
     "shape: about a minute for a well-filled Model 31 pack; the bigger,\n\
      faster Model 44 pays for twice the sectors at half the rotation.\n\
-     Value verification (reading every live page to stamp bad surfaces)\n\
-     costs roughly the fill fraction again."
+     Value verification reads every value in the sweep's own operations\n\
+     (one sector time moves header, label and value alike) and keeps the\n\
+     leader values, so only moved or rebuilt leaders are read again: it\n\
+     runs faster than the plain scavenge, nearly flat in the fill."
 
 (* E2 — §3.5: the compacting scavenger "typically increases the speed
    with which the files can be read sequentially by an order of

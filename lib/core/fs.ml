@@ -43,6 +43,8 @@ type t = {
   shape : Geometry.t;
   busy : bool array;  (** The allocation map, in core. true = busy. *)
   mutable next_serial : int;
+  mutable recorded_serial : int;
+      (** The serial counter as the descriptor last recorded it. *)
   mutable root : Page.full_name option;
   mutable last_allocated : int;
   mutable policy : allocation_policy;
@@ -94,6 +96,14 @@ let map_offset = 19
 
 let max_bad_sectors = 64
 
+(* How far the in-core serial counter may run ahead of the one the
+   descriptor last recorded. A crash can lose every create since that
+   record, and their labels are on the platter, so a dirty mount resumes
+   this far past the record instead of at it. Well above the creates any
+   workload makes between two descriptor writes, so the write it forces
+   is rare. *)
+let serial_gap = 4096
+
 let drive t = t.drive
 let label_cache t = t.cache
 let bio t = t.bio
@@ -102,11 +112,6 @@ let clock t = Drive.clock t.drive
 let now_seconds t = int_of_float (Sim_clock.now_seconds (clock t))
 let root_dir t = t.root
 let set_root_dir t fn = t.root <- Some fn
-
-let fresh_fid ?directory t =
-  let serial = t.next_serial in
-  t.next_serial <- serial + 1;
-  File_id.make ?directory ~serial ~version:1 ()
 
 let policy t = t.policy
 let set_policy t p = t.policy <- p
@@ -147,6 +152,16 @@ let note_mutation t =
     if Array.length t.descriptor_pages > 0 then
       match !flush_ref t with Ok () | Error _ -> ()
   end
+
+(* Write the descriptor (best effort, once one exists) before handing
+   out a serial [serial_gap] or more past the recorded counter, so every
+   serial in use stays below where a dirty mount resumes. *)
+let fresh_fid ?directory t =
+  let serial = t.next_serial in
+  if serial >= t.recorded_serial + serial_gap && Array.length t.descriptor_pages > 0
+  then (match !flush_ref t with Ok () | Error _ -> ());
+  t.next_serial <- serial + 1;
+  File_id.make ?directory ~serial ~version:1 ()
 
 let dirty t = t.dirty
 let patrol_cursor t = t.patrol_cursor
@@ -454,7 +469,7 @@ let parse_descriptor t words =
           t.root <-
             Some (Page.full_name fid ~page:0 ~addr:(Disk_address.of_word words.(14)))
       | Error _ -> t.root <- None);
-      t.next_serial <- (Word.to_int words.(15) lsl 16) lor Word.to_int words.(16);
+      t.recorded_serial <- (Word.to_int words.(15) lsl 16) lor Word.to_int words.(16);
       let map_words = Word.to_int words.(17) in
       if Array.length words < map_offset + map_words then
         Error "descriptor map truncated"
@@ -494,6 +509,8 @@ let parse_descriptor t words =
           t.dirty <- false;
           t.patrol_cursor <- 0
         end;
+        t.next_serial <-
+          (if t.dirty then t.recorded_serial + serial_gap else t.recorded_serial);
         Ok ()
       end
     end
@@ -512,6 +529,7 @@ let flush t =
      must cover the buffer cache before the descriptor asserts it. *)
   ignore (Bio.flush t.bio);
   Obs.incr m_descriptor_flushes;
+  let serial = t.next_serial in
   let words = assemble_descriptor t in
   let pages = descriptor_data_pages t in
   let rec write pn =
@@ -530,7 +548,9 @@ let flush t =
           Bio.invalidate t.bio fn.Page.addr;
           write (pn + 1)
   in
-  write 1
+  let written = write 1 in
+  if Result.is_ok written then t.recorded_serial <- serial;
+  written
 
 let () = flush_ref := flush
 
@@ -586,6 +606,7 @@ let make_handle drive =
       shape = Drive.geometry drive;
       busy = Array.make (Drive.sector_count drive) false;
       next_serial = File_id.first_user_serial;
+      recorded_serial = File_id.first_user_serial;
       root = None;
       last_allocated = 0;
       policy = Near_previous;

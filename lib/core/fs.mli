@@ -66,7 +66,10 @@ val format : ?disk_name:string -> Drive.t -> t
 val mount : Drive.t -> (t, string) result
 (** Read the descriptor from the standard address. Any damage — to the
     descriptor's pages, its magic, or a shape that contradicts the
-    drive — yields [Error]; the caller's recovery is {!Scavenger}. *)
+    drive — yields [Error]; the caller's recovery is {!Scavenger}. A
+    dirty pack resumes its serial counter the {!fresh_fid} gap past the
+    recorded value: a crash may have lost the record of serials already
+    on the platter, but never of one that far ahead. *)
 
 val drive : t -> Drive.t
 
@@ -93,7 +96,10 @@ val root_dir : t -> Page.full_name option
 val set_root_dir : t -> Page.full_name -> unit
 
 val fresh_fid : ?directory:bool -> t -> File_id.t
-(** The next unused file id (serial counter; flushed with the map). *)
+(** The next unused file id (serial counter; flushed with the map). The
+    counter never runs more than a fixed gap ahead of the value the
+    descriptor last recorded: the serial that would reach the gap is
+    handed out only after a descriptor write ({!flush}, best effort). *)
 
 val policy : t -> allocation_policy
 val set_policy : t -> allocation_policy -> unit

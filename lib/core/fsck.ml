@@ -45,8 +45,9 @@ let clean r =
 
 (* {2 The passes}
 
-   All reads are ordinary timed operations through {!Audit.read_slice}
-   (one whole-pack elevator batch) and {!Sweep}; nothing here writes.
+   All reads are ordinary timed operations: one {!Sweep} over the whole
+   pack, which also reads every value back when [verify_values] is set,
+   plus the descriptor and directory pages; nothing here writes.
    The checker needs no live [System] and no readable descriptor: given
    wreckage it still sweeps the labels and reports on the wreck — the
    descriptor-dependent passes (map, catalogue) just report the mount
@@ -66,8 +67,10 @@ let check ?(verify_values = true) drive =
       (fun d -> violations := { i_class = cls; i_addr = addr; i_detail = d } :: !violations)
       fmt
   in
-  (* Pass 1: sweep every label (§3.5's first move, reused verbatim). *)
-  let sweep = Sweep.run drive in
+  (* Pass 1: sweep every label (§3.5's first move, reused verbatim),
+     reading each sector's value in the same operation when pass 7 will
+     want to know whether it reads back. *)
+  let sweep = Sweep.run ~read_values:verify_values drive in
   let live = ref 0 and free = ref 0 and marked_bad = ref 0 in
   let bad_media = ref 0 and garbage = ref 0 in
   Array.iteri
@@ -238,30 +241,21 @@ let check ?(verify_values = true) drive =
         done
       end)
     pages;
-  (* Pass 7: the data itself. One whole-pack elevator batch of
-     label+value reads (the audit's slice machinery); any live page that
-     will not read back — torn by a crash, or decayed — is data loss if
-     a catalogued file owns it, a leaked fragment otherwise. *)
-  if verify_values then begin
-    let fs_for_reads =
-      match mounted with Some fs -> fs | None -> Fs.create_unmounted drive
-    in
-    let slice = Audit.read_slice fs_for_reads ~start:0 ~k:n in
+  (* Pass 7: the data itself, as the sweep read it back. Any live page
+     that would not — torn by a crash, or decayed — is data loss if a
+     catalogued file owns it, a leaked fragment otherwise. *)
+  if verify_values then
     Array.iteri
-      (fun j index ->
-        match label_at.(index) with
-        | None -> ()
-        | Some label ->
-            if not (Audit.sector_ok slice j) then
-              (sev label.Label.fid)
-                ~addr:index
-                (if Drive.is_torn drive (Disk_address.of_index index) then
-                   "torn-page"
-                 else "unreadable-page")
-                "%a page %d will not read back" File_id.pp label.Label.fid
-                label.Label.page)
-      slice.Audit.indexes
-  end;
+      (fun index -> function
+        | Some label when sweep.Sweep.values.(index) = Sweep.Unreadable ->
+            (sev label.Label.fid)
+              ~addr:index
+              (if Drive.is_torn drive (Disk_address.of_index index) then "torn-page"
+               else "unreadable-page")
+              "%a page %d will not read back" File_id.pp label.Label.fid
+              label.Label.page
+        | Some _ | None -> ())
+      label_at;
   let report =
     {
       counts =

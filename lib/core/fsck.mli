@@ -16,9 +16,10 @@
     a dangling directory entry: states bounded recovery must never leave
     behind, where the cure is a full scavenge.
 
-    Everything runs through ordinary timed operations ({!Sweep} plus one
-    whole-pack {!Audit.read_slice} batch), so a check's simulated cost
-    is honest. Nothing is ever written. Callers checking a {e live}
+    Everything runs through ordinary timed operations, so a check's
+    simulated cost is honest: one {!Sweep} reads every sector's header,
+    label and value in a single pass over the pack, and the descriptor
+    and catalogue pages are read on top. Nothing is ever written. Callers checking a {e live}
     volume must {!Bio.flush} it first so the platter holds every
     acknowledged write. *)
 
@@ -54,7 +55,8 @@ type report = {
 val check : ?verify_values:bool -> Drive.t -> report
 (** Sweep every label, mount the descriptor read-only, compare the map,
     walk the catalogue and every file chain, and ([verify_values],
-    default on) read every live page's data back. Counted in
+    default on) judge whether every live page's data reads back — read
+    in the sweep's own operations, not in a second pass. Counted in
     [fs.fsck.runs] / [fs.fsck.findings] / [fs.fsck.violations]. *)
 
 val clean : report -> bool

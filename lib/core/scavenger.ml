@@ -156,7 +156,22 @@ let scavenge_run ~verify_values ~suspect_retries drive =
   (* Each pass that touches the disk runs under a named span, so the
      profile splits the minute the paper quotes into its real parts. *)
   let pass name f = Prof.span clock ("scavenger." ^ name) f in
-  let sweep = pass "sweep" (fun () -> Sweep.run drive) in
+  (* A verifying scavenge reads every value in the sweep's own
+     operations, under the salvage policy: this may be the last copy of
+     somebody's data, and the retry effort each sector needed is the
+     evidence that its surface is marginal. The leader values come out
+     of the same pass, so step 8 need not read them again; the rest are
+     judged and dropped. *)
+  let swept_leaders : (int, Word.t array) Hashtbl.t = Hashtbl.create 64 in
+  let sweep =
+    pass "sweep" (fun () ->
+        if verify_values then
+          Sweep.run ~read_values:true ~policy:Reliable.salvage_policy
+            ~on_value:(fun i label value ->
+              if label.Label.page = 0 then Hashtbl.replace swept_leaders i (Array.copy value))
+            drive
+        else Sweep.run drive)
+  in
   let n = Array.length sweep.Sweep.classes in
   let st =
     {
@@ -209,23 +224,19 @@ let scavenge_run ~verify_values ~suspect_retries drive =
     | Sweep.Free_sector | Sweep.Marked_bad | Sweep.Bad_media | Sweep.Garbage _ -> ()
   done;
 
-  (* 1b. Optional value verification: read every live page's data under
-     the salvage retry policy. A sector whose label works but whose data
-     surface is gone gets the bad marker written into its label — §3.5's
-     "marked in the label with a special value so that they will never
-     be used again" — and its page drops out of its file. A sector that
-     reads back only after [suspect_retries] or more retries is
-     *marginal*: still readable today, unlikely to be tomorrow. Its page
-     survives, but the sector joins the suspect list and its data is
-     copied off to a fresh sector in step 4. *)
+  (* 1b. Optional value verification, from the sweep's verdicts. A
+     sector whose label works but whose data surface is gone gets the bad
+     marker written into its label — §3.5's "marked in the label with a
+     special value so that they will never be used again" — and its page
+     drops out of its file. A sector that read back only after
+     [suspect_retries] or more retries is *marginal*: still readable
+     today, unlikely to be tomorrow. Its page survives, but the sector
+     joins the suspect list and its data is copied off to a fresh sector
+     in step 4. *)
   let quarantined : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let suspects : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   if verify_values then
     pass "verify" (fun () ->
-    (* One elevator batch over every live page. The probe buffer is
-       shared: the pass only cares whether each read succeeded and how
-       hard the retry ladder worked, never what the data was. *)
-    let probe = Array.make Alto_disk.Sector.value_words Word.zero in
     let live =
       Hashtbl.fold
         (fun fid (pages : file_pages) acc ->
@@ -234,24 +245,12 @@ let scavenge_run ~verify_values ~suspect_retries drive =
     in
     let live = Array.of_list live in
     Array.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) live;
-    let requests =
-      Array.map
-        (fun (i, _, _, _) ->
-          Sched.request ~value:probe (Disk_address.of_index i)
-            { Drive.op_none with Drive.value = Some Drive.Read })
-        live
-    in
-    let outcomes =
-      Sched.run_batch ~policy:Reliable.salvage_policy st.drive requests
-    in
-    Array.iteri
-      (fun j outcome ->
-        let i, pn, fid, pages = live.(j) in
-        match outcome.Sched.result with
-        | Ok () ->
-            if outcome.Sched.retries >= suspect_retries then
-              Hashtbl.replace suspects i ()
-        | Error (Drive.Bad_sector | Drive.Check_mismatch _ | Drive.Transient _) ->
+    Array.iter
+      (fun (i, pn, fid, pages) ->
+        match sweep.Sweep.values.(i) with
+        | Sweep.Read_back retries ->
+            if retries >= suspect_retries then Hashtbl.replace suspects i ()
+        | Sweep.Not_read | Sweep.Unreadable ->
             (* Write the marker; the data surface accepts writes blind. *)
             (match
                Reliable.run st.drive (Disk_address.of_index i)
@@ -264,31 +263,24 @@ let scavenge_run ~verify_values ~suspect_retries drive =
             | Ok () | Error _ -> ());
             Hashtbl.replace quarantined i ();
             (* Before declaring the page lost, try its twins: a crash
-               between a move's copy and its retire leaves a readable
-               duplicate, and the torn copy must not take the data down
-               with it. *)
-            let rec rescue = function
-              | [] ->
-                  Hashtbl.remove pages pn;
-                  st.pages_lost <- st.pages_lost + 1
-              | (si, slabel) :: rest -> (
-                  match
-                    Reliable.run ~policy:Reliable.salvage_policy st.drive
-                      (Disk_address.of_index si)
-                      { Drive.op_none with
-                        Drive.label = Some Drive.Check;
-                        value = Some Drive.Read
-                      }
-                      ~label:(Label.check_name fid ~page:pn)
-                      ~value:probe ()
-                  with
-                  | Ok () ->
-                      Hashtbl.replace pages pn (si, slabel);
-                      st.duplicates_rescued <- st.duplicates_rescued + 1
-                  | Error _ -> rescue rest)
-            in
-            rescue (Option.value ~default:[] (Hashtbl.find_opt spares (fid, pn))))
-      outcomes);
+               between a move's copy and its retire leaves a duplicate,
+               and the torn copy must not take the data down with it if
+               the twin read back in the sweep. *)
+            match
+              List.find_opt
+                (fun (si, _) ->
+                  match sweep.Sweep.values.(si) with
+                  | Sweep.Read_back _ -> true
+                  | Sweep.Not_read | Sweep.Unreadable -> false)
+                (Option.value ~default:[] (Hashtbl.find_opt spares (fid, pn)))
+            with
+            | Some twin ->
+                Hashtbl.replace pages pn twin;
+                st.duplicates_rescued <- st.duplicates_rescued + 1
+            | None ->
+                Hashtbl.remove pages pn;
+                st.pages_lost <- st.pages_lost + 1)
+      live);
 
   (* 2. Per-file contiguity: keep the longest prefix 0..k; everything
      beyond a gap is lost. A headless file — its leader sector torn by a
@@ -349,6 +341,7 @@ let scavenge_run ~verify_values ~suspect_retries drive =
                 ~value:(Leader.to_value leader) ()
             with
             | Ok () ->
+                Hashtbl.remove swept_leaders dst;
                 Hashtbl.replace pages 0 (dst, label);
                 st.leaders_rebuilt <- st.leaders_rebuilt + 1;
                 true
@@ -431,6 +424,7 @@ let scavenge_run ~verify_values ~suspect_retries drive =
           if reserved i || suspect then
             match pick_target () with
             | Some dst when move_page st ~fid ~pn ~src:i ~dst label ->
+                Hashtbl.remove swept_leaders dst;
                 pages.(pn) <- (dst, label);
                 if suspect then begin
                   st.marginal_relocated <- st.marginal_relocated + 1;
@@ -549,11 +543,28 @@ let scavenge_run ~verify_values ~suspect_retries drive =
   (* 8. Read every leader page: the leader name is the file's survival
      kit, so the scavenger verifies each one is legible. This pass is a
      large share of the minute the paper quotes — one scattered read per
-     file — so the whole set goes through the elevator as one batch. *)
+     file — so the whole set goes through the elevator as one batch. A
+     verifying sweep already holds every leader it read back, and
+     nothing since has rewritten one in place (the link repairs write
+     the value they read), so only leaders moved or rebuilt since are
+     read again. *)
   let nameless_files = ref 0 in
+  let legible value =
+    match Leader.of_value value with
+    | Ok _ -> ()
+    | Error _ -> incr nameless_files
+  in
   let leaders =
     Array.of_list
-      (Hashtbl.fold (fun fid pages acc -> (fid, fst pages.(0)) :: acc) final [])
+      (Hashtbl.fold
+         (fun fid pages acc ->
+           let i = fst pages.(0) in
+           match Hashtbl.find_opt swept_leaders i with
+           | Some value ->
+               legible value;
+               acc
+           | None -> (fid, i) :: acc)
+         final [])
   in
   let leader_values =
     Array.init (Array.length leaders) (fun _ ->
@@ -579,10 +590,7 @@ let scavenge_run ~verify_values ~suspect_retries drive =
       match outcome.Sched.result with
       | Error (Drive.Bad_sector | Drive.Check_mismatch _ | Drive.Transient _) ->
           incr nameless_files
-      | Ok () -> (
-          match Leader.of_value leader_values.(j) with
-          | Ok _ -> ()
-          | Error _ -> incr nameless_files))
+      | Ok () -> legible leader_values.(j))
     leader_outcomes;
 
   (* 9. Serial counter: beyond every serial seen. *)

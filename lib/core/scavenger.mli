@@ -75,14 +75,17 @@ val pp_report : Format.formatter -> report -> unit
 val scavenge :
   ?verify_values:bool -> ?suspect_retries:int -> Drive.t -> (Fs.t * report, string) result
 (** The only fatal error is a disk so broken that a fresh descriptor
-    cannot be written. [verify_values] (default off — it roughly doubles
-    the disk time) additionally reads every live page's data, under
-    {!Alto_disk.Reliable.salvage_policy}, and stamps the bad-page marker
-    into the label of any sector whose surface has failed, so "they will
-    never be used again" (§3.5). A page that reads back only after
-    [suspect_retries] or more retries (default 2) sits on a marginal
-    sector: its data is copied to a fresh sector, links re-chained, and
-    the old sector quarantined. Every sector known bad at the end of the
-    run is recorded in the rebuilt volume's persistent bad-sector table
+    cannot be written. [verify_values] (default off) makes the sweep read
+    every sector's value in the same operation as its label, under
+    {!Alto_disk.Reliable.salvage_policy} — one pass over the pack, not
+    two — and stamps the bad-page marker into the label of any live
+    page whose surface has failed, so "they will never be used again"
+    (§3.5). The leader values come out of that pass too, so the leaders
+    pass re-reads only leaders moved or rebuilt after the sweep. A page
+    whose sweep read succeeded only after [suspect_retries] or more
+    retries (default 2) sits on a marginal sector: its data is copied to
+    a fresh sector, links re-chained, and the old sector quarantined.
+    Every sector known bad at the end of the run is recorded in the
+    rebuilt volume's persistent bad-sector table
     ({!Fs.bad_sector_table}). Raises [Invalid_argument] if
     [suspect_retries < 1]. *)

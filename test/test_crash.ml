@@ -499,6 +499,58 @@ let test_replace_crash_points () =
       [ None; Some Drive.Torn_label; Some Drive.Torn_value ]
   done
 
+(* {2 Serials after a dirty boot} *)
+
+(* Serials named by some label on the platter, read out of band. *)
+let serials_on_platter drive =
+  List.filter_map
+    (fun i ->
+      match
+        Alto_fs.Label.classify (Drive.peek drive (Disk_address.of_index i)).Sector.label
+      with
+      | Alto_fs.Label.Valid l -> Some l.Alto_fs.Label.fid.Alto_fs.File_id.serial
+      | Alto_fs.Label.Free | Alto_fs.Label.Bad | Alto_fs.Label.Garbage _ -> None)
+    (List.init (Drive.sector_count drive) Fun.id)
+
+(* The descriptor records the serial counter only when it is written, so
+   a crash loses every create since the last write — but not their
+   labels. A dirty boot must not hand one of those serials out again,
+   or the next scavenge merges two files under one id. *)
+let test_dirty_boot_hands_out_unused_serials () =
+  let drive = Drive.create ~pack_id:5 Geometry.diablo_31 in
+  let fs = Fs.format drive in
+  let create fs name =
+    match File.create fs ~name with Ok f -> f | Error _ -> Alcotest.failf "create %s" name
+  in
+  List.iter (fun i -> ignore (create fs (Printf.sprintf "A%d" i) : File.t)) [ 1; 2; 3; 4 ];
+  (match Fs.flush fs with Ok () -> () | Error _ -> Alcotest.fail "flush");
+  List.iter (fun i -> ignore (create fs (Printf.sprintf "B%d" i) : File.t)) [ 1; 2; 3; 4 ];
+  let taken = serials_on_platter drive in
+  let sys = System.boot ~drive () in
+  Flight.disable ();
+  let serial = (File.fid (create (System.fs sys) "C")).Alto_fs.File_id.serial in
+  if List.mem serial taken then
+    Alcotest.failf "serial %d already labels a sector on the platter" serial
+
+(* However many serials a volume hands out between descriptor writes,
+   a dirty mount of what the platter then says resumes beyond them. *)
+let test_dirty_mount_resumes_past_every_serial () =
+  let drive = Drive.create ~pack_id:5 Geometry.diablo_31 in
+  let fs = Fs.format drive in
+  (* The first mutation marks the pack dirty on the platter. *)
+  (match Fs.reserve fs with Ok _ -> () | Error _ -> Alcotest.fail "reserve");
+  let last = ref 0 in
+  for _ = 1 to 10_000 do
+    last := (Fs.fresh_fid fs).Alto_fs.File_id.serial
+  done;
+  match Fs.mount drive with
+  | Error msg -> Alcotest.failf "mount: %s" msg
+  | Ok mounted ->
+      Alcotest.(check bool) "mounted dirty" true (Fs.dirty mounted);
+      if Fs.next_serial mounted <= !last then
+        Alcotest.failf "a dirty mount resumes at %d, but %d is in use"
+          (Fs.next_serial mounted) !last
+
 (* {2 The harness, in miniature} *)
 
 let test_harness_small_sweep () =
@@ -529,5 +581,9 @@ let () =
           ("boot scavenges before formatting", `Quick, test_boot_scavenges_before_formatting);
           ("the harness in miniature", `Quick, test_harness_small_sweep);
           ("replace survives a crash at every write", `Quick, test_replace_crash_points);
+          ("a dirty boot hands out unused serials", `Quick, test_dirty_boot_hands_out_unused_serials);
+          ( "a dirty mount resumes past every serial",
+            `Quick,
+            test_dirty_mount_resumes_past_every_serial );
         ] );
     ]

@@ -16,6 +16,7 @@ module File = Alto_fs.File
 module Bio = Alto_fs.Bio
 module Directory = Alto_fs.Directory
 module Fsck = Alto_fs.Fsck
+module Sweep = Alto_fs.Sweep
 module Scavenger = Alto_fs.Scavenger
 
 let geometry = { Geometry.diablo_31 with Geometry.model = "fsck"; cylinders = 25 }
@@ -143,6 +144,108 @@ let test_torn_page_detected_then_scavenge () =
       if r2.Fsck.violations <> [] then
         Alcotest.failf "violations survived the scavenge:@.%a" Fsck.pp_report r2
 
+(* {2 One pass over the pack}
+
+   The checker and the verifying scavenger read each sector's header,
+   label and value in one operation. These cases pin what that single
+   read must still tell apart. *)
+
+let leader_address root name =
+  match Directory.lookup root name with
+  | Ok (Some e) -> e.Directory.entry_file.Alto_fs.Page.addr
+  | Ok None | Error _ -> Alcotest.failf "lookup %s" name
+
+let page_address f pn =
+  match File.page_name f pn with
+  | Ok fn -> fn.Alto_fs.Page.addr
+  | Error _ -> Alcotest.failf "page %d" pn
+
+(* Leave [addr] torn: rewrite its own label and value with the power
+   failing partway through. *)
+let tear drive addr how =
+  let sector = Drive.peek drive addr in
+  Fault.crash_after_writes ~tear:how drive 0;
+  (match
+     Drive.run drive addr
+       { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
+       ~label:sector.Sector.label ~value:sector.Sector.value ()
+   with
+  | Ok () | Error _ -> Alcotest.fail "expected a power failure"
+  | exception Drive.Power_failure -> ());
+  Fault.cancel_crash drive
+
+let test_unreadable_value_stays_live () =
+  let drive, _, _, files = build () in
+  let dead = page_address (List.assoc "F02.dat" files) 1 in
+  Drive.set_value_unreadable drive dead true;
+  let torn = page_address (List.assoc "F04.dat" files) 1 in
+  tear drive torn Drive.Torn_label;
+  let labels = Sweep.run drive in
+  let values = Sweep.run ~read_values:true drive in
+  Alcotest.(check bool) "classes match the label-only sweep" true
+    (labels.Sweep.classes = values.Sweep.classes);
+  let i = Disk_address.to_index dead in
+  (match values.Sweep.classes.(i) with
+  | Sweep.Live _ -> ()
+  | c -> Alcotest.failf "a dead data surface classed as %a" Sweep.pp_class c);
+  Alcotest.(check bool) "its value is unreadable" true
+    (values.Sweep.values.(i) = Sweep.Unreadable);
+  (match values.Sweep.classes.(Disk_address.to_index torn) with
+  | Sweep.Bad_media -> ()
+  | c -> Alcotest.failf "a torn label classed as %a" Sweep.pp_class c);
+  let r = Fsck.check drive in
+  Alcotest.(check bool) "fsck reports the unreadable page" true
+    (List.exists
+       (fun is -> is.Fsck.i_class = "unreadable-page" && is.Fsck.i_addr = Some i)
+       r.Fsck.violations)
+
+let test_fsck_reads_each_sector_once () =
+  let drive = Drive.create ~pack_id:23 Geometry.diablo_31 in
+  let (_ : Fs.t) = Fs.format drive in
+  let before = (Drive.stats drive).Drive.operations in
+  let r = Fsck.check drive in
+  Alcotest.(check bool) "a fresh pack checks clean" true (Fsck.clean r);
+  let ops = (Drive.stats drive).Drive.operations - before in
+  let n = Drive.sector_count drive in
+  if 10 * ops >= 11 * n then
+    Alcotest.failf "fsck issued %d operations for %d sectors" ops n
+
+(* A verifying scavenge over a leader with a torn value, a leader
+   squatting on the descriptor's reserved range, a leader whose value
+   reads back but is no leader, and a dead page with a readable twin.
+   The expected figures are the ones the scavenger gave when it read
+   labels, values and leaders in three separate batches. *)
+let test_verifying_scavenge_matches_the_batched_passes () =
+  let drive, fs, root, files = build () in
+  let dead = page_address (List.assoc "F05.dat" files) 1 in
+  let twin = Disk_address.of_index 350 in
+  let sector = Drive.peek drive dead in
+  Drive.poke drive twin Sector.Label sector.Sector.label;
+  Drive.poke drive twin Sector.Value sector.Sector.value;
+  Drive.set_value_unreadable drive dead true;
+  tear drive (leader_address root "F01.dat") Drive.Torn_value;
+  let squatter = leader_address root "F02.dat" in
+  let reserved = Disk_address.of_index (Fs.descriptor_page_count fs) in
+  let sector = Drive.peek drive squatter in
+  Drive.poke drive reserved Sector.Label sector.Sector.label;
+  Drive.poke drive reserved Sector.Value sector.Sector.value;
+  Drive.poke drive squatter Sector.Label (Alto_fs.Label.free_words ());
+  Drive.poke drive squatter Sector.Value (Alto_fs.Label.free_value ());
+  Fault.zero_part drive (leader_address root "F03.dat") Sector.Value;
+  match Scavenger.scavenge ~verify_values:true drive with
+  | Error msg -> Alcotest.failf "scavenge: %s" msg
+  | Ok (fs', r) ->
+      Alcotest.(check int) "nameless files" 1 r.Scavenger.nameless_files;
+      Alcotest.(check int) "pages lost" 1 r.Scavenger.pages_lost;
+      Alcotest.(check int) "leaders rebuilt" 1 r.Scavenger.leaders_rebuilt;
+      Alcotest.(check int) "pages relocated" 1 r.Scavenger.relocated_pages;
+      Alcotest.(check int) "rescued from twins" 1 r.Scavenger.duplicates_rescued;
+      Alcotest.(check (list int)) "quarantined" [ 8; 25 ]
+        (List.map Disk_address.to_index (Fs.bad_sector_table fs'));
+      let r2 = Fsck.check drive in
+      if r2.Fsck.violations <> [] then
+        Alcotest.failf "violations survived the scavenge:@.%a" Fsck.pp_report r2
+
 let () =
   Alcotest.run "alto fsck"
     [
@@ -154,5 +257,13 @@ let () =
           ("dangling entry is a violation", `Quick, test_dangling_entry_is_a_violation);
           ("garbled leader label, then scavenge", `Quick, test_garbled_leader_label_then_scavenge);
           ("torn page detected, then scavenge", `Quick, test_torn_page_detected_then_scavenge);
+        ] );
+      ( "one pass",
+        [
+          ("an unreadable value stays live", `Quick, test_unreadable_value_stays_live);
+          ("fsck reads each sector once", `Quick, test_fsck_reads_each_sector_once);
+          ( "a verifying scavenge matches the batched passes",
+            `Quick,
+            test_verifying_scavenge_matches_the_batched_passes );
         ] );
     ]
