@@ -141,55 +141,94 @@ let e2 () =
 
 (* E3 — §3.3: "This scheme costs a disk revolution each time a page is
    allocated or freed … On any other write the label is checked, at no
-   cost in time." *)
+   cost in time." A page allocated or freed alone pays that revolution;
+   a run of pages checks every label in one elevator pass, so each page
+   inside it pays about a sector time. *)
 let e3 () =
   heading "E3  what label checking costs (§3.3)";
-  claim "one revolution per allocate/free; ordinary writes pay nothing";
+  claim "one revolution per page allocated or freed alone; ordinary writes pay nothing";
   let pages = 120 in
+  let page_bytes = Sector.bytes_per_page in
   let run ~checking =
     let drive, fs = fresh () in
     Fs.set_label_checking fs checking;
     let clock = Drive.clock drive in
     let root = ok Directory.pp_error (Directory.open_root fs) in
-    let file = make_file fs root "Victim.dat" (pages * Sector.bytes_per_page) 1 in
+    let file = make_file fs root "Victim.dat" (pages * page_bytes) 1 in
     (* (a) ordinary full-page overwrites of existing pages *)
     let (), overwrite_us =
       timed clock (fun () ->
-          ok File.pp_error
-            (File.write_bytes file ~pos:0 (body 2 (pages * Sector.bytes_per_page))))
+          ok File.pp_error (File.write_bytes file ~pos:0 (body 2 (pages * page_bytes))))
     in
-    (* (b) allocating fresh pages (append a second file) *)
-    let file2 = ok File.pp_error (File.create fs ~name:"Fresh.dat") in
-    let (), allocate_us =
+    (* A file whose first data page is full, so that every page written
+       past it is a fresh allocation. *)
+    let one_page_file name =
+      let f = ok File.pp_error (File.create fs ~name) in
+      ok File.pp_error (File.write_bytes f ~pos:0 (body 3 page_bytes));
+      f
+    in
+    (* (b) one page per call: append a page at a time, then cut one off
+       at a time *)
+    let single = one_page_file "Single.dat" in
+    let (), alloc_one_us =
       timed clock (fun () ->
-          ok File.pp_error
-            (File.write_bytes file2 ~pos:0 (body 3 (pages * Sector.bytes_per_page))))
+          for k = 1 to pages do
+            ok File.pp_error (File.append_bytes single (body (3 + k) page_bytes))
+          done)
     in
-    (* (c) freeing them again *)
-    let (), free_us = timed clock (fun () -> ok File.pp_error (File.delete file2)) in
-    (overwrite_us / pages, allocate_us / pages, free_us / pages)
+    let (), free_one_us =
+      timed clock (fun () ->
+          for k = pages - 1 downto 0 do
+            ok File.pp_error (File.truncate single ~len:((k + 1) * page_bytes))
+          done)
+    in
+    (* (c) a run: extend by every page in one write, cut them in one
+       truncate *)
+    let runs = one_page_file "Run.dat" in
+    let (), alloc_run_us =
+      timed clock (fun () ->
+          ok File.pp_error (File.append_bytes runs (body 4 (pages * page_bytes))))
+    in
+    let (), free_run_us =
+      timed clock (fun () -> ok File.pp_error (File.truncate runs ~len:page_bytes))
+    in
+    ( overwrite_us / pages,
+      alloc_one_us / pages,
+      free_one_us / pages,
+      alloc_run_us / pages,
+      free_run_us / pages )
   in
-  let ow_on, al_on, fr_on = run ~checking:true in
-  let ow_off, al_off, fr_off = run ~checking:false in
+  let ow_on, a1_on, f1_on, ar_on, fr_on = run ~checking:true in
+  let ow_off, a1_off, f1_off, ar_off, fr_off = run ~checking:false in
   let rev = Geometry.diablo_31.Geometry.rotation_us in
+  let cost on off = float_of_int (on - off) /. float_of_int rev in
   let line name on off =
-    [
-      name;
-      us_to_string on;
-      us_to_string off;
-      Printf.sprintf "%+.2f rev" (float_of_int (on - off) /. float_of_int rev);
-    ]
+    [ name; us_to_string on; us_to_string off; Printf.sprintf "%+.2f rev" (cost on off) ]
   in
   print_table [ 26; 12; 12; 12 ]
     [ "per page"; "with checks"; "without"; "check cost" ]
     [
       line "ordinary overwrite" ow_on ow_off;
-      line "allocate + first write" al_on al_off;
-      line "free" fr_on fr_off;
+      line "allocate, one page a call" a1_on a1_off;
+      line "free, one page a call" f1_on f1_off;
+      line (Printf.sprintf "allocate, %d-page run" pages) ar_on ar_off;
+      line (Printf.sprintf "free, %d-page run" pages) fr_on fr_off;
     ];
+  List.iter
+    (fun (what, c) ->
+      if c < 0.9 || c > 1.1 then
+        failwith (Printf.sprintf "E3: %s costs %+.2f rev, not about one" what c))
+    [ ("allocating one page", cost a1_on a1_off); ("freeing one page", cost f1_on f1_off) ];
+  List.iter
+    (fun (what, c) ->
+      if c > 0.25 then
+        failwith (Printf.sprintf "E3: %s costs %+.2f rev a page inside a run" what c))
+    [ ("allocating", cost ar_on ar_off); ("freeing", cost fr_on fr_off) ];
   print_endline
-    "shape: ordinary writes identical with checks on or off; allocation and\n\
-     freeing each pay about one extra revolution for the check pass."
+    "shape: ordinary writes identical with checks on or off; a page allocated\n\
+     or freed alone pays about one extra revolution for its check, and a\n\
+     run checks every page in one elevator pass, so each page inside it\n\
+     pays a fraction of one."
 
 (* E4 — §3.6: the recovery ladder, each rung slower than the last. *)
 let e4 () =

@@ -612,23 +612,28 @@ let rewrite_page t pn ~length ~next value =
       in
       Page.rewrite_label ~cache:(cache t) ~bio:(bio t) (drive t) fn ~new_label ~value)
 
-let append_fresh_page t value ~len =
+(* The first write of a fresh page: the next page of [run], or, when
+   the run is spent, the first of a new run of [pages] reserved and
+   checked free in one pass. A sector that refuses the write has been
+   quarantined; the next page stands in for it. *)
+let rec write_fresh t run ~pages label value =
   let ( let* ) = Result.bind in
-  let pn = t.last_page + 1 in
-  let* prev_fn = page_name t t.last_page in
   let* addr =
-    Result.map_error
-      (fun e -> Fs_error e)
-      (Fs.allocate_page t.fs
-         ~label:(fun _ ->
-           Label.make ~fid:t.fid ~page:pn ~length:len ~next:Disk_address.nil
-             ~prev:prev_fn.Page.addr)
-         ~value)
+    match !run with
+    | addr :: rest ->
+        run := rest;
+        Ok addr
+    | [] -> (
+        match Fs.reserve_pages t.fs pages with
+        | Ok (addr :: rest) ->
+            run := rest;
+            Ok addr
+        | Ok [] -> Error (Fs_error Fs.Disk_full)
+        | Error e -> Error (Fs_error e))
   in
-  set_hint t pn addr;
-  if not (Disk_address.equal addr (Disk_address.offset prev_fn.Page.addr 1)) then
-    t.leader <- Leader.with_consecutive t.leader false;
-  Ok (addr, pn)
+  match Fs.write_reserved t.fs addr label value with
+  | Ok () -> Ok addr
+  | Error `Quarantined -> write_fresh t run ~pages label value
 
 (* One label-checked value write of page [pn]. [through] refuses the
    track buffer cache's absorption: the value reaches the platter now,
@@ -685,6 +690,8 @@ let write_bytes ?through t ~pos s =
   (* [cached] avoids re-reading a page we just wrote when the loop
      immediately appends its successor. *)
   let cached = ref None in
+  (* Fresh pages reserved and checked free, not yet written. *)
+  let run = ref [] in
   (* A long run of whole-page overwrites of existing pages — the shape
      of a world swap's outload — goes to the disk as one elevator batch
      before the page-at-a-time loop takes over for the remainder. *)
@@ -757,10 +764,24 @@ let write_bytes ?through t ~pos s =
         put (pn + 1) 0 (s_off + here)
       end
       else begin
-        (* A brand-new page; the previous last page must be full. *)
+        (* A brand-new page; the previous last page must be full. The
+           first one reserves every page the remaining bytes need, so
+           their free checks share one pass; each is still written and
+           linked in file order, one page at a time. *)
         let value = Array.make Sector.value_words Word.zero in
         patch_page value ~page_off:0 s ~s_off ~len:here;
-        let* addr, pn' = append_fresh_page t value ~len:here in
+        let pn' = t.last_page + 1 in
+        let* prev_fn = page_name t t.last_page in
+        let* addr =
+          write_fresh t run
+            ~pages:((len - s_off + Sector.bytes_per_page - 1) / Sector.bytes_per_page)
+            (Label.make ~fid:t.fid ~page:pn' ~length:here ~next:Disk_address.nil
+               ~prev:prev_fn.Page.addr)
+            value
+        in
+        set_hint t pn' addr;
+        if not (Disk_address.equal addr (Disk_address.offset prev_fn.Page.addr 1)) then
+          t.leader <- Leader.with_consecutive t.leader false;
         (* Tell the old last page about its successor. When the file had
            no data pages at all, the "old last" is the leader itself. *)
         let old_last = t.last_page in
@@ -781,9 +802,15 @@ let write_bytes ?through t ~pos s =
         put (pn' + 1) 0 (s_off + here)
       end
   in
-  let* start_pn, start_s_off = batched_prefix () in
-  let page_off = if start_s_off = 0 then pos mod Sector.bytes_per_page else 0 in
-  let* () = put start_pn page_off start_s_off in
+  let written =
+    let* start_pn, start_s_off = batched_prefix () in
+    let page_off = if start_s_off = 0 then pos mod Sector.bytes_per_page else 0 in
+    put start_pn page_off start_s_off
+  in
+  (* A write refused partway leaves its run's unwritten pages reserved;
+     they go back to the map. *)
+  List.iter (Fs.unreserve t.fs) !run;
+  let* () = written in
   touch_written t;
   update_leader_last t;
   Ok ()
@@ -797,16 +824,18 @@ let truncate t ~len =
     invalid_arg "File.truncate: length out of range";
   let ( let* ) = Result.bind in
   let new_last = if len = 0 then 1 else 1 + ((len - 1) / Sector.bytes_per_page) in
-  let rec free pn =
-    if pn <= new_last then Ok ()
+  (* The pages cut go as one run: every name is checked before any is
+     freed. *)
+  let rec resolve pn acc =
+    if pn <= new_last then Ok acc
     else
       let* fn = page_name t pn in
-      let* () = Result.map_error (fun e -> Fs_error e) (Fs.free_page t.fs fn) in
-      clear_hint t pn;
-      t.last_page <- pn - 1;
-      free (pn - 1)
+      resolve (pn - 1) (fn :: acc)
   in
-  let* () = free t.last_page in
+  let* cut = resolve t.last_page [] in
+  let* () = Result.map_error (fun e -> Fs_error e) (Fs.free_pages t.fs cut) in
+  List.iter (fun (fn : Page.full_name) -> clear_hint t fn.Page.abs.Page.page) cut;
+  t.last_page <- new_last;
   let new_plen = len - (Sector.bytes_per_page * (new_last - 1)) in
   let* value, _ = read_page t new_last in
   (* Force the next link to NIL: new_plen describes the new last page. *)
@@ -836,14 +865,13 @@ let delete t =
       let* fn = page_name t pn in
       resolve (fn :: acc) (pn + 1)
   in
-  let* names = resolve [] 0 in
-  let rec free = function
-    | [] -> Ok ()
-    | fn :: rest ->
-        let* () = Result.map_error (fun e -> Fs_error e) (Fs.free_page t.fs fn) in
-        free rest
-  in
-  let* () = free (List.rev names) in
+  let* data = resolve [] 1 in
+  let free names = Result.map_error (fun e -> Fs_error e) (Fs.free_pages t.fs names) in
+  (* The data pages go as one run, the leader last and on its own: a
+     crash in between leaves the file with its leader, never headless
+     pages for the scavenger to name. *)
+  let* () = free data in
+  let* () = free [ leader_name t ] in
   t.last_page <- 0;
   t.last_length <- 0;
   invalidate_hints t;

@@ -98,17 +98,26 @@ val finish_read : read_plan -> Alto_disk.Sched.outcome array -> (string, error) 
 val write_bytes : ?through:bool -> t -> pos:int -> string -> (unit, error) result
 (** Overwrite and/or extend. [pos] may not exceed the current length
     (files have no holes). Growing the last page or adding pages pays
-    the label-rewrite revolution the paper describes. With [through]
-    (default off) no value write waits in the track buffer cache: every
-    data page written is on the platter when this returns. *)
+    the label-rewrite revolution the paper describes. The first fresh
+    page reserves every page the remaining bytes need
+    ({!Fs.reserve_pages}, one check pass); the pages are then written
+    and linked one at a time in file order, and a write that fails part
+    way hands the unwritten reservations back. When the volume runs out,
+    the file still takes every page there is before [Disk_full]. With
+    [through] (default off) no value write waits in the track buffer
+    cache: every data page written is on the platter when this
+    returns. *)
 
 val append_bytes : t -> string -> (unit, error) result
 
 val truncate : t -> len:int -> (unit, error) result
-(** Delete pages from the end until the file holds [len] bytes. *)
+(** Delete pages from the end until the file holds [len] bytes. The
+    pages cut are freed as one run ({!Fs.free_pages}). *)
 
 val delete : t -> (unit, error) result
-(** Free every page, last to first. The handle is dead afterwards.
+(** Free the data pages as one run ({!Fs.free_pages}), then the leader
+    alone, so a crash part way never leaves data pages without their
+    leader. The handle is dead afterwards.
     Directory entries pointing at the file become dangling — their
     removal is, again, a separate mechanism. *)
 

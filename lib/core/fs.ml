@@ -3,6 +3,7 @@ module Sim_clock = Alto_machine.Sim_clock
 module Sector = Alto_disk.Sector
 module Drive = Alto_disk.Drive
 module Reliable = Alto_disk.Reliable
+module Sched = Alto_disk.Sched
 module Geometry = Alto_disk.Geometry
 module Disk_address = Alto_disk.Disk_address
 module Obs = Alto_obs.Obs
@@ -318,92 +319,145 @@ let reserve t =
 
 let unreserve t addr = mark_free t addr
 
-let write_first t addr label value =
-  let write_op () =
+(* One pass of [op] over a list of (address, label buffer) requests,
+   results in the caller's order. A run goes to the elevator; a single
+   page is one operation with nothing to order, so it goes straight to
+   the drive. *)
+let pass t op ?value requests =
+  match requests with
+  | [ (addr, label) ] -> [ Reliable.run t.drive addr op ~label ?value () ]
+  | _ ->
+      Array.to_list
+        (Array.map
+           (fun o -> o.Sched.result)
+           (Sched.run_batch t.drive
+              (Array.of_list
+                 (List.map (fun (addr, label) -> Sched.request ~label ?value addr op) requests))))
+
+let first_error results = List.find_map (function Error e -> Some e | Ok () -> None) results
+
+let count_stale_map_hit t addr =
+  t.counters <- { t.counters with stale_map_hits = t.counters.stale_map_hits + 1 };
+  Obs.incr m_stale_map_hits;
+  Obs.event ~clock:(Drive.clock t.drive)
+    ~fields:[ ("addr", Obs.I (Disk_address.to_index addr)) ]
+    "fs.stale_map_hit"
+
+let count_bad_sector t addr =
+  t.counters <- { t.counters with bad_sectors_hit = t.counters.bad_sectors_hit + 1 };
+  Obs.incr m_bad_sectors_hit;
+  (* Record the dud so no future mount hands it out again. *)
+  quarantine t addr
+
+(* Up to [n] pages, picked from the map and checked free in one pass per
+   round. A refuted candidate stays busy — the map lied, the paper's
+   "little extra one-time disk activity" — a bad one is quarantined, and
+   the next round re-picks that many. Fewer than [n] only when the map
+   runs dry; none is [Disk_full]. *)
+let reserve_run t n =
+  let rec round acc n =
+    let rec pick k picked =
+      if k = 0 then List.rev picked
+      else match reserve t with Ok a -> pick (k - 1) (a :: picked) | Error _ -> List.rev picked
+    in
+    match pick n [] with
+    | [] -> if acc = [] then Error Disk_full else Ok (List.rev acc)
+    | picked when not t.label_checking -> Ok (List.rev_append acc picked)
+    | picked ->
+        let checked =
+          pass t { Drive.op_none with label = Some Drive.Check }
+            (List.map (fun addr -> (addr, Label.check_free ())) picked)
+        in
+        let acc, refused =
+          List.fold_left2
+            (fun (acc, refused) addr result ->
+              match result with
+              | Ok () -> (addr :: acc, refused)
+              | Error (Drive.Check_mismatch _) ->
+                  count_stale_map_hit t addr;
+                  (acc, refused + 1)
+              | Error (Drive.Bad_sector | Drive.Transient _) ->
+                  (* A transient here means the retry ladder already ran dry. *)
+                  count_bad_sector t addr;
+                  (acc, refused + 1))
+            (acc, 0) picked checked
+        in
+        if refused = 0 then Ok (List.rev acc) else round acc refused
+  in
+  round [] n
+
+let reserve_pages t n =
+  if n < 1 then invalid_arg "Fs.reserve_pages: a run needs at least one page";
+  Prof.span (Drive.clock t.drive) "fs.allocate_page" @@ fun () -> reserve_run t n
+
+let write_reserved t addr label value =
+  match
     Reliable.run t.drive addr
       { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
       ~label:(Label.to_words label) ~value ()
-  in
-  if t.label_checking then
-    match
-      Reliable.run t.drive addr
-        { Drive.op_none with label = Some Drive.Check }
-        ~label:(Label.check_free ()) ()
-    with
-    | Error (Drive.Check_mismatch _) -> Error `Not_free
-    | Error (Drive.Bad_sector | Drive.Transient _) ->
-        (* A transient here means the retry ladder already ran dry. *)
-        Error `Bad
-    | Ok () -> (
-        match write_op () with
-        | Ok () -> Ok ()
-        | Error Drive.Bad_sector -> Error `Bad
-        | Error (Drive.Check_mismatch _ | Drive.Transient _) ->
-            assert false (* write-only ops: no checks, no soft reads *))
-  else
-    match write_op () with
-    | Ok () -> Ok ()
-    | Error Drive.Bad_sector -> Error `Bad
-    | Error (Drive.Check_mismatch _ | Drive.Transient _) -> assert false
+  with
+  | Ok () ->
+      t.counters <- { t.counters with allocations = t.counters.allocations + 1 };
+      Obs.incr m_allocations;
+      Ok ()
+  | Error Drive.Bad_sector ->
+      count_bad_sector t addr;
+      Error `Quarantined
+  | Error (Drive.Check_mismatch _ | Drive.Transient _) ->
+      assert false (* a write-only op: no checks, no soft reads *)
 
 let allocate_page t ~label ~value =
   Prof.span (Drive.clock t.drive) "fs.allocate_page" @@ fun () ->
   let rec attempt () =
-    match reserve t with
+    match reserve_run t 1 with
     | Error e -> Error e
-    | Ok addr -> (
-        match write_first t addr (label addr) value with
-        | Ok () ->
-            t.counters <- { t.counters with allocations = t.counters.allocations + 1 };
-            Obs.incr m_allocations;
-            Ok addr
-        | Error `Not_free ->
-            (* The map lied: the page was busy all along. It stays marked
-               busy and we go around again — the paper's "little extra
-               one-time disk activity". *)
-            t.counters <- { t.counters with stale_map_hits = t.counters.stale_map_hits + 1 };
-            Obs.incr m_stale_map_hits;
-            Obs.event ~clock:(Drive.clock t.drive)
-              ~fields:[ ("addr", Obs.I (Disk_address.to_index addr)) ]
-              "fs.stale_map_hit";
-            attempt ()
-        | Error `Bad ->
-            t.counters <-
-              { t.counters with bad_sectors_hit = t.counters.bad_sectors_hit + 1 };
-            Obs.incr m_bad_sectors_hit;
-            (* Record the dud so no future mount hands it out again. *)
-            quarantine t addr;
-            attempt ())
+    | Ok [] -> Error Disk_full
+    | Ok (addr :: _) -> (
+        match write_reserved t addr (label addr) value with
+        | Ok () -> Ok addr
+        | Error `Quarantined -> attempt ())
   in
   attempt ()
 
-let free_page t (fn : Page.full_name) =
-  Prof.span (Drive.clock t.drive) "fs.free_page" @@ fun () ->
-  note_mutation t;
-  let write_free () =
-    Reliable.run t.drive fn.Page.addr
-      { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
-      ~label:(Label.free_words ()) ~value:(Label.free_value ()) ()
-  in
-  let finish () =
-    match write_free () with
-    | Error e -> Error (Page_error (Page.Hint_failed e))
-    | Ok () ->
-        mark_free t fn.Page.addr;
-        t.counters <- { t.counters with frees = t.counters.frees + 1 };
-        Obs.incr m_frees;
-        Ok ()
-  in
-  if t.label_checking then
-    match
-      Reliable.run t.drive fn.Page.addr
-        { Drive.op_none with label = Some Drive.Check }
-        ~label:(Label.check_name fn.Page.abs.Page.fid ~page:fn.Page.abs.Page.page)
-        ()
-    with
-    | Error e -> Error (Page_error (Page.Hint_failed e))
-    | Ok () -> finish ()
-  else finish ()
+let free_pages t (names : Page.full_name list) =
+  if names = [] then Ok ()
+  else
+    Prof.span (Drive.clock t.drive) "fs.free_page" @@ fun () ->
+    note_mutation t;
+    let refused =
+      if not t.label_checking then None
+      else
+        first_error
+          (pass t { Drive.op_none with label = Some Drive.Check }
+             (List.map
+                (fun (fn : Page.full_name) ->
+                  (fn.Page.addr, Label.check_name fn.Page.abs.Page.fid ~page:fn.Page.abs.Page.page))
+                names))
+    in
+    match refused with
+    | Some e -> Error (Page_error (Page.Hint_failed e))
+    | None -> (
+        (* Writes only read their buffers, so the whole run shares one. *)
+        let free_label = Label.free_words () in
+        let written =
+          pass t
+            { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
+            ~value:(Label.free_value ())
+            (List.map (fun (fn : Page.full_name) -> (fn.Page.addr, free_label)) names)
+        in
+        List.iter2
+          (fun (fn : Page.full_name) result ->
+            if Result.is_ok result then begin
+              mark_free t fn.Page.addr;
+              t.counters <- { t.counters with frees = t.counters.frees + 1 };
+              Obs.incr m_frees
+            end)
+          names written;
+        match first_error written with
+        | Some e -> Error (Page_error (Page.Hint_failed e))
+        | None -> Ok ())
+
+let free_page t fn = free_pages t [ fn ]
 
 (* {2 Descriptor encoding} *)
 
@@ -642,8 +696,12 @@ let descriptor_page_count = descriptor_data_pages
    written through the ordinary allocation path. *)
 let create_root_directory t =
   let ( let* ) = Result.bind in
-  let* leader_addr = reserve t in
-  let* page1_addr = reserve t in
+  let* leader_addr, page1_addr =
+    match reserve_run t 2 with
+    | Ok [ leader_addr; page1_addr ] -> Ok (leader_addr, page1_addr)
+    | Ok _ -> Error Disk_full
+    | Error e -> Error e
+  in
   let leader_label =
     Label.make ~fid:File_id.root_directory ~page:0 ~length:Sector.bytes_per_page
       ~next:page1_addr ~prev:Disk_address.nil
@@ -656,19 +714,13 @@ let create_root_directory t =
     Leader.make ~created_s:(now_seconds t) ~name:"SysDir." ~last_page:1
       ~last_addr:page1_addr ~maybe_consecutive:true ()
   in
-  let fail = Error (Corrupt "fresh page refused first write") in
-  let* () =
-    match write_first t leader_addr leader_label (Leader.to_value leader) with
+  let write addr label value =
+    match write_reserved t addr label value with
     | Ok () -> Ok ()
-    | Error (`Not_free | `Bad) -> fail
+    | Error `Quarantined -> Error (Corrupt "fresh page refused first write")
   in
-  let* () =
-    match
-      write_first t page1_addr page1_label (Array.make Sector.value_words Word.zero)
-    with
-    | Ok () -> Ok ()
-    | Error (`Not_free | `Bad) -> fail
-  in
+  let* () = write leader_addr leader_label (Leader.to_value leader) in
+  let* () = write page1_addr page1_label (Array.make Sector.value_words Word.zero) in
   t.root <- Some (Page.full_name File_id.root_directory ~page:0 ~addr:leader_addr);
   Ok ()
 

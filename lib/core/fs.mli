@@ -11,8 +11,11 @@
     map results in a little extra one-time disk activity", and a page
     improperly marked busy is merely lost until the scavenger finds it.
     Freeing checks the page's full name, then writes ones through label
-    and value. Both allocation and freeing therefore cost about one disk
-    revolution; ordinary data writes check the label for free.
+    and value. For one page, allocation and freeing therefore each cost
+    about one disk revolution, as the paper says; ordinary data writes
+    check the label for free. A run of pages pays the check once: every
+    page's check rides one elevator pass, then the writes follow, so a
+    page inside a run costs about a sector time instead of a revolution.
 
     [label_checking] can be turned off to measure what those checks cost
     and what they buy (experiment E3/E9 ablations). *)
@@ -110,26 +113,41 @@ val set_label_checking : t -> bool -> unit
 
 val allocate_page :
   t -> label:(Disk_address.t -> Label.t) -> value:Word.t array -> (Disk_address.t, error) result
-(** Pick a free page, then perform the first write: check the free
-    pattern, write [label addr] and [value]. Stale map entries and bad
-    sectors are retried transparently (the map is corrected as a side
-    effect). *)
+(** The one-page case of {!reserve_pages} and {!write_reserved}: pick a
+    free page, check the free pattern in its label, then write
+    [label addr] and [value]. Stale map entries and bad sectors are
+    retried transparently (the map is corrected as a side effect). *)
 
-val reserve : t -> (Disk_address.t, error) result
-(** The map half of allocation only: pick a page and mark it busy. Used
-    when several pages' labels must cross-link before any is written;
-    each must still be written with {!write_first}. *)
+val reserve_pages : t -> int -> (Disk_address.t list, error) result
+(** [reserve_pages t n] picks [n] pages from the map, marks them busy,
+    and checks every candidate's label free in one elevator pass. A
+    candidate the check refutes stays busy (the map lied), a bad one is
+    quarantined, and the pass repeats for that many re-picks. The pages
+    come back in pick order, which is the order {!allocate_page} would
+    have handed them out. Fewer than [n] come back only when the map runs
+    out of free pages, and none is [Error Disk_full]. Each page must be
+    written with {!write_reserved} or handed back with {!unreserve}.
+    Raises [Invalid_argument] when [n < 1]. *)
+
+val write_reserved :
+  t -> Disk_address.t -> Label.t -> Word.t array -> (unit, [ `Quarantined ]) result
+(** The first write of a page {!reserve_pages} checked free: label and
+    value in one operation. A sector that refuses the write is
+    quarantined, and the caller takes another page. *)
 
 val unreserve : t -> Disk_address.t -> unit
+(** Hand an unwritten reservation back to the map. *)
 
-val write_first :
-  t -> Disk_address.t -> Label.t -> Word.t array -> (unit, [ `Not_free | `Bad ]) result
-(** The disk half: check-free then write label and value (two disk
-    operations — the revolution the paper charges to allocation). *)
+val free_pages : t -> Page.full_name list -> (unit, error) result
+(** Free a run of pages. Every page's full name is checked in one
+    elevator pass; if any is refused, nothing is written and the error
+    is [Page_error (Hint_failed _)]. Otherwise a second pass writes ones
+    through every page's label and value and clears their map bits. A
+    write that fails leaves its page busy and is reported after the
+    rest of the pass; the pages written are free. *)
 
 val free_page : t -> Page.full_name -> (unit, error) result
-(** Check the page's name, write ones through label and value, clear the
-    map bit. *)
+(** [free_pages] of one page. *)
 
 val free_count : t -> int
 val is_free_in_map : t -> Disk_address.t -> bool
@@ -182,7 +200,7 @@ val flush : t -> (unit, error) result
 
     One descriptor word records whether the volume has mutated since its
     last consistency point. It is set (and written through) by the first
-    {!reserve}, {!free_page} or {!quarantine} after the point, and
+    {!reserve_pages}, {!free_pages} or {!quarantine} after the point, and
     cleared by a clean unmount ({!mark_clean}), an OutLoad, a format or
     a scavenge. A pack that {!mount}s with {!dirty} true crashed, and
     boot answers with {!Patrol.recover} — a bounded pass from the

@@ -453,20 +453,30 @@ let replace_damage drive =
                         (List.init ((len + 511) / 512) Fun.id)))
             replace_cases)
 
-let test_replace_crash_points () =
+let tear_name = function
+  | None -> ""
+  | Some Drive.Torn_label -> " torn label"
+  | Some Drive.Torn_value -> " torn value"
+
+(* Kill [work] at every write it issues on a freshly [plant]ed pack,
+   cleanly and with the fatal sector's label or value torn, and recover
+   by the harness's rule: boot, and one verifying scavenge if the
+   checker or [damage] still objects. After it the checker must find no
+   violation and [damage] nothing. Returns how many writes [work]
+   issues. *)
+let sweep_crash_points ~plant ~work ~damage =
   let writes =
-    let drive = replace_pack () in
+    let drive = plant () in
     let before = Drive.write_ops drive in
-    replace_all drive;
+    work drive;
     Drive.write_ops drive - before
   in
-  Alcotest.(check bool) "the replaces write" true (writes >= 10);
   for point = 0 to writes - 1 do
     List.iter
       (fun tear ->
-        let drive = replace_pack () in
+        let drive = plant () in
         Fault.crash_after_writes ?tear drive point;
-        (match replace_all drive with
+        (match work drive with
         | () -> Alcotest.failf "crash point %d never fired" point
         | exception Drive.Power_failure -> ());
         Fault.cancel_crash drive;
@@ -478,26 +488,127 @@ let test_replace_crash_points () =
         done;
         ignore (Fs.mark_clean (System.fs sys));
         Flight.disable ();
-        let judge () = ((Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations, replace_damage drive) in
+        let where = Printf.sprintf "write %d%s" point (tear_name tear) in
+        let judge () = ((Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations, damage drive) in
         let violations, damage =
           match judge () with
           | [], [] -> ([], [])
           | _ -> (
               match Scavenger.scavenge ~verify_values:true drive with
-              | Error msg -> Alcotest.failf "write %d: scavenge failed: %s" point msg
+              | Error msg -> Alcotest.failf "%s: scavenge failed: %s" where msg
               | Ok _ -> judge ())
-        in
-        let where =
-          Printf.sprintf "write %d%s" point
-            (match tear with
-            | None -> ""
-            | Some Drive.Torn_label -> " torn label"
-            | Some Drive.Torn_value -> " torn value")
         in
         List.iter (fun i -> Alcotest.failf "%s: fsck: %a" where Alto_fs.Fsck.pp_issue i) violations;
         List.iter (fun msg -> Alcotest.failf "%s: %s" where msg) damage)
       [ None; Some Drive.Torn_label; Some Drive.Torn_value ]
-  done
+  done;
+  writes
+
+let test_replace_crash_points () =
+  let writes = sweep_crash_points ~plant:replace_pack ~work:replace_all ~damage:replace_damage in
+  Alcotest.(check bool) "the replaces write" true (writes >= 10)
+
+(* {2 Freeing a run, crashed at every write}
+
+   [File.delete] and [File.truncate] free their pages as one run, in
+   elevator order rather than last page first, so a crash part way can
+   free pages from the middle of the file. Recovery keeps the prefix up
+   to the first freed page: the file stays whole, stops short holding
+   only its old bytes, or (a delete whose leader went) is gone. Because
+   the leader is freed last, no page is ever left headless, so no
+   [Scavenged.*] name may appear, in the directory or on a leader. *)
+
+let run_file = "Run.dat"
+let run_bytes = (14 * Sector.bytes_per_page) - 200
+let run_contents = pattern ~seed:6 ~version:1 run_bytes
+
+(* The file laid out consecutively, or scattered so that the elevator
+   frees it in an order unrelated to its page numbers. *)
+let run_pack ~scattered () =
+  let drive = Drive.create ~pack_id:9 small_geometry in
+  let fs = Fs.format drive in
+  if scattered then Fs.set_policy fs (Fs.Scattered (Random.State.make [| 9 |]));
+  let root = match Directory.open_root fs with Ok r -> r | Error _ -> failwith "root" in
+  (match
+     Result.bind (File.create fs ~name:run_file) (fun f ->
+         Result.bind (File.replace f run_contents) (fun () ->
+             Result.map_error (fun _ -> File.Hint_failed) (Directory.add root ~name:run_file (File.leader_name f))))
+   with
+  | Ok () -> ()
+  | Error _ -> failwith "plant");
+  (match Fs.mark_clean fs with Ok () -> () | Error _ -> failwith "clean");
+  drive
+
+let on_run_file drive f =
+  match Fs.mount drive with
+  | Error msg -> failwith msg
+  | Ok fs -> (
+      let root = match Directory.open_root fs with Ok r -> r | Error _ -> failwith "root" in
+      match Directory.lookup root run_file with
+      | Ok (Some e) -> (
+          match File.open_leader fs e.Directory.entry_file with
+          | Ok file -> ignore (f file)
+          | Error _ -> failwith "open")
+      | Ok None | Error _ -> failwith "lookup")
+
+let run_damage ~may_vanish drive =
+  match Fs.mount drive with
+  | Error msg -> [ "remount: " ^ msg ]
+  | Ok fs -> (
+      match Directory.open_root fs with
+      | Error _ -> [ "root unopenable" ]
+      | Ok root -> (
+          let headless =
+            match Directory.entries root with
+            | Error _ -> [ "root unreadable" ]
+            | Ok entries ->
+                List.filter_map
+                  (fun (e : Directory.entry) ->
+                    if String.starts_with ~prefix:"Scavenged." e.Directory.entry_name then
+                      Some ("headless pages adopted as " ^ e.Directory.entry_name)
+                    else None)
+                  entries
+          in
+          headless
+          @
+          match Directory.lookup root run_file with
+          | Ok None -> if may_vanish then [] else [ run_file ^ " lost" ]
+          | Error _ -> [ run_file ^ " lookup failed" ]
+          | Ok (Some e) -> (
+              match File.open_leader fs e.Directory.entry_file with
+              | Error _ -> [ run_file ^ " unopenable" ]
+              | Ok f when not (String.equal (File.leader f).Alto_fs.Leader.name run_file) ->
+                  [ Printf.sprintf "%s has a rebuilt leader named %s" run_file (File.leader f).Alto_fs.Leader.name ]
+              | Ok f -> (
+                  let len = File.byte_length f in
+                  match File.read_bytes f ~pos:0 ~len with
+                  | Error _ -> [ run_file ^ " unreadable" ]
+                  | Ok b ->
+                      if len <= run_bytes && String.equal (Bytes.to_string b) (String.sub run_contents 0 len)
+                      then []
+                      else [ Printf.sprintf "%s holds %d bytes that are not its old prefix" run_file len ]))))
+
+let test_delete_run_crash_points () =
+  List.iter
+    (fun scattered ->
+      let writes =
+        sweep_crash_points ~plant:(run_pack ~scattered)
+          ~work:(fun drive -> on_run_file drive File.delete)
+          ~damage:(run_damage ~may_vanish:true)
+      in
+      Alcotest.(check bool) "the delete writes every page" true (writes >= 15))
+    [ false; true ]
+
+let test_truncate_run_crash_points () =
+  List.iter
+    (fun scattered ->
+      let writes =
+        sweep_crash_points ~plant:(run_pack ~scattered)
+          ~work:(fun drive -> on_run_file drive (File.truncate ~len:1800))
+          ~damage:(run_damage ~may_vanish:false)
+      in
+      Alcotest.(check bool) "the truncate writes every page it cuts" true (writes >= 10))
+    [ false; true ]
 
 (* {2 Serials after a dirty boot} *)
 
@@ -538,7 +649,7 @@ let test_dirty_mount_resumes_past_every_serial () =
   let drive = Drive.create ~pack_id:5 Geometry.diablo_31 in
   let fs = Fs.format drive in
   (* The first mutation marks the pack dirty on the platter. *)
-  (match Fs.reserve fs with Ok _ -> () | Error _ -> Alcotest.fail "reserve");
+  (match Fs.reserve_pages fs 1 with Ok _ -> () | Error _ -> Alcotest.fail "reserve");
   let last = ref 0 in
   for _ = 1 to 10_000 do
     last := (Fs.fresh_fid fs).Alto_fs.File_id.serial
@@ -581,6 +692,8 @@ let () =
           ("boot scavenges before formatting", `Quick, test_boot_scavenges_before_formatting);
           ("the harness in miniature", `Quick, test_harness_small_sweep);
           ("replace survives a crash at every write", `Quick, test_replace_crash_points);
+          ("delete survives a crash at every write", `Quick, test_delete_run_crash_points);
+          ("truncate survives a crash at every write", `Quick, test_truncate_run_crash_points);
           ("a dirty boot hands out unused serials", `Quick, test_dirty_boot_hands_out_unused_serials);
           ( "a dirty mount resumes past every serial",
             `Quick,

@@ -375,6 +375,101 @@ let test_replace_full_volume () =
   let report = Alto_fs.Fsck.check drive in
   if not (Alto_fs.Fsck.clean report) then Alcotest.failf "%a" Alto_fs.Fsck.pp_report report
 
+(* {2 runs of pages} *)
+
+(* A settled catalogued file of [pages] full pages on a dirty volume. *)
+let run_subject pages =
+  let drive, fs = fresh_fs () in
+  let file = file_ok "create" (File.create fs ~name:"Run.") in
+  file_ok "write" (File.write_bytes file ~pos:0 (lorem (pages * Sector.bytes_per_page)));
+  ignore (Alto_fs.Bio.flush (Fs.bio fs));
+  (drive, fs, file)
+
+(* Calls of every profile node named [name]; with [child], calls of
+   that node's children so named instead. *)
+let span_calls ?child name =
+  List.fold_left
+    (fun n (s : Alto_obs.Prof.snapshot) ->
+      if not (String.equal s.Alto_obs.Prof.name name) then n
+      else
+        match child with
+        | None -> n + s.Alto_obs.Prof.calls
+        | Some c ->
+            List.fold_left
+              (fun n (k : Alto_obs.Prof.snapshot) ->
+                if String.equal k.Alto_obs.Prof.name c then n + k.Alto_obs.Prof.calls else n)
+              n s.Alto_obs.Prof.children)
+    0
+    (Alto_obs.Prof.flatten (Alto_obs.Prof.tree ()))
+
+(* One page freed alone waits a turn between its check and its write;
+   a run's checks and writes each take one elevator pass. *)
+let test_delete_run_is_fast () =
+  let drive, fs, file = run_subject 24 in
+  let free0 = Fs.free_count fs in
+  let clock = Drive.clock drive in
+  let t0 = Alto_machine.Sim_clock.now_us clock in
+  file_ok "delete" (File.delete file);
+  let revs =
+    float_of_int (Alto_machine.Sim_clock.now_us clock - t0)
+    /. float_of_int small_geometry.Geometry.rotation_us
+  in
+  if revs >= 10.0 then Alcotest.failf "deleting 24 pages took %.1f revolutions" revs;
+  Alcotest.(check int) "every page freed" (free0 + 25) (Fs.free_count fs)
+
+let test_free_run_refused_frees_nothing () =
+  let _drive, fs, file = run_subject 4 in
+  let names = List.init 4 (fun i -> file_ok "name" (File.page_name file (i + 1))) in
+  let stranger = Fs.fresh_fid fs in
+  let names =
+    List.mapi
+      (fun i (fn : Page.full_name) ->
+        if i = 2 then Page.full_name stranger ~page:3 ~addr:fn.Page.addr else fn)
+      names
+  in
+  let free0 = Fs.free_count fs in
+  (match Fs.free_pages fs names with
+  | Error (Fs.Page_error (Page.Hint_failed _)) -> ()
+  | Ok () -> Alcotest.fail "freed a run holding a wrong name"
+  | Error e -> Alcotest.failf "expected a refused name, got %a" Fs.pp_error e);
+  Alcotest.(check int) "nothing freed" free0 (Fs.free_count fs);
+  let got = file_ok "read" (File.read_bytes file ~pos:0 ~len:(4 * Sector.bytes_per_page)) in
+  Alcotest.(check string) "every page reads back" (lorem (4 * Sector.bytes_per_page))
+    (Bytes.to_string got)
+
+let test_extend_run_writes () =
+  let drive, fs, file = run_subject 1 in
+  let writes0 = Drive.write_ops drive in
+  let reserves0 = span_calls "fs.allocate_page" in
+  let passes0 = span_calls ~child:"disk.sched.sweep" "fs.allocate_page" in
+  let free0 = Fs.free_count fs in
+  let body = other (24 * Sector.bytes_per_page) in
+  file_ok "extend" (File.append_bytes file body);
+  Alcotest.(check int) "one label-and-value write and one relink a page" 48
+    (Drive.write_ops drive - writes0);
+  Alcotest.(check int) "one reservation" 1 (span_calls "fs.allocate_page" - reserves0);
+  Alcotest.(check int) "one check pass" 1
+    (span_calls ~child:"disk.sched.sweep" "fs.allocate_page" - passes0);
+  Alcotest.(check int) "24 pages taken" (free0 - 24) (Fs.free_count fs);
+  let got = file_ok "read" (File.read_bytes file ~pos:Sector.bytes_per_page ~len:(String.length body)) in
+  Alcotest.(check string) "contents" body (Bytes.to_string got)
+
+let test_refused_write_returns_run () =
+  let drive, fs, file = run_subject 1 in
+  let last = file_ok "name" (File.page_name file 1) in
+  let free0 = Fs.free_count fs in
+  (* Someone else's label under the handle's last page: the relink after
+     the first fresh page is refused. *)
+  let stranger = Fs.fresh_fid fs in
+  Drive.poke drive last.Page.addr Sector.Label
+    (Label.to_words
+       (Label.make ~fid:stranger ~page:1 ~length:Sector.bytes_per_page
+          ~next:Disk_address.nil ~prev:Disk_address.nil));
+  (match File.append_bytes file (other (24 * Sector.bytes_per_page)) with
+  | Ok () -> Alcotest.fail "extended a file whose last page is not its own"
+  | Error _ -> ());
+  Alcotest.(check int) "only the page written stays taken" (free0 - 1) (Fs.free_count fs)
+
 (* {2 directories} *)
 
 let test_directory_add_lookup_remove () =
@@ -595,6 +690,10 @@ let suite =
     ("replace across page-count transitions", `Quick, test_replace_transitions);
     ("replace rewrites shared pages in place", `Quick, test_replace_in_place);
     ("replace on a full volume leaks nothing", `Quick, test_replace_full_volume);
+    ("delete frees a run in few turns", `Quick, test_delete_run_is_fast);
+    ("free run with a wrong name frees nothing", `Quick, test_free_run_refused_frees_nothing);
+    ("extend by a run writes as page by page", `Quick, test_extend_run_writes);
+    ("refused write returns the run", `Quick, test_refused_write_returns_run);
     ("directory add/lookup/remove", `Quick, test_directory_add_lookup_remove);
     ("directory slot reuse", `Quick, test_directory_slot_reuse);
     ("directory duplicate rejected", `Quick, test_directory_duplicate_rejected);

@@ -276,8 +276,9 @@ let test_makeup_lap_after_recovery () =
 let test_abandoned_reservation_reclaimed () =
   let drive, fs = make_volume () in
   let reserved =
-    match Fs.reserve fs with
-    | Ok a -> a
+    match Fs.reserve_pages fs 1 with
+    | Ok [ a ] -> a
+    | Ok _ -> Alcotest.fail "reserve: expected one page"
     | Error e -> Alcotest.failf "reserve: %a" Fs.pp_error e
   in
   (match Fs.flush fs with
