@@ -100,7 +100,7 @@ let chase t ~target =
       if k = target then Ok addr
       else
         let fn = Page.full_name t.fid ~page:k ~addr in
-        match Page.read_label ~cache:(cache t) ~bio:(bio t) (drive t) fn with
+        match Page.read_label ~cache:(cache t) (drive t) fn with
         | Ok label -> (
             cache_links t k label;
             match label.Label.next with
@@ -225,7 +225,7 @@ let open_leader fs (fn : Page.full_name) =
   let confirm_last pn addr =
     if pn < 1 || Disk_address.is_nil addr then None
     else
-      match Page.read_label ~cache:(cache t) ~bio:(bio t) (drive t) (Page.full_name t.fid ~page:pn ~addr) with
+      match Page.read_label ~cache:(cache t) (drive t) (Page.full_name t.fid ~page:pn ~addr) with
       | Ok label when Disk_address.is_nil label.Label.next ->
           Some (pn, label.Label.length)
       | Ok _ | Error _ -> None
@@ -238,7 +238,7 @@ let open_leader fs (fn : Page.full_name) =
     | None ->
         (* Chain walk from the leader to the end. *)
         let rec walk pn addr =
-          match Page.read_label ~cache:(cache t) ~bio:(bio t) (drive t) (Page.full_name t.fid ~page:pn ~addr) with
+          match Page.read_label ~cache:(cache t) (drive t) (Page.full_name t.fid ~page:pn ~addr) with
           | Error (Page.Hint_failed _) -> Error Hint_failed
           | Error (Page.Bad_label msg) -> Error (Structure msg)
           | Ok label -> (
@@ -604,7 +604,7 @@ let update_leader_last t =
 let rewrite_page t pn ~length ~next value =
   with_page t pn (fun fn ->
       let ( let* ) = Result.bind in
-      let* old = Page.read_label ~cache:(cache t) ~bio:(bio t) (drive t) fn in
+      let* old = Page.read_label ~cache:(cache t) (drive t) fn in
       let new_label =
         Label.make ~fid:t.fid ~page:pn ~length
           ~next:(Option.value next ~default:old.Label.next)
@@ -842,7 +842,7 @@ let truncate t ~len =
   let* () =
     with_page t new_last (fun fn ->
         let ( let* ) = Result.bind in
-        let* old = Page.read_label ~cache:(cache t) ~bio:(bio t) (drive t) fn in
+        let* old = Page.read_label ~cache:(cache t) (drive t) fn in
         let new_label =
           Label.make ~fid:t.fid ~page:new_last ~length:new_plen
             ~next:Disk_address.nil ~prev:old.Label.prev

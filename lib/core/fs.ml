@@ -391,12 +391,16 @@ let reserve_pages t n =
   Prof.span (Drive.clock t.drive) "fs.allocate_page" @@ fun () -> reserve_run t n
 
 let write_reserved t addr label value =
+  let words = Label.to_words label in
   match
     Reliable.run t.drive addr
       { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
-      ~label:(Label.to_words label) ~value ()
+      ~label:words ~value ()
   with
   | Ok () ->
+      (* A completed label write is its own verification: the relink
+         that follows checks this label in core, not on the platter. *)
+      Label_cache.note_verified t.cache addr words;
       t.counters <- { t.counters with allocations = t.counters.allocations + 1 };
       Obs.incr m_allocations;
       Ok ()

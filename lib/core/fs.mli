@@ -77,9 +77,10 @@ val mount : Drive.t -> (t, string) result
 val drive : t -> Drive.t
 
 val label_cache : t -> Label_cache.t
-(** The volume's verified-label cache: one per handle, primed and
-    consulted by every {!Page} access made on the volume's behalf.
-    {!quarantine} evicts eagerly; everything else relies on the drive's
+(** The volume's verified-label table: one per handle, one slot per
+    sector, primed and consulted by every {!Page} access made on the
+    volume's behalf and primed by {!write_reserved}. {!quarantine}
+    invalidates eagerly; everything else relies on the drive's
     generation counters. *)
 
 val bio : t -> Bio.t
@@ -132,8 +133,10 @@ val reserve_pages : t -> int -> (Disk_address.t list, error) result
 val write_reserved :
   t -> Disk_address.t -> Label.t -> Word.t array -> (unit, [ `Quarantined ]) result
 (** The first write of a page {!reserve_pages} checked free: label and
-    value in one operation. A sector that refuses the write is
-    quarantined, and the caller takes another page. *)
+    value in one operation. The written label is recorded in
+    {!label_cache}, so the relink that follows checks it in core. A
+    sector that refuses the write is quarantined, and the caller takes
+    another page. *)
 
 val unreserve : t -> Disk_address.t -> unit
 (** Hand an unwritten reservation back to the map. *)

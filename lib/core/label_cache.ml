@@ -1,4 +1,5 @@
 module Word = Alto_machine.Word
+module Sector = Alto_disk.Sector
 module Drive = Alto_disk.Drive
 module Disk_address = Alto_disk.Disk_address
 module Obs = Alto_obs.Obs
@@ -7,83 +8,64 @@ let m_hits = Obs.counter "fs.label_cache.hits"
 let m_misses = Obs.counter "fs.label_cache.misses"
 let m_invalidations = Obs.counter "fs.label_cache.invalidations"
 
-type entry = {
-  words : Word.t array;  (* The verified 7-word label image. *)
-  gen : int;  (* [Drive.label_generation] at verification time. *)
-  mutable used : int;  (* LRU tick of the last hit. *)
-}
+let label_words = Sector.label_words
+
+(* Drive generations start at 0 and only grow, so -1 marks a slot that
+   holds nothing. *)
+let empty = -1
 
 type t = {
   drive : Drive.t;
-  capacity : int;
-  table : (int, entry) Hashtbl.t;  (* Keyed by flat sector index. *)
-  mutable tick : int;
+  words : Word.t array;  (* Sector [i]'s verified image at [i * label_words]. *)
+  gens : int array;  (* [Drive.label_generation] at verification time. *)
 }
 
-let create ?(capacity = 128) drive =
-  if capacity < 1 then invalid_arg "Label_cache.create: capacity below 1";
-  { drive; capacity; table = Hashtbl.create capacity; tick = 0 }
+let create drive =
+  let n = Drive.sector_count drive in
+  { drive; words = Array.make (n * label_words) Word.zero; gens = Array.make n empty }
 
 let drive t = t.drive
-let length t = Hashtbl.length t.table
+let length t = Array.fold_left (fun n g -> if g = empty then n else n + 1) 0 t.gens
 
-let next_tick t =
-  t.tick <- t.tick + 1;
-  t.tick
+(* The slot of a sector, or -1 when the address names none. *)
+let slot t addr = if Drive.has_sector t.drive addr then Disk_address.to_index addr else -1
+
+let drop t i =
+  t.gens.(i) <- empty;
+  Obs.incr m_invalidations
 
 let lookup t addr =
-  let i = Disk_address.to_index addr in
-  match Hashtbl.find_opt t.table i with
-  | None ->
-      Obs.incr m_misses;
-      None
-  | Some e ->
-      if e.gen = Drive.label_generation t.drive addr then begin
-        e.used <- next_tick t;
-        Obs.incr m_hits;
-        Some (Array.copy e.words)
-      end
-      else begin
-        (* The drive saw a label write, a quarantine or retry evidence on
-           this sector since we verified: the entry is dead. *)
-        Hashtbl.remove t.table i;
-        Obs.incr m_invalidations;
-        Obs.incr m_misses;
-        None
-      end
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun i e acc ->
-        match acc with
-        | Some (_, best) when best.used <= e.used -> acc
-        | Some _ | None -> Some (i, e))
-      t.table None
-  in
-  match victim with None -> () | Some (i, _) -> Hashtbl.remove t.table i
-
-let note_verified t addr words =
-  let i = Disk_address.to_index addr in
-  if not (Hashtbl.mem t.table i) && Hashtbl.length t.table >= t.capacity then
-    evict_lru t;
-  Hashtbl.replace t.table i
-    {
-      words = Array.copy words;
-      gen = Drive.label_generation t.drive addr;
-      used = next_tick t;
-    }
-
-let invalidate t addr =
-  let i = Disk_address.to_index addr in
-  if Hashtbl.mem t.table i then begin
-    Hashtbl.remove t.table i;
-    Obs.incr m_invalidations
+  let i = slot t addr in
+  if i < 0 || t.gens.(i) = empty then begin
+    Obs.incr m_misses;
+    None
+  end
+  else if t.gens.(i) = Drive.label_generation t.drive addr then begin
+    Obs.incr m_hits;
+    Some (Array.sub t.words (i * label_words) label_words)
+  end
+  else begin
+    (* The drive saw a label write, a quarantine or retry evidence on
+       this sector since we verified: the entry is dead. *)
+    drop t i;
+    Obs.incr m_misses;
+    None
   end
 
+let note_verified t addr words =
+  let i = slot t addr in
+  if i >= 0 then begin
+    Array.blit words 0 t.words (i * label_words) label_words;
+    t.gens.(i) <- Drive.label_generation t.drive addr
+  end
+
+let invalidate t addr =
+  let i = slot t addr in
+  if i >= 0 && t.gens.(i) <> empty then drop t i
+
 let clear t =
-  let n = Hashtbl.length t.table in
+  let n = length t in
   if n > 0 then begin
-    Hashtbl.reset t.table;
+    Array.fill t.gens 0 (Array.length t.gens) empty;
     Obs.add m_invalidations n
   end

@@ -1,11 +1,14 @@
-(** A small LRU cache of recently {e verified} labels.
+(** Every {e verified} label on the pack: one slot per sector.
 
     §3.6's hint ladder spends most of its budget re-reading labels it
     checked moments ago: a chain walk reads every link, opening a file
-    confirms the leader's last-page hint, and [fs.hints.*.misses] (PR 1)
-    showed the same sectors verified over and over. This cache remembers
-    the label image a successful check or read just verified, so the
-    next label-only access costs nothing.
+    confirms the leader's last-page hint, and a relink checks the label
+    an allocation wrote one page earlier. This table remembers, for each
+    sector, the label image a successful check, read or label write last
+    verified, so the next label-only access costs nothing. It is sized
+    from the drive — 8 words a sector (the 7-word image and its
+    generation), about 0.3 MB on a Model 31 — so nothing is ever
+    evicted, and lookup, note and invalidate are O(1).
 
     Safety is the whole design. An entry is valid only while the drive's
     {!Alto_disk.Drive.label_generation} for its sector still equals the
@@ -17,9 +20,10 @@
     that made it suspect also killed the entry. {!lookup} detects dead
     entries lazily and counts them as [fs.label_cache.invalidations].
 
-    The cache is consulted and primed by {!Page}; one instance hangs off
-    each {!Fs.t} handle. Counters: [fs.label_cache.{hits,misses,
-    invalidations}]. *)
+    The table is consulted and primed by {!Page}, primed by {!Fs}'s
+    allocation writes, {!Bio}'s track fills and {!File}'s batched
+    transfers; one instance hangs off each {!Fs.t} handle. Counters:
+    [fs.label_cache.{hits,misses,invalidations}]. *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -27,26 +31,25 @@ module Disk_address = Alto_disk.Disk_address
 
 type t
 
-val create : ?capacity:int -> Drive.t -> t
-(** An empty cache over one drive; [capacity] (default 128) entries,
-    evicting least-recently-used. Raises [Invalid_argument] when
-    [capacity < 1]. *)
+val create : Drive.t -> t
+(** An empty table with one slot for every sector of the drive. *)
 
 val drive : t -> Drive.t
 
 val lookup : t -> Disk_address.t -> Word.t array option
-(** The verified label image for this sector, or [None] on a miss. A
-    stored entry whose generation has moved is removed, counted as an
-    invalidation, and reported as a miss. The returned array is a copy —
-    mutating it (as a check's wildcard fill does) cannot corrupt the
-    cache. *)
+(** The verified label image for this sector, or [None] on a miss. An
+    address outside the pack (nil included) is a miss. A stored entry
+    whose generation has moved is removed, counted as an invalidation,
+    and reported as a miss. The returned array is a copy — mutating it
+    (as a check's wildcard fill does) cannot corrupt the table. *)
 
 val note_verified : t -> Disk_address.t -> Word.t array -> unit
 (** Remember a label image the caller has {e just} verified against the
     disk (a successful check, read-back, or completed label write). The
     generation is captured at call time, so any concurrent staleness
     evidence recorded during the verifying operation itself — a
-    transient trip absorbed by a retry, say — is already folded in. *)
+    transient trip absorbed by a retry, say — is already folded in. An
+    address outside the pack is ignored. *)
 
 val invalidate : t -> Disk_address.t -> unit
 (** Drop one sector's entry, counting an invalidation if present.
@@ -60,3 +63,5 @@ val clear : t -> unit
     relative to which every in-core entry is unvouched-for). *)
 
 val length : t -> int
+(** The number of sectors holding an entry, live or not yet found
+    dead. *)

@@ -53,6 +53,11 @@ let hint_failed e =
       ());
   Error (Hint_failed e)
 
+(* A hint that names no sector fails as a hint, with no disk operation:
+   the drive would refuse the address outright. *)
+let on_pack drive fn f =
+  if Drive.has_sector drive fn.addr then f () else Error (Hint_failed Drive.Bad_sector)
+
 (* Remember a label image the operation that just completed verified. *)
 let note cache addr words =
   match cache with
@@ -87,6 +92,7 @@ let cached_check pattern cached =
   scan 0
 
 let read ?cache ?bio drive fn =
+  on_pack drive fn @@ fun () ->
   Prof.span (Drive.clock drive) "page.read" @@ fun () ->
   let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
   let value = Array.make Sector.value_words Word.zero in
@@ -137,22 +143,11 @@ let read ?cache ?bio drive fn =
                  climbs the usual ladder. *)
               direct ()))
 
-(* A second source of cached label images: a buffered track sector
-   knows its label too. Never fills — a label-only access costs one
-   operation, a track fill costs twelve. *)
-let bio_label bio addr =
-  Option.bind bio (fun b ->
-      Option.map (fun (label, _) -> label) (Bio.lookup b addr))
-
-let read_label ?cache ?bio drive fn =
+let read_label ?cache drive fn =
+  on_pack drive fn @@ fun () ->
   Prof.span (Drive.clock drive) "page.read_label" @@ fun () ->
   let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
-  let cached =
-    match Option.bind cache (fun c -> Label_cache.lookup c fn.addr) with
-    | Some _ as hit -> hit
-    | None -> bio_label bio fn.addr
-  in
-  match cached with
+  match Option.bind cache (fun c -> Label_cache.lookup c fn.addr) with
   | Some cached -> (
       (* A label-only access answered from core: the one disk operation
          this function exists to issue is skipped entirely. *)
@@ -177,8 +172,9 @@ let check_value_size value =
     invalid_arg "Page: value must be 256 words"
 
 let write ?(check = true) ?cache ?bio drive fn value =
-  Prof.span (Drive.clock drive) "page.write" @@ fun () ->
   check_value_size value;
+  on_pack drive fn @@ fun () ->
+  Prof.span (Drive.clock drive) "page.write" @@ fun () ->
   if check then begin
     let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
     (* Delayed write-back: when the sector's track is buffered and
@@ -239,16 +235,12 @@ let write ?(check = true) ?cache ?bio drive fn value =
   end
 
 let rewrite_label ?cache ?bio drive fn ~new_label ~value =
-  Prof.span (Drive.clock drive) "page.rewrite_label" @@ fun () ->
   check_value_size value;
+  on_pack drive fn @@ fun () ->
+  Prof.span (Drive.clock drive) "page.rewrite_label" @@ fun () ->
   let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
   let checked =
-    let cached =
-      match Option.bind cache (fun c -> Label_cache.lookup c fn.addr) with
-      | Some _ as hit -> hit
-      | None -> bio_label bio fn.addr
-    in
-    match cached with
+    match Option.bind cache (fun c -> Label_cache.lookup c fn.addr) with
     | Some cached ->
         Prof.note "page.cache_hit";
         cached_check label_buf cached

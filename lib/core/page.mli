@@ -29,7 +29,10 @@ val prev_name : full_name -> Label.t -> full_name option
 type error =
   | Hint_failed of Drive.error
       (** The label check refuted the address hint, or the sector is
-          bad. The caller should climb the recovery ladder of §3.6. *)
+          bad. The caller should climb the recovery ladder of §3.6. An
+          address outside the pack (nil included) names no sector: every
+          operation below fails it as [Hint_failed Bad_sector] without
+          touching the disk. *)
   | Bad_label of string
       (** The label read back does not parse — scavenger territory. *)
 
@@ -51,16 +54,15 @@ val read :
     buffered label image, mismatch verdicts included), and a miss fills
     the whole track in one elevator batch before serving. *)
 
-val read_label :
-  ?cache:Label_cache.t -> ?bio:Bio.t -> Drive.t -> full_name -> (Label.t, error) result
+val read_label : ?cache:Label_cache.t -> Drive.t -> full_name -> (Label.t, error) result
 (** As {!read} but without transferring the value. With [cache], a valid
     cached image answers without any disk operation at all — including
     reproducing a {!Drive.Check_mismatch} verdict when the cached label
     refutes the caller's absolute name; this is where the hint ladder's
-    chain walks get cheap. [bio] stands in as a second source of label
-    images (a buffered track knows all twelve) but never fills on a
-    label-only access — a fill would cost more than the one operation it
-    saves. *)
+    chain walks get cheap. The table is the only label source consulted:
+    every label a live track buffer holds was recorded in it when the
+    buffer was filled or installed, and a label-only access never fills
+    a track — a fill would cost more than the one operation it saves. *)
 
 val write :
   ?check:bool ->
@@ -97,10 +99,11 @@ val rewrite_label :
     buffer if desired), then write the new label and value. Costs about a
     revolution — the price the paper quotes for changing a file's
     length. A valid [cache] entry stands in for the first operation,
-    halving that price; the new label is cached after the write. A
-    buffered track image ([bio]) also stands in for the check, and the
-    written label and value are re-installed clean — superseding any
-    delayed value write the buffer held for the sector. *)
+    halving that price; the new label is cached after the write. Every
+    relink after an allocation finds its entry, since {!Fs.write_reserved}
+    records the label it writes. With [bio], the written label and value
+    are re-installed clean in the track buffer — superseding any delayed
+    value write the buffer held for the sector. *)
 
 val read_raw :
   Drive.t -> Disk_address.t -> (Word.t array * Word.t array, Drive.error) result

@@ -186,6 +186,9 @@ let clock t = t.clock
 let pack_id t = t.pack_id
 let sector_count t = Array.length t.sectors
 
+let has_sector t addr =
+  (not (Disk_address.is_nil addr)) && Disk_address.to_index addr < sector_count t
+
 let check_address t addr =
   let i = Disk_address.to_index addr in
   if i >= sector_count t then

@@ -75,6 +75,9 @@ val clock : t -> Alto_machine.Sim_clock.t
 val pack_id : t -> int
 val sector_count : t -> int
 
+val has_sector : t -> Disk_address.t -> bool
+(** Whether the address names a sector of this pack; nil names none. *)
+
 val run :
   t ->
   Disk_address.t ->

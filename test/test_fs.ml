@@ -256,6 +256,28 @@ let test_stale_hint_recovery () =
     got;
   Alcotest.(check bool) "hints relearned" true (File.hinted_pages file > 0)
 
+(* A hint that names no sector is a hint that failed: a last-page hint
+   beyond the pack sends the open down the chain, and a leader address
+   beyond it is refused, not raised. *)
+let test_hint_beyond_pack () =
+  let drive = Drive.create ~pack_id:7 Geometry.diablo_31 in
+  let fs = Fs.format drive in
+  let file = file_ok "create" (File.create fs ~name:"Far.") in
+  file_ok "write" (File.write_bytes file ~pos:0 (lorem 2000));
+  file_ok "flush" (File.flush_leader file);
+  ignore (Alto_fs.Bio.flush (Fs.bio fs));
+  let beyond = Disk_address.of_index 0x7000 in
+  let leader = File.leader file in
+  Drive.poke drive (File.leader_name file).Page.addr Sector.Value
+    (Leader.to_value
+       (Leader.with_last leader ~last_page:leader.Leader.last_page ~last_addr:beyond));
+  let reopened = file_ok "open" (File.open_leader fs (File.leader_name file)) in
+  Alcotest.(check int) "true length" 2000 (File.byte_length reopened);
+  match File.open_leader fs (Page.full_name (File.fid file) ~page:0 ~addr:beyond) with
+  | Error File.Hint_failed -> ()
+  | Ok _ -> Alcotest.fail "opened a leader beyond the pack"
+  | Error e -> Alcotest.failf "expected a failed hint, got %a" File.pp_error e
+
 let test_leader_dates_advance () =
   let drive, fs = fresh_fs () in
   let file = file_ok "create" (File.create fs ~name:"Dated.") in
@@ -416,6 +438,62 @@ let test_delete_run_is_fast () =
   in
   if revs >= 10.0 then Alcotest.failf "deleting 24 pages took %.1f revolutions" revs;
   Alcotest.(check int) "every page freed" (free0 + 25) (Fs.free_count fs)
+
+(* §3.3 as E3 measures it: against the unchecked ablation, a page
+   allocated or freed alone pays about one revolution for its label
+   check, and a page inside a run a fraction of one. No in-core label
+   may stand in for an allocation or free check. *)
+let test_check_cost () =
+  let pages = 24 and page = Sector.bytes_per_page in
+  (* Simulated µs a page: allocated alone, freed alone, allocated in a
+     run, freed in a run. *)
+  let per_page ~checking =
+    let drive, fs = fresh_fs () in
+    Fs.set_label_checking fs checking;
+    let clock = Drive.clock drive in
+    let timed f =
+      let t0 = Alto_machine.Sim_clock.now_us clock in
+      f ();
+      (Alto_machine.Sim_clock.now_us clock - t0) / pages
+    in
+    let one_page_file name =
+      let f = file_ok "create" (File.create fs ~name) in
+      file_ok "write" (File.write_bytes f ~pos:0 (lorem page));
+      f
+    in
+    let single = one_page_file "Single." in
+    let alloc_one =
+      timed (fun () ->
+          for _ = 1 to pages do
+            file_ok "append" (File.append_bytes single (other page))
+          done)
+    in
+    let free_one =
+      timed (fun () ->
+          for k = pages - 1 downto 0 do
+            file_ok "truncate" (File.truncate single ~len:((k + 1) * page))
+          done)
+    in
+    let run = one_page_file "Run." in
+    let alloc_run =
+      timed (fun () -> file_ok "extend" (File.append_bytes run (other (pages * page))))
+    in
+    let free_run = timed (fun () -> file_ok "cut" (File.truncate run ~len:page)) in
+    [ alloc_one; free_one; alloc_run; free_run ]
+  in
+  let rev = float_of_int small_geometry.Geometry.rotation_us in
+  List.iter2
+    (fun (what, lo, hi) (on, off) ->
+      let cost = float_of_int (on - off) /. rev in
+      if cost < lo || cost > hi then
+        Alcotest.failf "%s: the check costs %+.2f rev a page" what cost)
+    [
+      ("allocating alone", 0.9, 1.1);
+      ("freeing alone", 0.9, 1.1);
+      ("allocating in a run", neg_infinity, 0.25);
+      ("freeing in a run", neg_infinity, 0.25);
+    ]
+    (List.combine (per_page ~checking:true) (per_page ~checking:false))
 
 let test_free_run_refused_frees_nothing () =
   let _drive, fs, file = run_subject 4 in
@@ -686,12 +764,14 @@ let suite =
     ("truncate", `Quick, test_truncate);
     ("delete reclaims", `Quick, test_delete_reclaims_everything);
     ("stale hint recovery", `Quick, test_stale_hint_recovery);
+    ("hint beyond the pack fails as a hint", `Quick, test_hint_beyond_pack);
     ("leader dates", `Quick, test_leader_dates_advance);
     ("replace across page-count transitions", `Quick, test_replace_transitions);
     ("replace rewrites shared pages in place", `Quick, test_replace_in_place);
     ("replace on a full volume leaks nothing", `Quick, test_replace_full_volume);
     ("delete frees a run in few turns", `Quick, test_delete_run_is_fast);
     ("free run with a wrong name frees nothing", `Quick, test_free_run_refused_frees_nothing);
+    ("label check costs a turn alone, not in a run", `Quick, test_check_cost);
     ("extend by a run writes as page by page", `Quick, test_extend_run_writes);
     ("refused write returns the run", `Quick, test_refused_write_returns_run);
     ("directory add/lookup/remove", `Quick, test_directory_add_lookup_remove);

@@ -234,6 +234,76 @@ let test_world_restore_evicts () =
   Alcotest.(check int) "the restore dropped every entry" 0
     (Label_cache.length (Fs.label_cache fs))
 
+(* {2 residency} *)
+
+(* Extending a file relinks each page after writing its successor; the
+   label being relinked is the one the allocation wrote a page earlier,
+   so the check is answered in core: no miss, and no label-only
+   operation beyond the reservation's check pass. *)
+let test_relinks_check_in_core () =
+  let drive = make_drive ~geometry:{ tiny with Geometry.cylinders = 20 } () in
+  let fs = Fs.format drive in
+  let file =
+    match File.create fs ~name:"Grows.dat" with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "create: %a" File.pp_error e
+  in
+  (match File.write_bytes file ~pos:0 (String.make Sector.bytes_per_page 'g') with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write: %a" File.pp_error e);
+  ignore (Alto_fs.Bio.flush (Fs.bio fs));
+  let misses0 = counter "fs.label_cache.misses" in
+  let reads () = (Drive.stats drive).Drive.operations - Drive.write_ops drive in
+  let reads0 = reads () in
+  (match File.append_bytes file (String.make (24 * Sector.bytes_per_page) 'h') with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "extend: %a" File.pp_error e);
+  Alcotest.(check int) "no label missed" misses0 (counter "fs.label_cache.misses");
+  Alcotest.(check int) "only the free checks read the disk" 24 (reads () - reads0)
+
+(* Nothing is evicted: every label verified stays a hit until the drive
+   says otherwise, however many sectors came between. *)
+let test_every_label_kept () =
+  let drive = make_drive ~geometry:Geometry.diablo_31 () in
+  let cache = Label_cache.create drive in
+  let fid = File_id.make ~serial:300 ~version:1 () in
+  let n = 300 in
+  let fn i = Page.full_name fid ~page:i ~addr:(addr (i * 16)) in
+  for i = 0 to n - 1 do
+    Drive.poke drive (fn i).Page.addr Sector.Label
+      (Label.to_words
+         (Label.make ~fid ~page:i ~length:0 ~next:Disk_address.nil
+            ~prev:Disk_address.nil))
+  done;
+  let read_all () =
+    for i = 0 to n - 1 do
+      match Page.read_label ~cache drive (fn i) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "label %d: %a" i Page.pp_error e
+    done
+  in
+  read_all ();
+  let hits0 = counter "fs.label_cache.hits" in
+  let ops0 = (Drive.stats drive).Drive.operations in
+  read_all ();
+  Alcotest.(check int) "every label a hit" (hits0 + n) (counter "fs.label_cache.hits");
+  Alcotest.(check int) "no disk operation" ops0 (Drive.stats drive).Drive.operations
+
+let test_outside_pack_misses () =
+  let drive = make_drive () in
+  let cache = Label_cache.create drive in
+  let beyond = addr (Drive.sector_count drive) in
+  Label_cache.note_verified cache beyond (label_buf ());
+  let misses0 = counter "fs.label_cache.misses" in
+  List.iter
+    (fun a ->
+      match Label_cache.lookup cache a with
+      | None -> ()
+      | Some _ -> Alcotest.fail "an address outside the pack hit")
+    [ beyond; Disk_address.nil ];
+  Alcotest.(check int) "both counted as misses" (misses0 + 2)
+    (counter "fs.label_cache.misses")
+
 (* {2 the overflow guard} *)
 
 let test_quarantine_overflow () =
@@ -383,6 +453,12 @@ let () =
             `Quick,
             test_relocation_bumps_both_generations );
           ("world restore evicts", `Quick, test_world_restore_evicts);
+        ] );
+      ( "residency",
+        [
+          ("relinks check labels in core", `Quick, test_relinks_check_in_core);
+          ("300 labels all kept", `Quick, test_every_label_kept);
+          ("outside the pack misses", `Quick, test_outside_pack_misses);
         ] );
       ("overflow", [ ("bad table refuses the 65th", `Quick, test_quarantine_overflow) ]);
       ( "determinism",
