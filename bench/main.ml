@@ -34,23 +34,23 @@ module Zone = Alto_zones.Zone
 
 (* {2 Micro-benchmarks: host wall time of the primitives} *)
 
+(* Each probe is a name and one run of the primitive. *)
 let micro_tests () =
-  let open Bechamel in
   (* Disk transfer. *)
   let bench_transfer =
     let drive = Drive.create ~pack_id:1 Geometry.diablo_31 in
     let value = Array.make Sector.value_words Word.zero in
     let i = ref 0 in
-    Test.make ~name:"drive: read one sector"
-      (Staged.stage (fun () ->
-           i := (!i + 1) mod 4000;
-           match
-             Drive.run drive (Disk_address.of_index !i)
-               { Drive.op_none with Drive.value = Some Drive.Read }
-               ~value ()
-           with
-           | Ok () -> ()
-           | Error _ -> assert false))
+    ( "drive: read one sector",
+      fun () ->
+        i := (!i + 1) mod 4000;
+        match
+          Drive.run drive (Disk_address.of_index !i)
+            { Drive.op_none with Drive.value = Some Drive.Read }
+            ~value ()
+        with
+        | Ok () -> ()
+        | Error _ -> assert false)
   in
   (* Allocation. *)
   let bench_alloc =
@@ -58,20 +58,20 @@ let micro_tests () =
     let fs = Fs.format drive in
     let fid = Fs.fresh_fid fs in
     let value = Array.make Sector.value_words Word.zero in
-    Test.make ~name:"fs: allocate + free one page"
-      (Staged.stage (fun () ->
-           let label _ =
-             Label.make ~fid ~page:1 ~length:0 ~next:Disk_address.nil
-               ~prev:Disk_address.nil
-           in
-           match Fs.allocate_page fs ~label ~value with
-           | Ok addr -> (
-               match
-                 Fs.free_page fs (Alto_fs.Page.full_name fid ~page:1 ~addr)
-               with
-               | Ok () -> ()
-               | Error _ -> assert false)
-           | Error _ -> assert false))
+    ( "fs: allocate + free one page",
+      fun () ->
+        let label _ =
+          Label.make ~fid ~page:1 ~length:0 ~next:Disk_address.nil
+            ~prev:Disk_address.nil
+        in
+        match Fs.allocate_page fs ~label ~value with
+        | Ok addr -> (
+            match
+              Fs.free_page fs (Alto_fs.Page.full_name fid ~page:1 ~addr)
+            with
+            | Ok () -> ()
+            | Error _ -> assert false)
+        | Error _ -> assert false)
   in
   (* File byte IO. *)
   let bench_file_io =
@@ -83,20 +83,58 @@ let micro_tests () =
     (match File.write_bytes file ~pos:0 (String.make 4096 'x') with
     | Ok () -> ()
     | Error _ -> assert false);
-    Test.make ~name:"file: read 4KB"
-      (Staged.stage (fun () ->
-           match File.read_bytes file ~pos:0 ~len:4096 with
-           | Ok _ -> ()
-           | Error _ -> assert false))
+    ( "file: read 4KB",
+      fun () ->
+        match File.read_bytes file ~pos:0 ~len:4096 with
+        | Ok _ -> ()
+        | Error _ -> assert false)
+  in
+  (* The two host-cost probes of the read path: a whole-directory scan
+     and a multi-page read, both over pages already in the track
+     buffer cache. *)
+  let bench_dir_lookup =
+    let drive = Drive.create ~pack_id:1 Geometry.diablo_31 in
+    let fs = Fs.format drive in
+    let dir =
+      match Directory.create fs ~name:"Bench.dir" with Ok d -> d | Error _ -> assert false
+    in
+    let file =
+      match File.create fs ~name:"Target." with Ok f -> f | Error _ -> assert false
+    in
+    for i = 1 to 40 do
+      match Directory.add dir ~name:(Printf.sprintf "Entry%02d.txt" i) (File.leader_name file) with
+      | Ok () -> ()
+      | Error _ -> assert false
+    done;
+    ( "directory: lookup in a 40-entry directory (warm)",
+      fun () ->
+        match Directory.lookup dir "Entry20.txt" with
+        | Ok (Some _) -> ()
+        | Ok None | Error _ -> assert false)
+  in
+  let bench_read_8000 =
+    let drive = Drive.create ~pack_id:1 Geometry.diablo_31 in
+    let fs = Fs.format drive in
+    let file =
+      match File.create fs ~name:"Bench8000.dat" with Ok f -> f | Error _ -> assert false
+    in
+    (match File.write_bytes file ~pos:0 (String.make 8000 'x') with
+    | Ok () -> ()
+    | Error _ -> assert false);
+    ( "file: read 8,000 bytes (warm)",
+      fun () ->
+        match File.read_bytes file ~pos:0 ~len:8000 with
+        | Ok _ -> ()
+        | Error _ -> assert false)
   in
   (* Zone allocator. *)
   let bench_zone =
     let memory = Memory.create () in
     let zone = Zone.format memory ~pos:1000 ~len:4000 in
-    Test.make ~name:"zone: allocate + release 32 words"
-      (Staged.stage (fun () ->
-           let a = Zone.allocate zone 32 in
-           Zone.release zone a))
+    ( "zone: allocate + release 32 words",
+      fun () ->
+        let a = Zone.allocate zone 32 in
+        Zone.release zone a)
   in
   (* VM interpretation. *)
   let bench_vm =
@@ -116,34 +154,34 @@ let micro_tests () =
     let memory = Memory.create () in
     Memory.write_block memory ~pos:100 program.Asm.code;
     let cpu = Cpu.create memory in
-    Test.make ~name:"vm: 300-instruction loop"
-      (Staged.stage (fun () ->
-           Cpu.set_pc cpu (Word.of_int program.Asm.entry);
-           Cpu.set_frame_pointer cpu (Word.of_int 0xF000);
-           match Vm.run ~fuel:10_000 cpu ~handler:(fun _ _ -> Vm.Sys_continue) with
-           | Vm.Halted -> ()
-           | _ -> assert false))
+    ( "vm: 300-instruction loop",
+      fun () ->
+        Cpu.set_pc cpu (Word.of_int program.Asm.entry);
+        Cpu.set_frame_pointer cpu (Word.of_int 0xF000);
+        match Vm.run ~fuel:10_000 cpu ~handler:(fun _ _ -> Vm.Sys_continue) with
+        | Vm.Halted -> ()
+        | _ -> assert false)
   in
   (* A whole scavenge of a small pack. *)
   let bench_scavenge =
     let geometry = { Geometry.diablo_31 with Geometry.model = "small"; cylinders = 10 } in
-    Test.make ~name:"scavenger: 240-sector pack"
-      (Staged.stage (fun () ->
-           let drive = Drive.create ~pack_id:1 geometry in
-           let fs = Fs.format drive in
-           let root =
-             match Directory.open_root fs with Ok r -> r | Error _ -> assert false
-           in
-           (match File.create fs ~name:"A." with
-           | Ok f -> (
-               ignore (File.write_bytes f ~pos:0 (String.make 2000 'a'));
-               match Directory.add root ~name:"A." (File.leader_name f) with
-               | Ok () -> ()
-               | Error _ -> assert false)
-           | Error _ -> assert false);
-           match Scavenger.scavenge drive with
-           | Ok _ -> ()
-           | Error _ -> assert false))
+    ( "scavenger: 240-sector pack",
+      fun () ->
+        let drive = Drive.create ~pack_id:1 geometry in
+        let fs = Fs.format drive in
+        let root =
+          match Directory.open_root fs with Ok r -> r | Error _ -> assert false
+        in
+        (match File.create fs ~name:"A." with
+        | Ok f -> (
+            ignore (File.write_bytes f ~pos:0 (String.make 2000 'a'));
+            match Directory.add root ~name:"A." (File.leader_name f) with
+            | Ok () -> ()
+            | Error _ -> assert false)
+        | Error _ -> assert false);
+        match Scavenger.scavenge drive with
+        | Ok _ -> ()
+        | Error _ -> assert false)
   in
   (* The compiler, source to code image. *)
   let bench_compile =
@@ -151,11 +189,11 @@ let micro_tests () =
       "let fib(n) be { if n < 2 then resultis n; resultis fib(n-1) + fib(n-2); }\n\
        let main() = fib(10);"
     in
-    Test.make ~name:"bcpl: compile fib"
-      (Staged.stage (fun () ->
-           match Alto_bcpl.Bcpl.compile ~origin:1024 source with
-           | Ok _ -> ()
-           | Error _ -> assert false))
+    ( "bcpl: compile fib",
+      fun () ->
+        match Alto_bcpl.Bcpl.compile ~origin:1024 source with
+        | Ok _ -> ()
+        | Error _ -> assert false)
   in
   (* A compiled program through the whole system. *)
   let bench_compiled_run =
@@ -173,21 +211,25 @@ let micro_tests () =
       | Ok f -> f
       | Error _ -> assert false
     in
-    Test.make ~name:"os: load + run a compiled program"
-      (Staged.stage (fun () ->
-           match Alto_os.Loader.run system file with
-           | Ok (Vm.Stopped 0) -> ()
-           | Ok _ | Error _ -> assert false))
+    ( "os: load + run a compiled program",
+      fun () ->
+        match Alto_os.Loader.run system file with
+        | Ok (Vm.Stopped 0) -> ()
+        | Ok _ | Error _ -> assert false)
   in
   [
-    bench_transfer; bench_alloc; bench_file_io; bench_zone; bench_vm;
-    bench_scavenge; bench_compile; bench_compiled_run;
+    bench_transfer; bench_alloc; bench_file_io; bench_dir_lookup; bench_read_8000;
+    bench_zone; bench_vm; bench_scavenge; bench_compile; bench_compiled_run;
   ]
 
 let run_micro () =
   let open Bechamel in
   Workloads.heading "micro  host-time cost of the primitives (Bechamel)";
-  let tests = Test.make_grouped ~name:"altos" (micro_tests ()) in
+  let probes = micro_tests () in
+  let tests =
+    Test.make_grouped ~name:"altos"
+      (List.map (fun (name, run) -> Test.make ~name (Staged.stage run)) probes)
+  in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) () in
   let raw = Benchmark.all cfg [ instance ] tests in
@@ -195,20 +237,32 @@ let run_micro () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols instance raw in
+  (* Minor-heap words per run, counted directly: Bechamel's allocation
+     instance reads [Gc.quick_stat], which OCaml 5 only updates at a
+     minor collection. *)
+  let minor_words run =
+    let runs = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to runs do
+      run ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int runs
+  in
   let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
+    List.map
+      (fun (name, run) ->
+        let name = "altos/" ^ name in
         let ns =
-          match Analyze.OLS.estimates ols with
+          match Option.bind (Hashtbl.find_opt results name) Analyze.OLS.estimates with
           | Some [ est ] -> Printf.sprintf "%12.1f ns/run" est
           | Some _ | None -> "            n/a"
         in
-        (name, ns) :: acc)
-      results []
+        [ name; ns; Printf.sprintf "%12.1f words/run" (minor_words run) ])
+      probes
   in
-  Workloads.print_table [ 40; 18 ]
-    [ "primitive"; "host cost" ]
-    (List.map (fun (name, ns) -> [ name; ns ]) (List.sort compare rows))
+  Workloads.print_table [ 56; 18; 21 ]
+    [ "primitive"; "host cost"; "minor heap" ]
+    (List.sort compare rows)
 
 (* {2 Dispatch} *)
 

@@ -49,93 +49,116 @@ let encode_entry name (fn : Page.full_name) =
     ((String.length name + 1) / 2);
   words
 
-let decode_entry words pos len =
+(* {2 Scanning in place}
+
+   A scan walks the slots over the page values as read, never copying
+   the directory: word [i] lies at [pages.(i / 256).(i mod 256)], 256
+   being [Sector.value_words]. Every live slot is checked (header
+   length, file id, name length) wherever the scan goes, so a damaged
+   slot anywhere makes the whole directory [Malformed]; names are
+   compared where they lie, and an {!entry} is built only for a slot a
+   caller asks for. *)
+
+type view = { pages : Word.t array array; total : int }
+
+let read_view dir =
+  Result.map (fun (pages, total) -> { pages; total }) (wrap (File.read_word_pages dir))
+
+let word v i = v.pages.(i lsr 8).(i land 0xff)
+let int_at v i = (word v i :> int)
+
+let check_live v pos len =
   if len < header_words then Error (Malformed "entry shorter than its header")
   else
-    match File_id.of_words words.(pos + 1) words.(pos + 2) words.(pos + 3) with
+    match File_id.check_words (word v (pos + 1)) (word v (pos + 2)) (word v (pos + 3)) with
     | Error msg -> Error (Malformed msg)
-    | Ok fid ->
-        let name_len = Word.to_int words.(pos + 5) in
+    | Ok () ->
+        let name_len = int_at v (pos + 5) in
         if name_len > max_name_length || header_words + ((name_len + 1) / 2) > len then
           Error (Malformed "entry name length inconsistent")
-        else
-          let name_words = Array.sub words (pos + header_words) ((name_len + 1) / 2) in
-          Ok
-            {
-              entry_name = Word.string_of_words name_words ~len:name_len;
-              entry_file =
-                Page.full_name fid ~page:0 ~addr:(Disk_address.of_word words.(pos + 4));
-            }
+        else Ok ()
 
-let read_all dir =
-  let total = File.byte_length dir / 2 in
-  wrap (File.read_words dir ~pos:0 ~len:total)
+(* Whether the checked live slot at [pos] holds [name], comparing from
+   byte [i] on: two bytes a word, then the high byte of an odd tail. *)
+let rec name_from v pos name i =
+  let n = String.length name in
+  if i + 1 < n then
+    int_at v (pos + header_words + (i / 2)) = String.get_uint16_be name i
+    && name_from v pos name (i + 2)
+  else i >= n || int_at v (pos + header_words + (i / 2)) lsr 8 = Char.code name.[i]
 
-(* Fold over slots: [f acc ~pos ~len ~live entry_option]. *)
-let fold_slots dir f init =
-  let ( let* ) = Result.bind in
-  let* words = read_all dir in
-  let total = Array.length words in
+let holds_name v pos name = int_at v (pos + 5) = String.length name && name_from v pos name 0
+
+(* The entry in the checked live slot at [pos]. *)
+let entry_at v pos =
+  let name_len = int_at v (pos + 5) in
+  let fid =
+    (* Checked by the scan. *)
+    Result.get_ok (File_id.of_words (word v (pos + 1)) (word v (pos + 2)) (word v (pos + 3)))
+  in
+  {
+    entry_name =
+      String.init name_len (fun i ->
+          let w = int_at v (pos + header_words + (i / 2)) in
+          Char.chr (if i land 1 = 0 then w lsr 8 else w land 0xff));
+    entry_file = Page.full_name fid ~page:0 ~addr:(Disk_address.of_word (word v (pos + 4)));
+  }
+
+(* Fold [f acc ~pos ~len ~live] over every slot in file order. *)
+let fold_slots v f init =
   let rec scan acc pos =
-    if pos >= total then Ok acc
+    if pos >= v.total then Ok acc
     else
-      let w0 = Word.to_int words.(pos) in
+      let w0 = int_at v pos in
       let live = w0 land live_flag <> 0 in
       let len = w0 land 0xff in
       if len = 0 then Error (Malformed "zero-length entry")
-      else if pos + len > total then Error (Malformed "entry overruns directory")
+      else if pos + len > v.total then Error (Malformed "entry overruns directory")
       else
-        let* entry =
-          if live then Result.map Option.some (decode_entry words pos len) else Ok None
-        in
-        let* acc = f acc ~pos ~len ~live entry in
-        scan acc (pos + len)
+        match if live then check_live v pos len else Ok () with
+        | Error e -> Error e
+        | Ok () -> scan (f acc ~pos ~len ~live) (pos + len)
   in
   scan init 0
 
 let entries dir =
+  let ( let* ) = Result.bind in
+  let* v = read_view dir in
   Result.map List.rev
-    (fold_slots dir
-       (fun acc ~pos:_ ~len:_ ~live:_ entry ->
-         match entry with Some e -> Ok (e :: acc) | None -> Ok acc)
-       [])
+    (fold_slots v (fun acc ~pos ~len:_ ~live -> if live then entry_at v pos :: acc else acc) [])
+
+(* The first live slot holding [name]. The scan still runs to the end,
+   so a damaged slot after the match is reported too. *)
+let find_slot v name =
+  fold_slots v
+    (fun found ~pos ~len:_ ~live ->
+      match found with
+      | Some _ -> found
+      | None -> if live && holds_name v pos name then Some pos else None)
+    None
 
 let lookup dir name =
   let ( let* ) = Result.bind in
-  let* found =
-    fold_slots dir
-      (fun acc ~pos:_ ~len:_ ~live:_ entry ->
-        match (acc, entry) with
-        | Some _, _ -> Ok acc
-        | None, Some e when String.equal e.entry_name name -> Ok (Some e)
-        | None, (Some _ | None) -> Ok acc)
-      None
-  in
-  Ok found
+  let* v = read_view dir in
+  let* slot = find_slot v name in
+  Ok (Option.map (entry_at v) slot)
 
-(* Find the first free slot of at least [need] words; also report the
-   directory's total size and whether [name] is already present. *)
-let plan_add dir name need =
-  fold_slots dir
-    (fun (slot, total, dup) ~pos ~len ~live entry ->
-      let dup =
-        dup
-        ||
-        match entry with Some e -> String.equal e.entry_name name | None -> false
-      in
-      let slot =
-        match slot with
-        | Some _ -> slot
-        | None -> if (not live) && len >= need then Some (pos, len) else None
-      in
-      Ok (slot, max total (pos + len), dup))
-    (None, 0, false)
+(* The first free slot of at least [need] words, and whether [name] is
+   already present. *)
+let plan_add v name need =
+  fold_slots v
+    (fun ((slot, dup) as acc) ~pos ~len ~live ->
+      if live then if (not dup) && holds_name v pos name then (slot, true) else acc
+      else if slot = None && len >= need then (Some (pos, len), dup)
+      else acc)
+    (None, false)
 
 let add dir ~name fn =
   let ( let* ) = Result.bind in
   let* () = check_name name in
   let need = entry_words name in
-  let* slot, total, dup = plan_add dir name need in
+  let* v = read_view dir in
+  let* slot, dup = plan_add v name need in
   if dup then Error (Malformed (Printf.sprintf "duplicate entry %S" name))
   else
     let words = encode_entry name fn in
@@ -151,7 +174,7 @@ let add dir ~name fn =
           wrap (File.write_words dir ~pos words)
         end
         else wrap (File.write_words dir ~pos words)
-    | None -> wrap (File.write_words dir ~pos:total words)
+    | None -> wrap (File.write_words dir ~pos:v.total words)
 
 let open_or_create dir ~name =
   let ( let* ) = Result.bind in
@@ -169,18 +192,10 @@ let open_or_create dir ~name =
           ignore (File.delete file);
           Error e)
 
-let find_slot dir name =
-  fold_slots dir
-    (fun acc ~pos ~len:_ ~live:_ entry ->
-      match (acc, entry) with
-      | Some _, _ -> Ok acc
-      | None, Some e when String.equal e.entry_name name -> Ok (Some pos)
-      | None, (Some _ | None) -> Ok acc)
-    None
-
 let remove dir name =
   let ( let* ) = Result.bind in
-  let* slot = find_slot dir name in
+  let* v = read_view dir in
+  let* slot = find_slot v name in
   match slot with
   | None -> Ok false
   | Some pos ->
@@ -191,7 +206,8 @@ let remove dir name =
 
 let update_address dir name addr =
   let ( let* ) = Result.bind in
-  let* slot = find_slot dir name in
+  let* v = read_view dir in
+  let* slot = find_slot v name in
   match slot with
   | None -> Ok false
   | Some pos ->
@@ -199,24 +215,17 @@ let update_address dir name addr =
       Ok true
 
 let salvage dir =
-  match read_all dir with
-  | Error _ -> ([], true)
-  | Ok words ->
-      let total = Array.length words in
-      let rec scan acc pos =
-        if pos >= total then (List.rev acc, false)
-        else
-          let w0 = Word.to_int words.(pos) in
-          let live = w0 land live_flag <> 0 in
-          let len = w0 land 0xff in
-          if len = 0 || pos + len > total then (List.rev acc, true)
-          else if not live then scan acc (pos + len)
-          else
-            match decode_entry words pos len with
-            | Ok e -> scan (e :: acc) (pos + len)
-            | Error _ -> (List.rev acc, true)
-      in
-      scan [] 0
+  let found = ref [] in
+  let scanned =
+    match read_view dir with
+    | Error _ -> false
+    | Ok v ->
+        Result.is_ok
+          (fold_slots v
+             (fun () ~pos ~len:_ ~live -> if live then found := entry_at v pos :: !found)
+             ())
+  in
+  (List.rev !found, not scanned)
 
 let rewrite dir entries =
   let ( let* ) = Result.bind in

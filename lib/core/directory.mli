@@ -44,6 +44,9 @@ val add : File.t -> name:string -> Page.full_name -> (unit, error) result
     ([Malformed "duplicate"]); names are compared exactly. *)
 
 val lookup : File.t -> string -> (entry option, error) result
+(** The first live entry with this name. Every slot is checked, those
+    after the match too: a damaged slot anywhere makes the lookup
+    [Malformed]. *)
 
 val open_or_create : File.t -> name:string -> (File.t, error) result
 (** The file this directory names [name], or else a new file created and

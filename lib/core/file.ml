@@ -329,13 +329,46 @@ let read_page t pn =
     if pn = t.last_page then t.last_length <- label.Label.length;
     Ok (value, label.Label.length)
 
+(* Byte [b] of a page value: the high byte of its word first. *)
+let page_byte value b =
+  let w = (value.(b / 2) : Word.t :> int) in
+  if b land 1 = 0 then w lsr 8 else w land 0xff
+
+(* Store [byte] as byte [b] of a word array, keeping the other half of
+   its word; a byte past the array's end is dropped. *)
+let poke_byte words b byte =
+  let i = b / 2 in
+  if i < Array.length words then
+    let w = (words.(i) : Word.t :> int) in
+    words.(i) <-
+      Word.of_int
+        (if b land 1 = 0 then (w land 0x00ff) lor (byte lsl 8) else (w land 0xff00) lor byte)
+
+(* Copy bytes [page_off, page_off + len) of a page value to [dst] at
+   [dst_off], a word at a time once the page side is word-aligned. *)
 let bytes_of_page value ~page_off ~len ~dst ~dst_off =
-  for j = 0 to len - 1 do
-    let b = page_off + j in
-    let w = value.(b / 2) in
-    Bytes.set dst (dst_off + j)
-      (Char.chr (if b mod 2 = 0 then Word.high_byte w else Word.low_byte w))
-  done
+  let lead = if page_off land 1 = 1 then min len 1 else 0 in
+  if lead = 1 then Bytes.set dst dst_off (Char.chr (page_byte value page_off));
+  let pairs = (len - lead) / 2 in
+  for k = 0 to pairs - 1 do
+    let j = lead + (2 * k) in
+    Bytes.set_uint16_be dst (dst_off + j) (value.((page_off + j) / 2) : Word.t :> int)
+  done;
+  let tail = lead + (2 * pairs) in
+  if tail < len then Bytes.set dst (dst_off + tail) (Char.chr (page_byte value (page_off + tail)))
+
+(* Copy the same span into a word array at byte offset [dst_off]: a
+   blit when both sides are word-aligned, byte by byte otherwise. *)
+let words_of_page value ~page_off ~len ~dst ~dst_off =
+  if page_off land 1 = 0 && dst_off land 1 = 0 then begin
+    Array.blit value (page_off / 2) dst (dst_off / 2) (len / 2);
+    if len land 1 = 1 then
+      poke_byte dst (dst_off + len - 1) (page_byte value (page_off + len - 1))
+  end
+  else
+    for j = 0 to len - 1 do
+      poke_byte dst (dst_off + j) (page_byte value (page_off + j))
+    done
 
 let touch_written t =
   t.leader <- Leader.with_times t.leader ~written_s:(now t) ()
@@ -401,13 +434,18 @@ let read_pages_batched t ~first addrs =
     collect 0 []
   end
 
-let read_bytes t ~pos ~len =
-  if pos < 0 || len < 0 then invalid_arg "File.read_bytes: negative position or length";
-  let total = byte_length t in
-  let n = max 0 (min len (total - pos)) in
-  let dst = Bytes.create n in
+(* How many of [len] bytes from [pos] the file holds. *)
+let span_length t ~pos ~len = max 0 (min len (byte_length t - pos))
+
+(* The page walk under every read: resolve and read the pages covering
+   bytes [pos, pos + n) — one elevator batch when the addresses of four
+   or more are known, page by page otherwise — and hand each page's
+   value to [f value ~page_off ~len ~dst_off] with the part of it in
+   range and that part's offset in the span. [n] is a
+   {!span_length}. *)
+let read_span t ~pos ~n f =
   let ( let* ) = Result.bind in
-  if n = 0 then Ok dst
+  if n = 0 then Ok ()
   else begin
     let first = 1 + (pos / Sector.bytes_per_page) in
     let last = 1 + ((pos + n - 1) / Sector.bytes_per_page) in
@@ -424,14 +462,14 @@ let read_bytes t ~pos ~len =
       | None -> read_page t pn
     in
     let rec loop pn page_off dst_off =
-      if dst_off >= n then Ok dst
+      if dst_off >= n then Ok ()
       else
         let* value, plen = page pn in
         let here = min (plen - page_off) (n - dst_off) in
         if here <= 0 then
           Error (Structure (Printf.sprintf "page %d shorter than the file length implies" pn))
         else begin
-          bytes_of_page value ~page_off ~len:here ~dst ~dst_off;
+          f value ~page_off ~len:here ~dst_off;
           loop (pn + 1) 0 (dst_off + here)
         end
     in
@@ -439,6 +477,15 @@ let read_bytes t ~pos ~len =
     if Result.is_ok result then touch_read t;
     result
   end
+
+let read_bytes t ~pos ~len =
+  if pos < 0 || len < 0 then invalid_arg "File.read_bytes: negative position or length";
+  let n = span_length t ~pos ~len in
+  let dst = Bytes.create n in
+  Result.map
+    (fun () -> dst)
+    (read_span t ~pos ~n (fun value ~page_off ~len ~dst_off ->
+         bytes_of_page value ~page_off ~len ~dst ~dst_off))
 
 (* {2 Planned whole-file reads}
 
@@ -587,14 +634,18 @@ let finish_read p outcomes =
 
 (* {2 Writing} *)
 
+(* Store [len] bytes of [s] from [s_off] into a page value at byte
+   [page_off], a word at a time once the page side is word-aligned. *)
 let patch_page value ~page_off s ~s_off ~len =
-  for j = 0 to len - 1 do
-    let b = page_off + j in
-    let w = Word.to_int value.(b / 2) in
-    let byte = Char.code s.[s_off + j] in
-    let w' = if b mod 2 = 0 then (w land 0x00ff) lor (byte lsl 8) else (w land 0xff00) lor byte in
-    value.(b / 2) <- Word.of_int w'
-  done
+  let lead = if page_off land 1 = 1 then min len 1 else 0 in
+  if lead = 1 then poke_byte value page_off (Char.code s.[s_off]);
+  let pairs = (len - lead) / 2 in
+  for k = 0 to pairs - 1 do
+    let j = lead + (2 * k) in
+    value.((page_off + j) / 2) <- Word.of_int (String.get_uint16_be s (s_off + j))
+  done;
+  let tail = lead + (2 * pairs) in
+  if tail < len then poke_byte value (page_off + tail) (Char.code s.[s_off + tail])
 
 let update_leader_last t =
   t.leader <- Leader.with_last t.leader ~last_page:t.last_page ~last_addr:(hint t t.last_page)
@@ -881,14 +932,39 @@ let delete t =
 
 let read_words t ~pos ~len =
   if pos < 0 || len < 0 then invalid_arg "File.read_words: negative position or length";
-  match read_bytes t ~pos:(2 * pos) ~len:(2 * len) with
-  | Error e -> Error e
-  | Ok bytes ->
-      let nbytes = Bytes.length bytes in
-      let nwords = nbytes / 2 in
-      Ok
-        (Array.init nwords (fun i ->
-             Word.of_char_pair (Bytes.get bytes (2 * i)) (Bytes.get bytes ((2 * i) + 1))))
+  let n = span_length t ~pos:(2 * pos) ~len:(2 * len) in
+  let dst = Array.make (n / 2) Word.zero in
+  Result.map
+    (fun () -> dst)
+    (read_span t ~pos:(2 * pos) ~n (fun value ~page_off ~len ~dst_off ->
+         words_of_page value ~page_off ~len ~dst ~dst_off))
+
+let read_word_pages t =
+  let n = 2 * (byte_length t / 2) in
+  let spans = ref [] in
+  let ( let* ) = Result.bind in
+  let* () =
+    read_span t ~pos:0 ~n (fun value ~page_off ~len ~dst_off ->
+        spans := (value, page_off, len, dst_off) :: !spans)
+  in
+  let spans = List.rev !spans in
+  if List.for_all (fun (_, _, _, dst_off) -> dst_off mod Sector.bytes_per_page = 0) spans
+  then Ok (Array.of_list (List.map (fun (value, _, _, _) -> value) spans), n / 2)
+  else begin
+    (* A page shorter than a full one before the last: the words do not
+       lie page-aligned, so assemble them into fresh pages. *)
+    let flat = Array.make (n / 2) Word.zero in
+    List.iter
+      (fun (value, page_off, len, dst_off) ->
+        words_of_page value ~page_off ~len ~dst:flat ~dst_off)
+      spans;
+    let pages = (n / 2 + Sector.value_words - 1) / Sector.value_words in
+    Ok
+      ( Array.init pages (fun k ->
+            let at = k * Sector.value_words in
+            Array.sub flat at (min Sector.value_words ((n / 2) - at))),
+        n / 2 )
+  end
 
 let write_words t ~pos ws =
   write_bytes t ~pos:(2 * pos) (Word.string_of_words ws ~len:(2 * Array.length ws))

@@ -125,6 +125,15 @@ val read_words : t -> pos:int -> len:int -> (Word.t array, error) result
 (** Word-granularity IO used by the directory package; [pos] and [len]
     count words. Reads beyond end of file return a shorter array. *)
 
+val read_word_pages : t -> (Word.t array array * int, error) result
+(** The whole file as words, read as
+    [read_words t ~pos:0 ~len:(byte_length t / 2)] reads it (the same
+    pages, in the same order) but not copied: [(pages, n)] holds [n]
+    words, word [i] being [pages.(i / 256).(i mod 256)]. When every page
+    before the last is full, as in any file written through this
+    module, the arrays are the page values as read. Callers must not
+    mutate them. *)
+
 val write_words : t -> pos:int -> Word.t array -> (unit, error) result
 
 val flush_leader : t -> (unit, error) result

@@ -29,14 +29,25 @@ let to_words t =
   let w0 = (if t.directory then 0x8000 else 0) lor (t.serial lsr 16) in
   (Word.of_int_exn w0, Word.of_int_exn (t.serial land 0xffff), Word.of_int_exn t.version)
 
+let serial_of w0 w1 = ((Word.to_int w0 land 0x3fff) lsl 16) lor Word.to_int w1
+
+let check_words w0 w1 v =
+  let v = Word.to_int v in
+  if Word.to_int w0 land reserved_bit <> 0 then Error "file id: reserved bit set"
+  else if serial_of w0 w1 < 1 then Error "file id: serial 0"
+  else if v < 1 || v > 0xfffe then Error "file id: bad version"
+  else Ok ()
+
 let of_words w0 w1 v =
-  let w0 = Word.to_int w0 and w1 = Word.to_int w1 and v = Word.to_int v in
-  if w0 land reserved_bit <> 0 then Error "file id: reserved bit set"
-  else
-    let serial = ((w0 land 0x3fff) lsl 16) lor w1 in
-    if serial < 1 then Error "file id: serial 0"
-    else if v < 1 || v > 0xfffe then Error "file id: bad version"
-    else Ok { serial; version = v; directory = w0 land 0x8000 <> 0 }
+  match check_words w0 w1 v with
+  | Error msg -> Error msg
+  | Ok () ->
+      Ok
+        {
+          serial = serial_of w0 w1;
+          version = Word.to_int v;
+          directory = Word.to_int w0 land 0x8000 <> 0;
+        }
 
 let equal a b = a.serial = b.serial && a.version = b.version && a.directory = b.directory
 

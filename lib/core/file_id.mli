@@ -43,6 +43,10 @@ val to_words : t -> Word.t * Word.t * Word.t
 
 val of_words : Word.t -> Word.t -> Word.t -> (t, string) result
 
+val check_words : Word.t -> Word.t -> Word.t -> (unit, string) result
+(** The checks {!of_words} makes, in its order and with its messages,
+    without building the id. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

@@ -196,6 +196,81 @@ let test_overwrite_middle () =
   Alcotest.(check char) "after intact" 'a' got.[705];
   Alcotest.(check int) "length unchanged" 1500 (File.byte_length file)
 
+let test_odd_offsets_roundtrip () =
+  (* Bytes and words are copied a word at a time where they pair up;
+     spans starting or ending on an odd byte, or crossing a page, must
+     still match the plain string model byte for byte. *)
+  let _drive, fs = fresh_fs () in
+  let file = file_ok "create" (File.create fs ~name:"Odd.") in
+  let model = Bytes.of_string (lorem 1501) in
+  file_ok "write" (File.write_bytes file ~pos:0 (Bytes.to_string model));
+  List.iter
+    (fun (pos, len) ->
+      let patch = String.init len (fun i -> Char.chr (65 + ((pos + i) mod 26))) in
+      file_ok "patch" (File.write_bytes file ~pos patch);
+      Bytes.blit_string patch 0 model pos len)
+    [ (1, 1); (3, 4); (511, 2); (510, 3); (1023, 300); (1500, 1); (700, 0) ];
+  Alcotest.(check int) "length" 1501 (File.byte_length file);
+  List.iter
+    (fun (pos, len) ->
+      let got = Bytes.to_string (file_ok "read" (File.read_bytes file ~pos ~len)) in
+      let want = Bytes.sub_string model pos (max 0 (min len (1501 - pos))) in
+      Alcotest.(check string) (Printf.sprintf "bytes %d+%d" pos len) want got)
+    [
+      (0, 1501); (1, 1); (1, 2); (511, 1); (511, 2); (511, 514); (1023, 477); (1499, 9);
+      (1501, 3);
+    ];
+  List.iter
+    (fun (pos, len) ->
+      let got = file_ok "read words" (File.read_words file ~pos ~len) in
+      let bytes = Bytes.sub_string model (2 * pos) (2 * Array.length got) in
+      Alcotest.(check int)
+        (Printf.sprintf "word count %d+%d" pos len)
+        (max 0 (min len ((1501 / 2) - pos)))
+        (Array.length got);
+      Alcotest.(check (array int))
+        (Printf.sprintf "words %d+%d" pos len)
+        (Array.map Word.to_int (Word.words_of_string bytes))
+        (Array.map Word.to_int got))
+    [ (0, 750); (0, 751); (255, 2); (256, 300); (749, 5) ]
+
+let test_word_pages_match_read_words () =
+  (* [read_word_pages] hands out the page values in place when every
+     page before the last is full, and assembles fresh pages otherwise;
+     either way the words are [read_words]'s. *)
+  let _drive, fs = fresh_fs () in
+  let same what a b =
+    let pages, n = file_ok "word pages" (File.read_word_pages a) in
+    let words = file_ok "read words" (File.read_words b ~pos:0 ~len:(File.byte_length b / 2)) in
+    Alcotest.(check int) (what ^ ": word count") (Array.length words) n;
+    Alcotest.(check (array int)) what (Array.map Word.to_int words)
+      (Array.init n (fun i ->
+           Word.to_int pages.(i / Sector.value_words).(i mod Sector.value_words)))
+  in
+  let file = file_ok "create" (File.create fs ~name:"Paged.") in
+  file_ok "write" (File.write_bytes file ~pos:0 (lorem 1125));
+  same "full pages, odd length" file file;
+  (* Two handles still believing the last page holds 101 bytes; a third
+     grows it by 12 and shortens page 1 by as many, so the stale handles'
+     words no longer lie page-aligned. *)
+  let stale () = file_ok "open" (File.open_leader fs (File.leader_name file)) in
+  let a = stale () and b = stale () in
+  file_ok "grow" (File.write_bytes file ~pos:1125 (String.make 12 '#'));
+  let fn = file_ok "page 1" (File.page_name file 1) in
+  let value, _ = file_ok "read page 1" (File.read_page file 1) in
+  let cache = Fs.label_cache fs and bio = Fs.bio fs and drive = Fs.drive fs in
+  (match Page.read_label ~cache drive fn with
+  | Error e -> Alcotest.failf "label: %a" Page.pp_error e
+  | Ok old -> (
+      let new_label =
+        Label.make ~fid:(File.fid file) ~page:1 ~length:500 ~next:old.Label.next
+          ~prev:old.Label.prev
+      in
+      match Page.rewrite_label ~cache ~bio drive fn ~new_label ~value with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "rewrite: %a" Page.pp_error e));
+  same "a short page before the last" a b
+
 let test_append_grows () =
   let _drive, fs = fresh_fs () in
   let file = file_ok "create" (File.create fs ~name:"Grow.") in
@@ -680,11 +755,164 @@ let test_nonstandard_disk_geometry () =
       Alcotest.(check int) "scavenger too" 0 report.Alto_fs.Scavenger.pages_lost
   | Error m -> Alcotest.failf "scavenge: %s" m
 
+(* {3 Directories over several pages}
+
+   Entries of odd-length names straddle the 256-word page boundaries;
+   every operation must agree with a plain decode of the directory's
+   words. *)
+
+(* The live slots of a directory, decoded straight from
+   [File.read_words]: (slot position, slot length, entry). *)
+let reference_slots dir =
+  let words = file_ok "read words" (File.read_words dir ~pos:0 ~len:(File.byte_length dir / 2)) in
+  let w i = Word.to_int words.(i) in
+  let rec scan pos acc =
+    if pos >= Array.length words then List.rev acc
+    else
+      let len = w pos land 0xff in
+      if len = 0 then Alcotest.fail "reference decode: zero-length slot"
+      else if w pos land 0x100 = 0 then scan (pos + len) acc
+      else
+        let fid =
+          match File_id.of_words words.(pos + 1) words.(pos + 2) words.(pos + 3) with
+          | Ok fid -> fid
+          | Error msg -> Alcotest.failf "reference decode: %s" msg
+        in
+        let name_len = w (pos + 5) in
+        let name =
+          Word.string_of_words (Array.sub words (pos + 6) ((name_len + 1) / 2)) ~len:name_len
+        in
+        let entry =
+          {
+            Directory.entry_name = name;
+            entry_file = Page.full_name fid ~page:0 ~addr:(Disk_address.of_word words.(pos + 4));
+          }
+        in
+        scan (pos + len) ((pos, len, entry) :: acc)
+  in
+  scan 0 []
+
+let entry_testable =
+  Alcotest.testable
+    (fun fmt (e : Directory.entry) ->
+      Format.fprintf fmt "%S -> %a" e.Directory.entry_name Page.pp_full_name e.Directory.entry_file)
+    (fun a b ->
+      String.equal a.Directory.entry_name b.Directory.entry_name
+      && File_id.equal a.entry_file.Page.abs.Page.fid b.entry_file.Page.abs.Page.fid
+      && Disk_address.equal a.entry_file.Page.addr b.entry_file.Page.addr)
+
+let check_against_reference what dir =
+  let reference = List.map (fun (_, _, e) -> e) (reference_slots dir) in
+  Alcotest.(check (list entry_testable)) (what ^ ": entries") reference
+    (dir_ok "entries" (Directory.entries dir));
+  List.iter
+    (fun (e : Directory.entry) ->
+      Alcotest.(check (option entry_testable))
+        (what ^ ": lookup " ^ e.Directory.entry_name)
+        (Some e)
+        (dir_ok "lookup" (Directory.lookup dir e.Directory.entry_name)))
+    reference;
+  let salvaged, truncated = Directory.salvage dir in
+  Alcotest.(check (list entry_testable)) (what ^ ": salvage") reference salvaged;
+  Alcotest.(check bool) (what ^ ": salvage complete") false truncated
+
+(* Odd lengths from 3 to 39 bytes, each name distinct. *)
+let long_name i =
+  Printf.sprintf "%03d%s" i (String.make (2 * (i mod 19)) (Char.chr (97 + (i mod 26))))
+
+(* A directory of [count] long-named entries pointing at a few files. *)
+let paged_directory count =
+  let _drive, fs = fresh_fs () in
+  let dir = dir_ok "create" (Directory.create fs ~name:"Paged.") in
+  let files =
+    Array.init 3 (fun i ->
+        File.leader_name (file_ok "create" (File.create fs ~name:(Printf.sprintf "F%d." i))))
+  in
+  for i = 0 to count - 1 do
+    dir_ok "add" (Directory.add dir ~name:(long_name i) files.(i mod 3))
+  done;
+  (dir, files)
+
+let crosses_page (pos, len, _) = pos / Sector.value_words <> (pos + len - 1) / Sector.value_words
+
+let test_directory_across_pages () =
+  let dir, files = paged_directory 60 in
+  (* Names that differ only in their odd last byte, or in length. *)
+  List.iteri
+    (fun i name -> dir_ok "add twin" (Directory.add dir ~name files.(i mod 3)))
+    [ "Twin.a1"; "Twin.a2"; "Twin.a"; "Twin.a12" ];
+  Alcotest.(check bool) "three pages or more" true (File.last_page dir >= 3);
+  check_against_reference "built" dir;
+  Alcotest.(check (option entry_testable)) "absent name" None
+    (dir_ok "lookup" (Directory.lookup dir "Nowhere."));
+  (* Free a slot that straddles a page boundary, then refill it with a
+     name of the same word size. *)
+  let pos, len, victim =
+    match List.find_opt crosses_page (reference_slots dir) with
+    | Some slot -> slot
+    | None -> Alcotest.fail "no entry crosses a page boundary"
+  in
+  Alcotest.(check bool) "removed" true
+    (dir_ok "remove" (Directory.remove dir victim.Directory.entry_name));
+  Alcotest.(check (option entry_testable)) "gone" None
+    (dir_ok "lookup" (Directory.lookup dir victim.Directory.entry_name));
+  check_against_reference "after remove" dir;
+  let size = File.byte_length dir in
+  let name = String.make (String.length victim.Directory.entry_name) 'Z' in
+  Alcotest.(check int) "same slot size" len (Directory.entry_words name);
+  dir_ok "add" (Directory.add dir ~name files.(1));
+  Alcotest.(check int) "slot reused, directory did not grow" size (File.byte_length dir);
+  (match List.find_opt (fun (p, _, _) -> p = pos) (reference_slots dir) with
+  | Some (_, _, e) ->
+      Alcotest.(check string) "new name in the freed slot" name e.Directory.entry_name
+  | None -> Alcotest.fail "freed slot not reused");
+  check_against_reference "after add" dir;
+  Alcotest.(check bool) "address hint refreshed" true
+    (dir_ok "update" (Directory.update_address dir name (Disk_address.of_index 21)));
+  check_against_reference "after update" dir
+
+let test_directory_corrupt_after_match () =
+  (* The scan checks every live slot, past the one being looked up too:
+     a damaged later slot makes the directory Malformed, and salvage
+     keeps what precedes it. *)
+  let corrupt what damage expect =
+    let dir, _files = paged_directory 60 in
+    let slots = reference_slots dir in
+    let _, _, first = List.hd slots in
+    let pos, len, _ = List.nth slots 50 in
+    let before = List.filteri (fun i _ -> i < 50) (List.map (fun (_, _, e) -> e) slots) in
+    let at, w = damage pos len (file_ok "read" (File.read_words dir ~pos ~len)) in
+    file_ok "damage" (File.write_words dir ~pos:at [| Word.of_int w |]);
+    (match Directory.lookup dir first.Directory.entry_name with
+    | Error (Directory.Malformed msg) -> Alcotest.(check string) (what ^ ": lookup") expect msg
+    | Ok _ -> Alcotest.failf "%s: lookup ignored the damaged slot" what
+    | Error e -> Alcotest.failf "%s: %a" what Directory.pp_error e);
+    (match Directory.entries dir with
+    | Error (Directory.Malformed msg) -> Alcotest.(check string) (what ^ ": entries") expect msg
+    | Ok _ | Error _ -> Alcotest.failf "%s: entries did not refuse" what);
+    let salvaged, truncated = Directory.salvage dir in
+    Alcotest.(check (list entry_testable)) (what ^ ": salvage keeps the prefix") before salvaged;
+    Alcotest.(check bool) (what ^ ": salvage truncated") true truncated
+  in
+  corrupt "reserved bit"
+    (fun pos _ words -> (pos + 1, Word.to_int words.(1) lor 0x4000))
+    "file id: reserved bit set";
+  corrupt "name length"
+    (fun pos len _ -> (pos + 5, (2 * (len - 6)) + 1))
+    "entry name length inconsistent"
+
 (* Property: random directory traffic matches an association-list
    model (names unique, order preserved for the survivors). *)
 let prop_directory_matches_model =
+  (* 48 distinct names of 1 to 40 bytes: enough live entries to spread
+     the directory over several pages. *)
+  let names =
+    Array.init 48 (fun k ->
+        String.init (1 + (k * 17 mod 40)) (fun i ->
+            if i = 0 then Char.chr (48 + k) else Char.chr (97 + ((k + i) mod 26))))
+  in
   QCheck.Test.make ~name:"random directory ops match an assoc model" ~count:25
-    QCheck.(list_of_size Gen.(1 -- 60) (pair (int_bound 2) (int_bound 11)))
+    QCheck.(list_of_size Gen.(1 -- 150) (pair (int_bound 2) (int_bound 47)))
     (fun ops ->
       let drive = Drive.create ~pack_id:5 small_geometry in
       let fs = Fs.format drive in
@@ -703,7 +931,7 @@ let prop_directory_matches_model =
       List.iter
         (fun (op, k) ->
           if !ok then
-            let name = Printf.sprintf "N%d." k in
+            let name = names.(k) in
             match op with
             | 0 -> (
                 let fn = pool.(k mod Array.length pool) in
@@ -759,6 +987,8 @@ let suite =
     ("create and reopen", `Quick, test_create_and_reopen);
     ("write/read roundtrip", `Quick, test_write_read_roundtrip);
     ("overwrite middle", `Quick, test_overwrite_middle);
+    ("odd offsets round-trip", `Quick, test_odd_offsets_roundtrip);
+    ("word pages match read_words", `Quick, test_word_pages_match_read_words);
     ("append grows", `Quick, test_append_grows);
     ("full page then append", `Quick, test_exactly_full_page_then_append);
     ("truncate", `Quick, test_truncate);
@@ -779,6 +1009,8 @@ let suite =
     ("directory duplicate rejected", `Quick, test_directory_duplicate_rejected);
     ("directory graph", `Quick, test_directory_graph);
     ("directory update address", `Quick, test_update_address);
+    ("directory across pages agrees with a plain decode", `Quick, test_directory_across_pages);
+    ("directory damage after the match is still found", `Quick, test_directory_corrupt_after_match);
     ("serial counter persists", `Quick, test_serial_counter_persists);
     ("non-standard disk geometry", `Quick, test_nonstandard_disk_geometry);
     QCheck_alcotest.to_alcotest ~verbose:false prop_directory_matches_model;
