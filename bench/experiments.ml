@@ -1920,15 +1920,18 @@ let e20 () =
 let e21 () =
   heading "E21  crash-point injection: recovery from every torn write";
   claim
-    "recovery (bounded scan, escalating to one scavenge) survives every \
-     enumerated crash point with zero invariant violations";
+    "recovery (boot's scavenge or bounded scan, escalating to one \
+     scavenge) survives every enumerated crash point with zero invariant \
+     violations";
   let t = Crash_harness.run () in
   Obs.add (Obs.counter "e21.trials") t.Crash_harness.trials;
   Obs.add (Obs.counter "e21.crash_points") t.Crash_harness.crash_points;
   Obs.add (Obs.counter "e21.torn_points") t.Crash_harness.torn_points;
   Obs.add (Obs.counter "e21.dirty_boots") t.Crash_harness.dirty_boots;
+  Obs.add (Obs.counter "e21.bounded_laps") t.Crash_harness.bounded_laps;
+  Obs.add (Obs.counter "e21.boot_scavenges") t.Crash_harness.boot_scavenges;
   Obs.add (Obs.counter "e21.flight_adoptions") t.Crash_harness.flight_adoptions;
-  Obs.add (Obs.counter "e21.bounded_recoveries") t.Crash_harness.bounded_recoveries;
+  Obs.add (Obs.counter "e21.settled_at_boot") t.Crash_harness.settled_at_boot;
   Obs.add (Obs.counter "e21.scavenges") t.Crash_harness.scavenges;
   Obs.add (Obs.counter "e21.fsck_findings") t.Crash_harness.findings;
   Obs.add (Obs.counter "e21.invariant_violations") t.Crash_harness.violations;
@@ -1939,8 +1942,10 @@ let e21 () =
       [ "crash points fired"; string_of_int t.Crash_harness.crash_points ];
       [ "  of which torn"; string_of_int t.Crash_harness.torn_points ];
       [ "dirty boots"; string_of_int t.Crash_harness.dirty_boots ];
+      [ "  through the bounded lap"; string_of_int t.Crash_harness.bounded_laps ];
+      [ "  through a boot scavenge"; string_of_int t.Crash_harness.boot_scavenges ];
       [ "flight records adopted"; string_of_int t.Crash_harness.flight_adoptions ];
-      [ "bounded recoveries"; string_of_int t.Crash_harness.bounded_recoveries ];
+      [ "settled at boot"; string_of_int t.Crash_harness.settled_at_boot ];
       [ "escalations to scavenge"; string_of_int t.Crash_harness.scavenges ];
       [ "advisory fsck findings"; string_of_int t.Crash_harness.findings ];
       [ "invariant violations"; string_of_int t.Crash_harness.violations ];
@@ -1955,9 +1960,12 @@ let e21 () =
   if t.Crash_harness.violations <> 0 then
     failwith "E21: a crash point broke a recovery invariant";
   print_endline
-    "shape: most crash points boot straight through the bounded scan;\n\
-     the mid-move tears (compaction, relocation) escalate to one\n\
-     scavenge, and every committed page still reads back old-or-new."
+    "shape: every dirty boot here finds the patrol cursor at 0 or the\n\
+     pack unmountable, so boot runs one verifying scavenge instead of a\n\
+     whole-pack lap, and the checker certifies the pack it leaves; only\n\
+     crashes that left the pack marked clean (compaction, world swap)\n\
+     escalate to one scavenge, and every committed page still reads\n\
+     back old-or-new."
 
 (* E22 — observability for everything E18 and E19 exercise: every
    request minted as a causal trace at the client, carried through

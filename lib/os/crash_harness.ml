@@ -31,8 +31,10 @@ type totals = {
   mutable torn_points : int;  (** Crashes that left a torn sector. *)
   mutable completed : int;  (** The countdown outran the workload. *)
   mutable dirty_boots : int;  (** Recoveries down the dirty path. *)
+  mutable bounded_laps : int;  (** Dirty boots that ran the bounded lap. *)
+  mutable boot_scavenges : int;  (** Dirty boots that ran boot's scavenge. *)
   mutable flight_adoptions : int;
-  mutable bounded_recoveries : int;
+  mutable settled_at_boot : int;
       (** Boot recovery alone satisfied both oracles. *)
   mutable scavenges : int;  (** Escalations to the full scavenger. *)
   mutable findings : int;  (** Advisory fsck findings after recovery. *)
@@ -43,10 +45,11 @@ type totals = {
 let pp_totals fmt t =
   Format.fprintf fmt
     "@[<v>%d trials: %d crashed (%d torn), %d ran to completion@,\
-     %d dirty boots, %d flight adoptions@,\
-     %d bounded recoveries, %d scavenges; %d findings, %d violations@]"
-    t.trials t.crash_points t.torn_points t.completed t.dirty_boots
-    t.flight_adoptions t.bounded_recoveries t.scavenges t.findings t.violations
+     %d dirty boots (%d bounded laps, %d boot scavenges), %d flight adoptions@,\
+     %d settled at boot, %d scavenges; %d findings, %d violations@]"
+    t.trials t.crash_points t.torn_points t.completed t.dirty_boots t.bounded_laps
+    t.boot_scavenges t.flight_adoptions t.settled_at_boot t.scavenges t.findings
+    t.violations
 
 (* {2 Expectations}
 
@@ -548,6 +551,10 @@ let run_trial t (w : workload) ~point ~tear =
   in
   if was_dirty then t.dirty_boots <- t.dirty_boots + 1;
   let sys = System.boot ~drive () in
+  (match System.recovery sys with
+  | System.Bounded_lap _ -> t.bounded_laps <- t.bounded_laps + 1
+  | System.Boot_scavenge _ -> t.boot_scavenges <- t.boot_scavenges + 1
+  | System.Clean | System.Formatted -> ());
   if Flight.adopted () <> None then t.flight_adoptions <- t.flight_adoptions + 1;
   (* Finish the makeup lap recovery scheduled. *)
   let ticks = ref 0 in
@@ -558,7 +565,7 @@ let run_trial t (w : workload) ~point ~tear =
   (match Fs.mark_clean (System.fs sys) with Ok () | Error _ -> ());
   (match Fs.flush (System.fs sys) with Ok () | Error _ -> ());
   (* The oracle: the checker, then a fresh mount reading every committed
-     file against its two legitimate versions. Bounded recovery answers
+     file against its two legitimate versions. Boot recovery answers
      for most crash points; when the checker still sees a broken promise
      — a torn catalogued page, a dangling entry — or a file will not
      read back (a hint ladder exhausted by a mid-move crash), the cure
@@ -589,7 +596,7 @@ let run_trial t (w : workload) ~point ~tear =
   let report, content = interrogate () in
   let report, content =
     if report.Fsck.violations = [] && content = [] then begin
-      t.bounded_recoveries <- t.bounded_recoveries + 1;
+      t.settled_at_boot <- t.settled_at_boot + 1;
       (report, content)
     end
     else begin
@@ -630,8 +637,10 @@ let run ?(points_per_workload = 15) ?(only = []) () =
       torn_points = 0;
       completed = 0;
       dirty_boots = 0;
+      bounded_laps = 0;
+      boot_scavenges = 0;
       flight_adoptions = 0;
-      bounded_recoveries = 0;
+      settled_at_boot = 0;
       scavenges = 0;
       findings = 0;
       violations = 0;

@@ -5,13 +5,14 @@
     {!Alto_disk.Fault.crash_after_writes} so the machine dies at the Nth
     writing operation of a real metadata-mutating workload — cleanly, or
     tearing the fatal sector's label or value — then boots recovery
-    ({!System.boot}'s dirty path: flight-record adoption, the bounded
-    tail scan, the makeup lap) and interrogates the result with the
-    offline checker ({!Alto_fs.Fsck}). A crash point bounded recovery
-    cannot answer for escalates to the full scavenger, after which the
-    checker must be satisfied and every committed file must read back
-    either byte-identical or as a page-exact mix of its two legitimate
-    versions.
+    ({!System.boot}'s dirty path: flight-record adoption, then boot's
+    verifying scavenge when the lap would owe the whole pack, else the
+    bounded tail scan and the makeup lap) and interrogates the result
+    with the offline checker ({!Alto_fs.Fsck}). A crash point boot
+    recovery cannot answer for escalates to the full scavenger, after
+    which the checker must be satisfied and every committed file must
+    read back either byte-identical or as a page-exact mix of its two
+    legitimate versions.
 
     Five workloads cover the machinery's writing paths: file
     overwrite/delete/create, the track buffers' coalesced flush sweep,
@@ -25,8 +26,12 @@ type totals = {
   mutable torn_points : int;  (** Crashes that left a torn sector. *)
   mutable completed : int;  (** The countdown outran the workload. *)
   mutable dirty_boots : int;  (** Recoveries down the dirty path. *)
+  mutable bounded_laps : int;  (** Dirty boots that ran the bounded lap. *)
+  mutable boot_scavenges : int;
+      (** Dirty boots that ran boot's verifying scavenge: the lap would
+          have owed every sector, or the pack would not mount. *)
   mutable flight_adoptions : int;
-  mutable bounded_recoveries : int;
+  mutable settled_at_boot : int;
       (** Boot recovery alone satisfied both the checker and the content
           oracle — no scavenge needed. *)
   mutable scavenges : int;  (** Escalations to the full scavenger. *)

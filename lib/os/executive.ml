@@ -282,15 +282,16 @@ let cmd_sync system =
         report.Alto_fs.Bio.conflicts
   end
 
-(* The volume's self-healing at a glance: whether the pack would mount
-   clean, where the patrol sweep stands and what it has moved to safety,
-   and how full the two bad-sector stores are. *)
+(* The volume's self-healing at a glance: how boot recovered the pack,
+   whether it would mount clean, where the patrol sweep stands and what
+   it has moved to safety, and how full the two bad-sector stores are. *)
 let cmd_health system =
   let fs = System.fs system in
   let patrol = System.patrol system in
   let sectors = Alto_disk.Drive.sector_count (System.drive system) in
+  say system "boot:    %a" System.pp_recovery (System.recovery system);
   say system "volume:  %s"
-    (if Fs.dirty fs then "dirty - bounded recovery due at next boot" else "clean");
+    (if Fs.dirty fs then "dirty - recovery due at next boot" else "clean");
   say system "patrol:  cursor %d/%d, %d laps, %d slices this session"
     (Fs.patrol_cursor fs) sectors (Patrol.laps patrol) (Patrol.slices patrol);
   say system "         %d suspect, %d relocated, %d quarantined, %d lost, %d map repairs"

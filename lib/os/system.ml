@@ -23,10 +23,30 @@ module World = Alto_world.World
 
 type handle_target = File_obj of File.t | Stream_obj of Stream.t
 
+type scavenge_cause = Whole_lap_owed | Unmountable
+
+type recovery =
+  | Clean
+  | Bounded_lap of Patrol.recovery
+  | Boot_scavenge of scavenge_cause * Scavenger.report
+  | Formatted
+
+let pp_recovery fmt = function
+  | Clean -> Format.fprintf fmt "clean mount, nothing to recover"
+  | Bounded_lap r -> Format.fprintf fmt "bounded lap, %a" Patrol.pp_recovery r
+  | Boot_scavenge (cause, report) ->
+      Format.fprintf fmt "@[<v>verifying scavenge (%s)@,%a@]"
+        (match cause with
+        | Whole_lap_owed -> "dirty, the whole lap owed"
+        | Unmountable -> "unmountable")
+        Scavenger.pp_report report
+  | Formatted -> Format.fprintf fmt "unmountable and unscavengeable: formatted"
+
 type t = {
   memory : Memory.t;
   cpu : Cpu.t;
   drive : Drive.t;
+  recovery : recovery;
   mutable fs : Fs.t;
   mutable patrol : Patrol.t;
   keyboard : Keyboard.t;
@@ -47,6 +67,7 @@ let user_base = 1024
 let memory t = t.memory
 let cpu t = t.cpu
 let drive t = t.drive
+let recovery t = t.recovery
 let fs t = t.fs
 
 let set_fs t fs =
@@ -116,33 +137,51 @@ let counter_junta t =
 
 let boot ?(geometry = Geometry.diablo_31) ?drive ?(finish_recovery_lap = true) () =
   let drive = match drive with Some d -> d | None -> Drive.create ~pack_id:1 geometry in
-  (* An unmountable pack is wreckage, not a blank: scavenge rebuilds the
-     descriptor from the labels (§3.6's last rung) before boot is allowed
-     to reach for the formatter and wipe whatever the labels still say. *)
-  let fs =
+  (* Two packs are rebuilt whole by a value-verifying scavenge: one that
+     will not mount (wreckage, not a blank: the labels are rebuilt into a
+     descriptor, §3.6's last rung, before boot reaches for the formatter),
+     and one that crashed with its patrol cursor at 0, whose recovery lap
+     would read every sector anyway. The scavenge reads the same sectors
+     in one pass and leaves a pack the checker certifies. A crashed pack
+     is read for its flight record first (recovery writes over the
+     volume). Both scavenges run before the recorder is armed: an armed
+     one seals the process-wide metric registry into the pack. *)
+  let fs, scavenged =
     match Fs.mount drive with
-    | Ok fs -> fs
     | Error _ -> (
-        match Scavenger.scavenge drive with
-        | Ok (fs, _report) -> fs
-        | Error _ -> Fs.format drive)
+        match Scavenger.scavenge ~verify_values:true drive with
+        | Ok (fs, report) -> (fs, Some (Boot_scavenge (Unmountable, report)))
+        | Error _ -> (Fs.format drive, Some Formatted))
+    | Ok fs when Fs.dirty fs && Fs.patrol_cursor fs = 0 -> (
+        ignore (Flight.adopt fs : string option);
+        match Scavenger.scavenge ~verify_values:true drive with
+        | Ok (fs, report) -> (fs, Some (Boot_scavenge (Whole_lap_owed, report)))
+        | Error _ -> (fs, None))
+    | Ok fs -> (fs, None)
   in
   (* The full machine arms the black box; raw library users never see
      the file appear on its own. *)
   Flight.enable ();
-  (* Re-enter the bad-sector verdicts that overflowed the descriptor
-     table, then — if the pack crashed — adopt the flight record the
-     previous incarnation sealed (recovery writes over the volume, so
-     read the black box first) and finish the patrol lap that was in
-     flight before running anything on the volume. *)
-  (match Bad_sectors.load fs with Ok _ | Error _ -> ());
+  (* A pack that was not scavenged re-enters the bad-sector verdicts that
+     overflowed the descriptor table (the scavenger rebuilt them all);
+     then, if it crashed mid-lap, adopts its flight record and finishes
+     the lap in flight before running anything on the volume. *)
+  let recovery =
+    match scavenged with
+    | Some r -> r
+    | None ->
+        (match Bad_sectors.load fs with Ok _ | Error _ -> ());
+        if not (Fs.dirty fs) then Clean
+        else begin
+          (* A failed boot scavenge adopted it already. *)
+          if Fs.patrol_cursor fs > 0 then ignore (Flight.adopt fs : string option);
+          Bounded_lap (Patrol.recover fs)
+        end
+  in
   let makeup_until =
-    if not (Fs.dirty fs) then 0
-    else begin
-      ignore (Flight.adopt fs : string option);
-      let recovery = Patrol.recover fs in
-      if finish_recovery_lap then recovery.Patrol.resumed_at else 0
-    end
+    match recovery with
+    | Bounded_lap r when finish_recovery_lap -> r.Patrol.resumed_at
+    | Bounded_lap _ | Clean | Boot_scavenge _ | Formatted -> 0
   in
   let memory = Memory.create () in
   let t =
@@ -150,6 +189,7 @@ let boot ?(geometry = Geometry.diablo_31) ?drive ?(finish_recovery_lap = true) (
       memory;
       cpu = Cpu.create memory;
       drive;
+      recovery;
       fs;
       patrol = Patrol.create ~makeup_until fs;
       keyboard = Keyboard.create ();

@@ -610,6 +610,78 @@ let test_truncate_run_crash_points () =
       Alcotest.(check bool) "the truncate writes every page it cuts" true (writes >= 10))
     [ false; true ]
 
+(* {2 Boot's recovery path}
+
+   A pack that crashed with its saved patrol cursor at 0 owes a recovery
+   lap over every sector, so boot runs one value-verifying scavenge
+   instead, and the checker certifies the pack it leaves. A cursor past
+   0 keeps the bounded lap over the unswept tail. *)
+
+(* The run file's delete killed at its sixth write, with pages freed
+   from the middle of the file, on a pack whose saved patrol cursor is
+   [cursor]. *)
+let crashed_delete ?(cursor = 0) ~scattered () =
+  Flight.disable ();
+  let drive = run_pack ~scattered () in
+  (if cursor > 0 then
+     match Fs.mount drive with
+     | Error msg -> failwith msg
+     | Ok fs -> (
+         Fs.set_patrol_cursor fs cursor;
+         match Fs.mark_clean fs with Ok () -> () | Error _ -> failwith "clean"));
+  Fault.crash_after_writes drive 5;
+  (match on_run_file drive File.delete with
+  | () -> failwith "the delete outran its crash point"
+  | exception Drive.Power_failure -> ());
+  Fault.cancel_crash drive;
+  drive
+
+let saved_cursor drive =
+  match Fs.mount drive with
+  | Error msg -> Alcotest.failf "mount: %s" msg
+  | Ok fs ->
+      Alcotest.(check bool) "the crash left the pack dirty" true (Fs.dirty fs);
+      Fs.patrol_cursor fs
+
+let test_whole_lap_owed_boots_certified () =
+  let drive = crashed_delete ~scattered:false () in
+  Alcotest.(check int) "the lap owes every sector" 0 (saved_cursor drive);
+  let sys = System.boot ~drive () in
+  Flight.disable ();
+  (match System.recovery sys with
+  | System.Boot_scavenge (System.Whole_lap_owed, _) -> ()
+  | r -> Alcotest.failf "boot recovered by %a" System.pp_recovery r);
+  List.iter
+    (fun i -> Alcotest.failf "fsck: %a" Alto_fs.Fsck.pp_issue i)
+    (Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations;
+  List.iter Alcotest.fail (run_damage ~may_vanish:true drive)
+
+let test_mid_lap_keeps_bounded_lap () =
+  let count name = Alto_obs.Obs.counter_value (Alto_obs.Obs.counter name) in
+  let cursor = Geometry.sector_count small_geometry / 2 in
+  let drive = crashed_delete ~cursor ~scattered:false () in
+  Alcotest.(check int) "the cursor survived the crash" cursor (saved_cursor drive);
+  let laps = count "fs.patrol.recoveries" and scavenges = count "scavenger.runs" in
+  let sys = System.boot ~drive () in
+  Flight.disable ();
+  (match System.recovery sys with
+  | System.Bounded_lap r ->
+      Alcotest.(check int) "the lap resumed at the cursor" cursor r.Alto_fs.Patrol.resumed_at
+  | r -> Alcotest.failf "boot recovered by %a" System.pp_recovery r);
+  Alcotest.(check int) "one bounded lap" (laps + 1) (count "fs.patrol.recoveries");
+  Alcotest.(check int) "no scavenge" scavenges (count "scavenger.runs")
+
+let test_boot_scavenge_crash_points () =
+  List.iter
+    (fun scattered ->
+      let writes =
+        sweep_crash_points ~plant:(crashed_delete ~scattered)
+          ~work:(fun drive -> ignore (System.boot ~drive () : System.t))
+          ~damage:(run_damage ~may_vanish:true)
+      in
+      Alcotest.(check bool) "the boot scavenge writes" true (writes >= 5))
+    [ false; true ]
+
 (* {2 Serials after a dirty boot} *)
 
 (* Serials named by some label on the platter, read out of band. *)
@@ -694,6 +766,13 @@ let () =
           ("replace survives a crash at every write", `Quick, test_replace_crash_points);
           ("delete survives a crash at every write", `Quick, test_delete_run_crash_points);
           ("truncate survives a crash at every write", `Quick, test_truncate_run_crash_points);
+          ( "a dirty pack owing a whole lap boots certified",
+            `Quick,
+            test_whole_lap_owed_boots_certified );
+          ("a dirty pack mid-lap keeps the bounded lap", `Quick, test_mid_lap_keeps_bounded_lap);
+          ( "boot scavenge survives a crash at every write",
+            `Quick,
+            test_boot_scavenge_crash_points );
           ("a dirty boot hands out unused serials", `Quick, test_dirty_boot_hands_out_unused_serials);
           ( "a dirty mount resumes past every serial",
             `Quick,

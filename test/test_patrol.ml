@@ -349,6 +349,9 @@ let test_health_command () =
     let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
     go 0
   in
+  (* A virgin pack does not mount: boot rebuilt it by scavenging. *)
+  Alcotest.(check bool) "reports how boot recovered" true
+    (contains "boot:    verifying scavenge (unmountable)");
   Alcotest.(check bool) "reports the patrol cursor" true (contains "patrol:");
   Alcotest.(check bool) "reports the bad-sector stores" true (contains "spilled");
   Alcotest.(check bool) "reports the spill file" true (contains "no spill file");
