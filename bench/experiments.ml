@@ -50,44 +50,33 @@ let e1 () =
     let root = ok Directory.pp_error (Directory.open_root fs) in
     let (_ : string list) = fill_to fs root ~fraction ~file_bytes:4000 in
     let used = Drive.sector_count drive - Fs.free_count fs in
-    let _, report =
-      match Scavenger.scavenge drive with
-      | Ok (fs', r) -> (fs', r)
-      | Error msg -> failwith msg
-    in
-    let _, verified =
-      match Scavenger.scavenge ~verify_values:true drive with
-      | Ok (fs', r) -> (fs', r)
-      | Error msg -> failwith msg
-    in
-    (used, report.Scavenger.duration_us, verified.Scavenger.duration_us)
+    match Scavenger.scavenge drive with
+    | Ok (_, r) -> (used, r.Scavenger.duration_us)
+    | Error msg -> failwith msg
   in
   let rows =
     List.concat_map
       (fun geometry ->
         List.map
           (fun fraction ->
-            let used, us, verified_us = run geometry fraction in
+            let used, us = run geometry fraction in
             [
               geometry.Geometry.model;
               Printf.sprintf "%.0f%%" (fraction *. 100.);
               string_of_int used;
               us_to_string us;
-              us_to_string verified_us;
             ])
           [ 0.25; 0.50; 0.75; 0.98 ])
       [ Geometry.diablo_31; Geometry.diablo_44 ]
   in
-  print_table [ 16; 6; 12; 12; 14 ]
-    [ "disk"; "fill"; "busy pages"; "scavenge"; "+verify values" ]
-    rows;
+  print_table [ 16; 6; 12; 12 ] [ "disk"; "fill"; "busy pages"; "scavenge" ] rows;
   print_endline
-    "shape: about a minute for a well-filled Model 31 pack; the bigger,\n\
-     faster Model 44 pays for twice the sectors at half the rotation.\n\
-     Value verification reads every value in the sweep's own operations\n\
-     (one sector time moves header, label and value alike) and keeps the\n\
-     leader values, so only moved or rebuilt leaders are read again: it\n\
-     runs faster than the plain scavenge, nearly flat in the fill."
+    "shape: well under the paper's minute, nearly flat in the fill: the\n\
+     sweep reads every value in the label's own operation (one sector\n\
+     time moves header, label and value alike) and keeps the leader\n\
+     values, so only moved or rebuilt leaders are read again. The\n\
+     bigger, faster Model 44 pays for twice the sectors at half the\n\
+     rotation."
 
 (* E2 — §3.5: the compacting scavenger "typically increases the speed
    with which the files can be read sequentially by an order of
@@ -1052,7 +1041,7 @@ let e14 () =
     victims;
   let fs', report =
     ok Format.pp_print_string
-      (Scavenger.scavenge ~verify_values:true ~suspect_retries:1 drive)
+      (Scavenger.scavenge ~suspect_retries:1 drive)
   in
   (* A marginal sector the single verify probe happened to catch on a
      good revolution stays in service, so a read can still need the
@@ -1331,7 +1320,7 @@ let e17 () =
   let (_ : string list) = fill_to fs root ~fraction:0.5 ~file_bytes:4000 in
   let report =
     Obs.time clock "e17.scavenge_us" (fun () ->
-        match Scavenger.scavenge ~verify_values:true drive with
+        match Scavenger.scavenge drive with
         | Ok (_, r) -> r
         | Error msg -> failwith msg)
   in

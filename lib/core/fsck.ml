@@ -46,14 +46,14 @@ let clean r =
 (* {2 The passes}
 
    All reads are ordinary timed operations: one {!Sweep} over the whole
-   pack, which also reads every value back when [verify_values] is set,
-   plus the descriptor and directory pages; nothing here writes.
+   pack, which reads every value back in the label's own operation, plus
+   the descriptor and directory pages; nothing here writes.
    The checker needs no live [System] and no readable descriptor: given
    wreckage it still sweeps the labels and reports on the wreck — the
    descriptor-dependent passes (map, catalogue) just report the mount
    failure and stand down. *)
 
-let check ?(verify_values = true) drive =
+let check drive =
   Obs.incr m_runs;
   let t0 = Alto_machine.Sim_clock.now_us (Drive.clock drive) in
   let n = Drive.sector_count drive in
@@ -68,9 +68,8 @@ let check ?(verify_values = true) drive =
       fmt
   in
   (* Pass 1: sweep every label (§3.5's first move, reused verbatim),
-     reading each sector's value in the same operation when pass 7 will
-     want to know whether it reads back. *)
-  let sweep = Sweep.run ~read_values:verify_values drive in
+     reading each sector's value in the same operation for pass 7. *)
+  let sweep = Sweep.run drive in
   let live = ref 0 and free = ref 0 and marked_bad = ref 0 in
   let bad_media = ref 0 and garbage = ref 0 in
   Array.iteri
@@ -244,18 +243,17 @@ let check ?(verify_values = true) drive =
   (* Pass 7: the data itself, as the sweep read it back. Any live page
      that would not — torn by a crash, or decayed — is data loss if a
      catalogued file owns it, a leaked fragment otherwise. *)
-  if verify_values then
-    Array.iteri
-      (fun index -> function
-        | Some label when sweep.Sweep.values.(index) = Sweep.Unreadable ->
-            (sev label.Label.fid)
-              ~addr:index
-              (if Drive.is_torn drive (Disk_address.of_index index) then "torn-page"
-               else "unreadable-page")
-              "%a page %d will not read back" File_id.pp label.Label.fid
-              label.Label.page
-        | Some _ | None -> ())
-      label_at;
+  Array.iteri
+    (fun index -> function
+      | Some label when sweep.Sweep.values.(index) = Sweep.Unreadable ->
+          (sev label.Label.fid)
+            ~addr:index
+            (if Drive.is_torn drive (Disk_address.of_index index) then "torn-page"
+             else "unreadable-page")
+            "%a page %d will not read back" File_id.pp label.Label.fid
+            label.Label.page
+      | Some _ | None -> ())
+    label_at;
   let report =
     {
       counts =

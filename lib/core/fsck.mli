@@ -52,11 +52,11 @@ type report = {
   duration_us : int;
 }
 
-val check : ?verify_values:bool -> Drive.t -> report
+val check : Drive.t -> report
 (** Sweep every label, mount the descriptor read-only, compare the map,
-    walk the catalogue and every file chain, and ([verify_values],
-    default on) judge whether every live page's data reads back — read
-    in the sweep's own operations, not in a second pass. Counted in
+    walk the catalogue and every file chain, and judge whether every
+    live page's data reads back — read in the sweep's own operations,
+    not in a second pass. Counted in
     [fs.fsck.runs] / [fs.fsck.findings] / [fs.fsck.violations]. *)
 
 val clean : report -> bool

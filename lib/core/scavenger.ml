@@ -101,7 +101,7 @@ type state = {
    salvage policy: this is the last copy of somebody's data, so the
    scavenger tries much harder than the ordinary ladder before giving
    the page up. *)
-let move_page st ~fid ~pn ~src ~dst (label : Label.t) =
+let move_page st ~src ~dst (label : Label.t) =
   let value = Array.make Sector.value_words Word.zero in
   let src_addr = Disk_address.of_index src and dst_addr = Disk_address.of_index dst in
   match
@@ -111,8 +111,6 @@ let move_page st ~fid ~pn ~src ~dst (label : Label.t) =
   with
   | Error _ -> false
   | Ok () -> (
-      ignore fid;
-      ignore pn;
       match
         Reliable.run st.drive dst_addr
           { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
@@ -150,27 +148,24 @@ let repair_label st ~fid ~pn ~addr_index ~length ~next ~prev =
           true
       | Error _ -> false)
 
-let scavenge_run ~verify_values ~suspect_retries drive =
+let scavenge_run ~suspect_retries drive =
   let clock = Drive.clock drive in
   let started = Sim_clock.now_us clock in
   (* Each pass that touches the disk runs under a named span, so the
      profile splits the minute the paper quotes into its real parts. *)
   let pass name f = Prof.span clock ("scavenger." ^ name) f in
-  (* A verifying scavenge reads every value in the sweep's own
-     operations, under the salvage policy: this may be the last copy of
-     somebody's data, and the retry effort each sector needed is the
-     evidence that its surface is marginal. The leader values come out
-     of the same pass, so step 8 need not read them again; the rest are
-     judged and dropped. *)
+  (* The sweep reads every value in its own operations, under the
+     salvage policy: this may be the last copy of somebody's data, and
+     the retry effort each sector needed is the evidence that its surface
+     is marginal. The leader values come out of the same pass, so step 8
+     need not read them again; the rest are judged and dropped. *)
   let swept_leaders : (int, Word.t array) Hashtbl.t = Hashtbl.create 64 in
   let sweep =
     pass "sweep" (fun () ->
-        if verify_values then
-          Sweep.run ~read_values:true ~policy:Reliable.salvage_policy
-            ~on_value:(fun i label value ->
-              if label.Label.page = 0 then Hashtbl.replace swept_leaders i (Array.copy value))
-            drive
-        else Sweep.run drive)
+        Sweep.run ~policy:Reliable.salvage_policy
+          ~on_value:(fun i label value ->
+            if label.Label.page = 0 then Hashtbl.replace swept_leaders i (Array.copy value))
+          drive)
   in
   let n = Array.length sweep.Sweep.classes in
   let st =
@@ -224,8 +219,8 @@ let scavenge_run ~verify_values ~suspect_retries drive =
     | Sweep.Free_sector | Sweep.Marked_bad | Sweep.Bad_media | Sweep.Garbage _ -> ()
   done;
 
-  (* 1b. Optional value verification, from the sweep's verdicts. A
-     sector whose label works but whose data surface is gone gets the bad
+  (* 1b. Value verification, from the sweep's verdicts. A sector
+     whose label works but whose data surface is gone gets the bad
      marker written into its label — §3.5's "marked in the label with a
      special value so that they will never be used again" — and its page
      drops out of its file. A sector that read back only after
@@ -235,52 +230,51 @@ let scavenge_run ~verify_values ~suspect_retries drive =
      in step 4. *)
   let quarantined : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let suspects : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  if verify_values then
-    pass "verify" (fun () ->
-    let live =
-      Hashtbl.fold
-        (fun fid (pages : file_pages) acc ->
-          Hashtbl.fold (fun pn (i, _) acc -> (i, pn, fid, pages) :: acc) pages acc)
-        files []
-    in
-    let live = Array.of_list live in
-    Array.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) live;
-    Array.iter
-      (fun (i, pn, fid, pages) ->
-        match sweep.Sweep.values.(i) with
-        | Sweep.Read_back retries ->
-            if retries >= suspect_retries then Hashtbl.replace suspects i ()
-        | Sweep.Not_read | Sweep.Unreadable ->
-            (* Write the marker; the data surface accepts writes blind. *)
-            (match
-               Reliable.run st.drive (Disk_address.of_index i)
-                 { Drive.op_none with
-                   Drive.label = Some Drive.Write;
-                   value = Some Drive.Write
-                 }
-                 ~label:(Label.bad_words ()) ~value:(Label.free_value ()) ()
-             with
-            | Ok () | Error _ -> ());
-            Hashtbl.replace quarantined i ();
-            (* Before declaring the page lost, try its twins: a crash
-               between a move's copy and its retire leaves a duplicate,
-               and the torn copy must not take the data down with it if
-               the twin read back in the sweep. *)
-            match
-              List.find_opt
-                (fun (si, _) ->
-                  match sweep.Sweep.values.(si) with
-                  | Sweep.Read_back _ -> true
-                  | Sweep.Not_read | Sweep.Unreadable -> false)
-                (Option.value ~default:[] (Hashtbl.find_opt spares (fid, pn)))
-            with
-            | Some twin ->
-                Hashtbl.replace pages pn twin;
-                st.duplicates_rescued <- st.duplicates_rescued + 1
-            | None ->
-                Hashtbl.remove pages pn;
-                st.pages_lost <- st.pages_lost + 1)
-      live);
+  pass "verify" (fun () ->
+  let live =
+    Hashtbl.fold
+      (fun fid (pages : file_pages) acc ->
+        Hashtbl.fold (fun pn (i, _) acc -> (i, pn, fid, pages) :: acc) pages acc)
+      files []
+  in
+  let live = Array.of_list live in
+  Array.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) live;
+  Array.iter
+    (fun (i, pn, fid, pages) ->
+      match sweep.Sweep.values.(i) with
+      | Sweep.Read_back retries ->
+          if retries >= suspect_retries then Hashtbl.replace suspects i ()
+      | Sweep.Unreadable ->
+          (* Write the marker; the data surface accepts writes blind. *)
+          (match
+             Reliable.run st.drive (Disk_address.of_index i)
+               { Drive.op_none with
+                 Drive.label = Some Drive.Write;
+                 value = Some Drive.Write
+               }
+               ~label:(Label.bad_words ()) ~value:(Label.free_value ()) ()
+           with
+          | Ok () | Error _ -> ());
+          Hashtbl.replace quarantined i ();
+          (* Before declaring the page lost, try its twins: a crash
+             between a move's copy and its retire leaves a duplicate,
+             and the torn copy must not take the data down with it if
+             the twin read back in the sweep. *)
+          match
+            List.find_opt
+              (fun (si, _) ->
+                match sweep.Sweep.values.(si) with
+                | Sweep.Read_back _ -> true
+                | Sweep.Unreadable -> false)
+              (Option.value ~default:[] (Hashtbl.find_opt spares (fid, pn)))
+          with
+          | Some twin ->
+              Hashtbl.replace pages pn twin;
+              st.duplicates_rescued <- st.duplicates_rescued + 1
+          | None ->
+              Hashtbl.remove pages pn;
+              st.pages_lost <- st.pages_lost + 1)
+    live);
 
   (* 2. Per-file contiguity: keep the longest prefix 0..k; everything
      beyond a gap is lost. A headless file — its leader sector torn by a
@@ -417,13 +411,13 @@ let scavenge_run ~verify_values ~suspect_retries drive =
   in
   pass "evacuate" (fun () ->
   Hashtbl.iter
-    (fun fid pages ->
+    (fun _ pages ->
       Array.iteri
         (fun pn (i, label) ->
           let suspect = Hashtbl.mem suspects i in
           if reserved i || suspect then
             match pick_target () with
-            | Some dst when move_page st ~fid ~pn ~src:i ~dst label ->
+            | Some dst when move_page st ~src:i ~dst label ->
                 Hashtbl.remove swept_leaders dst;
                 pages.(pn) <- (dst, label);
                 if suspect then begin
@@ -543,11 +537,10 @@ let scavenge_run ~verify_values ~suspect_retries drive =
   (* 8. Read every leader page: the leader name is the file's survival
      kit, so the scavenger verifies each one is legible. This pass is a
      large share of the minute the paper quotes — one scattered read per
-     file — so the whole set goes through the elevator as one batch. A
-     verifying sweep already holds every leader it read back, and
-     nothing since has rewritten one in place (the link repairs write
-     the value they read), so only leaders moved or rebuilt since are
-     read again. *)
+     file — so the whole set goes through the elevator as one batch. The
+     sweep already holds every leader it read back, and nothing since
+     has rewritten one in place (the link repairs write the value they
+     read), so only leaders moved or rebuilt since are read again. *)
   let nameless_files = ref 0 in
   let legible value =
     match Leader.of_value value with
@@ -777,13 +770,13 @@ let record_report r =
   Obs.add m_entries_removed r.entries_removed;
   if r.root_rebuilt then Obs.incr m_roots_rebuilt
 
-let scavenge ?(verify_values = false) ?(suspect_retries = 2) drive =
+let scavenge ?verify_values:(_ : bool option) ?(suspect_retries = 2) drive =
   if suspect_retries < 1 then invalid_arg "Scavenger: suspect_retries below 1";
   let clock = Drive.clock drive in
   Obs.incr m_runs;
   let result =
     Obs.time clock "scavenger.duration_us" (fun () ->
-        scavenge_run ~verify_values ~suspect_retries drive)
+        scavenge_run ~suspect_retries drive)
   in
   (match result with
   | Ok (_, report) ->

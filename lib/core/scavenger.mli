@@ -10,8 +10,9 @@
     plus an account of everything it found and fixed.
 
     What it does, in order:
-    + sweep every label on the disk ({!Sweep});
-    + reassemble files by absolute name, discarding duplicate pages,
+    + sweep every label and value on the disk ({!Sweep});
+    + mark bad every live page whose data will not read back, and
+      reassemble files by absolute name, discarding duplicate pages,
       headless page sets, and pages beyond a gap in the chain;
     + evacuate any foreign page squatting on the descriptor's standard
       addresses;
@@ -52,12 +53,11 @@ type report = {
   relocated_pages : int;
   marginal_relocated : int;
       (** Pages copied off marginal sectors — sectors whose data came
-          back only after several retries during value verification. The
-          old sector is quarantined; the data lives on elsewhere. *)
+          back only after several retries in the sweep. The old sector
+          is quarantined; the data lives on elsewhere. *)
   pages_marked_bad : int;
-      (** Live-looking pages whose data surface would not read back
-          during value verification; their labels now carry the
-          bad-page marker. *)
+      (** Live-looking pages whose data surface would not read back in
+          the sweep; their labels now carry the bad-page marker. *)
   duplicates_rescued : int;
       (** Pages whose chosen copy would not read back but whose twin —
           left by a crash between a move's copy and its retire — did.
@@ -75,17 +75,17 @@ val pp_report : Format.formatter -> report -> unit
 val scavenge :
   ?verify_values:bool -> ?suspect_retries:int -> Drive.t -> (Fs.t * report, string) result
 (** The only fatal error is a disk so broken that a fresh descriptor
-    cannot be written. [verify_values] (default off) makes the sweep read
-    every sector's value in the same operation as its label, under
-    {!Alto_disk.Reliable.salvage_policy} — one pass over the pack, not
-    two — and stamps the bad-page marker into the label of any live
-    page whose surface has failed, so "they will never be used again"
-    (§3.5). The leader values come out of that pass too, so the leaders
-    pass re-reads only leaders moved or rebuilt after the sweep. A page
-    whose sweep read succeeded only after [suspect_retries] or more
-    retries (default 2) sits on a marginal sector: its data is copied to
-    a fresh sector, links re-chained, and the old sector quarantined.
-    Every sector known bad at the end of the run is recorded in the
-    rebuilt volume's persistent bad-sector table
-    ({!Fs.bad_sector_table}). Raises [Invalid_argument] if
+    cannot be written. The sweep reads every sector's value in the same
+    operation as its label, under {!Alto_disk.Reliable.salvage_policy} —
+    one pass over the pack, not two — and stamps the bad-page marker
+    into the label of any live page whose surface has failed, so "they
+    will never be used again" (§3.5). The leader values come out of that
+    pass too, so the leaders pass re-reads only leaders moved or rebuilt
+    after the sweep. A page whose sweep read succeeded only after
+    [suspect_retries] or more retries (default 2) sits on a marginal
+    sector: its data is copied to a fresh sector, links re-chained, and
+    the old sector quarantined. Every sector known bad at the end of the
+    run is recorded in the rebuilt volume's persistent bad-sector table
+    ({!Fs.bad_sector_table}). [verify_values] is accepted and ignored:
+    every scavenge verifies values. Raises [Invalid_argument] if
     [suspect_retries < 1]. *)

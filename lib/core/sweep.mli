@@ -8,13 +8,14 @@
     files, repairs) is {!Scavenger}'s job, and the compacting scavenger
     ({!Compactor}) and the offline checker ({!Fsck}) reuse the same pass.
 
-    A sweep can also read every sector's value in the same operation.
-    The drive charges one sector time whether an operation moves two
-    parts or three, so checking that every page's data reads back costs
-    nothing beyond the label sweep itself, where a separate value batch
-    would cost a second pass over the pack. The values are read into one
-    shared probe buffer; the sweep keeps only the verdict, and a caller
-    copies out the few values it wants as each read completes. *)
+    Each read moves the sector's header, label and value in one
+    operation. The drive charges one sector time whether an operation
+    moves two parts or three, so checking that every page's data reads
+    back costs nothing beyond the label sweep itself, where a separate
+    value batch would cost a second pass over the pack. The values are
+    read into one shared probe buffer; the sweep keeps only the verdict,
+    and a caller copies out the few values it wants as each read
+    completes. *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -29,38 +30,31 @@ type sector_class =
   | Garbage of string  (** An unparseable label. *)
 
 type value_read =
-  | Not_read
-      (** A label-only sweep, or a sector whose label would not read
-          either. *)
   | Read_back of int  (** The value read back after this many retries. *)
   | Unreadable
-      (** The label read, the value would not: a torn value, a dead data
-          surface, or a retry ladder run dry. *)
+      (** The combined read failed: a torn value, a dead data surface, a
+          retry ladder run dry, or a sector whose label would not read
+          either ([Bad_media]). *)
 
 type t = {
   classes : sector_class array;  (** Indexed by sector number. *)
   headers_ok : bool array;
       (** Whether the sector's header named the right pack and address. *)
   values : value_read array;  (** Indexed by sector number. *)
-  duration_us : int;
 }
 
 val run :
-  ?read_values:bool ->
   ?policy:Reliable.policy ->
   ?on_value:(int -> Label.t -> Word.t array -> unit) ->
   Drive.t ->
   t
 (** Sweep the whole pack under [policy] (default
-    {!Reliable.default_policy}). With [read_values] (default off) each
-    sector's header, label and value come back in one operation, and
-    [on_value i label value] fires for every [Live] sector whose value
-    read back, while [value] still holds sector [i]'s data: the buffer
-    is reused for the next sector, so a caller that keeps a value must
-    copy it. Where the combined read fails, header and label are read
-    again alone, so the classes are exactly those of a label-only
-    sweep. Raises [Invalid_argument] if [on_value] is given without
-    [read_values]. *)
+    {!Reliable.default_policy}), reading each sector's header, label and
+    value in one operation. [on_value i label value] fires for every
+    [Live] sector whose value read back, while [value] still holds
+    sector [i]'s data: the buffer is reused for the next sector, so a
+    caller that keeps a value must copy it. Where the combined read
+    fails, header and label are read again alone, so the classes are
+    exactly those of a label read per sector. *)
 
-val live_count : t -> int
 val pp_class : Format.formatter -> sector_class -> unit

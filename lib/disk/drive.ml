@@ -264,17 +264,25 @@ let charge_motion t index =
   Trace.charge_transfer sector_time;
   Obs.observe m_op_us (seek_us + wait + sector_time)
 
-(* Perform one part's action; [Error _] aborts the rest of the sector. *)
-let perform t part action disk_words buf =
+(* Perform one part's action; [Error _] aborts the rest of the sector.
+   Reads and writes copy a word at a time: [Array.blit] runs the write
+   barrier on every element of a buffer in the major heap, where a store
+   typed at [Word.t], an immediate, needs none. [validate_buffer] has
+   checked that [buf] is as long as the part. *)
+let perform t part action (disk_words : Word.t array) (buf : Word.t array) =
   let n = Array.length disk_words in
   match action with
   | Read ->
-      Array.blit disk_words 0 buf 0 n;
+      for i = 0 to n - 1 do
+        Array.unsafe_set buf i (Array.unsafe_get disk_words i)
+      done;
       t.stats <- { t.stats with words_read = t.stats.words_read + n };
       Obs.add m_words_read n;
       Ok ()
   | Write ->
-      Array.blit buf 0 disk_words 0 n;
+      for i = 0 to n - 1 do
+        Array.unsafe_set disk_words i (Array.unsafe_get buf i)
+      done;
       t.stats <- { t.stats with words_written = t.stats.words_written + n };
       Obs.add m_words_written n;
       Ok ()

@@ -601,7 +601,7 @@ let run_trial t (w : workload) ~point ~tear =
     end
     else begin
       t.scavenges <- t.scavenges + 1;
-      match Scavenger.scavenge ~verify_values:true drive with
+      match Scavenger.scavenge drive with
       | Error msg ->
           log_violation (Printf.sprintf "scavenge failed: %s" msg);
           (report, content)

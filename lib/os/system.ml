@@ -135,7 +135,7 @@ let counter_junta t =
 
 (* {2 Boot} *)
 
-let boot ?(geometry = Geometry.diablo_31) ?drive ?(finish_recovery_lap = true) () =
+let boot ?(geometry = Geometry.diablo_31) ?drive () =
   let drive = match drive with Some d -> d | None -> Drive.create ~pack_id:1 geometry in
   (* Two packs are rebuilt whole by a value-verifying scavenge: one that
      will not mount (wreckage, not a blank: the labels are rebuilt into a
@@ -149,12 +149,12 @@ let boot ?(geometry = Geometry.diablo_31) ?drive ?(finish_recovery_lap = true) (
   let fs, scavenged =
     match Fs.mount drive with
     | Error _ -> (
-        match Scavenger.scavenge ~verify_values:true drive with
+        match Scavenger.scavenge drive with
         | Ok (fs, report) -> (fs, Some (Boot_scavenge (Unmountable, report)))
         | Error _ -> (Fs.format drive, Some Formatted))
     | Ok fs when Fs.dirty fs && Fs.patrol_cursor fs = 0 -> (
         ignore (Flight.adopt fs : string option);
-        match Scavenger.scavenge ~verify_values:true drive with
+        match Scavenger.scavenge drive with
         | Ok (fs, report) -> (fs, Some (Boot_scavenge (Whole_lap_owed, report)))
         | Error _ -> (fs, None))
     | Ok fs -> (fs, None)
@@ -180,8 +180,8 @@ let boot ?(geometry = Geometry.diablo_31) ?drive ?(finish_recovery_lap = true) (
   in
   let makeup_until =
     match recovery with
-    | Bounded_lap r when finish_recovery_lap -> r.Patrol.resumed_at
-    | Bounded_lap _ | Clean | Boot_scavenge _ | Formatted -> 0
+    | Bounded_lap r -> r.Patrol.resumed_at
+    | Clean | Boot_scavenge _ | Formatted -> 0
   in
   let memory = Memory.create () in
   let t =

@@ -77,7 +77,7 @@ val user_base : int
 (** 1024: where the loader places program code; below it live page zero,
     the message area, and the command-line words. *)
 
-val boot : ?geometry:Geometry.t -> ?drive:Drive.t -> ?finish_recovery_lap:bool -> unit -> t
+val boot : ?geometry:Geometry.t -> ?drive:Drive.t -> unit -> t
 (** Bring the system up: mount the pack, recover it if it crashed, arm
     the flight recorder ({!Alto_fs.Flight.enable}), then lay the thirteen
     levels into the top of memory and initialize the system free-storage
@@ -98,10 +98,10 @@ val boot : ?geometry:Geometry.t -> ?drive:Drive.t -> ?finish_recovery_lap:bool -
 
     Both scavenges run before the recorder is armed. A pack that was not
     scavenged re-enters its spilled bad-sector verdicts
-    ({!Alto_fs.Bad_sectors}). [finish_recovery_lap] (default [true])
-    makes the session's patrol scan the head region a bounded lap
-    skipped at double rate, so the completeness lap finishes within one
-    lap of idle ticks instead of lazily. *)
+    ({!Alto_fs.Bad_sectors}). After a bounded lap the session's patrol
+    scans the head region the lap skipped at double rate, so the
+    completeness lap finishes within one lap of idle ticks instead of
+    lazily. *)
 
 (** Why boot scavenged the pack. *)
 type scavenge_cause =

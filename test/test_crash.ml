@@ -494,7 +494,7 @@ let sweep_crash_points ~plant ~work ~damage =
           match judge () with
           | [], [] -> ([], [])
           | _ -> (
-              match Scavenger.scavenge ~verify_values:true drive with
+              match Scavenger.scavenge drive with
               | Error msg -> Alcotest.failf "%s: scavenge failed: %s" where msg
               | Ok _ -> judge ())
         in

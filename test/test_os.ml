@@ -549,6 +549,56 @@ let test_executive_scavenge_command () =
   Alcotest.(check bool) "scavenge reported" true (contains "scanned");
   Alcotest.(check bool) "file survived and reads" true (contains "data")
 
+(* The cure [fsck] prescribes must work: a catalogued page whose data
+   surface died is a violation, and one [scavenge] marks the sector bad
+   and truncates the file, so the next check finds no broken promise.
+   The dead page lies past the few slices the idle patrol verifies
+   between commands, so the cure is the scavenge's own. *)
+let test_executive_scavenge_cures_a_dead_surface () =
+  let system = boot () in
+  let fs = System.fs system in
+  let root =
+    match Directory.open_root fs with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "root: %a" Directory.pp_error e
+  in
+  let file =
+    match File.create fs ~name:"Dead.dat" with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "create: %a" File.pp_error e
+  in
+  (match File.write_bytes file ~pos:0 (String.make (120 * 512) 'd') with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write: %a" File.pp_error e);
+  (match Directory.add root ~name:"Dead.dat" (File.leader_name file) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "add: %a" Directory.pp_error e);
+  (match Fs.flush fs with Ok () -> () | Error e -> Alcotest.failf "flush: %a" Fs.pp_error e);
+  let page =
+    match File.page_name file 120 with
+    | Ok fn -> fn.Alto_fs.Page.addr
+    | Error e -> Alcotest.failf "page_name: %a" File.pp_error e
+  in
+  Alcotest.(check bool) "beyond four patrol slices" true
+    (Alto_disk.Disk_address.to_index page > 4 * 24);
+  Alto_disk.Drive.set_value_unreadable (System.drive system) page true;
+  feed_commands system [ "fsck"; "scavenge"; "fsck"; "quit" ];
+  ignore (Executive.run system);
+  let verdicts =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' (String.trim line) with
+        | "fsck:" :: "verdict" :: verdict -> Some (String.concat " " verdict)
+        | _ -> None)
+      (String.split_on_char '\n' (screen system))
+  in
+  match verdicts with
+  | [ before; after ] ->
+      Alcotest.(check string) "the dead page is a violation" "damaged" before;
+      if String.equal after "damaged" then
+        Alcotest.failf "the scavenge left the violation:@.%s" (screen system)
+  | _ -> Alcotest.failf "expected two verdicts:@.%s" (screen system)
+
 let test_executive_trace_command () =
   let system = boot () in
   (* [scavenge] is guaranteed to leave events in the trace ring; [put]
@@ -605,6 +655,7 @@ let () =
           ("assemble command", `Quick, test_executive_assemble_command);
           ("dump command", `Quick, test_executive_dump_command);
           ("scavenge command", `Quick, test_executive_scavenge_command);
+          ("scavenge cures a dead surface", `Quick, test_executive_scavenge_cures_a_dead_surface);
           ("trace command", `Quick, test_executive_trace_command);
         ] );
     ]

@@ -210,27 +210,20 @@ let test_value_verification_marks_bad_pages () =
   (* §3.5: "During scavenging any permanently bad pages are marked in
      the label with a special value so that they will never be used
      again." A page whose data surface fails (label still fine) is found
-     by the value-verification pass, stamped bad, and its file truncated
-     at the damage. *)
+     by the sweep's value read, stamped bad, and its file truncated at
+     the damage. *)
   let drive, fs = fresh_fs () in
   let root = dir_ok "root" (Directory.open_root fs) in
   let file = make_file fs root "Surface.dat" 2000 12 in
   let victim = file_ok "page" (File.page_name file 2) in
   Fault.make_value_unreadable drive victim.Page.addr;
-  (* Without verification the damage goes unnoticed by the scavenger... *)
-  let _, blind = scavenge_ok drive in
-  Alcotest.(check int) "blind scavenge sees nothing" 0 blind.Scavenger.pages_marked_bad;
-  (* ...and bites the reader instead. *)
+  (* Before any scavenge the damage bites the reader... *)
   let f = reopen_by_name fs "Surface.dat" in
   (match File.read_bytes f ~pos:0 ~len:2000 with
   | Ok _ -> Alcotest.fail "read through a dead surface"
   | Error _ -> ());
-  (* With verification the page is marked and the file truncated. *)
-  let fs2, report =
-    match Scavenger.scavenge ~verify_values:true drive with
-    | Ok x -> x
-    | Error m -> Alcotest.failf "%s" m
-  in
+  (* ...and the scavenge marks the page and truncates the file. *)
+  let fs2, report = scavenge_ok drive in
   Alcotest.(check int) "one page marked bad" 1 report.Scavenger.pages_marked_bad;
   (match Alto_disk.Sector.part_of (Drive.peek drive victim.Page.addr) Alto_disk.Sector.Label
          |> Label.classify with

@@ -279,7 +279,7 @@ let test_scavenger_rescues_marginal () =
   List.iter
     (fun a -> Fault.make_marginal ~rate:0.8 ~growth:1.0 ~degrade_after:1_000 drive a)
     victims;
-  match Scavenger.scavenge ~verify_values:true ~suspect_retries:1 drive with
+  match Scavenger.scavenge ~suspect_retries:1 drive with
   | Error msg -> Alcotest.failf "scavenge: %s" msg
   | Ok (fs', report) ->
       Alcotest.(check bool) "rescued at least one marginal page" true
