@@ -1213,7 +1213,7 @@ let e16 () =
   List.iter
     (fun a -> Fault.make_marginal ~rate:0.7 ~growth:1.0 ~degrade_after:250 drive a)
     victims;
-  let patrol = Patrol.create ~suspect_retries:1 fs in
+  let patrol = Patrol.create fs in
   let drained () =
     List.for_all (fun a -> Fs.quarantined fs a || Fs.spilled fs a) victims
   in

@@ -2,7 +2,6 @@ module Word = Alto_machine.Word
 module Sector = Alto_disk.Sector
 module Drive = Alto_disk.Drive
 module Reliable = Alto_disk.Reliable
-module Sched = Alto_disk.Sched
 module Disk_address = Alto_disk.Disk_address
 module Obs = Alto_obs.Obs
 
@@ -21,36 +20,30 @@ type slice = {
   indexes : int array;
   labels : Word.t array array;
   values : Word.t array array;
-  outcomes : Sched.outcome array;
+  read : Sweep.t;
 }
 
 let read_slice fs ~start ~k =
   let drive = Fs.drive fs in
   (* Audit reads must see true pack state: a digest over sectors whose
      newest values sit delayed in the track buffer cache would disagree
-     with a replica that has flushed, and a patrol verdict would judge
-     stale bits. Flush first, then read the platter. *)
+     with a replica that has flushed. Flush first, then read the
+     platter. *)
   ignore (Bio.flush (Fs.bio fs));
   let n = Drive.sector_count drive in
-  let indexes = Array.init k (fun j -> (start + j) mod n) in
   let labels = Array.init k (fun _ -> Array.make Sector.label_words Word.zero) in
   let values = Array.init k (fun _ -> Array.make Sector.value_words Word.zero) in
-  let requests =
-    Array.init k (fun j ->
-        Sched.request ~label:labels.(j) ~value:values.(j)
-          (Disk_address.of_index indexes.(j))
-          { Drive.op_none with
-            Drive.label = Some Drive.Read;
-            value = Some Drive.Read
-          })
+  let read =
+    Sweep.read drive ~start ~k ~on_value:(fun j _ label value ->
+        Array.blit label 0 labels.(j) 0 Sector.label_words;
+        Array.blit value 0 values.(j) 0 Sector.value_words)
   in
-  let outcomes = Sched.run_batch drive requests in
-  { start; indexes; labels; values; outcomes }
+  { start; indexes = Array.init k (fun j -> (start + j) mod n); labels; values; read }
 
-let sector_ok slice j = Result.is_ok slice.outcomes.(j).Sched.result
+let sector_ok slice j = slice.read.Sweep.values.(j) <> Sweep.Unreadable
 
 (* FNV-1a over the sector index, then the label and value words, so the
-   digest pins both content and position. A sector whose batch read
+   digest pins both content and position. A sector whose read
    hard-failed (the retry ladder dry) folds a sentinel instead: two
    replicas only agree on a slice if they agree on which sectors are
    legible AND what the legible ones say. *)

@@ -1,24 +1,24 @@
-(** Slice digests and repair application — the patrol's cursor/slice
-    read machinery, callable outside a live patrol lap.
+(** Slice digests and repair application — the replica audit's view of
+    the pack, one run of sectors at a time.
 
     The online patrol (§11, PR 4) verifies the pack one elevator slice
-    at a time. Replication (DESIGN §14) needs exactly that read path,
-    but for a different consumer: replicas exchange per-slice digests of
+    at a time. Replication (DESIGN §14) reads the same slices for a
+    different consumer: replicas exchange per-slice digests of
     label+value content, vote, and stream whole page images from a
-    winner to a loser. This module is the shared substrate: batched
-    slice reads, a version-stable digest over them, and the write side —
-    installing a peer's page image over a local sector under the same
+    winner to a loser. Both read through {!Sweep.read}; this module
+    copies out what the audit keeps of each slice, digests it in a
+    version-stable way, and provides the write side — installing a
+    peer's page image over a local sector under the same
     cache/generation discipline the patrol's relocations use.
 
-    Digest stability: every slice read goes through {!Sched.run_batch}
-    and therefore {!Reliable}, so transient (seeded soft-error) faults
-    are absorbed before the digest sees the data — two replicas with
-    byte-identical packs digest identically even while both their
+    Digest stability: every slice read goes through {!Sweep.read} and
+    therefore {!Alto_disk.Reliable}, so transient (seeded soft-error)
+    faults are absorbed before the digest sees the data — two replicas
+    with byte-identical packs digest identically even while both their
     drives are lying transiently. *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
-module Sched = Alto_disk.Sched
 
 val reserved_top : Fs.t -> int
 (** Highest fixed-address sector (boot page + descriptor file): sectors
@@ -28,17 +28,18 @@ val reserved_top : Fs.t -> int
 type slice = {
   start : int;  (** First sector index of the slice. *)
   indexes : int array;  (** Absolute sector index per entry (wraps). *)
-  labels : Word.t array array;
-  values : Word.t array array;
-  outcomes : Sched.outcome array;
+  labels : Word.t array array;  (** Entry [j]'s label, if {!sector_ok}. *)
+  values : Word.t array array;  (** Entry [j]'s value, if {!sector_ok}. *)
+  read : Sweep.t;  (** The read's verdicts, entry by entry. *)
 }
 
 val read_slice : Fs.t -> start:int -> k:int -> slice
-(** Read [k] sectors' labels and values starting at [start] (wrapping
-    past the end of the pack) in one elevator batch. *)
+(** Flush the track buffer cache, then read [k] sectors' labels and
+    values starting at [start] (wrapping past the end of the pack)
+    through {!Sweep.read}. *)
 
 val sector_ok : slice -> int -> bool
-(** Did entry [j]'s batch read succeed (possibly after retries)? *)
+(** Did entry [j]'s read succeed (possibly after retries)? *)
 
 val digest_of_slice : slice -> int64
 val digest : Fs.t -> start:int -> k:int -> int64

@@ -37,27 +37,25 @@ type t = {
   spt : int;
   mutable tracks : int;  (* capacity in whole-track buffers; 0 disables *)
   mutable high_water : int;  (* dirty sectors that trigger a full flush *)
-  mutable explicit_high_water : bool;
   slots : (int, slot) Hashtbl.t;  (* keyed by track number *)
   mutable tick : int;
   mutable dirty_count : int;
   mutable on_dirty : unit -> unit;
 }
 
-let default_tracks = 16
+(* Half the cache's sector capacity. *)
+let high_water_of ~tracks ~spt = max 1 (tracks * spt / 2)
 
-let create ?(tracks = default_tracks) ?high_water ~label_cache drive =
-  if tracks < 0 then invalid_arg "Bio.create: negative track count";
+let create ~label_cache drive =
+  let tracks = 16 in
   let spt = (Drive.geometry drive).Geometry.sectors_per_track in
   {
     drive;
     label_cache;
     spt;
     tracks;
-    high_water =
-      (match high_water with Some h -> h | None -> max 1 (tracks * spt / 2));
-    explicit_high_water = high_water <> None;
-    slots = Hashtbl.create (max 1 tracks);
+    high_water = high_water_of ~tracks ~spt;
+    slots = Hashtbl.create tracks;
     tick = 0;
     dirty_count = 0;
     on_dirty = ignore;
@@ -365,4 +363,4 @@ let set_tracks (t : t) n =
       done
   end;
   t.tracks <- n;
-  if not t.explicit_high_water then t.high_water <- max 1 (n * t.spt / 2)
+  t.high_water <- high_water_of ~tracks:n ~spt:t.spt

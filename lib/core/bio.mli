@@ -47,20 +47,21 @@ module Disk_address = Alto_disk.Disk_address
 
 type t
 
-val create : ?tracks:int -> ?high_water:int -> label_cache:Label_cache.t -> Drive.t -> t
-(** An empty cache of at most [tracks] whole-track buffers (default 16;
-    0 disables the cache entirely — every probe misses and nothing is
-    absorbed). [high_water] is the dirty-sector count that triggers an
-    automatic full flush (default: half the cache's sector capacity).
-    Labels read by track fills are shared with [label_cache], so a fill
-    also warms the chain-walking paths. *)
+val create : label_cache:Label_cache.t -> Drive.t -> t
+(** An empty cache of at most 16 whole-track buffers ({!set_tracks}
+    resizes it). Half the cache's sector capacity is the dirty-sector
+    count that triggers an automatic full flush. Labels read by track
+    fills are shared with [label_cache], so a fill also warms the
+    chain-walking paths. *)
 
 val drive : t -> Drive.t
 val enabled : t -> bool
 
 val set_tracks : t -> int -> unit
 (** Resize (shrinking flushes and evicts; 0 flushes everything and
-    disables). Raises [Invalid_argument] on a negative count. *)
+    disables the cache entirely — every probe misses and nothing is
+    absorbed). The flush threshold follows the new capacity. Raises
+    [Invalid_argument] on a negative count. *)
 
 val lookup : t -> Disk_address.t -> (Word.t array * Word.t array) option
 (** [(label, value)] for the sector if it is buffered and its

@@ -370,12 +370,15 @@ let compact fs =
                       (Leader.with_last leader ~last_page:last ~last_addr)
                       consecutive
                   in
-                  (match
-                     Page.write ~cache:(Fs.label_cache fs) drive fn
-                       (Leader.to_value leader)
-                   with
-                  | Ok _ -> incr leaders_updated
-                  | Error _ -> ()))))
+                  let value = Leader.to_value leader in
+                  match Page.write ~cache:(Fs.label_cache fs) drive fn value with
+                  | Ok label ->
+                      (* A value write leaves the label generation alone,
+                         so a resident track would keep the old leader. *)
+                      Bio.install (Fs.bio fs) fn.Page.addr ~label:(Label.to_words label)
+                        ~value;
+                      incr leaders_updated
+                  | Error _ -> ())))
     ordered_files;
 
   (* Re-aim directory entries at the new leader addresses. *)

@@ -376,6 +376,40 @@ let touch_written t =
 let touch_read t =
   t.leader <- Leader.with_times t.leader ~read_s:(now t) ()
 
+(* Adopt batched label-checked value reads of pages [first ..] at
+   [addrs], into [labels] and [values]: a page whose read succeeded and
+   whose label decodes is taken, its label noted, its hint set and its
+   links cached. Any other page falls back to the one-page path for that
+   page alone — a refuted label costs one ordinary retry. [None] marks a
+   page no request covered (the plan served it from the track buffer
+   cache), read by the one-page path at its known address. *)
+let adopt_batched t ~first ~addrs ~labels ~values results =
+  let ( let* ) = Result.bind in
+  let rec collect i acc =
+    if i >= Array.length addrs then Ok (Array.of_list (List.rev acc))
+    else
+      let pn = first + i in
+      let fallback () =
+        let* v, plen = read_page t pn in
+        collect (i + 1) ((v, plen) :: acc)
+      in
+      match results.(i) with
+      | None ->
+          set_hint t pn addrs.(i);
+          fallback ()
+      | Some (Error _) -> fallback ()
+      | Some (Ok ()) -> (
+          match Label.of_words labels.(i) with
+          | Error _ -> fallback ()
+          | Ok label ->
+              Label_cache.note_verified (cache t) addrs.(i) labels.(i);
+              set_hint t pn addrs.(i);
+              cache_links t pn label;
+              if pn = t.last_page then t.last_length <- label.Label.length;
+              collect (i + 1) ((values.(i), label.Label.length) :: acc))
+  in
+  collect 0 []
+
 (* One elevator pass of label-checked value reads for pages
    [first .. first + n - 1] at [addrs]; a refuted or failed request
    falls back to the ordinary one-page path for that page alone.
@@ -387,21 +421,10 @@ let touch_read t =
    as the disabled-cache path (and the experiments' ablation). *)
 let read_pages_batched t ~first addrs =
   let n = Array.length addrs in
-  let ( let* ) = Result.bind in
-  if Bio.enabled (bio t) then begin
-    let rec collect i acc =
-      if i >= n then Ok (Array.of_list (List.rev acc))
-      else begin
-        let pn = first + i in
-        (* The caller already resolved the addresses; seed the hints so
-           the per-page path spends no operations re-chasing them. *)
-        set_hint t pn addrs.(i);
-        let* v, plen = read_page t pn in
-        collect (i + 1) ((v, plen) :: acc)
-      end
-    in
-    collect 0 []
-  end
+  if Bio.enabled (bio t) then
+    (* Every page through the one-page path, its hint seeded from the
+       resolved address so it spends no operations re-chasing it. *)
+    adopt_batched t ~first ~addrs ~labels:[||] ~values:[||] (Array.make n None)
   else begin
     let values = Array.init n (fun _ -> Array.make Sector.value_words Word.zero) in
     let labels = Array.init n (fun i -> Label.check_name t.fid ~page:(first + i)) in
@@ -411,27 +434,8 @@ let read_pages_batched t ~first addrs =
             { Drive.op_none with label = Some Drive.Check; value = Some Drive.Read })
     in
     let outcomes = Sched.run_batch (drive t) requests in
-    let rec collect i acc =
-      if i >= n then Ok (Array.of_list (List.rev acc))
-      else
-        let pn = first + i in
-        let fallback () =
-          let* v, plen = read_page t pn in
-          collect (i + 1) ((v, plen) :: acc)
-        in
-        match outcomes.(i).Sched.result with
-        | Error _ -> fallback ()
-        | Ok () -> (
-            match Label.of_words labels.(i) with
-            | Error _ -> fallback ()
-            | Ok label ->
-                Label_cache.note_verified (cache t) addrs.(i) labels.(i);
-                set_hint t pn addrs.(i);
-                cache_links t pn label;
-                if pn = t.last_page then t.last_length <- label.Label.length;
-                collect (i + 1) ((values.(i), label.Label.length) :: acc))
-    in
-    collect 0 []
+    adopt_batched t ~first ~addrs ~labels ~values
+      (Array.map (fun o -> Some o.Sched.result) outcomes)
   end
 
 (* How many of [len] bytes from [pos] the file holds. *)
@@ -585,34 +589,10 @@ let finish_read p outcomes =
   Array.iteri
     (fun j i -> outcome.(i) <- Some outcomes.(j).Sched.result)
     p.plan_slots;
-  (* Per page: adopt the batched read, or fall back to the one-page path
-     for that page alone — a refuted label costs one ordinary retry, and
-     a buffer-served page whose track died since plan time costs one
-     ordinary synchronous read. *)
-  let rec collect i acc =
-    if i >= n then Ok (Array.of_list (List.rev acc))
-    else
-      let pn = 1 + i in
-      let fallback () =
-        let* v, plen = read_page t pn in
-        collect (i + 1) ((v, plen) :: acc)
-      in
-      match outcome.(i) with
-      | None ->
-          set_hint t pn p.plan_addrs.(i);
-          fallback ()
-      | Some (Error _) -> fallback ()
-      | Some (Ok ()) -> (
-          match Label.of_words p.plan_labels.(i) with
-          | Error _ -> fallback ()
-          | Ok label ->
-              Label_cache.note_verified (cache t) p.plan_addrs.(i) p.plan_labels.(i);
-              set_hint t pn p.plan_addrs.(i);
-              cache_links t pn label;
-              if pn = t.last_page then t.last_length <- label.Label.length;
-              collect (i + 1) ((p.plan_values.(i), label.Label.length) :: acc))
+  let* pages =
+    adopt_batched t ~first:1 ~addrs:p.plan_addrs ~labels:p.plan_labels
+      ~values:p.plan_values outcome
   in
-  let* pages = collect 0 [] in
   let dst = Bytes.create p.plan_total in
   let rec assemble pn dst_off =
     if dst_off >= p.plan_total then Ok (Bytes.to_string dst)

@@ -728,7 +728,7 @@ let create_root_directory t =
   t.root <- Some (Page.full_name File_id.root_directory ~page:0 ~addr:leader_addr);
   Ok ()
 
-let format ?disk_name:_ drive =
+let format drive =
   let t = make_handle drive in
   (* Factory formatting: free every sector out-of-band. *)
   let free_label = Label.free_words () and free_value = Label.free_value () in

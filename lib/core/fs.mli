@@ -60,7 +60,7 @@ val boot_address : Disk_address.t
 val descriptor_leader_address : Disk_address.t
 (** DA 1: the standard address of the disk descriptor file. *)
 
-val format : ?disk_name:string -> Drive.t -> t
+val format : Drive.t -> t
 (** Make a virgin file system: every sector freed (ones through label and
     value), a fresh descriptor file at the standard address, an empty
     root directory, and the map flushed. Factory formatting writes the

@@ -171,68 +171,49 @@ let check_value_size value =
   if Array.length value <> Sector.value_words then
     invalid_arg "Page: value must be 256 words"
 
-let write ?(check = true) ?cache ?bio drive fn value =
+let write ?cache ?bio drive fn value =
   check_value_size value;
   on_pack drive fn @@ fun () ->
   Prof.span (Drive.clock drive) "page.write" @@ fun () ->
-  if check then begin
-    let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
-    (* Delayed write-back: when the sector's track is buffered and
-       generation-live, the buffered label image is platter truth, so
-       the name check can replay against it and the value can sit in
-       the buffer until the next coalesced flush — no disk operation at
-       all. A check refusal here is a real refusal: the platter's label
-       does not carry the asserted name. *)
-    let absorbed =
-      match bio with
-      | None -> None
-      | Some b -> (
-          match Bio.lookup b fn.addr with
-          | None -> None
-          | Some (cached_label, _) -> (
-              match cached_check label_buf cached_label with
-              | Error e -> Some (hint_failed e)
-              | Ok () ->
-                  if Bio.absorb b fn.addr value then begin
-                    note cache fn.addr label_buf;
-                    Prof.note "page.bio_hit";
-                    Some (decode_checked_label label_buf)
-                  end
-                  else None))
-    in
-    match absorbed with
-    | Some result -> result
-    | None -> (
-        match
-          Reliable.run drive fn.addr
-            { Drive.op_none with label = Some Drive.Check; value = Some Drive.Write }
-            ~label:label_buf ~value ()
-        with
-        | Error e -> hint_failed e
-        | Ok () ->
-            note cache fn.addr label_buf;
-            (match bio with
-            | Some b -> Bio.install b fn.addr ~label:label_buf ~value
-            | None -> ());
-            decode_checked_label label_buf)
-  end
-  else begin
-    (* The unchecked write bypasses the name discipline the buffer
-       relies on; whatever the buffer believed about this sector —
-       a delayed write included — is superseded. *)
-    (match bio with Some b -> Bio.invalidate b fn.addr | None -> ());
-    match
-      Reliable.run drive fn.addr
-        { Drive.op_none with value = Some Drive.Write }
-        ~value ()
-    with
-    | Error e -> hint_failed e
-    | Ok () ->
-        (* Without the check we can only trust the caller's absolute name. *)
-        Ok
-          (Label.make ~fid:fn.abs.fid ~page:fn.abs.page ~length:0
-             ~next:Disk_address.nil ~prev:Disk_address.nil)
-  end
+  let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
+  (* Delayed write-back: when the sector's track is buffered and
+     generation-live, the buffered label image is platter truth, so the
+     name check can replay against it and the value can sit in the
+     buffer until the next coalesced flush — no disk operation at all. A
+     check refusal here is a real refusal: the platter's label does not
+     carry the asserted name. *)
+  let absorbed =
+    match bio with
+    | None -> None
+    | Some b -> (
+        match Bio.lookup b fn.addr with
+        | None -> None
+        | Some (cached_label, _) -> (
+            match cached_check label_buf cached_label with
+            | Error e -> Some (hint_failed e)
+            | Ok () ->
+                if Bio.absorb b fn.addr value then begin
+                  note cache fn.addr label_buf;
+                  Prof.note "page.bio_hit";
+                  Some (decode_checked_label label_buf)
+                end
+                else None))
+  in
+  match absorbed with
+  | Some result -> result
+  | None -> (
+      match
+        Reliable.run drive fn.addr
+          { Drive.op_none with label = Some Drive.Check; value = Some Drive.Write }
+          ~label:label_buf ~value ()
+      with
+      | Error e -> hint_failed e
+      | Ok () ->
+          note cache fn.addr label_buf;
+          (match bio with
+          | Some b -> Bio.install b fn.addr ~label:label_buf ~value
+          | None -> ());
+          decode_checked_label label_buf)
 
 let rewrite_label ?cache ?bio drive fn ~new_label ~value =
   check_value_size value;

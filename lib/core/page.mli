@@ -65,26 +65,23 @@ val read_label : ?cache:Label_cache.t -> Drive.t -> full_name -> (Label.t, error
     a track — a fill would cost more than the one operation it saves. *)
 
 val write :
-  ?check:bool ->
   ?cache:Label_cache.t ->
   ?bio:Bio.t ->
   Drive.t ->
   full_name ->
   Word.t array ->
   (Label.t, error) result
-(** One disk operation: check the label (unless [check:false] — the
-    ablation mode of experiment E3), write the 256-word value. Does not
-    change the label, so the page keeps its length; use {!rewrite_label}
-    to change L or the links. A checked write primes [cache] (the value
-    write leaves the label untouched, so the entry stays live). Raises
-    [Invalid_argument] on a wrong-sized value. With [bio], a checked
-    write whose sector is buffered and generation-live is {e absorbed}:
-    the name check replays against the buffered label image and the
-    value is delayed in the buffer until the next coalesced flush — zero
-    disk operations now, one amortized elevator write later. A write
-    that cannot be absorbed goes through as before (an unchecked write
-    also sheds any buffered copy — it bypassed the name discipline the
-    buffer relies on). *)
+(** One disk operation: check the label, write the 256-word value. Does
+    not change the label, so the page keeps its length; use
+    {!rewrite_label} to change L or the links. The write primes [cache]
+    (the value write leaves the label untouched, so the entry stays
+    live). Raises [Invalid_argument] on a wrong-sized value. With [bio],
+    a write whose sector is buffered and generation-live is
+    {e absorbed}: the name check replays against the buffered label
+    image and the value is delayed in the buffer until the next
+    coalesced flush — zero disk operations now, one amortized elevator
+    write later. A write that cannot be absorbed goes through as before
+    and refreshes the buffered copy. *)
 
 val rewrite_label :
   ?cache:Label_cache.t ->
@@ -107,4 +104,5 @@ val rewrite_label :
 
 val read_raw :
   Drive.t -> Disk_address.t -> (Word.t array * Word.t array, Drive.error) result
-(** Header and label, no checking — what the scavenger's sweep uses. *)
+(** Header and label, no checking: one raw read of a sector's
+    identity. *)

@@ -3,7 +3,6 @@ module Sim_clock = Alto_machine.Sim_clock
 module Sector = Alto_disk.Sector
 module Drive = Alto_disk.Drive
 module Reliable = Alto_disk.Reliable
-module Sched = Alto_disk.Sched
 module Disk_address = Alto_disk.Disk_address
 module Obs = Alto_obs.Obs
 
@@ -22,7 +21,12 @@ let m_recoveries = Obs.counter "fs.patrol.recoveries"
 
 (* One cylinder of the Diablo 31 (2 tracks x 12 sectors): a slice the
    elevator turns into one seek plus streaming reads. *)
-let default_slice = 24
+let slice = 24
+
+(* The retry count at which a live page's sector is considered marginal
+   and the page moved: false positives cost one copy, false negatives
+   risk the data. *)
+let suspect_retries = 1
 
 type report = {
   first_sector : int;
@@ -38,8 +42,6 @@ type report = {
 
 type t = {
   fs : Fs.t;
-  slice : int;
-  suspect_retries : int;
   mutable laps : int;
   mutable slices : int;
   mutable total_suspects : int;
@@ -54,14 +56,10 @@ type t = {
           at double rate instead of lazily. 0 = no makeup owed. *)
 }
 
-let create ?(slice = default_slice) ?(suspect_retries = 1) ?(makeup_until = 0) fs =
-  if slice < 1 then invalid_arg "Patrol.create: slice below 1";
-  if suspect_retries < 1 then invalid_arg "Patrol.create: suspect_retries below 1";
+let create ?(makeup_until = 0) fs =
   if makeup_until < 0 then invalid_arg "Patrol.create: makeup_until below 0";
   {
     fs;
-    slice;
-    suspect_retries;
     laps = 0;
     slices = 0;
     total_suspects = 0;
@@ -267,83 +265,87 @@ let handle_hard_failure t tally addr =
 
 (* Verify one slice of [k] sectors starting at [start] (wrapping past
    the end of the pack), classify each against its retry evidence and
-   the allocation map, and heal what needs healing. The batched read
-   itself is {!Audit.read_slice} — the same machinery the replication
-   audit digests with. *)
+   the allocation map, and heal what needs healing. The read is
+   {!Sweep.read}, the one the replication audit digests too. *)
 let scan_slice t tally ~start ~k =
+  let drive = Fs.drive t.fs in
+  let n = Drive.sector_count drive in
   (* Sectors 0..reserved_top are verified like the rest but never moved
      — their address is their identity, and the cure for a dying one is
      the scavenger's full rebuild (or a peer's repair, DESIGN §14). *)
   let reserved_top = Audit.reserved_top t.fs in
-  let slice = Audit.read_slice t.fs ~start ~k in
-  let indexes = slice.Audit.indexes in
-  let labels = slice.Audit.labels in
-  let values = slice.Audit.values in
+  (* A patrol verdict must judge the platter, not bits whose newest
+     values sit delayed in the track buffer cache: flush first. *)
+  ignore (Bio.flush (Fs.bio t.fs));
+  (* Live pages' values, kept so a suspect moves without a second
+     read. *)
+  let values = Array.make k [||] in
+  let read =
+    Sweep.read drive ~start ~k ~on_value:(fun j cls _ value ->
+        match cls with
+        | Sweep.Live _ -> values.(j) <- Array.copy value
+        | Sweep.Free_sector | Sweep.Marked_bad | Sweep.Bad_media | Sweep.Garbage _ -> ())
+  in
   Obs.incr m_slices;
   Obs.add m_verified k;
   t.slices <- t.slices + 1;
-  Array.iteri
-    (fun j (outcome : Sched.outcome) ->
-      let i = indexes.(j) in
-      let addr = Disk_address.of_index i in
-      let reserved = i <= reserved_top in
-      match outcome.Sched.result with
-      | Ok () -> (
-          let suspect = outcome.Sched.retries >= t.suspect_retries in
-          match Label.classify labels.(j) with
-          | Label.Valid lab ->
-              (* Map protection: a live page whose map bit reads free
-                 would cost a stale-map hit (never data) at the next
-                 allocation; fix the hint now. *)
-              if (not reserved) && Fs.is_free_in_map t.fs addr then begin
-                Fs.mark_busy t.fs addr;
-                tally.c_map <- tally.c_map + 1;
-                tally.c_changed <- true;
-                Obs.incr m_map_repairs
-              end;
-              if
-                suspect && (not reserved)
-                && not (File_id.equal lab.Label.fid File_id.descriptor)
-              then begin
-                tally.c_suspects <- tally.c_suspects + 1;
-                Obs.incr m_marginal;
-                (* The batch already read the data; reuse it. *)
-                ignore (relocate t tally ~src:addr ~lab ~value:values.(j))
-              end
-          | Label.Free ->
-              (* Map reclamation: a freed page whose map bit stayed busy
-                 (a crash between the free's label write and the next
-                 descriptor flush) is merely leaked; reclaim it. A soft
-                 trip on a free sector is only counted — quarantine
-                 needs data at risk or a dry ladder, not one retry of
-                 noise. *)
-              if
-                (not reserved)
-                && (not (Fs.is_free_in_map t.fs addr))
-                && (not (Fs.quarantined t.fs addr))
-                && not (Fs.spilled t.fs addr)
-              then begin
-                Fs.mark_free t.fs addr;
-                tally.c_map <- tally.c_map + 1;
-                tally.c_changed <- true;
-                Obs.incr m_map_repairs
-              end
-          | Label.Bad ->
-              (* A marker without a table entry: a crash separated the
-                 two verdicts. Rejoin them. *)
-              if not (Fs.quarantined t.fs addr || Fs.spilled t.fs addr) then begin
-                Fs.quarantine t.fs addr;
-                tally.c_quarantined <- tally.c_quarantined + 1;
-                tally.c_changed <- true;
-                Obs.incr m_quarantined
-              end
-          | Label.Garbage _ ->
-              (* A scrambled label is ownership unknown — scavenger
-                 territory, not the patrol's. *)
-              ())
-      | Error (Drive.Bad_sector | Drive.Check_mismatch _ | Drive.Transient _) ->
-          if not reserved then handle_hard_failure t tally addr)
-    slice.Audit.outcomes
+  for j = 0 to k - 1 do
+    let i = (start + j) mod n in
+    let addr = Disk_address.of_index i in
+    let reserved = i <= reserved_top in
+    match (read.Sweep.values.(j), read.Sweep.classes.(j)) with
+    | Sweep.Read_back retries, Sweep.Live lab ->
+        (* Map protection: a live page whose map bit reads free would
+           cost a stale-map hit (never data) at the next allocation; fix
+           the hint now. *)
+        if (not reserved) && Fs.is_free_in_map t.fs addr then begin
+          Fs.mark_busy t.fs addr;
+          tally.c_map <- tally.c_map + 1;
+          tally.c_changed <- true;
+          Obs.incr m_map_repairs
+        end;
+        if
+          retries >= suspect_retries && (not reserved)
+          && not (File_id.equal lab.Label.fid File_id.descriptor)
+        then begin
+          tally.c_suspects <- tally.c_suspects + 1;
+          Obs.incr m_marginal;
+          (* The read already fetched the data; reuse it. *)
+          ignore (relocate t tally ~src:addr ~lab ~value:values.(j))
+        end
+    | Sweep.Read_back _, Sweep.Free_sector ->
+        (* Map reclamation: a freed page whose map bit stayed busy (a
+           crash between the free's label write and the next descriptor
+           flush) is merely leaked; reclaim it. A soft trip on a free
+           sector is only counted — quarantine needs data at risk or a
+           dry ladder, not one retry of noise. *)
+        if
+          (not reserved)
+          && (not (Fs.is_free_in_map t.fs addr))
+          && (not (Fs.quarantined t.fs addr))
+          && not (Fs.spilled t.fs addr)
+        then begin
+          Fs.mark_free t.fs addr;
+          tally.c_map <- tally.c_map + 1;
+          tally.c_changed <- true;
+          Obs.incr m_map_repairs
+        end
+    | Sweep.Read_back _, Sweep.Marked_bad ->
+        (* A marker without a table entry: a crash separated the two
+           verdicts. Rejoin them. *)
+        if not (Fs.quarantined t.fs addr || Fs.spilled t.fs addr) then begin
+          Fs.quarantine t.fs addr;
+          tally.c_quarantined <- tally.c_quarantined + 1;
+          tally.c_changed <- true;
+          Obs.incr m_quarantined
+        end
+    | Sweep.Read_back _, (Sweep.Garbage _ | Sweep.Bad_media) ->
+        (* A scrambled label is ownership unknown — scavenger
+           territory, not the patrol's. (A read that succeeded is never
+           [Bad_media].) *)
+        ()
+    | Sweep.Unreadable, _ -> if not reserved then handle_hard_failure t tally addr
+  done
 
 let finish_tally t tally =
   t.total_suspects <- t.total_suspects + tally.c_suspects;
@@ -378,7 +380,7 @@ let persist t tally ~wrapped =
 let tick_once t =
   let n = Drive.sector_count (Fs.drive t.fs) in
   let start = Fs.patrol_cursor t.fs in
-  let k = min t.slice n in
+  let k = min slice n in
   let tally = fresh_tally () in
   Obs.time (Fs.clock t.fs) "fs.patrol.slice_us" (fun () ->
       scan_slice t tally ~start ~k);
@@ -449,8 +451,8 @@ type recovery = {
    cursor were verified earlier in the lap; what a crash can have left
    there (a leaked allocation, a stale hint) is harmless under the label
    discipline and waits for the next full lap or scavenge. *)
-let recover ?slice ?suspect_retries fs =
-  let t = create ?slice ?suspect_retries fs in
+let recover fs =
+  let t = create fs in
   let drive = Fs.drive fs in
   let clock = Drive.clock drive in
   let n = Drive.sector_count drive in
@@ -460,7 +462,7 @@ let recover ?slice ?suspect_retries fs =
   let tally = fresh_tally () in
   let pos = ref resumed_at in
   while !pos < n do
-    let k = min t.slice (n - !pos) in
+    let k = min slice (n - !pos) in
     scan_slice t tally ~start:!pos ~k;
     pos := !pos + k
   done;

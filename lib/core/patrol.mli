@@ -4,15 +4,15 @@
     The scavenger of §3.5 is an offline program: it repairs a broken pack
     once the damage is done. The patrol is the same label discipline run
     {e before} the damage: during idle moments the system verifies a
-    bounded slice of the pack — one cylinder-sized batch of label+value
-    reads through the {!Alto_disk.Sched} elevator, about one seek per
-    tick — and uses the retry ladder's evidence ({!Alto_disk.Reliable})
-    to find sectors that still answer but are starting to fail. A live
-    page on such a sector is {e relocated}: copied to a freshly allocated
-    sector, its neighbours' link hints and its catalogue entry
-    re-pointed, the old sector retired and quarantined, and the verified
-    label cache told about both ends of the move. The data survives the
-    sector's eventual death instead of being salvaged after it.
+    bounded slice of the pack — one cylinder of label+value reads
+    through {!Sweep.read}, about one seek per tick — and uses the retry
+    ladder's evidence ({!Alto_disk.Reliable}) to find sectors that still
+    answer but are starting to fail. A live page on such a sector is
+    {e relocated}: copied to a freshly allocated sector, its neighbours'
+    link hints and its catalogue entry re-pointed, the old sector
+    retired and quarantined, and the verified label cache told about
+    both ends of the move. The data survives the sector's eventual
+    death instead of being salvaged after it.
 
     The same sweep doubles as crash recovery. The sweep cursor is
     persisted in the disk descriptor, and the descriptor carries a dirty
@@ -32,8 +32,8 @@
 
     - {b valid, clean read}: confirm the map says busy (repair the hint
       if not — "map protection").
-    - {b valid, suspect} (retries ≥ threshold): relocate, reusing the
-      value the batch already read.
+    - {b valid, suspect} (read back only after a retry): relocate,
+      reusing the value the read already fetched.
     - {b valid, hard failure}: salvage-read label and value; relocate if
       legible, otherwise quarantine and count the page lost.
     - {b free, map busy}: a leaked allocation or half-finished free —
@@ -48,15 +48,14 @@
 
 type t
 
-val create : ?slice:int -> ?suspect_retries:int -> ?makeup_until:int -> Fs.t -> t
-(** [slice] (default 24, one Diablo 31 cylinder) sectors are verified
-    per tick; [suspect_retries] (default 1) is the retry count at which
-    a live page's sector is considered marginal and the page moved —
+val create : ?makeup_until:int -> Fs.t -> t
+(** A patrol that verifies 24 sectors (one Diablo 31 cylinder) per tick
+    and moves a live page whose sector needed a retry to read back —
     false positives cost one copy, false negatives risk the data.
     [makeup_until] (default 0 = none) marks the head region [[0, k)]
     a crash recovery skipped; ticks run at double rate until the cursor
-    crosses it. Raises [Invalid_argument] when [slice] or
-    [suspect_retries] is below 1, or [makeup_until] is negative. *)
+    crosses it. Raises [Invalid_argument] when [makeup_until] is
+    negative. *)
 
 val fs : t -> Fs.t
 
@@ -107,7 +106,7 @@ type recovery = {
   duration_us : int;  (** Simulated time the scan cost. *)
 }
 
-val recover : ?slice:int -> ?suspect_retries:int -> Fs.t -> recovery
+val recover : Fs.t -> recovery
 (** Finish the lap a crash interrupted: scan from the persisted cursor
     to the end of the pack, then reset the cursor, flush the spill file
     and declare a consistency point ({!Fs.mark_clean}). Boot calls this

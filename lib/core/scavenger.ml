@@ -163,8 +163,11 @@ let scavenge_run ~suspect_retries drive =
   let sweep =
     pass "sweep" (fun () ->
         Sweep.run ~policy:Reliable.salvage_policy
-          ~on_value:(fun i label value ->
-            if label.Label.page = 0 then Hashtbl.replace swept_leaders i (Array.copy value))
+          ~on_value:(fun i cls _ value ->
+            match cls with
+            | Sweep.Live label when label.Label.page = 0 ->
+                Hashtbl.replace swept_leaders i (Array.copy value)
+            | _ -> ())
           drive)
   in
   let n = Array.length sweep.Sweep.classes in

@@ -14,84 +14,76 @@ type sector_class =
 
 type value_read = Read_back of int | Unreadable
 
-type t = {
-  classes : sector_class array;
-  headers_ok : bool array;
-  values : value_read array;
-}
+type t = { classes : sector_class array; values : value_read array }
 
-let classify_sector header label ~pack_id ~index =
-  let cls =
-    match Label.classify label with
-    | Label.Valid l -> Live l
-    | Label.Free -> Free_sector
-    | Label.Bad -> Marked_bad
-    | Label.Garbage msg -> Garbage msg
-  in
-  let header_ok =
-    Word.to_int header.(0) = pack_id
-    && Disk_address.equal (Disk_address.of_word header.(1)) (Disk_address.of_index index)
-  in
-  (cls, header_ok)
+let classify label =
+  match Label.classify label with
+  | Label.Valid l -> Live l
+  | Label.Free -> Free_sector
+  | Label.Bad -> Marked_bad
+  | Label.Garbage msg -> Garbage msg
 
-let run ?policy ?on_value drive =
+(* Everything in one elevator batch, each request through the retry
+   ladder, issued cylinder by cylinder from wherever the heads happen to
+   be. [on_done j outcome] fires as entry [j] completes, before the next
+   request is issued. *)
+let batch ?policy drive sectors op ~label ?value on_done =
+  ignore
+    (Sched.run_batch ?policy drive ~on_done
+       (Array.map
+          (fun i -> Sched.request ~label ?value (Disk_address.of_index i) op)
+          sectors)
+      : Sched.outcome array)
+
+let sweep ?policy drive ~start ~k ~on_value =
   let n = Drive.sector_count drive in
-  let pack_id = Drive.pack_id drive in
-  let classes = Array.make n Free_sector in
-  let headers_ok = Array.make n true in
-  let values = Array.make n Unreadable in
+  let classes = Array.make k Bad_media in
+  let values = Array.make k Unreadable in
   (* One probe buffer per part, shared by every request: the scheduler
      completes each request before it issues the next, so each sector is
      classified (and its value handed on) while the buffers hold it. *)
-  let header = Array.make Sector.header_words Word.zero in
   let label = Array.make Sector.label_words Word.zero in
   let value = Array.make Sector.value_words Word.zero in
-  let classify i =
-    let cls, header_ok = classify_sector header label ~pack_id ~index:i in
-    classes.(i) <- cls;
-    headers_ok.(i) <- header_ok;
-    cls
-  in
-  (* Everything in one elevator batch, each request through the retry
-     ladder, issued cylinder by cylinder from wherever the heads happen
-     to be. *)
-  let batch indexes op ?value on_done =
-    ignore
-      (Sched.run_batch ?policy drive
-         ~on_done:(fun j outcome -> on_done indexes.(j) outcome)
-         (Array.map
-            (fun i -> Sched.request ~header ~label ?value (Disk_address.of_index i) op)
-            indexes)
-        : Sched.outcome array)
-  in
-  let failed = ref [] in
-  batch (Array.init n Fun.id)
-    { Drive.header = Some Drive.Read; label = Some Drive.Read; value = Some Drive.Read }
-    ~value
-    (fun i outcome ->
+  batch ?policy drive
+    (Array.init k (fun j -> (start + j) mod n))
+    { Drive.op_none with Drive.label = Some Drive.Read; value = Some Drive.Read }
+    ~label ~value
+    (fun j outcome ->
       match outcome.Sched.result with
-      | Ok () -> (
-          values.(i) <- Read_back outcome.Sched.retries;
-          match (classify i, on_value) with
-          | Live l, Some f -> f i l value
-          | _ -> ())
-      | Error _ -> failed := i :: !failed);
+      | Ok () ->
+          let cls = classify label in
+          classes.(j) <- cls;
+          values.(j) <- Read_back outcome.Sched.retries;
+          on_value j cls label value
+      | Error _ -> ());
+  { classes; values }
+
+let read ~on_value drive ~start ~k = sweep drive ~start ~k ~on_value
+
+let run ?policy ?(on_value = fun _ _ _ _ -> ()) drive =
+  let n = Drive.sector_count drive in
+  let t = sweep ?policy drive ~start:0 ~k:n ~on_value in
   (* Which part failed is not reported, so a failed combined read says
-     nothing about the label: read header and label again on their own,
-     after the pass, rather than judging the sector by its data. *)
-  batch (Array.of_list (List.rev !failed))
-    { Drive.op_none with Drive.header = Some Drive.Read; label = Some Drive.Read }
-    (fun i outcome ->
+     nothing about the label: read the label again on its own, after
+     the pass, rather than judging the sector by its data. *)
+  let failed =
+    Array.of_list (List.filter (fun i -> t.values.(i) = Unreadable) (List.init n Fun.id))
+  in
+  let label = Array.make Sector.label_words Word.zero in
+  batch ?policy drive failed
+    { Drive.op_none with Drive.label = Some Drive.Read }
+    ~label
+    (fun j outcome ->
       match outcome.Sched.result with
-      | Ok () -> ignore (classify i : sector_class)
+      | Ok () -> t.classes.(failed.(j)) <- classify label
       | Error (Drive.Bad_sector | Drive.Transient _) ->
           (* A transient here means retries were exhausted: treat as
-             failing media. *)
-          classes.(i) <- Bad_media
+             failing media, as the combined read already did. *)
+          ()
       | Error (Drive.Check_mismatch _) ->
           (* The sweep performs no checks. *)
           assert false);
-  { classes; headers_ok; values }
+  t
 
 let pp_class fmt = function
   | Live l -> Format.fprintf fmt "live %a" Label.pp l

@@ -1,21 +1,22 @@
 (** The scavenger's first pass: "reading all the labels on the disk"
-    (§3.5).
+    (§3.5), and the one way to read a run of sectors for verification.
 
     One read per sector, in one elevator batch — consecutive sectors on
     a track stream past in a single revolution, which is what makes a
     full sweep of a 2.5 MB pack take seconds rather than minutes. The
     result classifies every sector; interpreting the classes (chains,
-    files, repairs) is {!Scavenger}'s job, and the compacting scavenger
-    ({!Compactor}) and the offline checker ({!Fsck}) reuse the same pass.
+    files, repairs) is the caller's job. The scavenger, the compacting
+    scavenger ({!Compactor}) and the offline checker ({!Fsck}) sweep the
+    whole pack with {!run}; the patrol's slices, its crash-recovery lap
+    and the replica audit ({!Audit}) read a run of sectors with {!read}.
 
-    Each read moves the sector's header, label and value in one
-    operation. The drive charges one sector time whether an operation
-    moves two parts or three, so checking that every page's data reads
-    back costs nothing beyond the label sweep itself, where a separate
-    value batch would cost a second pass over the pack. The values are
-    read into one shared probe buffer; the sweep keeps only the verdict,
-    and a caller copies out the few values it wants as each read
-    completes. *)
+    Each read moves the sector's label and value in one operation. The
+    drive charges one sector time whether an operation moves one part
+    or two, so checking that every page's data reads back costs nothing
+    beyond the label sweep itself, where a separate value batch would
+    cost a second pass over the pack. The values are read into one
+    shared probe buffer; the sweep keeps only the verdict, and a caller
+    copies out the values it wants as each read completes. *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -37,24 +38,35 @@ type value_read =
           either ([Bad_media]). *)
 
 type t = {
-  classes : sector_class array;  (** Indexed by sector number. *)
-  headers_ok : bool array;
-      (** Whether the sector's header named the right pack and address. *)
-  values : value_read array;  (** Indexed by sector number. *)
+  classes : sector_class array;
+  values : value_read array;
 }
+(** Entry [j] of each array is the [j]th sector read: sector [j] itself
+    for {!run}. *)
+
+val read :
+  on_value:(int -> sector_class -> Word.t array -> Word.t array -> unit) ->
+  Drive.t ->
+  start:int ->
+  k:int ->
+  t
+(** Read [k] sectors from [start], wrapping past the last sector, under
+    {!Reliable.default_policy}: entry [j] is sector
+    [(start + j) mod n]. [on_value j cls label value] fires for every
+    entry whose read succeeded, while [label] and [value] still hold
+    its data: the buffers are reused for the next sector, so a caller
+    that keeps either must copy it. An entry whose read failed is
+    classed [Bad_media] and [Unreadable]; nothing reads its label
+    again. *)
 
 val run :
   ?policy:Reliable.policy ->
-  ?on_value:(int -> Label.t -> Word.t array -> unit) ->
+  ?on_value:(int -> sector_class -> Word.t array -> Word.t array -> unit) ->
   Drive.t ->
   t
-(** Sweep the whole pack under [policy] (default
-    {!Reliable.default_policy}), reading each sector's header, label and
-    value in one operation. [on_value i label value] fires for every
-    [Live] sector whose value read back, while [value] still holds
-    sector [i]'s data: the buffer is reused for the next sector, so a
-    caller that keeps a value must copy it. Where the combined read
-    fails, header and label are read again alone, so the classes are
-    exactly those of a label read per sector. *)
+(** {!read} over the whole pack from sector 0, under [policy] (default
+    {!Reliable.default_policy}). Where the combined read fails, the
+    label is read again alone, so the classes are exactly those of a
+    label read per sector. *)
 
 val pp_class : Format.formatter -> sector_class -> unit

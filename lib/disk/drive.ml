@@ -1,5 +1,6 @@
 module Word = Alto_machine.Word
 module Sim_clock = Alto_machine.Sim_clock
+module Splitmix = Alto_machine.Splitmix
 module Obs = Alto_obs.Obs
 module Prof = Alto_obs.Prof
 module Trace = Alto_obs.Trace
@@ -88,24 +89,6 @@ type tear = Torn_label | Torn_value
    with one it stops partway through a part's transfer. *)
 type crash_point = { mutable cp_left : int; cp_tear : tear option }
 
-(* SplitMix64, so the soft-error stream is identical on every OCaml
-   version (the stdlib's [Random] algorithm changed between 4.x and 5.x,
-   and the CI regression gate compares retry counts across both). *)
-type prng = { mutable sm_state : int64 }
-
-let prng_of_seed seed = { sm_state = Int64.of_int seed }
-
-let prng_next p =
-  p.sm_state <- Int64.add p.sm_state 0x9E3779B97F4A7C15L;
-  let z = p.sm_state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-(* A float in [0, 1) from the top 53 bits. *)
-let prng_float p =
-  Int64.to_float (Int64.shift_right_logical (prng_next p) 11) /. 9007199254740992.0
-
 (* A sector whose surface is going: its own soft-error rate climbs with
    every failure until, after [m_degrade_after] of them, the sector
    degrades into a permanent {!Bad_sector}. *)
@@ -133,7 +116,7 @@ type t = {
      per part, indexed by sector. *)
   torn : int array;
   value_unreadable : bool array;
-  mutable soft_rng : prng;
+  mutable soft_rng : Splitmix.t;
   mutable soft_rate : float;
   marginals : (int, marginal) Hashtbl.t;
   (* Per-sector label generation: bumped by anything that could make a
@@ -170,7 +153,7 @@ let create ?clock ~pack_id geometry =
       write_ops = 0;
       torn = Array.make n 0;
       value_unreadable = Array.make n false;
-      soft_rng = prng_of_seed pack_id;
+      soft_rng = Splitmix.of_seed pack_id;
       soft_rate = 0.;
       marginals = Hashtbl.create 8;
       label_gen = Array.make n 0;
@@ -389,7 +372,7 @@ let crash_torn t index op ?header ?label ?value tear =
               1
               + Int64.to_int
                   (Int64.rem
-                     (Int64.shift_right_logical (prng_next t.soft_rng) 1)
+                     (Int64.shift_right_logical (Splitmix.next t.soft_rng) 1)
                      (Int64.of_int (max 1 (n - 1))))
             in
             Array.blit buf 0 disk_words 0 cut;
@@ -430,7 +413,7 @@ let soft_error_trips t index part =
     t.soft_rate +. (match marginal with Some m -> m.m_rate | None -> 0.)
   in
   rate > 0.
-  && prng_float t.soft_rng < rate
+  && Splitmix.float t.soft_rng < rate
   && begin
        t.stats <- { t.stats with soft_errors = t.stats.soft_errors + 1 };
        t.label_gen.(index) <- t.label_gen.(index) + 1;
@@ -600,7 +583,7 @@ let set_soft_errors t ~seed ~rate =
   if rate < 0. || rate > 1. then
     invalid_arg "Drive.set_soft_errors: rate out of [0,1]"
   else begin
-    t.soft_rng <- prng_of_seed seed;
+    t.soft_rng <- Splitmix.of_seed seed;
     t.soft_rate <- rate
   end
 

@@ -1,5 +1,6 @@
 module Word = Alto_machine.Word
 module Sim_clock = Alto_machine.Sim_clock
+module Splitmix = Alto_machine.Splitmix
 module Obs = Alto_obs.Obs
 module Trace = Alto_obs.Trace
 
@@ -7,24 +8,8 @@ let m_dropped = Obs.counter "net.dropped"
 let m_duped = Obs.counter "net.duped"
 let m_delayed = Obs.counter "net.delayed"
 
-(* SplitMix64, same generator as the drive's fault model (drive.ml), so
-   the message-fault stream is identical on every OCaml version. *)
-type prng = { mutable sm_state : int64 }
-
-let prng_of_seed seed = { sm_state = Int64.of_int seed }
-
-let prng_next p =
-  p.sm_state <- Int64.add p.sm_state 0x9E3779B97F4A7C15L;
-  let z = p.sm_state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let prng_float p =
-  Int64.to_float (Int64.shift_right_logical (prng_next p) 11) /. 9007199254740992.0
-
 type faults = {
-  f_rng : prng;
+  f_rng : Splitmix.t;
   f_drop : float;
   f_dup : float;
   f_delay : float;
@@ -84,7 +69,7 @@ let set_faults net ?(drop = 0.0) ?(dup = 0.0) ?(delay = 0.0) ?(delay_us = 2_000)
   net.faults <-
     Some
       {
-        f_rng = prng_of_seed seed;
+        f_rng = Splitmix.of_seed seed;
         f_drop = drop;
         f_dup = dup;
         f_delay = delay;
@@ -124,8 +109,8 @@ let promote s =
 (* Deliver one copy of [pkt] to [dst], applying the delay fault. *)
 let deliver net dst pkt =
   match net.faults with
-  | Some f when f.f_delay > 0.0 && prng_float f.f_rng < f.f_delay ->
-      let extra = 1 + Int64.to_int (Int64.rem (Int64.logand (prng_next f.f_rng) Int64.max_int) (Int64.of_int f.f_delay_us)) in
+  | Some f when f.f_delay > 0.0 && Splitmix.float f.f_rng < f.f_delay ->
+      let extra = 1 + Int64.to_int (Int64.rem (Int64.logand (Splitmix.next f.f_rng) Int64.max_int) (Int64.of_int f.f_delay_us)) in
       net.n_delayed <- net.n_delayed + 1;
       Obs.incr m_delayed;
       net.hold_seq <- net.hold_seq + 1;
@@ -146,13 +131,13 @@ let send s ~to_ payload =
         (match net.faults with
         | None -> Queue.push pkt dst.queue
         | Some f ->
-            if f.f_drop > 0.0 && prng_float f.f_rng < f.f_drop then begin
+            if f.f_drop > 0.0 && Splitmix.float f.f_rng < f.f_drop then begin
               net.n_dropped <- net.n_dropped + 1;
               Obs.incr m_dropped
             end
             else begin
               deliver net dst pkt;
-              if f.f_dup > 0.0 && prng_float f.f_rng < f.f_dup then begin
+              if f.f_dup > 0.0 && Splitmix.float f.f_rng < f.f_dup then begin
                 net.n_duped <- net.n_duped + 1;
                 Obs.incr m_duped;
                 deliver net dst { pkt with payload = Array.copy pkt.payload }

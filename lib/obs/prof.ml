@@ -183,29 +183,3 @@ let rec node_json s =
     ]
 
 let to_json () = node_json (tree ())
-
-let pp_node fmt ~depth s =
-  Format.fprintf fmt "%s%-*s %6d calls  total %10d us  self %10d us  disk %d/%d/%d/%d@."
-    (String.make (2 * depth) ' ')
-    (max 1 (36 - (2 * depth)))
-    s.name s.calls s.total_us s.self_us s.seek_us s.rotation_us s.transfer_us
-    s.retry_us
-
-let pp ?top fmt () =
-  let t = tree () in
-  let rec walk depth s =
-    if depth > 0 then pp_node fmt ~depth:(depth - 1) s;
-    List.iter (walk (depth + 1)) s.children
-  in
-  walk 0 t;
-  match top with
-  | None -> ()
-  | Some n ->
-      let hot =
-        flatten t
-        |> List.filter (fun s -> s.name <> "root")
-        |> List.sort (fun a b -> compare b.self_us a.self_us)
-        |> List.filteri (fun i _ -> i < n)
-      in
-      Format.fprintf fmt "top %d by self time:@." n;
-      List.iter (fun s -> pp_node fmt ~depth:0 s) hot

@@ -90,9 +90,5 @@ val disk_totals : unit -> disk_totals
 
 val to_json : unit -> Json.t
 
-val pp : ?top:int -> Format.formatter -> unit -> unit
-(** The tree, indented; with [~top:n] also the [n] hottest spans by
-    self time. *)
-
 val reset : unit -> unit
 (** Drop the tree and any open spans. Called by {!Obs.reset}. *)

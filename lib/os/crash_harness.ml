@@ -390,7 +390,7 @@ let patrol_workload =
     w_mutate =
       (fun drive ->
         let fs = mount_exn drive in
-        let patrol = Patrol.create ~suspect_retries:1 fs in
+        let patrol = Patrol.create fs in
         let ticks = ref 0 in
         while Patrol.laps patrol < 1 && !ticks < 200 do
           ignore (Patrol.tick patrol);
@@ -629,7 +629,7 @@ let measure (w : workload) =
   Flight.disable ();
   Drive.write_ops drive - before
 
-let run ?(points_per_workload = 15) ?(only = []) () =
+let run ?(points_per_workload = 15) () =
   let t =
     {
       trials = 0;
@@ -647,11 +647,6 @@ let run ?(points_per_workload = 15) ?(only = []) () =
       violation_log = [];
     }
   in
-  let selected =
-    match only with
-    | [] -> workloads
-    | names -> List.filter (fun w -> List.mem w.w_name names) workloads
-  in
   List.iter
     (fun w ->
       let writes = measure w in
@@ -663,5 +658,5 @@ let run ?(points_per_workload = 15) ?(only = []) () =
       for j = 0 to k - 1 do
         List.iter (fun tear -> run_trial t w ~point:(point j) ~tear) tears
       done)
-    selected;
+    workloads;
   t

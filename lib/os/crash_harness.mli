@@ -42,9 +42,8 @@ type totals = {
 
 val pp_totals : Format.formatter -> totals -> unit
 
-val run : ?points_per_workload:int -> ?only:string list -> unit -> totals
+val run : ?points_per_workload:int -> unit -> totals
 (** Sweep [points_per_workload] (default 15) evenly spaced crash points
-    per workload, each in three variants: a clean between-sector crash,
-    a torn label, a torn value. [only] restricts to the named workloads
-    (["files"], ["bio-flush"], ["compactor"], ["patrol"], ["outload"]).
-    Leaves the flight recorder disarmed. *)
+    per workload (["files"], ["bio-flush"], ["compactor"], ["patrol"],
+    ["outload"]), each in three variants: a clean between-sector crash,
+    a torn label, a torn value. Leaves the flight recorder disarmed. *)

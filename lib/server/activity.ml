@@ -27,7 +27,6 @@ type activity = {
 type t = {
   clock : Sim_clock.t;
   queue : Sched.t;
-  step_us : int;
   max_active : int;
   runnable : (activity * (unit -> step)) Queue.t;
   mutable live : int;
@@ -35,13 +34,14 @@ type t = {
   mutable next_id : int;
 }
 
-let create ?(step_us = 50) ?(max_active = 16) ~queue clock =
+(* The simulated processor cost of one activity step. *)
+let step_us = 50
+
+let create ~max_active ~queue clock =
   if max_active < 1 then invalid_arg "Activity.create: max_active must be >= 1";
-  if step_us < 0 then invalid_arg "Activity.create: negative step cost";
   {
     clock;
     queue;
-    step_us;
     max_active;
     runnable = Queue.create ();
     live = 0;
@@ -100,7 +100,7 @@ let round t =
     | None -> ()
     | Some (act, run) -> (
         Obs.incr m_steps;
-        Sim_clock.advance_us t.clock t.step_us;
+        Sim_clock.advance_us t.clock step_us;
         let prior = Trace.current () in
         Trace.set_current act.act_ctx;
         let next =

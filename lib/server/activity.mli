@@ -12,7 +12,7 @@
     standing queue — the moment the elevator serves every blocked
     conversation's sectors in a single C-SCAN pass.
 
-    Time is simulated: each step charges [step_us] of processor time to
+    Time is simulated: each step charges 50 µs of processor time to
     the clock, and all disk time is charged by the drive during the
     shared sweeps. The table of activities is bounded ([max_active]);
     {!spawn} refuses above the bound, which is the mechanism the file
@@ -36,10 +36,9 @@ type step =
 
 type t
 
-val create : ?step_us:int -> ?max_active:int -> queue:Sched.t -> Sim_clock.t -> t
-(** [step_us] (default 50) is the simulated processor cost charged per
-    activity step; [max_active] (default 16) bounds the table. Raises
-    [Invalid_argument] on a non-positive bound or negative step cost. *)
+val create : max_active:int -> queue:Sched.t -> Sim_clock.t -> t
+(** An empty table of at most [max_active] activities. Raises
+    [Invalid_argument] on a non-positive bound. *)
 
 val spawn : ?ctx:Trace.context -> t -> name:string -> (unit -> step) -> bool
 (** Enter a new activity, [false] when the table is full. [name] labels

@@ -55,13 +55,13 @@ type t = {
   mutable send_errors : int;
 }
 
-let create ?(max_active = 16) ?(step_us = 50) fs station =
+let create ?(max_active = 16) fs station =
   let clock = Fs.clock fs in
   {
     fs;
     station;
     clock;
-    acts = Activity.create ~step_us ~max_active ~queue:(Sched.create (Fs.drive fs)) clock;
+    acts = Activity.create ~max_active ~queue:(Sched.create (Fs.drive fs)) clock;
     gets = 0;
     puts = 0;
     lists = 0;

@@ -38,11 +38,10 @@ type stats = {
   send_errors : int;  (** Replies the network refused to carry. *)
 }
 
-val create : ?max_active:int -> ?step_us:int -> Fs.t -> Net.station -> t
+val create : ?max_active:int -> Fs.t -> Net.station -> t
 (** Serve the given volume's root directory on the given station.
     [max_active] (default 16) bounds concurrently admitted requests;
-    [step_us] (default 50) is the simulated processor cost per activity
-    step. *)
+    each activity step costs 50 µs of simulated processor time. *)
 
 val tick : t -> int
 (** One server turn: admit every pending request (spawning activities,

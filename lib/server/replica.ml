@@ -119,20 +119,22 @@ type node = {
 and fleet = {
   net : Net.t;
   clock : Sim_clock.t;
-  slice : int;
-  timeout_us : int;
-  max_attempts : int;
-  step_us : int;
   mutable nodes : node list;  (* join order *)
 }
 
-let default_slice = 24 (* one Diablo 31 cylinder, like the patrol *)
+(* One Diablo 31 cylinder, like the patrol; at most 32, because the
+   repair mask is 32 bits. *)
+let audit_slice = 24
 
-let create ?(slice = default_slice) ?(timeout_us = 500_000)
-    ?(max_attempts = 8) ?(step_us = 50) ~clock net =
-  if slice < 1 || slice > 32 then
-    invalid_arg "Replica.create: slice must be 1..32 (the repair mask is 32 bits)";
-  { net; clock; slice; timeout_us; max_attempts; step_us; nodes = [] }
+(* The first deadline of an exchange, doubled per resend up to
+   [max_attempts] rounds. *)
+let timeout_us = 500_000
+let max_attempts = 8
+
+(* The quantum one [tick] charges to the shared clock. *)
+let step_us = 50
+
+let create ~clock net = { net; clock; nodes = [] }
 
 let join fleet ~name ?(on_new_fs = fun _ -> ()) fs =
   let station = Net.attach fleet.net ~name in
@@ -304,7 +306,7 @@ let advance t k =
 
 let start_audit t =
   let n = Drive.sector_count (Fs.drive t.fs) in
-  let k = min t.fleet.slice (n - t.cursor) in
+  let k = min audit_slice (n - t.cursor) in
   t.slices_audited <- t.slices_audited + 1;
   Obs.incr m_audits;
   match peers t with
@@ -331,7 +333,7 @@ let start_audit t =
           ad_local = local;
           ad_votes = [];
           ad_sent_at = now t;
-          ad_deadline = now t + t.fleet.timeout_us;
+          ad_deadline = now t + timeout_us;
           ad_attempts = 1;
         }
       in
@@ -391,7 +393,7 @@ let vote t ad =
           ap_have = Array.init ad.ad_k (fun _ -> Array.make 2 false);
           ap_mask = None;
           ap_sent_at = now t;
-          ap_deadline = now t + t.fleet.timeout_us;
+          ap_deadline = now t + timeout_us;
           ap_attempts = 1;
         }
       in
@@ -546,18 +548,18 @@ let handle t { Net.src; payload = p; trace = wire } =
    retried next lap. Resending is safe throughout because the responder
    is stateless and application happens only once, on completion. *)
 
-let backoff t attempts = t.fleet.timeout_us * (1 lsl min attempts 6)
+let backoff attempts = timeout_us * (1 lsl min attempts 6)
 
 let check_digest_deadline t ad =
   if now t >= ad.ad_deadline then begin
     Obs.incr m_timeouts;
-    if ad.ad_attempts >= t.fleet.max_attempts then vote t ad
+    if ad.ad_attempts >= max_attempts then vote t ad
     else begin
       let silent =
         List.filter (fun p -> not (List.mem_assoc p.name ad.ad_votes)) (peers t)
       in
       ad.ad_attempts <- ad.ad_attempts + 1;
-      ad.ad_deadline <- now t + backoff t ad.ad_attempts;
+      ad.ad_deadline <- now t + backoff ad.ad_attempts;
       Obs.add m_resends (List.length silent);
       send_digest_reqs t ad silent
     end
@@ -566,7 +568,7 @@ let check_digest_deadline t ad =
 let check_pages_deadline t ap =
   if now t >= ap.ap_deadline then begin
     Obs.incr m_timeouts;
-    if ap.ap_attempts >= t.fleet.max_attempts then begin
+    if ap.ap_attempts >= max_attempts then begin
       (* The winner went quiet; the slice stays divergent and the next
          lap holds a fresh vote (possibly electing a different peer). *)
       Obs.incr m_repair_failures;
@@ -580,7 +582,7 @@ let check_pages_deadline t ap =
     end
     else begin
       ap.ap_attempts <- ap.ap_attempts + 1;
-      ap.ap_deadline <- now t + backoff t ap.ap_attempts;
+      ap.ap_deadline <- now t + backoff ap.ap_attempts;
       Obs.incr m_resends;
       (* Parts already received stay: the retry only has to fill the
          holes the net chewed, so attempts converge geometrically. *)
@@ -596,7 +598,7 @@ let check_pages_deadline t ap =
    tell work from idleness. *)
 
 let tick t =
-  Sim_clock.advance_us t.fleet.clock t.fleet.step_us;
+  Sim_clock.advance_us t.fleet.clock step_us;
   let work = ref 0 in
   let rec drain () =
     match Net.receive t.station with

@@ -6,7 +6,7 @@
     continuously audit each other over the (also fallible) network:
 
     - each node walks a cursor over the pack in elevator slices (the
-      patrol's machinery, via {!Alto_fs.Audit}), digests each slice
+      patrol's read, via {!Alto_fs.Audit}), digests each slice
       locally, and asks every peer for its digest of the same range;
     - self + responses are a majority vote. Agreement advances the
       cursor; losing the vote streams the slice's page images from the
@@ -34,19 +34,12 @@ module Fs = Alto_fs.Fs
 type node
 type fleet
 
-val create :
-  ?slice:int ->
-  ?timeout_us:int ->
-  ?max_attempts:int ->
-  ?step_us:int ->
-  clock:Sim_clock.t ->
-  Net.t ->
-  fleet
-(** An empty fleet on [net]. [slice] (default 24, max 32 — the repair
-    mask is one doubleword) sectors are audited per exchange;
-    [timeout_us] (default 500ms) is the first deadline, doubled per
-    retry up to [max_attempts] (default 8); [step_us] (default 50) is
-    the quantum one {!tick} charges to the shared clock. *)
+val create : clock:Sim_clock.t -> Net.t -> fleet
+(** An empty fleet on [net]. Each exchange audits 24 sectors (one
+    Diablo 31 cylinder, like the patrol; the repair mask is one
+    doubleword, so a slice is at most 32). The first deadline is
+    500 ms, doubled per retry up to 8 attempts; one {!tick} charges a
+    50 µs quantum to the shared clock. *)
 
 val join :
   fleet -> name:string -> ?on_new_fs:(Fs.t -> unit) -> Fs.t -> node

@@ -31,7 +31,8 @@ let ok pp = function
    tests can watch single sectors. *)
 let raw_bio ?tracks () =
   let drive = Drive.create ~pack_id:9 small_geometry in
-  let bio = Bio.create ?tracks ~label_cache:(Label_cache.create drive) drive in
+  let bio = Bio.create ~label_cache:(Label_cache.create drive) drive in
+  Option.iter (Bio.set_tracks bio) tracks;
   (drive, bio)
 
 let addr i = Disk_address.of_index i

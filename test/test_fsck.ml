@@ -225,6 +225,71 @@ let test_fsck_reads_each_sector_once () =
   if 10 * ops >= 11 * n then
     Alcotest.failf "fsck issued %d operations for %d sectors" ops n
 
+(* The patrol's slices and the replica audit read a run of sectors
+   with [Sweep.read], wrapping past the last sector; the whole-pack
+   sweep is the same read from sector 0. Wherever the short read got a
+   value back, both must tell the same story, and the callback must see
+   the platter's own label and value. *)
+let test_wrapping_read_agrees_with_the_sweep () =
+  let drive, _, _, files = build () in
+  let dead = page_address (List.assoc "F02.dat" files) 1 in
+  Drive.set_value_unreadable drive dead true;
+  let torn = page_address (List.assoc "F04.dat" files) 1 in
+  tear drive torn Drive.Torn_label;
+  let n = Drive.sector_count drive in
+  let start = min (Disk_address.to_index dead) (Disk_address.to_index torn) in
+  let seen = Array.make n false in
+  let read =
+    Sweep.read drive ~start ~k:n ~on_value:(fun j _ label value ->
+        let i = (start + j) mod n in
+        let sector = Drive.peek drive (Disk_address.of_index i) in
+        if label <> sector.Sector.label || value <> sector.Sector.value then
+          Alcotest.failf "entry %d: the callback saw other bits than sector %d holds" j i;
+        seen.(j) <- true)
+  in
+  let run = Sweep.run drive in
+  Array.iteri
+    (fun j v ->
+      let i = (start + j) mod n in
+      Alcotest.(check bool)
+        (Printf.sprintf "entry %d: callback iff read back" j)
+        (v <> Sweep.Unreadable) seen.(j);
+      if v <> run.Sweep.values.(i) then Alcotest.failf "sector %d: verdicts differ" i;
+      if v <> Sweep.Unreadable && read.Sweep.classes.(j) <> run.Sweep.classes.(i) then
+        Alcotest.failf "sector %d read as %a, swept as %a" i Sweep.pp_class
+          read.Sweep.classes.(j) Sweep.pp_class run.Sweep.classes.(i))
+    read.Sweep.values;
+  List.iter
+    (fun a ->
+      let j = (Disk_address.to_index a - start + n) mod n in
+      Alcotest.(check bool) "a damaged sector does not read back" true
+        (read.Sweep.values.(j) = Sweep.Unreadable))
+    [ dead; torn ]
+
+(* The replica audit's digest over a slice that wraps: FNV-1a over each
+   sector's index, then its label and value words as the platter holds
+   them, or a sentinel where the read fails. *)
+let test_wrapping_digest_matches_the_platter () =
+  let drive, fs, _, _ = build () in
+  let n = Drive.sector_count drive in
+  let dead = Disk_address.of_index (n - 2) in
+  Drive.set_value_unreadable drive dead true;
+  let start = n - 5 and k = 12 in
+  let digest = Alto_fs.Audit.digest fs ~start ~k in
+  let fold h w = Int64.mul (Int64.logxor h (Int64.of_int w)) 0x100000001b3L in
+  let expected = ref 0xcbf29ce484222325L in
+  for j = 0 to k - 1 do
+    let i = (start + j) mod n in
+    expected := fold !expected i;
+    if i = Disk_address.to_index dead then expected := fold !expected 0xDEAD
+    else begin
+      let sector = Drive.peek drive (Disk_address.of_index i) in
+      Array.iter (fun w -> expected := fold !expected (Word.to_int w)) sector.Sector.label;
+      Array.iter (fun w -> expected := fold !expected (Word.to_int w)) sector.Sector.value
+    end
+  done;
+  Alcotest.(check int64) "digest" !expected digest
+
 (* A verifying scavenge over a leader with a torn value, a leader
    squatting on the descriptor's reserved range, a leader whose value
    reads back but is no leader, and a dead page with a readable twin.
@@ -277,6 +342,8 @@ let () =
         [
           ("an unreadable value stays live", `Quick, test_unreadable_value_stays_live);
           ("fsck reads each sector once", `Quick, test_fsck_reads_each_sector_once);
+          ("a wrapping read agrees", `Quick, test_wrapping_read_agrees_with_the_sweep);
+          ("a wrapping digest agrees", `Quick, test_wrapping_digest_matches_the_platter);
           ( "a verifying scavenge matches the batched passes",
             `Quick,
             test_verifying_scavenge_matches_the_batched_passes );

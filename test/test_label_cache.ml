@@ -177,7 +177,7 @@ let test_relocation_bumps_both_generations () =
         Drive.label_generation drive (addr i))
   in
   Fault.make_marginal drive src ~rate:0.8 ~growth:1.0 ~degrade_after:50;
-  let patrol = Alto_fs.Patrol.create ~suspect_retries:1 fs in
+  let patrol = Alto_fs.Patrol.create fs in
   let budget = ref 60 in
   while Alto_fs.Patrol.relocated patrol < 1 && !budget > 0 do
     ignore (Alto_fs.Patrol.tick patrol : Alto_fs.Patrol.report);

@@ -106,7 +106,7 @@ let test_marginal_page_relocated () =
   let file = create_file fs "Victim.dat" content in
   let victim = page_addr file 1 in
   Fault.make_marginal drive victim ~rate:0.8 ~growth:1.0 ~degrade_after:50;
-  let patrol = Patrol.create ~suspect_retries:1 fs in
+  let patrol = Patrol.create fs in
   sweep_until patrol ~relocations:1;
   Alcotest.(check bool) "caught before the sector went hard-bad" false
     (Drive.is_bad drive victim);
@@ -142,7 +142,7 @@ let test_leader_relocation_fixes_catalogue () =
   let file = create_file fs "Leader.dat" content in
   let old_leader = (File.leader_name file).Page.addr in
   Fault.make_marginal drive old_leader ~rate:0.8 ~growth:1.0 ~degrade_after:50;
-  let patrol = Patrol.create ~suspect_retries:1 fs in
+  let patrol = Patrol.create fs in
   sweep_until patrol ~relocations:1;
   let fresh, entry_addr = open_by_name fs "Leader.dat" in
   Alcotest.(check bool) "the catalogue entry follows the move" true
@@ -159,7 +159,7 @@ let test_deterministic_under_seed () =
     let b = create_file fs "B.dat" (String.make 900 'b') in
     Fault.make_marginal drive (page_addr b 1) ~rate:0.7 ~growth:1.0
       ~degrade_after:60;
-    let patrol = Patrol.create ~suspect_retries:1 fs in
+    let patrol = Patrol.create fs in
     for _ = 1 to 12 do
       ignore (Patrol.tick patrol : Patrol.report)
     done;

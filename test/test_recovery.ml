@@ -378,6 +378,36 @@ let test_compact_full_disk () =
     check_content fs (Printf.sprintf "Fill%d." i) 1800 i
   done
 
+(* The compactor rewrites every leader's last-page hint with a value
+   write, which leaves the label generation alone: a leader whose track
+   the cache holds must be refreshed with it, or the next open reads the
+   old hints (and a later [flush_leader] writes them back). *)
+let test_compact_refreshes_buffered_leaders () =
+  let drive, fs = fresh_fs () in
+  Fs.set_policy fs (Fs.Scattered (Random.State.make [| 23 |]));
+  let root = dir_ok "root" (Directory.open_root fs) in
+  for i = 0 to 59 do
+    let name = Printf.sprintf "Entry%02d." i in
+    let file = file_ok "create" (File.create fs ~name) in
+    dir_ok "add" (Directory.add root ~name (File.leader_name file))
+  done;
+  settle fs;
+  ignore (dir_ok "entries" (Directory.entries (dir_ok "root" (Directory.open_root fs))));
+  (match Compactor.compact fs with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "compact: %s" msg);
+  let root_fn = Option.get (Fs.root_dir fs) in
+  let opened = File.leader (file_ok "open" (File.open_leader fs root_fn)) in
+  let on_platter =
+    check_ok Fmt.string "leader"
+      (Leader.of_value (Drive.peek drive root_fn.Page.addr).Sector.value)
+  in
+  Alcotest.(check int) "last page as compacted" on_platter.Leader.last_page
+    opened.Leader.last_page;
+  Alcotest.(check int) "last page address as compacted"
+    (Disk_address.to_index on_platter.Leader.last_addr)
+    (Disk_address.to_index opened.Leader.last_addr)
+
 (* {2 the hint ladder} *)
 
 let ladder_setup () =
@@ -610,6 +640,7 @@ let () =
           ("makes files consecutive", `Quick, test_compact_makes_consecutive);
           ("stable under mount+scavenge", `Quick, test_compact_then_mount_and_scavenge_stable);
           ("full disk", `Quick, test_compact_full_disk);
+          ("refreshes buffered leaders", `Quick, test_compact_refreshes_buffered_leaders);
         ] );
       ( "hints",
         [

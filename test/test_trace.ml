@@ -193,7 +193,7 @@ let run_two_activities () =
   let drive = Drive.create ~pack_id:3 small in
   let clock = Drive.clock drive in
   let queue = Sched.create drive in
-  let acts = Activity.create ~queue clock in
+  let acts = Activity.create ~max_active:16 ~queue clock in
   let ctx_a = Trace.start ~clock ~origin:"a" ~name:"conv a" in
   let ctx_b = Trace.start ~clock ~origin:"b" ~name:"conv b" in
   let spawn ctx name sectors =
