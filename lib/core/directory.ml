@@ -61,8 +61,8 @@ let encode_entry name (fn : Page.full_name) =
 
 type view = { pages : Word.t array array; total : int }
 
-let read_view dir =
-  Result.map (fun (pages, total) -> { pages; total }) (wrap (File.read_word_pages dir))
+let view words = Result.map (fun (pages, total) -> { pages; total }) (wrap words)
+let read_view dir = view (File.read_word_pages dir)
 
 let word v i = v.pages.(i lsr 8).(i land 0xff)
 let int_at v i = (word v i :> int)
@@ -121,11 +121,12 @@ let fold_slots v f init =
   in
   scan init 0
 
-let entries dir =
-  let ( let* ) = Result.bind in
-  let* v = read_view dir in
+let live_entries v =
   Result.map List.rev
     (fold_slots v (fun acc ~pos ~len:_ ~live -> if live then entry_at v pos :: acc else acc) [])
+
+let entries dir = Result.bind (read_view dir) live_entries
+let entries_of pages = Result.bind (view (File.word_pages_of pages)) live_entries
 
 (* The first live slot holding [name]. The scan still runs to the end,
    so a damaged slot after the match is reported too. *)
@@ -214,10 +215,10 @@ let update_address dir name addr =
       let* () = wrap (File.write_words dir ~pos:(pos + 4) [| Disk_address.to_word addr |]) in
       Ok true
 
-let salvage dir =
+let salvage_view viewed =
   let found = ref [] in
   let scanned =
-    match read_view dir with
+    match viewed with
     | Error _ -> false
     | Ok v ->
         Result.is_ok
@@ -226,6 +227,9 @@ let salvage dir =
              ())
   in
   (List.rev !found, not scanned)
+
+let salvage dir = salvage_view (read_view dir)
+let salvage_of pages = salvage_view (view (File.word_pages_of pages))
 
 let rewrite dir entries =
   let ( let* ) = Result.bind in

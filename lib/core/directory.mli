@@ -71,7 +71,21 @@ val rewrite : File.t -> entry list -> (unit, error) result
 val salvage : File.t -> entry list * bool
 (** Read as many live entries as possible, stopping at the first slot
     that does not scan; the boolean reports whether anything was
-    unreadable. The scavenger uses this where {!entries} would refuse. *)
+    unreadable. The compactor uses this where {!entries} would refuse. *)
+
+(** {2 Directories held in memory}
+
+    The scavenger and the offline checker have already read every
+    directory page in their sweep. These scan those values with the same
+    scanner, and lay them out by {!File.word_pages_of}, so a short page
+    gets the verdict a read of the file would give it. [pages.(i)] is
+    data page [i + 1]'s value and label length. *)
+
+val entries_of : (Word.t array * int) array -> (entry list, error) result
+(** {!entries} over pages held in memory. *)
+
+val salvage_of : (Word.t array * int) array -> entry list * bool
+(** {!salvage} over pages held in memory. *)
 
 val entry_words : string -> int
 (** Size in words of an entry with this name. *)

@@ -33,9 +33,11 @@ let last_page t = t.last_page
 
 let leader_name t = Page.full_name t.fid ~page:0 ~addr:t.leader_addr
 
-let byte_length t =
-  if t.last_page = 0 then 0
-  else (Sector.bytes_per_page * (t.last_page - 1)) + t.last_length
+(* A file's length: every data page before [last_page] counts as full. *)
+let length_of ~last_page ~last_length =
+  if last_page = 0 then 0 else (Sector.bytes_per_page * (last_page - 1)) + last_length
+
+let byte_length t = length_of ~last_page:t.last_page ~last_length:t.last_length
 
 (* {2 Hint cache} *)
 
@@ -441,11 +443,32 @@ let read_pages_batched t ~first addrs =
 (* How many of [len] bytes from [pos] the file holds. *)
 let span_length t ~pos ~len = max 0 (min len (byte_length t - pos))
 
+(* File's rule for laying bytes over pages: hand [f value ~page_off ~len
+   ~dst_off] each page covering bytes [pos, pos + n), as [page pn] gives
+   its value and label length, with the part of it in range and that
+   part's offset in the span. A page holds only its label's length, so
+   a short page before the last moves the rest of the span to later
+   pages, and a page that holds none of it is [Structure]. *)
+let walk_span ~page ~pos ~n f =
+  let ( let* ) = Result.bind in
+  let rec loop pn page_off dst_off =
+    if dst_off >= n then Ok ()
+    else
+      let* value, plen = page pn in
+      let here = min (plen - page_off) (n - dst_off) in
+      if here <= 0 then
+        Error
+          (Structure (Printf.sprintf "page %d shorter than the file length implies" pn))
+      else begin
+        f value ~page_off ~len:here ~dst_off;
+        loop (pn + 1) 0 (dst_off + here)
+      end
+  in
+  loop (1 + (pos / Sector.bytes_per_page)) (pos mod Sector.bytes_per_page) 0
+
 (* The page walk under every read: resolve and read the pages covering
    bytes [pos, pos + n) — one elevator batch when the addresses of four
-   or more are known, page by page otherwise — and hand each page's
-   value to [f value ~page_off ~len ~dst_off] with the part of it in
-   range and that part's offset in the span. [n] is a
+   or more are known, page by page otherwise — and walk them. [n] is a
    {!span_length}. *)
 let read_span t ~pos ~n f =
   let ( let* ) = Result.bind in
@@ -460,24 +483,14 @@ let read_span t ~pos ~n f =
         | None -> Ok None
       else Ok None
     in
+    (* A short page before [last] carries the walk past it; the pages
+       beyond are read one by one, as they are without a batch. *)
     let page pn =
       match prefetched with
-      | Some pages -> Ok pages.(pn - first)
-      | None -> read_page t pn
+      | Some pages when pn <= last -> Ok pages.(pn - first)
+      | Some _ | None -> read_page t pn
     in
-    let rec loop pn page_off dst_off =
-      if dst_off >= n then Ok ()
-      else
-        let* value, plen = page pn in
-        let here = min (plen - page_off) (n - dst_off) in
-        if here <= 0 then
-          Error (Structure (Printf.sprintf "page %d shorter than the file length implies" pn))
-        else begin
-          f value ~page_off ~len:here ~dst_off;
-          loop (pn + 1) 0 (dst_off + here)
-        end
-    in
-    let result = loop first (pos mod Sector.bytes_per_page) 0 in
+    let result = walk_span ~page ~pos ~n f in
     if Result.is_ok result then touch_read t;
     result
   end
@@ -919,12 +932,13 @@ let read_words t ~pos ~len =
     (read_span t ~pos:(2 * pos) ~n (fun value ~page_off ~len ~dst_off ->
          words_of_page value ~page_off ~len ~dst ~dst_off))
 
-let read_word_pages t =
-  let n = 2 * (byte_length t / 2) in
+(* The first [n] bytes of a file as words, from [walk], which hands over
+   each page's part as {!walk_span} does. *)
+let word_pages ~n walk =
   let spans = ref [] in
   let ( let* ) = Result.bind in
   let* () =
-    read_span t ~pos:0 ~n (fun value ~page_off ~len ~dst_off ->
+    walk (fun value ~page_off ~len ~dst_off ->
         spans := (value, page_off, len, dst_off) :: !spans)
   in
   let spans = List.rev !spans in
@@ -945,6 +959,20 @@ let read_word_pages t =
             Array.sub flat at (min Sector.value_words ((n / 2) - at))),
         n / 2 )
   end
+
+let read_word_pages t =
+  let n = 2 * (byte_length t / 2) in
+  word_pages ~n (read_span t ~pos:0 ~n)
+
+let word_pages_of pages =
+  let last = Array.length pages in
+  let n =
+    if last = 0 then 0
+    else 2 * (length_of ~last_page:last ~last_length:(snd pages.(last - 1)) / 2)
+  in
+  word_pages ~n
+    (walk_span ~pos:0 ~n ~page:(fun pn ->
+         if pn <= last then Ok pages.(pn - 1) else Error (No_such_page pn)))
 
 let write_words t ~pos ws =
   write_bytes t ~pos:(2 * pos) (Word.string_of_words ws ~len:(2 * Array.length ws))

@@ -134,6 +134,13 @@ val read_word_pages : t -> (Word.t array array * int, error) result
     module, the arrays are the page values as read. Callers must not
     mutate them. *)
 
+val word_pages_of : (Word.t array * int) array -> (Word.t array array * int, error) result
+(** {!read_word_pages} over data pages already in memory, with no disk
+    operation: [pages.(i)] is data page [i + 1]'s value and label
+    length, the last entry the file's last page. The rule is the one
+    the disk read follows, so a page shorter than a full one before the
+    last gets the same answer here as there. *)
+
 val write_words : t -> pos:int -> Word.t array -> (unit, error) result
 
 val flush_leader : t -> (unit, error) result

@@ -43,11 +43,76 @@ type report = {
 let clean r =
   r.descriptor_ok && (not r.dirty) && r.findings = [] && r.violations = []
 
+(* The root directory's entries as [Directory.open_root] and
+   [Directory.entries] would read them through [File], but from the
+   sweep: [label_at] holds the label a check of each sector would see,
+   [values] the directory values that read back. The open trusts the
+   leader's last-page hint where the label there confirms it and walks
+   the chain otherwise; the read follows the chain's links. *)
+let read_root drive ~label_at ~values (root : Page.full_name) =
+  let ( let* ) = Result.bind in
+  let fid = root.Page.abs.Page.fid in
+  let label addr pn =
+    if not (Drive.has_sector drive addr) then None
+    else
+      match label_at.(Disk_address.to_index addr) with
+      | Some l when File_id.equal l.Label.fid fid && l.Label.page = pn -> Some l
+      | Some _ | None -> None
+  in
+  let page addr pn =
+    match label addr pn with
+    | None -> Error (Directory.File_error File.Hint_failed)
+    | Some l -> (
+        match Hashtbl.find_opt values (Disk_address.to_index addr) with
+        | None -> Error (Directory.File_error File.Hint_failed)
+        | Some value -> Ok (l, value))
+  in
+  let opened =
+    let* leader_label, value = page root.Page.addr 0 in
+    let* leader =
+      Result.map_error
+        (fun msg -> Directory.File_error (File.Structure msg))
+        (Leader.of_value value)
+    in
+    let rec walk pn (l : Label.t) =
+      if Disk_address.is_nil l.Label.next then Ok pn
+      else
+        match label l.Label.next (pn + 1) with
+        | Some next -> walk (pn + 1) next
+        | None -> Error (Directory.File_error File.Hint_failed)
+    in
+    let* last =
+      match label leader.Leader.last_addr leader.Leader.last_page with
+      | Some l when leader.Leader.last_page >= 1 && Disk_address.is_nil l.Label.next ->
+          Ok leader.Leader.last_page
+      | Some _ | None -> walk 0 leader_label
+    in
+    Ok (leader_label, last)
+  in
+  let rec chain last pn (prev : Label.t) acc =
+    if pn > last then Ok (Array.of_list (List.rev acc))
+    else if Disk_address.is_nil prev.Label.next then
+      Error
+        (Directory.File_error
+           (File.Structure
+              (Printf.sprintf "chain ends at page %d before page %d" (pn - 1) pn)))
+    else
+      let* l, value = page prev.Label.next pn in
+      chain last (pn + 1) l ((value, l.Label.length) :: acc)
+  in
+  match opened with
+  | Error e -> Error (`Open e)
+  | Ok (leader_label, last) ->
+      Result.map_error
+        (fun e -> `Read e)
+        (Result.bind (chain last 1 leader_label []) Directory.entries_of)
+
 (* {2 The passes}
 
    All reads are ordinary timed operations: one {!Sweep} over the whole
-   pack, which reads every value back in the label's own operation, plus
-   the descriptor and directory pages; nothing here writes.
+   pack, which reads every value back in the label's own operation, and
+   the descriptor's pages; nothing here writes. The catalogue is read
+   from the sweep's own labels and values.
    The checker needs no live [System] and no readable descriptor: given
    wreckage it still sweeps the labels and reports on the wreck — the
    descriptor-dependent passes (map, catalogue) just report the mount
@@ -68,8 +133,20 @@ let check drive =
       fmt
   in
   (* Pass 1: sweep every label (§3.5's first move, reused verbatim),
-     reading each sector's value in the same operation for pass 7. *)
-  let sweep = Sweep.run drive in
+     reading each sector's value in the same operation for pass 7, and
+     keeping the directory pages' values for pass 5. *)
+  let directory_values : (int, Word.t array) Hashtbl.t = Hashtbl.create 16 in
+  let sweep =
+    Sweep.run
+      ~on_value:(fun i cls _ value ->
+        match cls with
+        | Sweep.Live label when File_id.is_directory label.Label.fid ->
+            Hashtbl.replace directory_values i (Array.copy value)
+        | Sweep.Live _ | Sweep.Free_sector | Sweep.Marked_bad | Sweep.Bad_media
+        | Sweep.Garbage _ ->
+            ())
+      drive
+  in
   let live = ref 0 and free = ref 0 and marked_bad = ref 0 in
   let bad_media = ref 0 and garbage = ref 0 in
   Array.iteri
@@ -144,54 +221,54 @@ let check drive =
               "bad sector free in the map (allocator may probe it)"
         | _ -> ()
       done);
-  (* Pass 5: the catalogue. Every root entry must name a file whose
-     page 0 exists; a dangling entry is a promise ls makes and open
-     breaks. *)
+  (* Pass 5: the catalogue, read from the sweep. Every root entry must
+     name a file whose page 0 exists; a dangling entry is a promise ls
+     makes and open breaks. *)
   let catalogued : (File_id.t, unit) Hashtbl.t = Hashtbl.create 16 in
   let catalogued_count = ref 0 in
   (match mounted with
   | None -> ()
   | Some fs -> (
-      if Fs.root_dir fs = None then
-        violation "root" "the descriptor names no root directory"
-      else
-        match Directory.open_root fs with
-        | Error e ->
-            violation "root" "the root directory does not open: %a" Directory.pp_error e
-        | Ok root -> (
-            match Directory.entries root with
-            | Error e ->
-                violation "root" "the root directory does not read: %a"
-                  Directory.pp_error e
-            | Ok entries ->
-                Hashtbl.replace catalogued File_id.root_directory ();
-                List.iter
-                  (fun (e : Directory.entry) ->
-                    let fn = e.Directory.entry_file in
-                    let fid = fn.Page.abs.Page.fid in
-                    match Hashtbl.find_opt pages fid with
-                    | None ->
-                        violation "dangling-entry" "%S names a file with no pages"
-                          e.Directory.entry_name
-                    | Some per_file -> (
-                        incr catalogued_count;
-                        Hashtbl.replace catalogued fid ();
-                        match Hashtbl.find_opt per_file 0 with
-                        | None | Some [] ->
-                            violation "dangling-entry" "%S names a headless file"
-                              e.Directory.entry_name
-                        | Some addrs ->
-                            if
-                              Disk_address.is_nil fn.Page.addr
-                              || not
-                                   (List.mem
-                                      (Disk_address.to_index fn.Page.addr)
-                                      addrs)
-                            then
-                              finding "stale-entry-address"
-                                "%S hints a wrong leader address"
-                                e.Directory.entry_name))
-                  entries)));
+      match Fs.root_dir fs with
+      | None -> violation "root" "the descriptor names no root directory"
+      | Some root -> (
+          match read_root drive ~label_at ~values:directory_values root with
+          | Error (`Open e) ->
+              violation "root" "the root directory does not open: %a" Directory.pp_error e
+          | Error (`Read e) ->
+              violation "root" "the root directory does not read: %a"
+                Directory.pp_error e
+          | Ok entries ->
+              (* The descriptor's root, whatever its id: a scavenger
+                 that had to rebuild the root gave it a fresh one. *)
+              Hashtbl.replace catalogued root.Page.abs.Page.fid ();
+              List.iter
+                (fun (e : Directory.entry) ->
+                  let fn = e.Directory.entry_file in
+                  let fid = fn.Page.abs.Page.fid in
+                  match Hashtbl.find_opt pages fid with
+                  | None ->
+                      violation "dangling-entry" "%S names a file with no pages"
+                        e.Directory.entry_name
+                  | Some per_file -> (
+                      incr catalogued_count;
+                      Hashtbl.replace catalogued fid ();
+                      match Hashtbl.find_opt per_file 0 with
+                      | None | Some [] ->
+                          violation "dangling-entry" "%S names a headless file"
+                            e.Directory.entry_name
+                      | Some addrs ->
+                          if
+                            Disk_address.is_nil fn.Page.addr
+                            || not
+                                 (List.mem
+                                    (Disk_address.to_index fn.Page.addr)
+                                    addrs)
+                          then
+                            finding "stale-entry-address"
+                              "%S hints a wrong leader address"
+                              e.Directory.entry_name))
+                entries)));
   Hashtbl.replace catalogued File_id.descriptor ();
   (* Pass 6: file structure. A catalogued file must be whole — leader
      parseable, pages 0..last contiguous; the same damage on an

@@ -17,11 +17,12 @@
     behind, where the cure is a full scavenge.
 
     Everything runs through ordinary timed operations, so a check's
-    simulated cost is honest: one {!Sweep} reads every sector's header,
-    label and value in a single pass over the pack, and the descriptor
-    and catalogue pages are read on top. Nothing is ever written. Callers checking a {e live}
-    volume must {!Bio.flush} it first so the platter holds every
-    acknowledged write. *)
+    simulated cost is honest: one {!Sweep} reads every sector's label
+    and value in a single pass over the pack, the catalogue is read out
+    of that pass, and only the descriptor's pages are read on top.
+    Nothing is ever written. Callers checking a {e live} volume must
+    {!Bio.flush} it first so the platter holds every acknowledged
+    write. *)
 
 module Drive = Alto_disk.Drive
 
@@ -55,8 +56,12 @@ type report = {
 val check : Drive.t -> report
 (** Sweep every label, mount the descriptor read-only, compare the map,
     walk the catalogue and every file chain, and judge whether every
-    live page's data reads back — read in the sweep's own operations,
-    not in a second pass. Counted in
+    live page's data reads back — the data and the root directory both
+    as the sweep read them, not in a second pass. The root is judged as
+    a read through {!File} would judge it: opened from its leader, its
+    chain followed, a short page before the last refused alike. The
+    root the descriptor names counts as catalogued, whatever its file
+    id. Counted in
     [fs.fsck.runs] / [fs.fsck.findings] / [fs.fsck.violations]. *)
 
 val clean : report -> bool

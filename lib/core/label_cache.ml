@@ -52,10 +52,15 @@ let lookup t addr =
     None
   end
 
-let note_verified t addr words =
+let note_verified t addr (words : Word.t array) =
   let i = slot t addr in
   if i >= 0 then begin
-    Array.blit words 0 t.words (i * label_words) label_words;
+    (* A word at a time: [Array.blit] runs the write barrier on every
+       element of a table in the major heap, where a store typed at
+       [Word.t], an immediate, needs none. *)
+    for k = 0 to label_words - 1 do
+      t.words.((i * label_words) + k) <- words.(k)
+    done;
     t.gens.(i) <- Drive.label_generation t.drive addr
   end
 

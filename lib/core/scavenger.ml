@@ -97,10 +97,10 @@ type state = {
 }
 
 (* Copy one page's sector to a fresh location, out of the descriptor's
-   reserved range (or off a marginal surface). The read runs under the
-   salvage policy: this is the last copy of somebody's data, so the
-   scavenger tries much harder than the ordinary ladder before giving
-   the page up. *)
+   reserved range (or off a marginal surface), returning the value
+   copied. The read runs under the salvage policy: this is the last copy
+   of somebody's data, so the scavenger tries much harder than the
+   ordinary ladder before giving the page up. *)
 let move_page st ~src ~dst (label : Label.t) =
   let value = Array.make Sector.value_words Word.zero in
   let src_addr = Disk_address.of_index src and dst_addr = Disk_address.of_index dst in
@@ -109,17 +109,17 @@ let move_page st ~src ~dst (label : Label.t) =
       { Drive.op_none with value = Some Drive.Read }
       ~value ()
   with
-  | Error _ -> false
+  | Error _ -> None
   | Ok () -> (
       match
         Reliable.run st.drive dst_addr
           { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
           ~label:(Label.to_words label) ~value ()
       with
-      | Error _ -> false
+      | Error _ -> None
       | Ok () ->
           st.relocated_pages <- st.relocated_pages + 1;
-          true)
+          Some value)
 
 (* Rewrite a page's label with corrected links (reads the value first —
    the write-continuation rule means a label write must carry the value
@@ -157,17 +157,26 @@ let scavenge_run ~suspect_retries drive =
   (* The sweep reads every value in its own operations, under the
      salvage policy: this may be the last copy of somebody's data, and
      the retry effort each sector needed is the evidence that its surface
-     is marginal. The leader values come out of the same pass, so step 8
-     need not read them again; the rest are judged and dropped. *)
-  let swept_leaders : (int, Word.t array) Hashtbl.t = Hashtbl.create 64 in
+     is marginal. The values of leaders and directory pages come out of
+     the same pass and are kept, by sector, so steps 8 and 10-12 judge
+     the leaders and the catalogue without reading them again; the rest
+     are judged and dropped. Every label read goes into the rebuilt
+     volume's label cache, as a label check would put it there, so a
+     directory the run must still rewrite opens without reading its
+     chain again. *)
+  let fs = Fs.create_unmounted drive in
+  let values : (int, Word.t array) Hashtbl.t = Hashtbl.create 64 in
   let sweep =
     pass "sweep" (fun () ->
         Sweep.run ~policy:Reliable.salvage_policy
-          ~on_value:(fun i cls _ value ->
+          ~on_value:(fun i cls label value ->
+            Label_cache.note_verified (Fs.label_cache fs) (Disk_address.of_index i) label;
             match cls with
-            | Sweep.Live label when label.Label.page = 0 ->
-                Hashtbl.replace swept_leaders i (Array.copy value)
-            | _ -> ())
+            | Sweep.Live l when l.Label.page = 0 || File_id.is_directory l.Label.fid ->
+                Hashtbl.replace values i (Array.copy value)
+            | Sweep.Live _ | Sweep.Free_sector | Sweep.Marked_bad | Sweep.Bad_media
+            | Sweep.Garbage _ ->
+                ())
           drive)
   in
   let n = Array.length sweep.Sweep.classes in
@@ -338,7 +347,6 @@ let scavenge_run ~suspect_retries drive =
                 ~value:(Leader.to_value leader) ()
             with
             | Ok () ->
-                Hashtbl.remove swept_leaders dst;
                 Hashtbl.replace pages 0 (dst, label);
                 st.leaders_rebuilt <- st.leaders_rebuilt + 1;
                 true
@@ -367,7 +375,6 @@ let scavenge_run ~suspect_retries drive =
     files;
 
   (* 3. Occupancy: the reserved range, bad sectors, and every kept page. *)
-  let fs = Fs.create_unmounted drive in
   let reserved_top = 1 + Fs.descriptor_page_count fs in
   let reserved i = i >= 1 && i <= reserved_top in
   let busy = Array.make n false in
@@ -414,14 +421,21 @@ let scavenge_run ~suspect_retries drive =
   in
   pass "evacuate" (fun () ->
   Hashtbl.iter
-    (fun _ pages ->
+    (fun fid pages ->
       Array.iteri
         (fun pn (i, label) ->
           let suspect = Hashtbl.mem suspects i in
           if reserved i || suspect then
-            match pick_target () with
-            | Some dst when move_page st ~src:i ~dst label ->
-                Hashtbl.remove swept_leaders dst;
+            match
+              Option.bind (pick_target ()) (fun dst ->
+                  Option.map (fun value -> (dst, value)) (move_page st ~src:i ~dst label))
+            with
+            | Some (dst, value) ->
+                (* A directory page keeps the value it carried; a moved
+                   leader is read back in step 8. *)
+                if pn > 0 && File_id.is_directory fid then
+                  Hashtbl.replace values dst value
+                else Hashtbl.remove values dst;
                 pages.(pn) <- (dst, label);
                 if suspect then begin
                   st.marginal_relocated <- st.marginal_relocated + 1;
@@ -440,7 +454,7 @@ let scavenge_run ~suspect_retries drive =
                   | Ok () | Error _ -> ());
                   Hashtbl.replace quarantined i ()
                 end
-            | Some _ | None ->
+            | None ->
                 if suspect then
                   (* Could not rescue it; the page stays on the marginal
                      sector and keeps its data for now. *)
@@ -543,7 +557,8 @@ let scavenge_run ~suspect_retries drive =
      file — so the whole set goes through the elevator as one batch. The
      sweep already holds every leader it read back, and nothing since
      has rewritten one in place (the link repairs write the value they
-     read), so only leaders moved or rebuilt since are read again. *)
+     read), so only leaders moved or rebuilt since are read again, and
+     what they read is kept with the rest. *)
   let nameless_files = ref 0 in
   let legible value =
     match Leader.of_value value with
@@ -555,7 +570,7 @@ let scavenge_run ~suspect_retries drive =
       (Hashtbl.fold
          (fun fid pages acc ->
            let i = fst pages.(0) in
-           match Hashtbl.find_opt swept_leaders i with
+           match Hashtbl.find_opt values i with
            | Some value ->
                legible value;
                acc
@@ -586,7 +601,9 @@ let scavenge_run ~suspect_retries drive =
       match outcome.Sched.result with
       | Error (Drive.Bad_sector | Drive.Check_mismatch _ | Drive.Transient _) ->
           incr nameless_files
-      | Ok () -> legible leader_values.(j))
+      | Ok () ->
+          legible leader_values.(j);
+          Hashtbl.replace values (snd leaders.(j)) leader_values.(j))
     leader_outcomes;
 
   (* 9. Serial counter: beyond every serial seen. *)
@@ -595,75 +612,105 @@ let scavenge_run ~suspect_retries drive =
   in
   Fs.set_next_serial fs (max (max_serial + 1) File_id.first_user_serial);
 
-  (* 9. Directories: verify entries, fix addresses, drop dangling ones. *)
-  let leader_name_of fid = Page.full_name fid ~page:0 ~addr:(Disk_address.of_index (fst (Hashtbl.find final fid).(0))) in
-  let referenced : (File_id.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let open_directories =
-    pass "directories" (fun () ->
-        Hashtbl.fold
-          (fun fid _ acc ->
-            if File_id.is_directory fid then
-              match File.open_leader fs (leader_name_of fid) with
-              | Ok file -> (fid, file) :: acc
-              | Error _ -> acc
-            else acc)
-          final [])
+  (* 10. Directories: verify entries, fix addresses, drop dangling ones —
+     from the values kept, which hold every page of every directory in
+     [final] as the sweep read it (or as evacuation carried it). A
+     directory opens as [File.open_leader] would open it, if its leader
+     is legible; it is read through [File] only if it must be
+     rewritten. *)
+  let leader_name_of fid =
+    Page.full_name fid ~page:0
+      ~addr:(Disk_address.of_index (fst (Hashtbl.find final fid).(0)))
   in
-  pass "directories" (fun () ->
-  List.iter
-    (fun (_fid, dir_file) ->
-      let entries, damaged = Directory.salvage dir_file in
-      let changed = ref damaged in
-      let kept =
-        List.filter_map
-          (fun (e : Directory.entry) ->
-            let efid = e.Directory.entry_file.Page.abs.Page.fid in
-            match Hashtbl.find_opt final efid with
-            | None ->
-                st.entries_removed <- st.entries_removed + 1;
-                changed := true;
-                None
-            | Some pages ->
-                Hashtbl.replace referenced efid ();
-                let real = Disk_address.of_index (fst pages.(0)) in
-                if Disk_address.equal e.Directory.entry_file.Page.addr real then Some e
-                else begin
-                  st.entries_fixed <- st.entries_fixed + 1;
-                  changed := true;
-                  Some
-                    {
-                      e with
-                      Directory.entry_file =
-                        Page.full_name efid ~page:0 ~addr:real;
-                    }
-                end)
-          entries
-      in
-      if !changed then
-        match Directory.rewrite dir_file kept with
-        | Ok () -> ()
-        | Error _ -> ())
-    open_directories);
+  let directories =
+    Hashtbl.fold
+      (fun fid pages acc ->
+        if not (File_id.is_directory fid) then acc
+        else
+          match Option.map Leader.of_value (Hashtbl.find_opt values (fst pages.(0))) with
+          | Some (Ok leader) -> (fid, leader, pages) :: acc
+          | Some (Error _) | None -> acc)
+      final []
+  in
+  let handles : (File_id.t, File.t) Hashtbl.t = Hashtbl.create 4 in
+  let open_directory fid =
+    match Hashtbl.find_opt handles fid with
+    | Some file -> Ok file
+    | None ->
+        Result.map
+          (fun file ->
+            Hashtbl.replace handles fid file;
+            file)
+          (File.open_leader fs (leader_name_of fid))
+  in
+  let referenced : (File_id.t, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* Each directory's live entries once verified, or [None] where the
+     rewrite failed and only the disk knows what it holds. *)
+  let verified =
+    pass "directories" (fun () ->
+        List.map
+          (fun (fid, leader, pages) ->
+            let entries, damaged =
+              Directory.salvage_of
+                (Array.init
+                   (Array.length pages - 1)
+                   (fun j ->
+                     let i, label = pages.(j + 1) in
+                     (Hashtbl.find values i, label.Label.length)))
+            in
+            let changed = ref damaged in
+            let surviving =
+              List.filter_map
+                (fun (e : Directory.entry) ->
+                  let efid = e.Directory.entry_file.Page.abs.Page.fid in
+                  match Hashtbl.find_opt final efid with
+                  | None ->
+                      st.entries_removed <- st.entries_removed + 1;
+                      changed := true;
+                      None
+                  | Some pages ->
+                      Hashtbl.replace referenced efid ();
+                      let real = Disk_address.of_index (fst pages.(0)) in
+                      if Disk_address.equal e.Directory.entry_file.Page.addr real then
+                        Some e
+                      else begin
+                        st.entries_fixed <- st.entries_fixed + 1;
+                        changed := true;
+                        Some
+                          {
+                            e with
+                            Directory.entry_file = Page.full_name efid ~page:0 ~addr:real;
+                          }
+                      end)
+                entries
+            in
+            let rewritten =
+              (not !changed)
+              ||
+              match open_directory fid with
+              | Ok file -> Result.is_ok (Directory.rewrite file surviving)
+              | Error _ -> false
+            in
+            (fid, leader, if rewritten then Some surviving else None))
+          directories)
+  in
 
-  (* 10. Choose or rebuild the root directory. *)
+  (* 11. Choose or rebuild the root directory. *)
   let find_root () =
     match
-      List.find_opt
-        (fun (fid, _) -> File_id.equal fid File_id.root_directory)
-        open_directories
+      List.find_opt (fun (fid, _, _) -> File_id.equal fid File_id.root_directory) verified
     with
-    | Some (_, file) -> Some file
+    | Some found -> Some found
     | None ->
         List.find_opt
-          (fun (_, file) -> String.equal (File.leader file).Leader.name "SysDir.")
-          open_directories
-        |> Option.map snd
+          (fun (_, leader, _) -> String.equal leader.Leader.name "SysDir.")
+          verified
   in
   let root_rebuilt = ref false in
   let root_result =
     pass "root" (fun () ->
         match find_root () with
-        | Some file -> Ok file
+        | Some (fid, _, entries) -> Ok (fid, entries)
         | None ->
             root_rebuilt := true;
             let fid =
@@ -671,50 +718,78 @@ let scavenge_run ~suspect_retries drive =
                 Fs.fresh_fid ~directory:true fs
               else File_id.root_directory
             in
-            File.create_with_id fs fid ~name:"SysDir.")
+            Result.map
+              (fun file ->
+                Hashtbl.replace handles fid file;
+                (fid, Some []))
+              (File.create_with_id fs fid ~name:"SysDir."))
   in
   match root_result with
   | Error e -> Error (Format.asprintf "cannot rebuild a root directory: %a" File.pp_error e)
-  | Ok root -> (
-      Fs.set_root_dir fs (File.leader_name root);
-      Hashtbl.replace referenced (File.fid root) ();
+  | Ok (root_fid, root_entries) -> (
+      let root_name =
+        match Hashtbl.find_opt handles root_fid with
+        | Some file -> File.leader_name file
+        | None -> leader_name_of root_fid
+      in
+      Fs.set_root_dir fs root_name;
+      Hashtbl.replace referenced root_fid ();
 
-      (* 11. Adopt orphans under their leader names. *)
-      let unique_name base =
+      (* 12. Adopt orphans under their leader names, read from the
+         leaders kept. The root is opened for the first orphan only. *)
+      let names : (string, unit) Hashtbl.t option ref =
+        ref
+          (Option.map
+             (fun entries ->
+               let names = Hashtbl.create 64 in
+               List.iter
+                 (fun (e : Directory.entry) ->
+                   Hashtbl.replace names e.Directory.entry_name ())
+                 entries;
+               names)
+             root_entries)
+      in
+      let taken root candidate =
+        match !names with
+        | Some names -> Hashtbl.mem names candidate
+        | None -> (
+            match Directory.lookup root candidate with
+            | Ok found -> found <> None
+            | Error _ -> false)
+      in
+      let unique_name root base =
         let rec go candidate k =
-          match Directory.lookup root candidate with
-          | Ok None -> candidate
-          | Ok (Some _) -> go (Printf.sprintf "%s~%d" base k) (k + 1)
-          | Error _ -> candidate
+          if taken root candidate then go (Printf.sprintf "%s~%d" base k) (k + 1)
+          else candidate
         in
         go base 1
       in
       pass "orphans" (fun () ->
       Hashtbl.iter
         (fun fid pages ->
-          if not (Hashtbl.mem referenced fid) then begin
-            let addr = Disk_address.of_index (fst pages.(0)) in
-            let fn = Page.full_name fid ~page:0 ~addr in
-            let base =
-              match Page.read drive fn with
-              | Ok (_, value) -> (
-                  match Leader.of_value value with
-                  | Ok leader when String.length leader.Leader.name > 0 ->
-                      leader.Leader.name
-                  | Ok _ | Error _ ->
-                      Printf.sprintf "Scavenged.%d!%d" fid.File_id.serial
-                        fid.File_id.version)
-              | Error _ ->
-                  Printf.sprintf "Scavenged.%d!%d" fid.File_id.serial
-                    fid.File_id.version
-            in
-            match Directory.add root ~name:(unique_name base) fn with
-            | Ok () -> st.orphans_adopted <- st.orphans_adopted + 1
+          if not (Hashtbl.mem referenced fid) then
+            match open_directory root_fid with
             | Error _ -> ()
-          end)
+            | Ok root -> (
+                let i = fst pages.(0) in
+                let fn = Page.full_name fid ~page:0 ~addr:(Disk_address.of_index i) in
+                let base =
+                  match Option.map Leader.of_value (Hashtbl.find_opt values i) with
+                  | Some (Ok leader) when String.length leader.Leader.name > 0 ->
+                      leader.Leader.name
+                  | Some (Ok _ | Error _) | None ->
+                      Printf.sprintf "Scavenged.%d!%d" fid.File_id.serial
+                        fid.File_id.version
+                in
+                let name = unique_name root base in
+                match Directory.add root ~name fn with
+                | Ok () ->
+                    Option.iter (fun names -> Hashtbl.replace names name ()) !names;
+                    st.orphans_adopted <- st.orphans_adopted + 1
+                | Error _ -> names := None))
         final);
 
-      (* 12. A fresh descriptor at the standard address. *)
+      (* 13. A fresh descriptor at the standard address. *)
       match pass "rebuild" (fun () -> Fs.rebuild_descriptor fs) with
       | Error e -> Error (Format.asprintf "cannot write a fresh descriptor: %a" Fs.pp_error e)
       | Ok () ->
@@ -734,7 +809,7 @@ let scavenge_run ~suspect_retries drive =
               sectors_scanned = n;
               files_found = Hashtbl.length final;
               nameless_files = !nameless_files;
-              directories_found = List.length open_directories;
+              directories_found = List.length verified;
               orphans_adopted = st.orphans_adopted;
               links_repaired = st.links_repaired;
               labels_reclaimed = st.labels_reclaimed;

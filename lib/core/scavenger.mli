@@ -9,21 +9,30 @@
     given nothing but a drive it returns a freshly mounted file system
     plus an account of everything it found and fixed.
 
-    What it does, in order:
-    + sweep every label and value on the disk ({!Sweep});
-    + mark bad every live page whose data will not read back, and
-      reassemble files by absolute name, discarding duplicate pages,
-      headless page sets, and pages beyond a gap in the chain;
-    + evacuate any foreign page squatting on the descriptor's standard
-      addresses;
-    + repair every incorrect next/previous link;
-    + reclaim garbage-labelled sectors and quarantine bad ones;
-    + verify every directory entry "points to page 0 of an existing
-      file, fixing up the address if necessary and detecting entries
-      which point elsewhere";
-    + adopt every orphaned file into the root directory under its leader
-      name — "this is the sole function of the leader name";
-    + rebuild the disk descriptor.
+    What it does, in order (the numbers are the steps in the code):
+    + sweep every label and value on the disk ({!Sweep}), keeping the
+      values of leaders and directory pages and putting every label
+      read into the rebuilt volume's label cache;
+    + (1) reassemble files by absolute name and mark bad every live page
+      whose data will not read back; (2) discard duplicate pages and
+      pages beyond a gap in the chain, and give a headless page set a
+      fresh leader;
+    + (3-4) evacuate any foreign page squatting on the descriptor's
+      standard addresses, and any page on a marginal sector, carrying
+      the value along;
+    + (5-6) reclaim garbage-labelled sectors and quarantine bad ones;
+    + (7) repair every incorrect next/previous link;
+    + (8) check that every leader is legible, reading again only the
+      leaders moved or rebuilt;
+    + (9) set the serial counter beyond every serial seen;
+    + (10) verify every directory entry "points to page 0 of an
+      existing file, fixing up the address if necessary and detecting
+      entries which point elsewhere" — from the values kept, so a
+      directory is read only when it must be rewritten;
+    + (11) choose the root directory, or build a fresh one;
+    + (12) adopt every orphaned file into the root directory under its
+      leader name — "this is the sole function of the leader name";
+    + (13) rebuild the disk descriptor.
 
     All disk work goes through ordinary timed operations, so the
     simulated duration of a scavenge is measured honestly (experiment
@@ -79,9 +88,12 @@ val scavenge :
     operation as its label, under {!Alto_disk.Reliable.salvage_policy} —
     one pass over the pack, not two — and stamps the bad-page marker
     into the label of any live page whose surface has failed, so "they
-    will never be used again" (§3.5). The leader values come out of that
-    pass too, so the leaders pass re-reads only leaders moved or rebuilt
-    after the sweep. A page whose sweep read succeeded only after
+    will never be used again" (§3.5). The values of leaders and
+    directory pages come out of that pass too, so the leaders pass
+    re-reads only leaders moved or rebuilt after the sweep, and a pack
+    that needs no repair costs the directory and orphan passes no disk
+    operation: a directory is read only to be rewritten, and the root
+    only to take orphans. A page whose sweep read succeeded only after
     [suspect_retries] or more retries (default 2) sits on a marginal
     sector: its data is copied to a fresh sector, links re-chained, and
     the old sector quarantined. Every sector known bad at the end of the

@@ -271,6 +271,79 @@ let test_word_pages_match_read_words () =
       | Error e -> Alcotest.failf "rewrite: %a" Page.pp_error e));
   same "a short page before the last" a b
 
+(* A page before the last that holds less than a full page pushes the
+   rest of the file onto later pages, so a whole-file read runs out of
+   pages. The batched read of a consecutive file, the page-by-page read
+   of a scattered one, and a scan of the pages held in memory must give
+   that one verdict; the batch used to run off its own array. *)
+let test_short_middle_page () =
+  let drive, fs = fresh_fs () in
+  let run = file_ok "create" (File.create fs ~name:"Run.") in
+  file_ok "write" (File.write_bytes run ~pos:0 (lorem (6 * Sector.bytes_per_page)));
+  let scattered = file_ok "create" (File.create fs ~name:"Scattered.") in
+  let other = file_ok "create" (File.create fs ~name:"Other.") in
+  for _ = 1 to 6 do
+    file_ok "append" (File.append_bytes scattered (lorem Sector.bytes_per_page));
+    file_ok "append" (File.append_bytes other (lorem Sector.bytes_per_page))
+  done;
+  let shorten file =
+    file_ok "leader" (File.flush_leader file);
+    let fn = file_ok "page 3" (File.page_name file 3) in
+    let value, _ = file_ok "read page 3" (File.read_page file 3) in
+    let cache = Fs.label_cache fs and bio = Fs.bio fs in
+    match Page.read_label ~cache drive fn with
+    | Error e -> Alcotest.failf "label: %a" Page.pp_error e
+    | Ok old -> (
+        let new_label =
+          Label.make ~fid:(File.fid file) ~page:3 ~length:100 ~next:old.Label.next
+            ~prev:old.Label.prev
+        in
+        match Page.rewrite_label ~cache ~bio drive fn ~new_label ~value with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "rewrite: %a" Page.pp_error e)
+  in
+  shorten run;
+  shorten scattered;
+  fs_ok "flush" (Fs.flush fs);
+  ignore (Alto_fs.Bio.flush (Fs.bio fs) : Alto_fs.Bio.flush_report);
+  let fs' =
+    match Fs.mount drive with Ok f -> f | Error m -> Alcotest.failf "mount: %s" m
+  in
+  let verdict = Format.asprintf "%a" File.pp_error (File.No_such_page 7) in
+  let refused what = function
+    | Ok _ -> Alcotest.failf "%s: read past a short page" what
+    | Error e ->
+        Alcotest.(check string) what verdict (Format.asprintf "%a" File.pp_error e)
+  in
+  List.iter
+    (fun (what, file) ->
+      let f = file_ok "open" (File.open_leader fs' (File.leader_name file)) in
+      Alcotest.(check bool) (what ^ ": consecutive") (what = "batched")
+        (File.leader f).Leader.maybe_consecutive;
+      refused what (File.read_bytes f ~pos:0 ~len:(File.byte_length f)))
+    [ ("batched", run); ("page by page", scattered) ];
+  (* The same pages as a sweep holds them: each value with its label's
+     length. *)
+  let held =
+    Array.init 6 (fun i ->
+        let fn = file_ok "page" (File.page_name run (i + 1)) in
+        let sector = Drive.peek drive fn.Page.addr in
+        match Label.of_words sector.Sector.label with
+        | Ok label -> (sector.Sector.value, label.Label.length)
+        | Error msg -> Alcotest.failf "label: %s" msg)
+  in
+  refused "in memory" (File.word_pages_of held);
+  let through_file =
+    Directory.entries (file_ok "open" (File.open_leader fs' (File.leader_name run)))
+  in
+  let in_memory = Directory.entries_of held in
+  let show = function
+    | Ok entries -> Printf.sprintf "%d entries" (List.length entries)
+    | Error e -> Format.asprintf "%a" Directory.pp_error e
+  in
+  Alcotest.(check string) "a directory scan agrees" (show through_file) (show in_memory);
+  Alcotest.(check string) "and refuses" verdict (show in_memory)
+
 let test_append_grows () =
   let _drive, fs = fresh_fs () in
   let file = file_ok "create" (File.create fs ~name:"Grow.") in
@@ -989,6 +1062,7 @@ let suite =
     ("overwrite middle", `Quick, test_overwrite_middle);
     ("odd offsets round-trip", `Quick, test_odd_offsets_roundtrip);
     ("word pages match read_words", `Quick, test_word_pages_match_read_words);
+    ("a short middle page refuses every read alike", `Quick, test_short_middle_page);
     ("append grows", `Quick, test_append_grows);
     ("full page then append", `Quick, test_exactly_full_page_then_append);
     ("truncate", `Quick, test_truncate);

@@ -326,6 +326,135 @@ let test_verifying_scavenge_matches_the_batched_passes () =
       if r2.Fsck.violations <> [] then
         Alcotest.failf "violations survived the scavenge:@.%a" Fsck.pp_report r2
 
+(* {2 The catalogue from the sweep}
+
+   The checker reads the root directory out of its own sweep: after the
+   sweep, the descriptor is the only thing it reads. Its verdicts on a
+   damaged root are the ones a read of the root through [File] gives. *)
+
+let root_leader fs =
+  match Fs.root_dir fs with
+  | Some fn -> fn.Alto_fs.Page.addr
+  | None -> Alcotest.fail "no root"
+
+let operations drive = (Drive.stats drive).Drive.operations
+
+let test_fsck_reads_only_the_descriptor_after_its_sweep () =
+  let drive, fs, root, files = build () in
+  let target = File.leader_name (snd (List.hd files)) in
+  for i = 0 to 39 do
+    let name = Printf.sprintf "Catalogue-entry-%02d-with-a-long-name.dat" i in
+    match Directory.add root ~name target with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "add: %a" Directory.pp_error e
+  done;
+  (match Fs.flush fs with Ok () -> () | Error _ -> failwith "flush");
+  ignore (Bio.flush (Fs.bio fs) : Bio.flush_report);
+  Alcotest.(check bool) "the root spans three pages or more" true
+    (File.last_page root >= 3);
+  let counted f =
+    let before = operations drive in
+    f ();
+    operations drive - before
+  in
+  let sweep = counted (fun () -> ignore (Sweep.run drive : Sweep.t)) in
+  let mount = counted (fun () -> ignore (Fs.mount drive : (Fs.t, string) result)) in
+  let check = counted (fun () -> ignore (Fsck.check drive : Fsck.report)) in
+  Alcotest.(check int) "a check is its sweep plus the descriptor's reads" (sweep + mount)
+    check
+
+(* Every root verdict, as [pp_issue] prints it: the root's own, and the
+   entry, orphan and page issues that follow from it. *)
+let root_verdicts r =
+  let keep i =
+    List.mem i.Fsck.i_class
+      [ "root"; "dangling-entry"; "stale-entry-address"; "orphan"; "unreadable-page" ]
+  in
+  List.map
+    (Format.asprintf "%a" Fsck.pp_issue)
+    (List.filter keep (r.Fsck.violations @ r.Fsck.findings))
+
+let test_root_verdicts_match_a_read_through_file () =
+  let verdicts what damage expected =
+    let drive, fs, root, files = build () in
+    damage drive fs root files;
+    Alcotest.(check (list string)) what expected (root_verdicts (Fsck.check drive))
+  in
+  let page1 root = page_address root 1 in
+  (* Slot [k]'s first word in the root's first data page: every entry
+     here is a 6-word header and a 4-word name. *)
+  let slot k = 10 * k in
+  let poke_word drive addr i w =
+    let value = Array.copy (Drive.peek drive addr).Sector.value in
+    value.(i) <- Word.of_int w;
+    Drive.poke drive addr Sector.Value value
+  in
+  (* A root that does not scan catalogues nothing: every file, the root
+     included, is an orphan. *)
+  let all_orphans =
+    List.map
+      (Printf.sprintf "orphan: %s is catalogued nowhere (scavenger will adopt it)")
+      [ "D2!1"; "F18!1"; "F21!1"; "F20!1"; "F19!1"; "F17!1"; "F16!1" ]
+  in
+  verdicts "an illegible root leader"
+    (fun drive fs _ _ -> Fault.zero_part drive (root_leader fs) Sector.Value)
+    ("root: the root directory does not open: file structure damaged: leader: bad magic"
+    :: all_orphans);
+  verdicts "an unreadable root page"
+    (fun drive _ root _ -> Drive.set_value_unreadable drive (page1 root) true)
+    (("root: the root directory does not read: hint failed, consult a directory or the \
+       scavenger"
+     :: all_orphans)
+    @ [ "unreadable-page @ 4: D2!1 page 1 will not read back" ]);
+  verdicts "a malformed slot"
+    (fun drive _ root _ -> poke_word drive (page1 root) (slot 2 + 5) 0xff)
+    ("root: the root directory does not read: directory malformed: entry name length \
+      inconsistent"
+    :: all_orphans);
+  verdicts "a dangling entry"
+    (fun _ fs _ files ->
+      let _, f0 = List.hd files in
+      (match File.delete f0 with Ok () -> () | Error _ -> failwith "delete");
+      (match Fs.flush fs with Ok () -> () | Error _ -> failwith "flush");
+      ignore (Bio.flush (Fs.bio fs) : Bio.flush_report))
+    [ "dangling-entry: \"F00.dat\" names a file with no pages" ];
+  verdicts "a stale entry address"
+    (fun drive _ root _ -> poke_word drive (page1 root) (slot 3 + 4) 300)
+    [ "stale-entry-address: \"F03.dat\" hints a wrong leader address" ]
+
+(* A scavenge that cannot read the root's leader builds a fresh root
+   under a fresh directory id; the descriptor names it, so the checker
+   must count it catalogued, not as an orphan. *)
+let test_rebuilt_root_is_catalogued () =
+  let drive = Drive.create ~pack_id:21 geometry in
+  let fs = Fs.format drive in
+  let root = match Directory.open_root fs with Ok r -> r | Error _ -> failwith "root" in
+  for i = 0 to 4 do
+    let name = Printf.sprintf "G%d.dat" i in
+    let f = match File.create fs ~name with Ok f -> f | Error _ -> failwith "create" in
+    (match File.write_bytes f ~pos:0 (pattern i 700) with
+    | Ok () -> ()
+    | Error _ -> failwith "write");
+    match Directory.add root ~name (File.leader_name f) with
+    | Ok () -> ()
+    | Error _ -> failwith "add"
+  done;
+  (match Fs.flush fs with Ok () -> () | Error _ -> failwith "flush");
+  ignore (Bio.flush (Fs.bio fs) : Bio.flush_report);
+  Drive.poke drive (root_leader fs) Sector.Value (Array.make Sector.value_words Word.zero);
+  match Scavenger.scavenge drive with
+  | Error msg -> Alcotest.failf "scavenge: %s" msg
+  | Ok (fs', report) ->
+      Alcotest.(check bool) "the root was rebuilt" true report.Scavenger.root_rebuilt;
+      (match Fs.root_dir fs' with
+      | Some fn ->
+          Alcotest.(check bool) "under a fresh id" false
+            (Alto_fs.File_id.equal fn.Alto_fs.Page.abs.Alto_fs.Page.fid
+               Alto_fs.File_id.root_directory)
+      | None -> Alcotest.fail "no root after the scavenge");
+      let r = Fsck.check drive in
+      if not (Fsck.clean r) then Alcotest.failf "not clean:@.%a" Fsck.pp_report r
+
 let () =
   Alcotest.run "alto fsck"
     [
@@ -347,5 +476,15 @@ let () =
           ( "a verifying scavenge matches the batched passes",
             `Quick,
             test_verifying_scavenge_matches_the_batched_passes );
+        ] );
+      ( "catalogue",
+        [
+          ( "only the descriptor after a sweep",
+            `Quick,
+            test_fsck_reads_only_the_descriptor_after_its_sweep );
+          ( "root verdicts match File's",
+            `Quick,
+            test_root_verdicts_match_a_read_through_file );
+          ("a rebuilt root is catalogued", `Quick, test_rebuilt_root_is_catalogued);
         ] );
     ]

@@ -86,6 +86,58 @@ let test_scavenge_clean_disk () =
   check_content fs' "One.txt" 1000 1;
   check_content fs' "Two.txt" 2000 2
 
+(* The scavenger judges the catalogue from the values its sweep read:
+   a pack that needs no repair costs its directory and orphan passes
+   no disk time at all. *)
+let test_scavenge_reads_no_directory_on_a_sound_pack () =
+  let drive, fs = fresh_fs () in
+  let root = dir_ok "root" (Directory.open_root fs) in
+  let sub = dir_ok "create" (Directory.create fs ~name:"Work.") in
+  dir_ok "catalogue sub" (Directory.add root ~name:"Work." (File.leader_name sub));
+  ignore (make_file fs sub "Nested.txt" 700 6);
+  for i = 1 to 4 do
+    ignore (make_file fs root (Printf.sprintf "F%d.dat" i) (300 * i) i)
+  done;
+  Alto_obs.Prof.reset ();
+  let _, report = scavenge_ok drive in
+  Alcotest.(check int) "two directories" 2 report.Scavenger.directories_found;
+  Alcotest.(check int) "no orphans" 0 report.Scavenger.orphans_adopted;
+  let tree = Alto_obs.Prof.tree () in
+  let total name =
+    match Alto_obs.Prof.find tree name with
+    | Some s -> s.Alto_obs.Prof.total_us
+    | None -> Alcotest.failf "no %s span" name
+  in
+  Alcotest.(check bool) "the sweep is charged" true (total "scavenger.sweep" > 0);
+  Alcotest.(check int) "directories" 0 (total "scavenger.directories");
+  Alcotest.(check int) "orphans" 0 (total "scavenger.orphans")
+
+(* A directory page squatting in the descriptor's reserved range is
+   copied out before the catalogue is verified; the value it carries to
+   its new sector is the one the directory is read from. *)
+let test_evacuated_directory_page_keeps_its_entries () =
+  let drive, fs = fresh_fs () in
+  let root = dir_ok "root" (Directory.open_root fs) in
+  let names = List.init 5 (fun i -> Printf.sprintf "Kept%d.txt" i) in
+  List.iteri (fun i name -> ignore (make_file fs root name (200 + (100 * i)) i)) names;
+  let page = file_ok "page 1" (File.page_name root 1) in
+  let reserved = Disk_address.of_index (Fs.descriptor_page_count fs) in
+  let sector = Drive.peek drive page.Page.addr in
+  Drive.poke drive reserved Sector.Label sector.Sector.label;
+  Drive.poke drive reserved Sector.Value sector.Sector.value;
+  Drive.poke drive page.Page.addr Sector.Label (Label.free_words ());
+  Drive.poke drive page.Page.addr Sector.Value (Label.free_value ());
+  let fs', report = scavenge_ok drive in
+  Alcotest.(check int) "one page relocated" 1 report.Scavenger.relocated_pages;
+  Alcotest.(check int) "no entry removed" 0 report.Scavenger.entries_removed;
+  Alcotest.(check int) "no orphans" 0 report.Scavenger.orphans_adopted;
+  let root' = dir_ok "root" (Directory.open_root fs') in
+  Alcotest.(check (list string)) "entries" names
+    (List.map
+       (fun e -> e.Directory.entry_name)
+       (dir_ok "entries" (Directory.entries root')));
+  List.iteri (fun i name -> check_content fs' name (200 + (100 * i)) i) names
+
 let test_scavenge_after_descriptor_destroyed () =
   let drive, fs = fresh_fs () in
   let root = dir_ok "root" (Directory.open_root fs) in
@@ -621,6 +673,12 @@ let () =
       ( "scavenger",
         [
           ("clean disk", `Quick, test_scavenge_clean_disk);
+          ( "a sound pack reads no directory",
+            `Quick,
+            test_scavenge_reads_no_directory_on_a_sound_pack );
+          ( "evacuated directory page keeps entries",
+            `Quick,
+            test_evacuated_directory_page_keeps_its_entries );
           ("descriptor destroyed", `Quick, test_scavenge_after_descriptor_destroyed);
           ("orphan adopted", `Quick, test_orphan_adopted_under_leader_name);
           ("scrambled directory", `Quick, test_scrambled_directory_loses_names_not_files);
