@@ -24,6 +24,7 @@ module Directory = Alto_fs.Directory
 module Scavenger = Alto_fs.Scavenger
 module Compactor = Alto_fs.Compactor
 module Patrol = Alto_fs.Patrol
+module Recovery = Alto_fs.Recovery
 module Hints = Alto_fs.Hints
 module Install = Alto_fs.Install
 module Stream = Alto_streams.Stream
@@ -1183,10 +1184,10 @@ let e15 () =
    unsafe shutdown answered by the bounded patrol scan vs a full
    scavenge, both in simulated Alto time. *)
 let e16 () =
-  heading "E16  online patrol under load: relocation and bounded recovery";
+  heading "E16  online patrol under load: relocation and recovery through the map";
   claim
-    "marginal sectors are drained before they fail; crash recovery is \
-     bounded by the sweep's unfinished tail, not by the pack";
+    "marginal sectors are drained before they fail; crash recovery reads \
+     the cylinders written since the last consistency point, not the pack";
   let drive, fs = fresh () in
   Fault.set_soft_errors drive ~seed:4242 ~rate:0.0;
   let clock = Fs.clock fs in
@@ -1266,21 +1267,32 @@ let e16 () =
       [ "pages lost"; string_of_int (Patrol.pages_lost patrol) ];
       [ "files intact"; Printf.sprintf "%d/%d" intact files ];
     ];
-  (* The recovery half. Walk the cursor into the second half of a lap,
-     dirty the volume (a mutation with no clean shutdown), and compare
-     the bounded scan a dirty boot runs against the full scavenge it
+  (* The recovery half. Dirty the volume (a mutation with no clean
+     shutdown), then time both cures on the same dirty pack: the
+     recovery a dirty boot runs through the write-ahead map, and — with
+     the platter put back as the crash left it — the full scavenge it
      replaces. *)
-  while
-    let c = Fs.patrol_cursor fs in
-    c < n / 2 || c > n - 200
-  do
-    ignore (Patrol.tick patrol : Patrol.report)
-  done;
   let (_ : File.t) = make_file fs root "Unsaved.dat" 900 999 in
   if not (Fs.dirty fs) then failwith "E16: the mutation left the volume clean";
-  let resumed_at = Fs.patrol_cursor fs in
-  let recovery = Patrol.recover fs in
-  if Fs.dirty fs then failwith "E16: recovery left the volume dirty";
+  let crashed = ok Format.pp_print_string (Fs.mount drive) in
+  let platter =
+    Array.init n (fun i -> Drive.peek drive (Disk_address.of_index i))
+  in
+  let (recovered, outcome), recovery_us =
+    timed clock (fun () -> Recovery.recover crashed)
+  in
+  let cylinders, report =
+    match outcome with
+    | Recovery.Through_map (cylinders, report) -> (cylinders, report)
+    | o -> failwith (Format.asprintf "E16: recovered by %a" Recovery.pp_outcome o)
+  in
+  if Fs.dirty recovered then failwith "E16: recovery left the volume dirty";
+  Array.iteri
+    (fun i (sector : Sector.t) ->
+      let a = Disk_address.of_index i in
+      Drive.poke drive a Sector.Label sector.Sector.label;
+      Drive.poke drive a Sector.Value sector.Sector.value)
+    platter;
   let _, scavenge_us =
     timed clock (fun () ->
         ignore (ok Format.pp_print_string (Scavenger.scavenge drive)))
@@ -1288,23 +1300,20 @@ let e16 () =
   print_table [ 30; 14 ]
     [ "unsafe-shutdown recovery"; "" ]
     [
-      [ "cursor at crash"; Printf.sprintf "%d/%d" resumed_at n ];
-      [ "sectors scanned"; string_of_int recovery.Patrol.sectors_scanned ];
-      [ "bounded recovery"; us_to_string recovery.Patrol.duration_us ];
+      [ "cylinders mapped"; Printf.sprintf "%d/%d" (List.length cylinders) (n / 24) ];
+      [ "sectors read"; string_of_int report.Scavenger.sectors_scanned ];
+      [ "recovery through the map"; us_to_string recovery_us ];
       [ "full scavenge"; us_to_string scavenge_us ];
-      [
-        "advantage";
-        Printf.sprintf "%.1fx"
-          (float_of_int scavenge_us /. float_of_int recovery.Patrol.duration_us);
-      ];
+      [ "advantage"; Printf.sprintf "%.1fx" (float_of_int scavenge_us /. float_of_int recovery_us) ];
     ];
-  if 2 * recovery.Patrol.duration_us > scavenge_us then
-    failwith "E16: bounded recovery was not measurably cheaper than a scavenge";
+  if 2 * recovery_us > scavenge_us then
+    failwith "E16: recovery through the map was not measurably cheaper than a scavenge";
   print_endline
     "shape: the patrol turns media decay from a scavenger-sized event\n\
      into a per-slice tax nobody notices: every wearing-out sector is\n\
-     drained within a lap or two, and a crash costs the unswept tail of\n\
-     the current lap instead of a whole-pack rebuild."
+     drained within a lap or two, and a crash costs the cylinders\n\
+     written since the last consistency point instead of a whole-pack\n\
+     rebuild."
 
 (* E17 — the span profiler's books balance: a scavenge's wall time
    decomposes into named passes, and the drive's motion counters
@@ -1909,21 +1918,32 @@ let e20 () =
 let e21 () =
   heading "E21  crash-point injection: recovery from every torn write";
   claim
-    "recovery (boot's scavenge or bounded scan, escalating to one \
-     scavenge) survives every enumerated crash point with zero invariant \
-     violations";
+    "recovery (through the write-ahead map, or boot's whole-pack scavenge \
+     where the map cannot serve) survives every enumerated crash point \
+     with zero invariant violations and zero escalations, and agrees with \
+     a whole-pack scavenge at every one";
   let t = Crash_harness.run () in
+  let compared, disagreements = Crash_harness.differential () in
   Obs.add (Obs.counter "e21.trials") t.Crash_harness.trials;
   Obs.add (Obs.counter "e21.crash_points") t.Crash_harness.crash_points;
   Obs.add (Obs.counter "e21.torn_points") t.Crash_harness.torn_points;
   Obs.add (Obs.counter "e21.dirty_boots") t.Crash_harness.dirty_boots;
-  Obs.add (Obs.counter "e21.bounded_laps") t.Crash_harness.bounded_laps;
-  Obs.add (Obs.counter "e21.boot_scavenges") t.Crash_harness.boot_scavenges;
+  Obs.add (Obs.counter "e21.through_map") t.Crash_harness.through_map;
+  Obs.add (Obs.counter "e21.cylinders_read") t.Crash_harness.cylinders_read;
+  Obs.add (Obs.counter "e21.fallbacks") t.Crash_harness.fallbacks;
   Obs.add (Obs.counter "e21.flight_adoptions") t.Crash_harness.flight_adoptions;
   Obs.add (Obs.counter "e21.settled_at_boot") t.Crash_harness.settled_at_boot;
   Obs.add (Obs.counter "e21.scavenges") t.Crash_harness.scavenges;
   Obs.add (Obs.counter "e21.fsck_findings") t.Crash_harness.findings;
   Obs.add (Obs.counter "e21.invariant_violations") t.Crash_harness.violations;
+  Obs.add (Obs.counter "e21.differential_points") compared;
+  Obs.add (Obs.counter "e21.differential_disagreements") (List.length disagreements);
+  let mean_cylinders =
+    if t.Crash_harness.through_map = 0 then 0.0
+    else
+      float_of_int t.Crash_harness.cylinders_read
+      /. float_of_int t.Crash_harness.through_map
+  in
   print_table [ 34; 10 ]
     [ "crash-point sweep"; "count" ]
     [
@@ -1931,30 +1951,39 @@ let e21 () =
       [ "crash points fired"; string_of_int t.Crash_harness.crash_points ];
       [ "  of which torn"; string_of_int t.Crash_harness.torn_points ];
       [ "dirty boots"; string_of_int t.Crash_harness.dirty_boots ];
-      [ "  through the bounded lap"; string_of_int t.Crash_harness.bounded_laps ];
-      [ "  through a boot scavenge"; string_of_int t.Crash_harness.boot_scavenges ];
+      [ "  recovered through the map"; string_of_int t.Crash_harness.through_map ];
+      [ "    mean cylinders read"; Printf.sprintf "%.1f" mean_cylinders ];
+      [ "  fallbacks to a boot scavenge"; string_of_int t.Crash_harness.fallbacks ];
       [ "flight records adopted"; string_of_int t.Crash_harness.flight_adoptions ];
       [ "settled at boot"; string_of_int t.Crash_harness.settled_at_boot ];
       [ "escalations to scavenge"; string_of_int t.Crash_harness.scavenges ];
       [ "advisory fsck findings"; string_of_int t.Crash_harness.findings ];
       [ "invariant violations"; string_of_int t.Crash_harness.violations ];
+      [ "agreeing with a scavenge";
+        Printf.sprintf "%d/%d" (compared - List.length disagreements) compared ];
     ];
   List.iter
     (fun v -> print_endline ("  VIOLATION " ^ v))
     t.Crash_harness.violation_log;
+  List.iter (fun d -> print_endline ("  DISAGREES " ^ d)) disagreements;
   if t.Crash_harness.crash_points < 200 then
     failwith "E21: fewer than 200 crash points fired";
   if t.Crash_harness.torn_points = 0 then
     failwith "E21: no torn-sector variants fired";
   if t.Crash_harness.violations <> 0 then
     failwith "E21: a crash point broke a recovery invariant";
+  if t.Crash_harness.scavenges <> 0 then
+    failwith "E21: a crash point escalated to a scavenge after boot";
+  if disagreements <> [] then
+    failwith "E21: recovery through the map disagreed with a whole-pack scavenge";
   print_endline
-    "shape: every dirty boot here finds the patrol cursor at 0 or the\n\
-     pack unmountable, so boot runs one verifying scavenge instead of a\n\
-     whole-pack lap, and the checker certifies the pack it leaves; only\n\
-     crashes that left the pack marked clean (compaction, world swap)\n\
-     escalate to one scavenge, and every committed page still reads\n\
-     back old-or-new."
+    "shape: every crash leaves its pack dirty, compaction and world swap\n\
+     included; boot reads only the cylinders the write-ahead map names\n\
+     and the checker certifies the pack it leaves, with no escalation.\n\
+     Where the map cannot serve (a compaction maps the whole pack, a torn\n\
+     descriptor does not mount, a damaged root) boot scavenges whole.\n\
+     Every recovery leaves the catalogue and the readable bytes a\n\
+     whole-pack scavenge leaves."
 
 (* E22 — observability for everything E18 and E19 exercise: every
    request minted as a causal trace at the client, carried through

@@ -40,7 +40,7 @@ type t = {
   slots : (int, slot) Hashtbl.t;  (* keyed by track number *)
   mutable tick : int;
   mutable dirty_count : int;
-  mutable on_dirty : unit -> unit;
+  mutable on_write : Disk_address.t list -> unit;
 }
 
 (* Half the cache's sector capacity. *)
@@ -58,12 +58,12 @@ let create ~label_cache drive =
     slots = Hashtbl.create tracks;
     tick = 0;
     dirty_count = 0;
-    on_dirty = ignore;
+    on_write = ignore;
   }
 
 let drive t = t.drive
 let enabled t = t.tracks > 0
-let set_on_dirty t f = t.on_dirty <- f
+let set_on_write t f = t.on_write <- f
 let cached_tracks t = Hashtbl.length t.slots
 let dirty_sectors t = t.dirty_count
 
@@ -95,6 +95,9 @@ let flush_sectors t targets =
   | [] -> { sectors = 0; tracks = 0; conflicts = 0 }
   | _ ->
       let targets = Array.of_list targets in
+      t.on_write
+        (Array.to_list
+           (Array.map (fun (slot, rel) -> Disk_address.of_index (slot.base + rel)) targets));
       let requests =
         Array.map
           (fun (slot, rel) ->
@@ -306,10 +309,9 @@ let absorb t addr value =
         else begin
           if not slot.dirty.(rel) then begin
             (* The hook runs before the write is recorded: the owner's
-               descriptor flush must not sweep up the very write being
-               absorbed, and the dirty flag must hit the platter before
-               the volume holds acknowledged-but-unwritten state. *)
-            t.on_dirty ();
+               map must hold the sector before the volume holds
+               acknowledged-but-unwritten state there. *)
+            t.on_write [ addr ];
             slot.dirty.(rel) <- true;
             t.dirty_count <- t.dirty_count + 1
           end;

@@ -29,13 +29,13 @@
     {2 Crash safety}
 
     A dirty buffer means acknowledged-but-unwritten values, so the
-    owner ({!Fs}) is told on every clean-to-dirty transition (the
-    [on_dirty] hook) and sets the descriptor dirty flag; a power
-    failure with buffers pending therefore boots into the bounded
-    {!Patrol.recover} tail scan. Only {e values} of already-labelled
-    pages are ever delayed — labels, allocation and the descriptor
-    always write through — so a crash loses at most recent page
-    contents, never structure.
+    owner ({!Fs}) is told on every clean-to-dirty transition, and before
+    every flush sweep (the [on_write] hook), and maps the sectors' cylinders
+    in its write-ahead map: a power failure with buffers pending boots
+    dirty, and a flush sweep never stops mid-pass to write the map. Only
+    {e values} of already-labelled pages are ever delayed — labels,
+    allocation and the descriptor always write through — so a crash
+    loses at most recent page contents, never structure.
 
     Readers of true pack state (audit digests, the patrol, the
     scavenger, raw transfers) must either bypass this cache after a
@@ -87,7 +87,7 @@ val absorb : t -> Disk_address.t -> Word.t array -> bool
     buffered and generation-live (so the stored label image is platter
     truth and the caller has already checked its name against it). On
     success the value is copied in, the sector marked dirty, the
-    [on_dirty] hook run, and the write is delayed until a flush —
+    [on_write] hook run, and the write is delayed until a flush —
     [false] means the caller must write through (and then {!install}
     or {!invalidate}). *)
 
@@ -117,11 +117,11 @@ val flush : t -> flush_report
     re-labelled since the write was absorbed) are dropped and counted.
     Buffers stay resident and clean. *)
 
-val set_on_dirty : t -> (unit -> unit) -> unit
-(** Hook run on every clean-to-dirty sector transition, {e before} the
-    write is recorded — {!Fs} wires this to its mutation bookkeeping so
-    the descriptor dirty flag reaches the platter while the volume's
-    delayed writes are still reconstructible by a bounded recovery. *)
+val set_on_write : t -> (Disk_address.t list -> unit) -> unit
+(** Hook run {e before} the cache writes or delays a write: on every
+    clean-to-dirty sector transition with that sector, and before every
+    flush sweep with all the sectors it will write. {!Fs} wires this to
+    its write-ahead cylinder map ({!Fs.announce}). *)
 
 val cached_tracks : t -> int
 val cached_sectors : t -> int

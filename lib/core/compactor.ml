@@ -59,6 +59,11 @@ let compact fs =
      move stale values. (The moves themselves rewrite labels, whose
      generation bumps retire any buffered image of a moved sector.) *)
   ignore (Bio.flush (Fs.bio fs));
+  (* The moves and raw writes land anywhere: the whole pack is mapped
+     first, so a crash part way boots dirty into a scavenge. A pack that
+     was clean before is clean again once the permutation is done. *)
+  let was_clean = not (Fs.dirty fs) in
+  Fs.announce_whole fs;
   let sweep = Sweep.run drive in
   let n = Array.length sweep.Sweep.classes in
   let reserved_top = 1 + Fs.descriptor_page_count fs in
@@ -428,7 +433,7 @@ let compact fs =
             (Page.full_name fn.Page.abs.Page.fid ~page:0 ~addr:(Disk_address.of_index i))
       | None -> ()));
 
-  match Fs.flush fs with
+  match if was_clean then Fs.mark_clean fs else Fs.flush fs with
   | Error e -> Error (Format.asprintf "cannot flush the descriptor: %a" Fs.pp_error e)
   | Ok () ->
       Ok

@@ -30,8 +30,11 @@ val pp_report : Format.formatter -> report -> unit
 
 val compact : Fs.t -> (report, string) result
 (** Compact a mounted, structurally sound volume (run {!Scavenger} first
-    if in doubt). The volume handle's map is updated in place and the
-    descriptor flushed. *)
+    if in doubt). The whole pack is announced to the write-ahead map
+    before the first move ({!Fs.announce_whole}), so a crash part way
+    boots into a whole-pack scavenge. The volume handle's map is updated
+    in place and the descriptor flushed; a volume that was clean when
+    the compaction began is declared clean again ({!Fs.mark_clean}). *)
 
 val consecutive_fraction : Fs.t -> File.t -> (float, File.error) result
 (** Fraction of a file's page transitions that are physically adjacent —

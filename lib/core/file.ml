@@ -705,6 +705,8 @@ let write_pages_batched ?through t ~first addrs values =
         Sched.request ~label:labels.(i) ~value:values.(i) addrs.(i)
           { Drive.op_none with label = Some Drive.Check; value = Some Drive.Write })
   in
+  (* One map write covers the pass, before the elevator takes it. *)
+  Fs.announce t.fs (Array.to_list addrs);
   let outcomes = Sched.run_batch (drive t) requests in
   let ( let* ) = Result.bind in
   let rec finish i =

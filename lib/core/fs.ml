@@ -16,6 +16,7 @@ let m_bad_sectors_hit = Obs.counter "fs.bad_sectors_hit"
 let m_descriptor_flushes = Obs.counter "fs.descriptor_flushes"
 let m_quarantined = Obs.counter "fs.sectors_quarantined"
 let m_quarantine_overflow = Obs.counter "fs.quarantine_overflow"
+let m_map_writes = Obs.counter "fs.map_writes"
 
 type allocation_policy =
   | Near_previous
@@ -39,6 +40,24 @@ type counters = {
 let zero_counters =
   { allocations = 0; frees = 0; stale_map_hits = 0; bad_sectors_hit = 0 }
 
+(* The write-ahead cylinder map of one pack: one bit per cylinder, set
+   before any write lands there and cleared only at a consistency point.
+   It is the pack's, not a handle's: every handle mounted on the drive
+   shares it (and the drive's write fence reads it), so a remount, a
+   read-only checker's mount or the scavenger's unplaced handle all see
+   and extend the one map the platter's records hold. *)
+type intent = {
+  mapped : bool array;  (** Per cylinder, as the newest record holds it. *)
+  per_cylinder : int;  (** Sectors per cylinder. *)
+  mutable read_back : bool;
+      (** A record read back at the last mount (or has been written
+          since). When none did, the map cannot say where writes landed
+          and the pack owes the whole of it. *)
+  mutable seq : int;  (** Sequence number of the newest record. *)
+  mutable newest : int;  (** The record slot (0 or 1) that holds it. *)
+  mutable known : bool;  (** [seq] was learned from the platter. *)
+}
+
 type t = {
   drive : Drive.t;
   shape : Geometry.t;
@@ -60,14 +79,10 @@ type t = {
           oldest first. They stay busy and refuse {!mark_free} exactly
           like table members, but persistence is {!Bad_sectors}' job —
           the descriptor has no room for them. *)
-  mutable dirty : bool;
-      (** Set (and persisted) on the first structural mutation since the
-          last consistency point; cleared by a clean unmount, an OutLoad,
-          or a completed recovery. A pack that mounts dirty crashed. *)
+  intent : intent;  (** The pack's write-ahead cylinder map. *)
   mutable patrol_cursor : int;
       (** Where the verify sweep will resume, persisted with the
-          descriptor so a crash recovers from the sweep's frontier
-          instead of rescanning the whole pack. *)
+          descriptor. *)
   cache : Label_cache.t;  (** Verified labels, shared by every layer above. *)
   bio : Bio.t;  (** The track buffer cache, shared by every layer above. *)
 }
@@ -86,13 +101,16 @@ let descriptor_leader_address = Disk_address.of_index 1
      19..   allocation map, 16 sectors per word, MSB first
      19+W.. bad-sector table: B quarantined disk addresses, in room
             reserved for [max_bad_sectors] of them
-     19+W+64    state flags (bit 0: dirty — mutated since the last
-            consistency point). Packs written before the word existed
-            read it as zero padding, i.e. clean.
+     19+W+64    reserved, written zero (version 1 kept a dirty flag here)
      19+W+65    patrol cursor: the sector index where the verify sweep
-            resumes. Zero on old packs, which is also the sweep's start. *)
+            resumes. Zero on old packs, which is also the sweep's start.
+   The content fills the file's first data pages; its last two pages are
+   the write-ahead map records, outside the content (see below). *)
 let desc_magic = 0xA170
-let desc_version = 1
+let desc_version = 2
+
+(* Version 1 descriptors predate the map records. *)
+let legacy_version = 1
 let map_offset = 19
 
 let max_bad_sectors = 64
@@ -140,19 +158,192 @@ let mark_free t addr =
   if not (List.mem i t.bad_table) && not (List.mem i t.spill) then
     t.busy.(i) <- false
 
-(* The dirty flag must reach the disk before the mutation it announces,
-   and persisting it needs [flush], defined below — hence the knot. *)
-let flush_ref : (t -> (unit, error) result) ref = ref (fun _ -> Ok ())
+(* The descriptor's size is fixed by the pack's: content pages first,
+   then the two map records. The content words are laid out above. *)
+let content_words n = map_offset + ((n + 15) / 16) + max_bad_sectors + 2
+let content_pages n = (content_words n + Sector.value_words - 1) / Sector.value_words
+let record_pages = 2
 
-let note_mutation t =
-  if not t.dirty then begin
-    t.dirty <- true;
-    (* Best effort, and only once a descriptor exists to write into:
-       the scavenger mutates through an unplaced handle, and a failed
-       flush here leaves the flag set in core for the next one. *)
-    if Array.length t.descriptor_pages > 0 then
-      match !flush_ref t with Ok () | Error _ -> ()
+(* {2 The write-ahead cylinder map}
+
+   Two records, each one page of the descriptor file after its content,
+   written alternately under a sequence number:
+
+     0      magic 0xA1C0
+     1-2    sequence number (hi/lo)
+     3      cylinder count C
+     4..    C bits, 16 cylinders per word, MSB first
+
+   A bit is set, and its record written, before any write reaches that
+   cylinder; only a consistency point clears the map. A torn record
+   write leaves the other record, and by the write-ahead rule it already
+   covers every write that reached the platter. *)
+
+let map_magic = 0xA1C0
+
+let record_address n slot = Disk_address.of_index (2 + content_pages n + slot)
+
+let map_records drive =
+  let n = Drive.sector_count drive in
+  [ record_address n 0; record_address n 1 ]
+
+(* One label-checked transfer of a record's value: the check keeps a
+   record write off any sector that is not the record's own page. *)
+let record_op drive slot action value =
+  let n = Drive.sector_count drive in
+  Reliable.run drive (record_address n slot)
+    { Drive.op_none with label = Some Drive.Check; value = Some action }
+    ~label:(Label.check_name File_id.descriptor ~page:(content_pages n + 1 + slot))
+    ~value ()
+
+let encode_record mapped seq =
+  let v = Array.make Sector.value_words Word.zero in
+  v.(0) <- Word.of_int map_magic;
+  v.(1) <- Word.of_int (seq lsr 16);
+  v.(2) <- Word.of_int seq;
+  v.(3) <- Word.of_int_exn (Array.length mapped);
+  Array.iteri
+    (fun c set ->
+      if set then
+        let j = 4 + (c / 16) in
+        v.(j) <- Word.of_int (Word.to_int v.(j) lor (1 lsl (15 - (c mod 16)))))
+    mapped;
+  v
+
+let decode_record ~cylinders v =
+  if Word.to_int v.(0) <> map_magic || Word.to_int v.(3) <> cylinders then None
+  else
+    let seq = (Word.to_int v.(1) lsl 16) lor Word.to_int v.(2) in
+    Some
+      ( seq,
+        Array.init cylinders (fun c ->
+            Word.to_int v.(4 + (c / 16)) land (1 lsl (15 - (c mod 16))) <> 0) )
+
+(* The records that read back, newest first. *)
+let read_records drive i =
+  let found =
+    List.filter_map
+      (fun slot ->
+        let v = Array.make Sector.value_words Word.zero in
+        match record_op drive slot Drive.Read v with
+        | Error _ -> None
+        | Ok () ->
+            Option.map
+              (fun (seq, bits) -> (slot, seq, bits))
+              (decode_record ~cylinders:(Array.length i.mapped) v))
+      [ 0; 1 ]
+  in
+  List.sort (fun (_, a, _) (_, b, _) -> compare b a) found
+
+let newest_of i = function
+  | (slot, seq, _) :: _ ->
+      i.seq <- seq;
+      i.newest <- slot
+  | [] ->
+      i.seq <- 0;
+      i.newest <- 1
+
+(* Write the in-core map as the next record: the slot not holding the
+   newest, or the other one if that write fails. Best effort — with
+   neither written, the bits stay set in core and the next write tries
+   again. *)
+let persist drive i =
+  if not i.known then begin
+    (* An unplaced handle's first record: learn the sequence number the
+       platter already holds, so the new record outranks it. *)
+    newest_of i (read_records drive i);
+    i.known <- true
+  end;
+  let seq = i.seq + 1 in
+  let value = encode_record i.mapped seq in
+  let write slot = Result.is_ok (record_op drive slot Drive.Write value) in
+  let target = 1 - i.newest in
+  let landed =
+    if write target then Some target else if write i.newest then Some i.newest else None
+  in
+  Option.iter
+    (fun slot ->
+      Obs.incr m_map_writes;
+      i.seq <- seq;
+      i.newest <- slot;
+      i.read_back <- true)
+    landed
+
+let announce_cylinders drive i cylinders =
+  if List.exists (fun c -> not i.mapped.(c)) cylinders then begin
+    List.iter (fun c -> i.mapped.(c) <- true) cylinders;
+    persist drive i
   end
+
+(* The drive's write fence: every write's cylinder, and for a label
+   write the cylinders its links name, is mapped before the write
+   begins. The descriptor's own pages (1 to [top]) pass: the records are
+   the map's own writes, and a torn content page leaves a pack that does
+   not mount, which boot scavenges whole. *)
+let fence drive i =
+  let n = Drive.sector_count drive in
+  let top = 1 + content_pages n + record_pages in
+  let cylinder addr =
+    if Disk_address.is_nil addr then None
+    else
+      let index = Disk_address.to_index addr in
+      if index >= n then None else Some (index / i.per_cylinder)
+  in
+  fun addr label ->
+    match cylinder addr with
+    | Some c when Disk_address.to_index addr < 1 || Disk_address.to_index addr > top -> (
+        match Option.map Label.of_words label with
+        | Some (Ok l) ->
+            announce_cylinders drive i
+              (c :: List.filter_map cylinder [ l.Label.next; l.Label.prev ])
+        | Some (Error _) | None -> if not i.mapped.(c) then announce_cylinders drive i [ c ])
+    | Some _ | None -> ()
+
+(* The map travels with the pack: every handle on the drive finds it
+   there. *)
+type Drive.attachment += Intent of intent
+
+let intent_of drive =
+  match Drive.attachment drive with
+  | Some (Intent i) -> i
+  | Some _ | None ->
+      let g = Drive.geometry drive in
+      let i =
+        {
+          mapped = Array.make g.Geometry.cylinders false;
+          per_cylinder = g.Geometry.heads * g.Geometry.sectors_per_track;
+          read_back = true;
+          seq = 0;
+          newest = 1;
+          known = false;
+        }
+      in
+      Drive.attach drive (Intent i) ~fence:(fence drive i);
+      i
+
+let cylinder_of t addr = Disk_address.to_index addr / t.intent.per_cylinder
+
+let announce t addrs =
+  let unmapped a = Drive.has_sector t.drive a && not t.intent.mapped.(cylinder_of t a) in
+  if List.exists unmapped addrs then
+    announce_cylinders t.drive t.intent
+      (List.map (cylinder_of t) (List.filter (Drive.has_sector t.drive) addrs))
+
+let announce_whole t =
+  announce_cylinders t.drive t.intent
+    (List.init (Array.length t.intent.mapped) Fun.id)
+
+let dirty t = (not t.intent.read_back) || Array.exists Fun.id t.intent.mapped
+
+let mapped_cylinders t =
+  if not t.intent.read_back then None
+  else
+    Some
+      (List.filter (fun c -> t.intent.mapped.(c)) (List.init (Array.length t.intent.mapped) Fun.id))
+
+(* The descriptor is written (best effort) before a serial runs too far
+   ahead of its record; that write needs [flush], defined below. *)
+let flush_ref : (t -> (unit, error) result) ref = ref (fun _ -> Ok ())
 
 (* Write the descriptor (best effort, once one exists) before handing
    out a serial [serial_gap] or more past the recorded counter, so every
@@ -164,7 +355,6 @@ let fresh_fid ?directory t =
   t.next_serial <- serial + 1;
   File_id.make ?directory ~serial ~version:1 ()
 
-let dirty t = t.dirty
 let patrol_cursor t = t.patrol_cursor
 
 let set_patrol_cursor t i =
@@ -174,7 +364,6 @@ let set_patrol_cursor t i =
 
 let quarantine t addr =
   let i = Disk_address.to_index addr in
-  note_mutation t;
   t.busy.(i) <- true;
   (* Eager, though generation checking would catch it lazily: a
      quarantined sector's label must never be served from core — and
@@ -312,7 +501,6 @@ let reserve t =
   match pick_candidate t with
   | Error e -> Error e
   | Ok i ->
-      note_mutation t;
       t.busy.(i) <- true;
       t.last_allocated <- i;
       Ok (Disk_address.of_index i)
@@ -360,7 +548,10 @@ let reserve_run t n =
       if k = 0 then List.rev picked
       else match reserve t with Ok a -> pick (k - 1) (a :: picked) | Error _ -> List.rev picked
     in
-    match pick n [] with
+    let picked = pick n [] in
+    (* One map write covers the run: its first writes follow. *)
+    announce t picked;
+    match picked with
     | [] -> if acc = [] then Error Disk_full else Ok (List.rev acc)
     | picked when not t.label_checking -> Ok (List.rev_append acc picked)
     | picked ->
@@ -427,17 +618,26 @@ let free_pages t (names : Page.full_name list) =
   if names = [] then Ok ()
   else
     Prof.span (Drive.clock t.drive) "fs.free_page" @@ fun () ->
-    note_mutation t;
+    let checks =
+      List.map
+        (fun (fn : Page.full_name) ->
+          (fn.Page.addr, Label.check_name fn.Page.abs.Page.fid ~page:fn.Page.abs.Page.page))
+        names
+    in
     let refused =
       if not t.label_checking then None
-      else
-        first_error
-          (pass t { Drive.op_none with label = Some Drive.Check }
-             (List.map
-                (fun (fn : Page.full_name) ->
-                  (fn.Page.addr, Label.check_name fn.Page.abs.Page.fid ~page:fn.Page.abs.Page.page))
-                names))
+      else first_error (pass t { Drive.op_none with label = Some Drive.Check } checks)
     in
+    (* The pass writes each page's label, so the map takes the pages and
+       what their labels linked to — the check filled the links in — so
+       a page still linking to a freed one is in the map too. *)
+    announce t
+      (List.concat_map
+         (fun (addr, words) ->
+           match Label.of_words words with
+           | Ok l when t.label_checking -> [ addr; l.Label.next; l.Label.prev ]
+           | Ok _ | Error _ -> [ addr ])
+         checks);
     match refused with
     | Some e -> Error (Page_error (Page.Hint_failed e))
     | None -> (
@@ -466,14 +666,9 @@ let free_page t fn = free_pages t [ fn ]
 (* {2 Descriptor encoding} *)
 
 let map_word_count t = (sector_count t + 15) / 16
-
-(* Two tail words past the bad table: state flags and the patrol
-   cursor. They come last so every earlier offset is what older packs
-   used; a descriptor without them parses with both defaulted to 0. *)
-let descriptor_content_words t = map_offset + map_word_count t + max_bad_sectors + 2
-
-let descriptor_data_pages t =
-  (descriptor_content_words t + Sector.value_words - 1) / Sector.value_words
+let descriptor_content_words t = content_words (sector_count t)
+let descriptor_content_pages t = content_pages (sector_count t)
+let descriptor_data_pages t = descriptor_content_pages t + record_pages
 
 let assemble_descriptor t =
   let total = descriptor_content_words t in
@@ -508,7 +703,6 @@ let assemble_descriptor t =
         Disk_address.to_word (Disk_address.of_index i))
     t.bad_table;
   let tail = map_offset + map_words + max_bad_sectors in
-  words.(tail) <- Word.of_int (if t.dirty then 1 else 0);
   words.(tail + 1) <- Word.of_int_exn t.patrol_cursor;
   words
 
@@ -516,7 +710,8 @@ let parse_descriptor t words =
   let ( let* ) = Result.bind in
   if Array.length words < map_offset then Error "descriptor too short"
   else if Word.to_int words.(0) <> desc_magic then Error "bad descriptor magic"
-  else if Word.to_int words.(1) <> desc_version then Error "unknown descriptor version"
+  else if not (List.mem (Word.to_int words.(1)) [ desc_version; legacy_version ]) then
+    Error "unknown descriptor version"
   else
     let* shape = Geometry.of_words (Array.sub words 2 Geometry.encoded_words) in
     if not (Geometry.equal shape (Drive.geometry t.drive)) then
@@ -554,22 +749,15 @@ let parse_descriptor t words =
             t.bad_table <- i :: t.bad_table
           end
         done;
-        (* The tail words. Packs written before they existed end at the
+        (* The patrol cursor. Packs written before it existed end at the
            bad table; the concatenated pages pad with zeros, which read
-           back exactly as the defaults: clean, sweep from sector 0. *)
+           back as the default: sweep from sector 0. *)
         let tail = map_offset + map_words + max_bad_sectors in
-        if Array.length words > tail + 1 then begin
-          t.dirty <- Word.to_int words.(tail) land 1 <> 0;
-          let cursor = Word.to_int words.(tail + 1) in
-          t.patrol_cursor <- (if cursor < sector_count t then cursor else 0)
-        end
-        else begin
-          t.dirty <- false;
-          t.patrol_cursor <- 0
-        end;
-        t.next_serial <-
-          (if t.dirty then t.recorded_serial + serial_gap else t.recorded_serial);
-        Ok ()
+        t.patrol_cursor <-
+          (if Array.length words > tail + 1 && Word.to_int words.(tail + 1) < sector_count t
+           then Word.to_int words.(tail + 1)
+           else 0);
+        Ok (Word.to_int words.(1))
       end
     end
 
@@ -589,7 +777,7 @@ let flush t =
   Obs.incr m_descriptor_flushes;
   let serial = t.next_serial in
   let words = assemble_descriptor t in
-  let pages = descriptor_data_pages t in
+  let pages = descriptor_content_pages t in
   let rec write pn =
     if pn > pages then Ok ()
     else
@@ -612,28 +800,37 @@ let flush t =
 
 let () = flush_ref := flush
 
+let clear_map t =
+  Array.fill t.intent.mapped 0 (Array.length t.intent.mapped) false;
+  persist t.drive t.intent
+
 let mark_clean t =
-  (* A consistency point: clear the flag and write the whole descriptor
-     (map, serial, cursor) so the next boot trusts the pack as-is. *)
-  t.dirty <- false;
-  flush t
+  (* A consistency point: everything acknowledged reaches the platter
+     and the descriptor, then an empty map says no write since needs
+     recovery. *)
+  let flushed = flush t in
+  if Result.is_ok flushed && dirty t then clear_map t;
+  flushed
 
 (* Lay down fresh labels and leader for the descriptor file at the
-   standard addresses. Used at format and by the scavenger's rebuild. *)
+   standard addresses, a map record holding the map as it stands, and
+   the content. The other record slot keeps whatever it held: an older
+   record, or nothing that reads back. Used at format and by the
+   scavenger's rebuild. *)
 let place_descriptor_file t =
-  let pages = descriptor_data_pages t in
-  let content = descriptor_content_words t in
+  let content = descriptor_content_pages t in
+  let pages = content + record_pages in
+  let words = descriptor_content_words t in
   let addr pn = Disk_address.of_index (1 + pn) in
-  t.descriptor_pages <- Array.init pages (fun i -> addr (i + 1));
+  t.descriptor_pages <- Array.init content (fun i -> addr (i + 1));
   mark_busy t boot_address;
   for pn = 0 to pages do
     mark_busy t (addr pn)
   done;
   let label pn =
     let length =
-      if pn = 0 then Sector.bytes_per_page
-      else if pn < pages then Sector.bytes_per_page
-      else (2 * content) - (Sector.bytes_per_page * (pages - 1))
+      if pn = content then (2 * words) - (Sector.bytes_per_page * (content - 1))
+      else Sector.bytes_per_page
     in
     let next = if pn = pages then Disk_address.nil else addr (pn + 1) in
     let prev = if pn = 0 then Disk_address.nil else addr (pn - 1) in
@@ -651,7 +848,9 @@ let place_descriptor_file t =
       (Leader.to_value leader)
   with
   | Error e -> Error (Page_error e)
-  | Ok _ -> flush t
+  | Ok _ ->
+      persist t.drive t.intent;
+      flush t
 
 let make_handle drive =
   let cache = Label_cache.create drive in
@@ -673,14 +872,14 @@ let make_handle drive =
       counters = zero_counters;
       bad_table = [];
       spill = [];
-      dirty = false;
+      intent = intent_of drive;
       patrol_cursor = 0;
     }
   in
   (* A dirty track buffer is an acknowledged write the platter hasn't
-     seen; the descriptor's dirty flag must announce it before the delay
-     begins, so a crash boots into the bounded recovery scan. *)
-  Bio.set_on_dirty bio (fun () -> note_mutation t);
+     seen, and its flush sweep writes wherever the buffers say: both are
+     announced to the map before they happen. *)
+  Bio.set_on_write bio (announce t);
   t
 
 let create_unmounted drive =
@@ -688,14 +887,9 @@ let create_unmounted drive =
   Array.fill t.busy 0 (Array.length t.busy) true;
   t
 
-let rebuild_descriptor t =
-  (* A rebuilt pack is a consistency point by construction, whatever
-     quarantines the run recorded through this handle along the way. *)
-  t.dirty <- false;
-  match place_descriptor_file t with Ok () -> Ok () | Error e -> Error e
+let rebuild_descriptor t = place_descriptor_file t
 
 let descriptor_page_count = descriptor_data_pages
-
 (* Create the root directory: a leader page and one empty data page,
    written through the ordinary allocation path. *)
 let create_root_directory t =
@@ -730,6 +924,12 @@ let create_root_directory t =
 
 let format drive =
   let t = make_handle drive in
+  let i = t.intent in
+  (* The platter's old records go with everything else. *)
+  Array.fill i.mapped 0 (Array.length i.mapped) false;
+  i.read_back <- true;
+  i.known <- true;
+  newest_of i [];
   (* Factory formatting: free every sector out-of-band. *)
   let free_label = Label.free_words () and free_value = Label.free_value () in
   for i = 0 to Drive.sector_count drive - 1 do
@@ -744,8 +944,9 @@ let format drive =
   (match create_root_directory t with
   | Ok () -> ()
   | Error e -> invalid_arg (Format.asprintf "Fs.format: %a" pp_error e));
-  (* Formatting's own allocations set the flag; a virgin pack is clean. *)
-  t.dirty <- false;
+  (* Formatting's own allocations mapped a cylinder; a virgin pack is
+     clean. *)
+  clear_map t;
   (match flush t with
   | Ok () -> ()
   | Error e -> invalid_arg (Format.asprintf "Fs.format: %a" pp_error e));
@@ -759,8 +960,8 @@ let mount drive =
       (fun e -> Format.asprintf "descriptor leader unreadable: %a" Page.pp_error e)
       (Page.read ~cache:t.cache drive (descriptor_page_name t 0))
   in
-  let* leader = Leader.of_value leader_value in
-  let pages = leader.Leader.last_page in
+  let* (_ : Leader.t) = Leader.of_value leader_value in
+  let pages = descriptor_content_pages t in
   let rec chase acc fn label pn =
     if pn > pages then Ok (List.rev acc)
     else
@@ -775,6 +976,24 @@ let mount drive =
   in
   let* data = chase [] (descriptor_page_name t 0) leader_label 1 in
   let words = Array.concat (List.map snd data) in
-  let* () = parse_descriptor t words in
+  let* version = parse_descriptor t words in
   t.descriptor_pages <- Array.of_list (List.map (fun (fn, _) -> fn.Page.addr) data);
+  (* The map, as the platter holds it: a mount starts a new incarnation,
+     so whatever a handle before it kept in core gives way. *)
+  let i = t.intent in
+  i.known <- true;
+  (match if version = legacy_version then [] else read_records drive i with
+  | (_, _, bits) :: _ as found ->
+      Array.blit bits 0 i.mapped 0 (Array.length bits);
+      i.read_back <- true;
+      newest_of i found
+  | [] ->
+      (* No record read back, or a pack from before the map, which has
+         none: nothing says where writes landed, so the whole pack is
+         owed. *)
+      Array.fill i.mapped 0 (Array.length i.mapped) true;
+      i.read_back <- version = legacy_version;
+      newest_of i []);
+  t.next_serial <-
+    (if dirty t then t.recorded_serial + serial_gap else t.recorded_serial);
   Ok t

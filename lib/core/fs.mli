@@ -18,7 +18,18 @@
     page inside a run costs about a sector time instead of a revolution.
 
     [label_checking] can be turned off to measure what those checks cost
-    and what they buy (experiment E3/E9 ablations). *)
+    and what they buy (experiment E3/E9 ablations).
+
+    {2 The descriptor file}
+
+    The leader sits at DA 1 and the data pages follow it at consecutive
+    addresses. The first pages hold the content: magic, format version
+    (2), disk shape, root directory name, serial counter, allocation map
+    (16 sectors a word), the 64-entry bad-sector table, a reserved word
+    and the patrol cursor. The file's last two pages are the write-ahead
+    map records, outside the content; each is one page with a magic word,
+    a 32-bit sequence number, the cylinder count and one bit per
+    cylinder (203 on a Model 31). *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -67,12 +78,14 @@ val format : Drive.t -> t
     pack out-of-band, so it costs no simulated time. *)
 
 val mount : Drive.t -> (t, string) result
-(** Read the descriptor from the standard address. Any damage — to the
-    descriptor's pages, its magic, or a shape that contradicts the
-    drive — yields [Error]; the caller's recovery is {!Scavenger}. A
-    dirty pack resumes its serial counter the {!fresh_fid} gap past the
-    recorded value: a crash may have lost the record of serials already
-    on the platter, but never of one that far ahead. *)
+(** Read the descriptor from the standard address, then the map
+    records. Any damage to the descriptor's content — its pages, its
+    magic, or a shape that contradicts the drive — yields [Error]; the
+    caller's recovery is {!Scavenger}. Records that do not read back
+    leave the pack mounted and dirty ({!mapped_cylinders}). A dirty pack
+    resumes its serial counter the {!fresh_fid} gap past the recorded
+    value: a crash may have lost the record of serials already on the
+    platter, but never of one that far ahead. *)
 
 val drive : t -> Drive.t
 
@@ -199,20 +212,54 @@ val flush : t -> (unit, error) result
 (** Write map, serial counter, shape and root name back into the
     descriptor file. *)
 
-(** {2 Unsafe-shutdown state}
+(** {2 The write-ahead cylinder map}
 
-    One descriptor word records whether the volume has mutated since its
-    last consistency point. It is set (and written through) by the first
-    {!reserve_pages}, {!free_pages} or {!quarantine} after the point, and
-    cleared by a clean unmount ({!mark_clean}), an OutLoad, a format or
-    a scavenge. A pack that {!mount}s with {!dirty} true crashed, and
-    boot answers with {!Patrol.recover} — a bounded pass from the
-    persisted patrol cursor — instead of a whole-pack scavenge. *)
+    Where writes since the last consistency point may have landed: one
+    bit per cylinder, set and persisted before any write reaches that
+    cylinder. The drive's write fence ({!Drive.attach}), which
+    every mounted volume installs, enforces it at the one point every
+    platter write passes — a label write maps the cylinders its links
+    name too, so a page that links to a damaged sector is mapped as well.
+    Batch writers announce a whole pass first ({!announce}), so one
+    record write covers it and the fence never fires inside an elevator
+    sweep. The two records are written alternately under a sequence
+    number and a mount takes the newest that reads back: a torn record
+    write leaves the older, which by the write-ahead rule covers every
+    write that reached the platter. The descriptor's own pages are
+    exempt — a torn one leaves a pack that does not mount.
+
+    The map is the pack's, shared by every handle mounted on the same
+    drive. {e Dirty} means the map is not empty. Only {!mark_clean}
+    empties it: a clean unmount, an OutLoad, the end of a recovery or a
+    scavenge. A pack written before the map existed (descriptor version
+    1) mounts owing the whole pack. *)
 
 val dirty : t -> bool
+(** The map is not empty, or the mount read back no record. *)
+
+val mapped_cylinders : t -> int list option
+(** The mapped cylinders, ascending; every cylinder after a whole-pack
+    announcement or on a pack from before the map. [None] when the mount
+    read back no record — the map cannot say, and the whole pack is
+    owed. *)
+
+val map_records : Drive.t -> Disk_address.t list
+(** The two record sectors' standard addresses on this drive's pack. A
+    torn or unreadable one is damage the map tolerates: the other record
+    covers, and the next map write rewrites it. *)
+
+val announce : t -> Disk_address.t list -> unit
+(** Map the cylinders of these sectors (nil and out-of-pack addresses
+    are ignored), writing one record first if any was unmapped. Call it
+    before a pass that will write the sectors. *)
+
+val announce_whole : t -> unit
+(** Map every cylinder: for passes that may write anywhere (the
+    compactor, a whole-pack scavenge). *)
 
 val mark_clean : t -> (unit, error) result
-(** Declare a consistency point: clear the flag and flush. *)
+(** Declare a consistency point: {!flush}, then write an empty map
+    record if the map was not already empty. *)
 
 val patrol_cursor : t -> int
 (** The sector index where the verify sweep resumes; persisted with the
@@ -242,15 +289,18 @@ val reset_counters : t -> unit
 val create_unmounted : Drive.t -> t
 (** A handle with an all-busy map, no root, and the serial counter at
     the first user serial; the scavenger then corrects all three and
-    calls {!rebuild_descriptor}. *)
+    calls {!rebuild_descriptor}. It shares the pack's write-ahead map
+    like any handle. *)
 
 val set_next_serial : t -> int -> unit
 val next_serial : t -> int
 
 val rebuild_descriptor : t -> (unit, error) result
 (** Re-create the descriptor file's pages at the standard addresses
-    (assumed free or already the descriptor's own) and flush. *)
+    (assumed free or already the descriptor's own), write a map record
+    as the map stands, and flush the content. *)
 
 val descriptor_page_count : t -> int
-(** Number of data pages the descriptor file occupies on this geometry;
-    together with the leader they sit at addresses 1..1+count. *)
+(** Number of data pages the descriptor file occupies on this geometry,
+    map records included; together with the leader they sit at addresses
+    1..1+count. *)

@@ -31,9 +31,9 @@ type report = {
   counts : counts;
   descriptor_ok : bool;
   dirty : bool;
-      (** The descriptor's unsafe-shutdown flag: acknowledged delayed
-          writes may not have reached the platter, and bounded recovery
-          is due. Reported, not a violation — a live volume mid-workload
+      (** The write-ahead map is not empty: acknowledged delayed writes
+          may not have reached the platter, and boot's recovery is
+          due. Reported, not a violation — a live volume mid-workload
           is legitimately dirty. *)
   findings : issue list;
   violations : issue list;
@@ -319,9 +319,16 @@ let check drive =
     pages;
   (* Pass 7: the data itself, as the sweep read it back. Any live page
      that would not — torn by a crash, or decayed — is data loss if a
-     catalogued file owns it, a leaked fragment otherwise. *)
+     catalogued file owns it, a leaked fragment otherwise. A map record
+     that will not read back is neither: the other record covers, and
+     the next map write rewrites it. *)
+  let records = List.map Disk_address.to_index (Fs.map_records drive) in
   Array.iteri
     (fun index -> function
+      | Some label
+        when sweep.Sweep.values.(index) = Sweep.Unreadable && List.mem index records ->
+          finding ~addr:index "map-record-unreadable" "write-ahead map record %d will not read back"
+            label.Label.page
       | Some label when sweep.Sweep.values.(index) = Sweep.Unreadable ->
           (sev label.Label.fid)
             ~addr:index

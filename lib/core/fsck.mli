@@ -13,7 +13,7 @@
     scavenger), duplicate claims from a crash mid-move (disambiguated by
     the chain). {e Violations} are broken promises — a descriptor that
     does not mount, a catalogued file with a missing or unreadable page,
-    a dangling directory entry: states bounded recovery must never leave
+    a dangling directory entry: states boot's recovery must never leave
     behind, where the cure is a full scavenge.
 
     Everything runs through ordinary timed operations, so a check's
@@ -44,8 +44,8 @@ type report = {
   counts : counts;
   descriptor_ok : bool;
   dirty : bool;
-      (** The unsafe-shutdown flag was set: acknowledged delayed writes
-          may be lost and bounded recovery is due. Status, not a
+      (** The write-ahead map is not empty: acknowledged delayed writes
+          may be lost and boot's recovery is due. Status, not a
           violation — a live volume mid-workload is legitimately
           dirty. *)
   findings : issue list;

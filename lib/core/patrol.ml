@@ -15,9 +15,6 @@ let m_pages_lost = Obs.counter "fs.patrol.pages_lost"
 let m_map_repairs = Obs.counter "fs.patrol.map_repairs"
 let m_links_repaired = Obs.counter "fs.patrol.links_repaired"
 let m_laps = Obs.counter "fs.patrol.laps"
-let m_makeup_slices = Obs.counter "fs.patrol.makeup_slices"
-let m_makeup_complete = Obs.counter "fs.patrol.makeup_complete"
-let m_recoveries = Obs.counter "fs.patrol.recoveries"
 
 (* One cylinder of the Diablo 31 (2 tracks x 12 sectors): a slice the
    elevator turns into one seek plus streaming reads. *)
@@ -49,15 +46,9 @@ type t = {
   mutable total_quarantined : int;
   mutable total_lost : int;
   mutable total_map_repairs : int;
-  mutable makeup_until : int;
-      (** After a crash recovery, the head region [0, makeup_until) was
-          skipped by the bounded tail scan; until the cursor crosses it,
-          {!tick} runs an extra slice so the completeness lap finishes
-          at double rate instead of lazily. 0 = no makeup owed. *)
 }
 
-let create ?(makeup_until = 0) fs =
-  if makeup_until < 0 then invalid_arg "Patrol.create: makeup_until below 0";
+let create fs =
   {
     fs;
     laps = 0;
@@ -67,16 +58,11 @@ let create ?(makeup_until = 0) fs =
     total_quarantined = 0;
     total_lost = 0;
     total_map_repairs = 0;
-    makeup_until;
   }
 
 let fs t = t.fs
 let laps t = t.laps
 let slices t = t.slices
-
-let makeup_pending t =
-  if t.makeup_until <= 0 then 0
-  else max 0 (t.makeup_until - Fs.patrol_cursor t.fs)
 let suspects_found t = t.total_suspects
 let relocated t = t.total_relocated
 let quarantined t = t.total_quarantined
@@ -186,6 +172,10 @@ let fix_catalogue t dst fid =
    address, or [None] when the disk is full and the page must limp on. *)
 let relocate t tally ~src ~(lab : Label.t) ~value =
   let drive = Fs.drive t.fs and cache = Fs.label_cache t.fs in
+  (* The move rewrites the page's neighbours and retires its old sector:
+     map them all before the copy lands, so a crash mid-move leaves both
+     claimants of the page in the map. *)
+  Fs.announce t.fs [ src; lab.Label.prev; lab.Label.next ];
   match Fs.allocate_page t.fs ~label:(fun _ -> lab) ~value with
   | Error _ -> None
   | Ok dst ->
@@ -258,22 +248,89 @@ let handle_hard_failure t tally addr =
           | Some value -> ignore (relocate t tally ~src:addr ~lab ~value)
           | None ->
               (* The label survived but the data is gone: the page is
-                 lost, and saying so beats serving garbage. *)
-              if not already then note_quarantined t tally addr ~lost:true)
+                 lost, and saying so beats serving garbage. Its
+                 neighbours still link to it, so they join the map
+                 before the marker goes down. *)
+              if not already then begin
+                Fs.announce t.fs [ lab.Label.prev; lab.Label.next ];
+                note_quarantined t tally addr ~lost:true
+              end)
       | Label.Free | Label.Bad | Label.Garbage _ ->
           if not already then note_quarantined t tally addr ~lost:false)
 
-(* Verify one slice of [k] sectors starting at [start] (wrapping past
-   the end of the pack), classify each against its retry evidence and
-   the allocation map, and heal what needs healing. The read is
-   {!Sweep.read}, the one the replication audit digests too. *)
-let scan_slice t tally ~start ~k =
-  let drive = Fs.drive t.fs in
-  let n = Drive.sector_count drive in
+(* The slice rules, over sectors already read: entry [j] of [read] and
+   [values] is sector [sectors.(j)], [values.(j)] a live page's value.
+   Each sector is judged against its retry evidence and the allocation
+   map, and healed where it needs healing. *)
+let settle_sectors t tally ~sectors (read : Sweep.t) ~values =
   (* Sectors 0..reserved_top are verified like the rest but never moved
      — their address is their identity, and the cure for a dying one is
      the scavenger's full rebuild (or a peer's repair, DESIGN §14). *)
   let reserved_top = Audit.reserved_top t.fs in
+  Array.iteri
+    (fun j i ->
+      let addr = Disk_address.of_index i in
+      let reserved = i <= reserved_top in
+      match (read.Sweep.values.(j), read.Sweep.classes.(j)) with
+      | Sweep.Read_back retries, Sweep.Live lab ->
+          (* Map protection: a live page whose map bit reads free would
+             cost a stale-map hit (never data) at the next allocation;
+             fix the hint now. *)
+          if (not reserved) && Fs.is_free_in_map t.fs addr then begin
+            Fs.mark_busy t.fs addr;
+            tally.c_map <- tally.c_map + 1;
+            tally.c_changed <- true;
+            Obs.incr m_map_repairs
+          end;
+          if
+            retries >= suspect_retries && (not reserved)
+            && not (File_id.equal lab.Label.fid File_id.descriptor)
+          then begin
+            tally.c_suspects <- tally.c_suspects + 1;
+            Obs.incr m_marginal;
+            (* The read already fetched the data; reuse it. *)
+            ignore (relocate t tally ~src:addr ~lab ~value:values.(j))
+          end
+      | Sweep.Read_back _, Sweep.Free_sector ->
+          (* Map reclamation: a freed page whose map bit stayed busy (a
+             crash between the free's label write and the next
+             descriptor flush) is merely leaked; reclaim it. A soft trip
+             on a free sector is only counted — quarantine needs data at
+             risk or a dry ladder, not one retry of noise. *)
+          if
+            (not reserved)
+            && (not (Fs.is_free_in_map t.fs addr))
+            && (not (Fs.quarantined t.fs addr))
+            && not (Fs.spilled t.fs addr)
+          then begin
+            Fs.mark_free t.fs addr;
+            tally.c_map <- tally.c_map + 1;
+            tally.c_changed <- true;
+            Obs.incr m_map_repairs
+          end
+      | Sweep.Read_back _, Sweep.Marked_bad ->
+          (* A marker without a table entry: a crash separated the two
+             verdicts. Rejoin them. *)
+          if not (Fs.quarantined t.fs addr || Fs.spilled t.fs addr) then begin
+            Fs.quarantine t.fs addr;
+            tally.c_quarantined <- tally.c_quarantined + 1;
+            tally.c_changed <- true;
+            Obs.incr m_quarantined
+          end
+      | Sweep.Read_back _, (Sweep.Garbage _ | Sweep.Bad_media) ->
+          (* A scrambled label is ownership unknown — scavenger
+             territory, not the patrol's. (A read that succeeded is
+             never [Bad_media].) *)
+          ()
+      | Sweep.Unreadable, _ -> if not reserved then handle_hard_failure t tally addr)
+    sectors
+
+(* Verify one slice of [k] sectors starting at [start] (wrapping past
+   the end of the pack). The read is {!Sweep.read}, the one the
+   replication audit digests too. *)
+let scan_slice t tally ~start ~k =
+  let drive = Fs.drive t.fs in
+  let n = Drive.sector_count drive in
   (* A patrol verdict must judge the platter, not bits whose newest
      values sit delayed in the track buffer cache: flush first. *)
   ignore (Bio.flush (Fs.bio t.fs));
@@ -289,63 +346,7 @@ let scan_slice t tally ~start ~k =
   Obs.incr m_slices;
   Obs.add m_verified k;
   t.slices <- t.slices + 1;
-  for j = 0 to k - 1 do
-    let i = (start + j) mod n in
-    let addr = Disk_address.of_index i in
-    let reserved = i <= reserved_top in
-    match (read.Sweep.values.(j), read.Sweep.classes.(j)) with
-    | Sweep.Read_back retries, Sweep.Live lab ->
-        (* Map protection: a live page whose map bit reads free would
-           cost a stale-map hit (never data) at the next allocation; fix
-           the hint now. *)
-        if (not reserved) && Fs.is_free_in_map t.fs addr then begin
-          Fs.mark_busy t.fs addr;
-          tally.c_map <- tally.c_map + 1;
-          tally.c_changed <- true;
-          Obs.incr m_map_repairs
-        end;
-        if
-          retries >= suspect_retries && (not reserved)
-          && not (File_id.equal lab.Label.fid File_id.descriptor)
-        then begin
-          tally.c_suspects <- tally.c_suspects + 1;
-          Obs.incr m_marginal;
-          (* The read already fetched the data; reuse it. *)
-          ignore (relocate t tally ~src:addr ~lab ~value:values.(j))
-        end
-    | Sweep.Read_back _, Sweep.Free_sector ->
-        (* Map reclamation: a freed page whose map bit stayed busy (a
-           crash between the free's label write and the next descriptor
-           flush) is merely leaked; reclaim it. A soft trip on a free
-           sector is only counted — quarantine needs data at risk or a
-           dry ladder, not one retry of noise. *)
-        if
-          (not reserved)
-          && (not (Fs.is_free_in_map t.fs addr))
-          && (not (Fs.quarantined t.fs addr))
-          && not (Fs.spilled t.fs addr)
-        then begin
-          Fs.mark_free t.fs addr;
-          tally.c_map <- tally.c_map + 1;
-          tally.c_changed <- true;
-          Obs.incr m_map_repairs
-        end
-    | Sweep.Read_back _, Sweep.Marked_bad ->
-        (* A marker without a table entry: a crash separated the two
-           verdicts. Rejoin them. *)
-        if not (Fs.quarantined t.fs addr || Fs.spilled t.fs addr) then begin
-          Fs.quarantine t.fs addr;
-          tally.c_quarantined <- tally.c_quarantined + 1;
-          tally.c_changed <- true;
-          Obs.incr m_quarantined
-        end
-    | Sweep.Read_back _, (Sweep.Garbage _ | Sweep.Bad_media) ->
-        (* A scrambled label is ownership unknown — scavenger
-           territory, not the patrol's. (A read that succeeded is never
-           [Bad_media].) *)
-        ()
-    | Sweep.Unreadable, _ -> if not reserved then handle_hard_failure t tally addr
-  done
+  settle_sectors t tally ~sectors:(Array.init k (fun j -> (start + j) mod n)) read ~values
 
 let finish_tally t tally =
   t.total_suspects <- t.total_suspects + tally.c_suspects;
@@ -377,7 +378,7 @@ let persist t tally ~wrapped =
     match Fs.flush t.fs with Ok () | Error _ -> ()
   end
 
-let tick_once t =
+let tick t =
   let n = Drive.sector_count (Fs.drive t.fs) in
   let start = Fs.patrol_cursor t.fs in
   let k = min slice n in
@@ -392,106 +393,17 @@ let tick_once t =
   end;
   finish_tally t tally;
   (* The cursor is persisted on change and at each lap boundary; in
-     between it may run ahead of the disk copy, which only makes a
-     recovery rescan a few already-verified sectors. *)
+     between it may run ahead of the disk copy, which only restarts the
+     lap a few sectors early. *)
   persist t tally ~wrapped;
   report_of tally ~first_sector:start ~scanned:k ~wrapped
 
-let check_makeup t ~wrapped =
-  if t.makeup_until > 0 && (wrapped || Fs.patrol_cursor t.fs >= t.makeup_until)
-  then begin
-    t.makeup_until <- 0;
-    Obs.incr m_makeup_complete;
-    Obs.event ~clock:(Fs.clock t.fs) "fs.patrol.makeup_complete"
-  end
-
-let merge_reports a b =
-  {
-    first_sector = a.first_sector;
-    scanned = a.scanned + b.scanned;
-    suspects = a.suspects + b.suspects;
-    relocated = a.relocated + b.relocated;
-    quarantined = a.quarantined + b.quarantined;
-    pages_lost = a.pages_lost + b.pages_lost;
-    map_repairs = a.map_repairs + b.map_repairs;
-    links_repaired = a.links_repaired + b.links_repaired;
-    wrapped = a.wrapped || b.wrapped;
-  }
-
-let tick t =
-  let r = tick_once t in
-  check_makeup t ~wrapped:r.wrapped;
-  if t.makeup_until = 0 then r
-  else begin
-    (* Completeness lap after recovery: the region behind the crashed
-       cursor is owed a verify pass, so spend a second ordinary slice
-       per idle tick until the lap catches up with where the crash
-       happened — pages leaked there are found within one lap, not
-       whenever the rotation gets around to them. *)
-    Obs.incr m_makeup_slices;
-    let r2 = tick_once t in
-    check_makeup t ~wrapped:r2.wrapped;
-    merge_reports r r2
-  end
-
-type recovery = {
-  resumed_at : int;
-  sectors_scanned : int;
-  r_suspects : int;
-  r_relocated : int;
-  r_quarantined : int;
-  r_pages_lost : int;
-  r_map_repairs : int;
-  duration_us : int;
-}
-
-(* Boot after a crash: instead of a whole-pack scavenge, finish the lap
-   the patrol had in flight — scan from the persisted cursor to the end
-   of the pack, then declare the consistency point. Sectors behind the
-   cursor were verified earlier in the lap; what a crash can have left
-   there (a leaked allocation, a stale hint) is harmless under the label
-   discipline and waits for the next full lap or scavenge. *)
-let recover fs =
-  let t = create fs in
-  let drive = Fs.drive fs in
-  let clock = Drive.clock drive in
-  let n = Drive.sector_count drive in
-  let resumed_at = Fs.patrol_cursor fs in
-  let started = Sim_clock.now_us clock in
-  Obs.incr m_recoveries;
+let settle t ~sectors read ~values =
   let tally = fresh_tally () in
-  let pos = ref resumed_at in
-  while !pos < n do
-    let k = min slice (n - !pos) in
-    scan_slice t tally ~start:!pos ~k;
-    pos := !pos + k
-  done;
+  settle_sectors t tally ~sectors read ~values;
   finish_tally t tally;
-  Fs.set_patrol_cursor fs 0;
-  if Fs.spilled_table fs <> [] then
-    (match Bad_sectors.flush fs with Ok _ | Error _ -> ());
-  (match Fs.mark_clean fs with Ok () | Error _ -> ());
-  let duration_us = Sim_clock.now_us clock - started in
-  Obs.event ~clock
-    ~fields:
-      [
-        ("resumed_at", Obs.I resumed_at);
-        ("scanned", Obs.I (n - resumed_at));
-        ("relocated", Obs.I tally.c_relocated);
-        ("quarantined", Obs.I tally.c_quarantined);
-        ("duration_us", Obs.I duration_us);
-      ]
-    "fs.patrol.recovery";
-  {
-    resumed_at;
-    sectors_scanned = n - resumed_at;
-    r_suspects = tally.c_suspects;
-    r_relocated = tally.c_relocated;
-    r_quarantined = tally.c_quarantined;
-    r_pages_lost = tally.c_lost;
-    r_map_repairs = tally.c_map;
-    duration_us;
-  }
+  report_of tally ~first_sector:(if sectors = [||] then 0 else sectors.(0))
+    ~scanned:(Array.length sectors) ~wrapped:false
 
 let pp_report fmt r =
   Format.fprintf fmt
@@ -500,8 +412,3 @@ let pp_report fmt r =
     r.map_repairs
     (if r.wrapped then " (lap complete)" else "")
 
-let pp_recovery fmt r =
-  Format.fprintf fmt
-    "recovered from sector %d: %d sectors in %a; %d relocated, %d quarantined, %d lost"
-    r.resumed_at r.sectors_scanned Sim_clock.pp_duration r.duration_us r.r_relocated
-    r.r_quarantined r.r_pages_lost

@@ -45,7 +45,9 @@ module Drive = Alto_disk.Drive
 
 type report = {
   sectors_scanned : int;
-  files_found : int;  (** Files alive when the dust settled. *)
+  files_found : int;
+      (** Files alive when the dust settled; for {!repair}, the files it
+          rebuilt. *)
   nameless_files : int;
       (** Files whose leader page no longer yields a legible leader
           name — they survive, but under a synthesized name if adopted. *)
@@ -78,6 +80,9 @@ type report = {
   root_rebuilt : bool;  (** No root directory survived; a new one was made. *)
   duration_us : int;
 }
+(** For {!repair}, [sectors_scanned] counts the sectors it read (the
+    mapped cylinders and the pages its walks reached), and the patrol's
+    slice rules' relocations and quarantines are counted in. *)
 
 val pp_report : Format.formatter -> report -> unit
 
@@ -101,3 +106,28 @@ val scavenge :
     ({!Fs.bad_sector_table}). [verify_values] is accepted and ignored:
     every scavenge verifies values. Raises [Invalid_argument] if
     [suspect_retries < 1]. *)
+
+val repair : Fs.t -> cylinders:int list -> (report, string) result
+(** Settle a mounted dirty volume through its write-ahead map instead of
+    the whole pack. [cylinders] (ascending) are the ones the map holds:
+    writes since the last consistency point landed nowhere else, and
+    every label written mapped the cylinders its links name, so a page
+    outside them is as the consistency point left it.
+
+    The mapped cylinders are read in one pass ({!Sweep.run_sectors}). A
+    file is repaired when its pages there disagree — a page whose data
+    will not read back, two claimants of one page, a link the page it
+    names does not return. Its chain is walked out of the map by label
+    checks, and steps 1, 1b, 2, 5 and 7 rebuild it as a whole-pack
+    scavenge would. Every other swept sector gets the patrol's slice
+    rules ({!Patrol.settle}): map repair, leak reclaim, bad-marker
+    rejoin, relocation, quarantine. Steps 10 and 12 then settle the root
+    entries that name a mapped leader, and adopt the mapped leaders no
+    entry names. The run ends at {!Fs.mark_clean}.
+
+    [Error reason] means the map cannot settle the pack and the caller
+    must scavenge it whole: the root directory itself needs repair or
+    does not read, a chain meets a page outside the map that does not
+    answer, or an orphan might belong to a directory besides the root.
+    Some repairs may have been written by then; the scavenge settles
+    those too. *)

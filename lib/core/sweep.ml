@@ -35,8 +35,8 @@ let batch ?policy drive sectors op ~label ?value on_done =
           sectors)
       : Sched.outcome array)
 
-let sweep ?policy drive ~start ~k ~on_value =
-  let n = Drive.sector_count drive in
+let sweep ?policy drive sectors ~on_value =
+  let k = Array.length sectors in
   let classes = Array.make k Bad_media in
   let values = Array.make k Unreadable in
   (* One probe buffer per part, shared by every request: the scheduler
@@ -44,8 +44,7 @@ let sweep ?policy drive ~start ~k ~on_value =
      classified (and its value handed on) while the buffers hold it. *)
   let label = Array.make Sector.label_words Word.zero in
   let value = Array.make Sector.value_words Word.zero in
-  batch ?policy drive
-    (Array.init k (fun j -> (start + j) mod n))
+  batch ?policy drive sectors
     { Drive.op_none with Drive.label = Some Drive.Read; value = Some Drive.Read }
     ~label ~value
     (fun j outcome ->
@@ -58,19 +57,22 @@ let sweep ?policy drive ~start ~k ~on_value =
       | Error _ -> ());
   { classes; values }
 
-let read ~on_value drive ~start ~k = sweep drive ~start ~k ~on_value
-
-let run ?policy ?(on_value = fun _ _ _ _ -> ()) drive =
+let read ~on_value drive ~start ~k =
   let n = Drive.sector_count drive in
-  let t = sweep ?policy drive ~start:0 ~k:n ~on_value in
+  sweep drive (Array.init k (fun j -> (start + j) mod n)) ~on_value
+
+let run_sectors ?policy ?(on_value = fun _ _ _ _ -> ()) drive sectors =
+  let t = sweep ?policy drive sectors ~on_value:(fun j -> on_value sectors.(j)) in
   (* Which part failed is not reported, so a failed combined read says
      nothing about the label: read the label again on its own, after
      the pass, rather than judging the sector by its data. *)
   let failed =
-    Array.of_list (List.filter (fun i -> t.values.(i) = Unreadable) (List.init n Fun.id))
+    Array.of_list
+      (List.filter (fun j -> t.values.(j) = Unreadable) (List.init (Array.length sectors) Fun.id))
   in
   let label = Array.make Sector.label_words Word.zero in
-  batch ?policy drive failed
+  batch ?policy drive
+    (Array.map (fun j -> sectors.(j)) failed)
     { Drive.op_none with Drive.label = Some Drive.Read }
     ~label
     (fun j outcome ->
@@ -84,6 +86,9 @@ let run ?policy ?(on_value = fun _ _ _ _ -> ()) drive =
           (* The sweep performs no checks. *)
           assert false);
   t
+
+let run ?policy ?on_value drive =
+  run_sectors ?policy ?on_value drive (Array.init (Drive.sector_count drive) Fun.id)
 
 let pp_class fmt = function
   | Live l -> Format.fprintf fmt "live %a" Label.pp l

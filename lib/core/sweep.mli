@@ -7,8 +7,9 @@
     result classifies every sector; interpreting the classes (chains,
     files, repairs) is the caller's job. The scavenger, the compacting
     scavenger ({!Compactor}) and the offline checker ({!Fsck}) sweep the
-    whole pack with {!run}; the patrol's slices, its crash-recovery lap
-    and the replica audit ({!Audit}) read a run of sectors with {!read}.
+    whole pack with {!run}; boot's recovery reads the cylinders its
+    write-ahead map names with {!run_sectors}; the patrol's slices and
+    the replica audit ({!Audit}) read a run of sectors with {!read}.
 
     Each read moves the sector's label and value in one operation. The
     drive charges one sector time whether an operation moves one part
@@ -64,9 +65,19 @@ val run :
   ?on_value:(int -> sector_class -> Word.t array -> Word.t array -> unit) ->
   Drive.t ->
   t
-(** {!read} over the whole pack from sector 0, under [policy] (default
-    {!Reliable.default_policy}). Where the combined read fails, the
-    label is read again alone, so the classes are exactly those of a
-    label read per sector. *)
+(** {!run_sectors} over the whole pack, so entry [i] is sector [i]. *)
+
+val run_sectors :
+  ?policy:Reliable.policy ->
+  ?on_value:(int -> sector_class -> Word.t array -> Word.t array -> unit) ->
+  Drive.t ->
+  int array ->
+  t
+(** Read the given sectors in one elevator batch, under [policy]
+    (default {!Reliable.default_policy}): entry [j] is sector
+    [sectors.(j)], and [on_value] is handed the sector index. Where the
+    combined read fails, the label is read again alone, after the pass,
+    so the classes are exactly those of a label read per sector. Boot's
+    recovery reads the cylinders of the write-ahead map this way. *)
 
 val pp_class : Format.formatter -> sector_class -> unit

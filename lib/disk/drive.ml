@@ -126,7 +126,14 @@ type t = {
      not). The label cache upstairs validates its entries against this
      counter, so invalidation needs no callback plumbing. *)
   label_gen : int array;
+  (* Called before every operation that writes, with the sector and the
+     label being written (if any): the mounted volume's write-ahead
+     point, installed with its state by {!attach}. *)
+  mutable fence : Disk_address.t -> Word.t array option -> unit;
+  mutable attachment : attachment option;
 }
+
+and attachment = ..
 
 let format_header t index =
   let s = t.sectors.(index) in
@@ -157,6 +164,8 @@ let create ?clock ~pack_id geometry =
       soft_rate = 0.;
       marginals = Hashtbl.create 8;
       label_gen = Array.make n 0;
+      fence = (fun _ _ -> ());
+      attachment = None;
     }
   in
   for i = 0 to n - 1 do
@@ -441,7 +450,17 @@ let soft_error_trips t index part =
        true
      end
 
+let attach t a ~fence =
+  t.attachment <- Some a;
+  t.fence <- fence
+
+let attachment t = t.attachment
+
 let run t addr op ?header ?label ?value () =
+  (* The fence runs first, as an operation of its own would: whatever it
+     writes reaches the platter before this operation begins. *)
+  if has_write_action op then
+    t.fence addr (match op.label with Some Write -> label | Some (Read | Check) | None -> None);
   (match t.power_budget with
   | Some 0 -> raise Power_failure
   | Some n -> t.power_budget <- Some (n - 1)

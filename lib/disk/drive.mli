@@ -97,6 +97,24 @@ val run :
     or mis-sized, or the operation violates the write-continuation rule
     (a write on one part requires writes on all later parts). *)
 
+type attachment = ..
+(** State a layer above keeps with the pack itself rather than with any
+    one handle on it — a mounted volume's write-ahead map. The drive
+    only holds it. *)
+
+val attach : t -> attachment -> fence:(Disk_address.t -> Word.t array option -> unit) -> unit
+(** Hold [attachment] and install [fence] as the write-ahead point:
+    {!run} calls the fence before every operation with a write action —
+    before the power budget or a crash point sees the operation — with
+    the sector and, when the operation writes the label, the label
+    words. Whatever the fence writes itself (its own {!run} calls reach
+    it again) lands on the platter first, so a mounted volume can
+    persist where a write may land before the write begins.
+    Out-of-band {!poke}s pass no fence. Until the first [attach] the
+    fence does nothing. *)
+
+val attachment : t -> attachment option
+
 val stats : t -> stats
 val reset_stats : t -> unit
 

@@ -16,9 +16,11 @@ module Fault = Alto_disk.Fault
 module Fs = Alto_fs.Fs
 module File = Alto_fs.File
 module Page = Alto_fs.Page
+module File_id = Alto_fs.File_id
 module Directory = Alto_fs.Directory
 module Compactor = Alto_fs.Compactor
 module Scavenger = Alto_fs.Scavenger
+module Recovery = Alto_fs.Recovery
 module Patrol = Alto_fs.Patrol
 module Flight = Alto_fs.Flight
 module Fsck = Alto_fs.Fsck
@@ -31,8 +33,9 @@ type totals = {
   mutable torn_points : int;  (** Crashes that left a torn sector. *)
   mutable completed : int;  (** The countdown outran the workload. *)
   mutable dirty_boots : int;  (** Recoveries down the dirty path. *)
-  mutable bounded_laps : int;  (** Dirty boots that ran the bounded lap. *)
-  mutable boot_scavenges : int;  (** Dirty boots that ran boot's scavenge. *)
+  mutable through_map : int;  (** Dirty boots settled through the map. *)
+  mutable cylinders_read : int;  (** Mapped cylinders those boots read. *)
+  mutable fallbacks : int;  (** Dirty boots that ran boot's whole-pack scavenge. *)
   mutable flight_adoptions : int;
   mutable settled_at_boot : int;
       (** Boot recovery alone satisfied both oracles. *)
@@ -45,11 +48,12 @@ type totals = {
 let pp_totals fmt t =
   Format.fprintf fmt
     "@[<v>%d trials: %d crashed (%d torn), %d ran to completion@,\
-     %d dirty boots (%d bounded laps, %d boot scavenges), %d flight adoptions@,\
+     %d dirty boots (%d through the map, %d cylinders read; %d whole-pack \
+     scavenges), %d flight adoptions@,\
      %d settled at boot, %d scavenges; %d findings, %d violations@]"
-    t.trials t.crash_points t.torn_points t.completed t.dirty_boots t.bounded_laps
-    t.boot_scavenges t.flight_adoptions t.settled_at_boot t.scavenges t.findings
-    t.violations
+    t.trials t.crash_points t.torn_points t.completed t.dirty_boots t.through_map
+    t.cylinders_read t.fallbacks t.flight_adoptions t.settled_at_boot t.scavenges
+    t.findings t.violations
 
 (* {2 Expectations}
 
@@ -552,16 +556,12 @@ let run_trial t (w : workload) ~point ~tear =
   if was_dirty then t.dirty_boots <- t.dirty_boots + 1;
   let sys = System.boot ~drive () in
   (match System.recovery sys with
-  | System.Bounded_lap _ -> t.bounded_laps <- t.bounded_laps + 1
-  | System.Boot_scavenge _ -> t.boot_scavenges <- t.boot_scavenges + 1
-  | System.Clean | System.Formatted -> ());
+  | Recovery.Scavenged _ -> t.fallbacks <- t.fallbacks + 1
+  | Recovery.Through_map (cylinders, _) ->
+      t.through_map <- t.through_map + 1;
+      t.cylinders_read <- t.cylinders_read + List.length cylinders
+  | Recovery.Clean | Recovery.Unrecovered _ | Recovery.Formatted -> ());
   if Flight.adopted () <> None then t.flight_adoptions <- t.flight_adoptions + 1;
-  (* Finish the makeup lap recovery scheduled. *)
-  let ticks = ref 0 in
-  while Patrol.makeup_pending (System.patrol sys) > 0 && !ticks < 10_000 do
-    ignore (System.patrol_tick sys);
-    incr ticks
-  done;
   (match Fs.mark_clean (System.fs sys) with Ok () | Error _ -> ());
   (match Fs.flush (System.fs sys) with Ok () | Error _ -> ());
   (* The oracle: the checker, then a fresh mount reading every committed
@@ -600,7 +600,7 @@ let run_trial t (w : workload) ~point ~tear =
       (report, content)
     end
     else begin
-      t.scavenges <- t.scavenges + 1;
+t.scavenges <- t.scavenges + 1;
       match Scavenger.scavenge drive with
       | Error msg ->
           log_violation (Printf.sprintf "scavenge failed: %s" msg);
@@ -629,6 +629,21 @@ let measure (w : workload) =
   Flight.disable ();
   Drive.write_ops drive - before
 
+(* Every crash point of the sweep, in order: evenly spaced over each
+   workload's whole write stream, first and last included (the
+   countdown is armed after the build, so point 0 kills the very first
+   mutating write), three variants each. *)
+let crash_points ~points_per_workload =
+  List.concat_map
+    (fun w ->
+      let writes = measure w in
+      let k = min points_per_workload (max 1 writes) in
+      let point j = if k = 1 then 0 else j * (writes - 1) / (k - 1) in
+      List.concat_map
+        (fun j -> List.map (fun tear -> (w, point j, tear)) tears)
+        (List.init k Fun.id))
+    workloads
+
 let run ?(points_per_workload = 15) () =
   let t =
     {
@@ -637,8 +652,9 @@ let run ?(points_per_workload = 15) () =
       torn_points = 0;
       completed = 0;
       dirty_boots = 0;
-      bounded_laps = 0;
-      boot_scavenges = 0;
+      through_map = 0;
+      cylinders_read = 0;
+      fallbacks = 0;
       flight_adoptions = 0;
       settled_at_boot = 0;
       scavenges = 0;
@@ -648,15 +664,82 @@ let run ?(points_per_workload = 15) () =
     }
   in
   List.iter
-    (fun w ->
-      let writes = measure w in
-      let k = min points_per_workload (max 1 writes) in
-      (* Evenly spaced over the whole write stream, first and last
-         included: the countdown is armed after the build, so point 0
-         kills the very first mutating write. *)
-      let point j = if k = 1 then 0 else j * (writes - 1) / (k - 1) in
-      for j = 0 to k - 1 do
-        List.iter (fun tear -> run_trial t w ~point:(point j) ~tear) tears
-      done)
-    workloads;
+    (fun (w, point, tear) -> run_trial t w ~point ~tear)
+    (crash_points ~points_per_workload);
   t
+
+(* {2 The differential proof} *)
+
+(* What a recovered pack promises a reader: every root entry, by name,
+   with its file id and the bytes that read back, page by page, up to
+   the first page that will not. The flight record's bytes are left out:
+   its seal embeds the process's metric registry as it stood when the
+   build sealed it, so two builds never seal the same bytes. *)
+let catalogue drive =
+  match Fs.mount drive with
+  | Error msg -> [ ("(unmountable)", msg) ]
+  | Ok fs -> (
+      match Result.bind (Directory.open_root fs) Directory.entries with
+      | Error e -> [ ("(root)", Format.asprintf "%a" Directory.pp_error e) ]
+      | Ok entries ->
+          List.sort compare
+            (List.map
+               (fun (e : Directory.entry) ->
+                 let fn = e.Directory.entry_file in
+                 let bytes =
+                   match File.open_leader fs fn with
+                   | _ when String.equal e.Directory.entry_name Flight.file_name -> ""
+                   | Error _ -> "(unopenable)"
+                   | Ok file ->
+                       let len = File.byte_length file in
+                       let b = Buffer.create len in
+                       let rec pages pos =
+                         if pos < len then
+                           match File.read_bytes file ~pos ~len:(min 512 (len - pos)) with
+                           | Ok got ->
+                               Buffer.add_bytes b got;
+                               pages (pos + 512)
+                           | Error _ -> ()
+                       in
+                       pages 0;
+                       Buffer.contents b
+                 in
+                 ( e.Directory.entry_name,
+                   Format.asprintf "%a %s" File_id.pp fn.Page.abs.Page.fid
+                     (Digest.to_hex (Digest.string bytes)) ))
+               entries))
+
+let crashed (w : workload) ~point ~tear =
+  Flight.disable ();
+  let drive, _ = w.w_build () in
+  Fault.crash_after_writes ?tear drive point;
+  (try w.w_mutate drive with Drive.Power_failure -> ());
+  Fault.cancel_crash drive;
+  w.w_after_crash drive;
+  Flight.disable ();
+  drive
+
+let differential ?(points_per_workload = 15) () =
+  let points = crash_points ~points_per_workload in
+  let disagreements =
+    List.filter_map
+      (fun (w, point, tear) ->
+        let booted = crashed w ~point ~tear in
+        ignore (Recovery.boot booted : Fs.t * Recovery.outcome);
+        let scavenged = crashed w ~point ~tear in
+        ignore (Scavenger.scavenge scavenged : (Fs.t * Scavenger.report, string) result);
+        let a = catalogue booted and b = catalogue scavenged in
+        Flight.disable ();
+        if a = b then None
+        else
+          Some
+            (Printf.sprintf "%s@%d%s: boot %s; scavenge %s" w.w_name point
+               (match tear with
+               | None -> ""
+               | Some Drive.Torn_label -> "/torn-label"
+               | Some Drive.Torn_value -> "/torn-value")
+               (String.concat ", " (List.map (fun (n, v) -> n ^ "=" ^ v) a))
+               (String.concat ", " (List.map (fun (n, v) -> n ^ "=" ^ v) b))))
+      points
+  in
+  (List.length points, disagreements)

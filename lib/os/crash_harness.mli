@@ -5,9 +5,9 @@
     {!Alto_disk.Fault.crash_after_writes} so the machine dies at the Nth
     writing operation of a real metadata-mutating workload — cleanly, or
     tearing the fatal sector's label or value — then boots recovery
-    ({!System.boot}'s dirty path: flight-record adoption, then boot's
-    verifying scavenge when the lap would owe the whole pack, else the
-    bounded tail scan and the makeup lap) and interrogates the result
+    ({!System.boot}'s dirty path: flight-record adoption, then the
+    repair through the write-ahead cylinder map, or the whole-pack
+    verifying scavenge where the map cannot serve) and interrogates the result
     with the offline checker ({!Alto_fs.Fsck}). A crash point boot
     recovery cannot answer for escalates to the full scavenger, after
     which the checker must be satisfied and every committed file must
@@ -26,10 +26,12 @@ type totals = {
   mutable torn_points : int;  (** Crashes that left a torn sector. *)
   mutable completed : int;  (** The countdown outran the workload. *)
   mutable dirty_boots : int;  (** Recoveries down the dirty path. *)
-  mutable bounded_laps : int;  (** Dirty boots that ran the bounded lap. *)
-  mutable boot_scavenges : int;
-      (** Dirty boots that ran boot's verifying scavenge: the lap would
-          have owed every sector, or the pack would not mount. *)
+  mutable through_map : int;
+      (** Dirty boots settled through the write-ahead cylinder map. *)
+  mutable cylinders_read : int;  (** Mapped cylinders those boots read, summed. *)
+  mutable fallbacks : int;
+      (** Dirty boots that ran boot's whole-pack verifying scavenge: the
+          map could not serve, or the pack would not mount. *)
   mutable flight_adoptions : int;
   mutable settled_at_boot : int;
       (** Boot recovery alone satisfied both the checker and the content
@@ -47,3 +49,12 @@ val run : ?points_per_workload:int -> unit -> totals
     per workload (["files"], ["bio-flush"], ["compactor"], ["patrol"],
     ["outload"]), each in three variants: a clean between-sector crash,
     a torn label, a torn value. Leaves the flight recorder disarmed. *)
+
+val differential : ?points_per_workload:int -> unit -> int * string list
+(** The same crash points as {!run}, each replayed twice — the workloads
+    are deterministic. One replay boots through {!Alto_fs.Recovery.boot},
+    the other is rebuilt by {!Alto_fs.Scavenger.scavenge} alone; both must
+    leave the same root catalogue (name to file id) and the same readable
+    bytes in every catalogued file. Returns the crash points compared and
+    a line for each that disagreed. Leaves the flight recorder
+    disarmed. *)

@@ -291,7 +291,12 @@ let cmd_health system =
   let sectors = Alto_disk.Drive.sector_count (System.drive system) in
   say system "boot:    %a" System.pp_recovery (System.recovery system);
   say system "volume:  %s"
-    (if Fs.dirty fs then "dirty - recovery due at next boot" else "clean");
+    (match Fs.mapped_cylinders fs with
+    | Some [] -> "clean"
+    | Some [ _ ] -> "dirty - 1 cylinder to recover at next boot"
+    | Some cylinders ->
+        Printf.sprintf "dirty - %d cylinders to recover at next boot" (List.length cylinders)
+    | None -> "dirty - no map record read back, the whole pack at next boot");
   say system "patrol:  cursor %d/%d, %d laps, %d slices this session"
     (Fs.patrol_cursor fs) sectors (Patrol.laps patrol) (Patrol.slices patrol);
   say system "         %d suspect, %d relocated, %d quarantined, %d lost, %d map repairs"

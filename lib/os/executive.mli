@@ -15,7 +15,7 @@
     elevator-scheduler statistics), [sync] (flush delayed track-buffer
     writes and report what was coalesced), [health] (patrol progress,
     bad-sector census and the
-    volume dirty flag), [trace [n]], [run prog], [compile src dst] (the BCPL compiler,
+    volume's write-ahead map), [trace [n]], [run prog], [compile src dst] (the BCPL compiler,
     from a source file on the pack to a code file on the pack),
     [assemble src dst] (likewise for assembler source), and
     [quit]. A bare name that matches a catalogued code file is run,

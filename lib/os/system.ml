@@ -11,8 +11,6 @@ module Fs = Alto_fs.Fs
 module File = Alto_fs.File
 module Directory = Alto_fs.Directory
 module Patrol = Alto_fs.Patrol
-module Bad_sectors = Alto_fs.Bad_sectors
-module Scavenger = Alto_fs.Scavenger
 module Flight = Alto_fs.Flight
 module Zone = Alto_zones.Zone
 module Stream = Alto_streams.Stream
@@ -23,24 +21,9 @@ module World = Alto_world.World
 
 type handle_target = File_obj of File.t | Stream_obj of Stream.t
 
-type scavenge_cause = Whole_lap_owed | Unmountable
+type recovery = Alto_fs.Recovery.outcome
 
-type recovery =
-  | Clean
-  | Bounded_lap of Patrol.recovery
-  | Boot_scavenge of scavenge_cause * Scavenger.report
-  | Formatted
-
-let pp_recovery fmt = function
-  | Clean -> Format.fprintf fmt "clean mount, nothing to recover"
-  | Bounded_lap r -> Format.fprintf fmt "bounded lap, %a" Patrol.pp_recovery r
-  | Boot_scavenge (cause, report) ->
-      Format.fprintf fmt "@[<v>verifying scavenge (%s)@,%a@]"
-        (match cause with
-        | Whole_lap_owed -> "dirty, the whole lap owed"
-        | Unmountable -> "unmountable")
-        Scavenger.pp_report report
-  | Formatted -> Format.fprintf fmt "unmountable and unscavengeable: formatted"
+let pp_recovery = Alto_fs.Recovery.pp_outcome
 
 type t = {
   memory : Memory.t;
@@ -137,52 +120,12 @@ let counter_junta t =
 
 let boot ?(geometry = Geometry.diablo_31) ?drive () =
   let drive = match drive with Some d -> d | None -> Drive.create ~pack_id:1 geometry in
-  (* Two packs are rebuilt whole by a value-verifying scavenge: one that
-     will not mount (wreckage, not a blank: the labels are rebuilt into a
-     descriptor, §3.6's last rung, before boot reaches for the formatter),
-     and one that crashed with its patrol cursor at 0, whose recovery lap
-     would read every sector anyway. The scavenge reads the same sectors
-     in one pass and leaves a pack the checker certifies. A crashed pack
-     is read for its flight record first (recovery writes over the
-     volume). Both scavenges run before the recorder is armed: an armed
-     one seals the process-wide metric registry into the pack. *)
-  let fs, scavenged =
-    match Fs.mount drive with
-    | Error _ -> (
-        match Scavenger.scavenge drive with
-        | Ok (fs, report) -> (fs, Some (Boot_scavenge (Unmountable, report)))
-        | Error _ -> (Fs.format drive, Some Formatted))
-    | Ok fs when Fs.dirty fs && Fs.patrol_cursor fs = 0 -> (
-        ignore (Flight.adopt fs : string option);
-        match Scavenger.scavenge drive with
-        | Ok (fs, report) -> (fs, Some (Boot_scavenge (Whole_lap_owed, report)))
-        | Error _ -> (fs, None))
-    | Ok fs -> (fs, None)
-  in
+  (* Recovery runs before the recorder is armed: an armed one seals the
+     process-wide metric registry into the pack. *)
+  let fs, recovery = Alto_fs.Recovery.boot drive in
   (* The full machine arms the black box; raw library users never see
      the file appear on its own. *)
   Flight.enable ();
-  (* A pack that was not scavenged re-enters the bad-sector verdicts that
-     overflowed the descriptor table (the scavenger rebuilt them all);
-     then, if it crashed mid-lap, adopts its flight record and finishes
-     the lap in flight before running anything on the volume. *)
-  let recovery =
-    match scavenged with
-    | Some r -> r
-    | None ->
-        (match Bad_sectors.load fs with Ok _ | Error _ -> ());
-        if not (Fs.dirty fs) then Clean
-        else begin
-          (* A failed boot scavenge adopted it already. *)
-          if Fs.patrol_cursor fs > 0 then ignore (Flight.adopt fs : string option);
-          Bounded_lap (Patrol.recover fs)
-        end
-  in
-  let makeup_until =
-    match recovery with
-    | Bounded_lap r -> r.Patrol.resumed_at
-    | Clean | Boot_scavenge _ | Formatted -> 0
-  in
   let memory = Memory.create () in
   let t =
     {
@@ -191,7 +134,7 @@ let boot ?(geometry = Geometry.diablo_31) ?drive () =
       drive;
       recovery;
       fs;
-      patrol = Patrol.create ~makeup_until fs;
+      patrol = Patrol.create fs;
       keyboard = Keyboard.create ();
       display = Display.create ();
       zone = make_system_zone memory;

@@ -78,42 +78,17 @@ val user_base : int
     the message area, and the command-line words. *)
 
 val boot : ?geometry:Geometry.t -> ?drive:Drive.t -> unit -> t
-(** Bring the system up: mount the pack, recover it if it crashed, arm
-    the flight recorder ({!Alto_fs.Flight.enable}), then lay the thirteen
-    levels into the top of memory and initialize the system free-storage
-    zone. Recovery takes one of three paths, chosen from what the mount
-    reads:
+(** Bring the system up: mount the pack and recover it
+    ({!Alto_fs.Recovery.boot}: a clean pack as it is, a crashed one
+    through its write-ahead cylinder map, the whole-pack verifying
+    scavenge where the map cannot serve or the pack does not mount, the
+    formatter only if that fails), arm the flight recorder
+    ({!Alto_fs.Flight.enable}), then lay the thirteen levels into the
+    top of memory and initialize the system free-storage zone. Recovery
+    runs before the recorder is armed. *)
 
-    - a pack that mounts dirty with its saved patrol cursor at 0 owes a
-      recovery lap over every sector. Boot adopts the previous
-      incarnation's flight record and runs a value-verifying
-      {!Alto_fs.Scavenger.scavenge} instead: the same reads in one pass,
-      then a rebuild the offline checker certifies;
-    - a pack that mounts dirty with its cursor past 0 adopts its flight
-      record and runs the bounded lap over the unswept tail
-      ({!Alto_fs.Patrol.recover});
-    - a pack that will not mount gets the same verifying scavenge (a
-      virgin pack comes out of it formatted), and the formatter only if
-      the scavenge fails.
-
-    Both scavenges run before the recorder is armed. A pack that was not
-    scavenged re-enters its spilled bad-sector verdicts
-    ({!Alto_fs.Bad_sectors}). After a bounded lap the session's patrol
-    scans the head region the lap skipped at double rate, so the
-    completeness lap finishes within one lap of idle ticks instead of
-    lazily. *)
-
-(** Why boot scavenged the pack. *)
-type scavenge_cause =
-  | Whole_lap_owed  (** Dirty, with the recovery lap owing every sector. *)
-  | Unmountable
-
+type recovery = Alto_fs.Recovery.outcome
 (** How {!boot} brought the pack back. *)
-type recovery =
-  | Clean  (** Mounted clean: nothing to recover. *)
-  | Bounded_lap of Alto_fs.Patrol.recovery
-  | Boot_scavenge of scavenge_cause * Alto_fs.Scavenger.report
-  | Formatted  (** Neither mount nor scavenge worked: a fresh volume. *)
 
 val pp_recovery : Format.formatter -> recovery -> unit
 

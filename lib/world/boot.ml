@@ -66,15 +66,11 @@ let boot_file fs =
             Ok (Page.full_name fid ~page:0 ~addr:(Disk_address.of_word value.(4))))
 
 let boot fs cpu =
-  (* A pack that mounts dirty crashed. Adopt the flight record the dying
-     machine sealed (recovery writes over the volume, so read the black
-     box first), then finish the patrol lap that was in flight — bounded
-     by the unswept tail — before trusting the volume with a world; a
-     full scavenge stays the cure for a pack that will not mount at all. *)
-  if Fs.dirty fs then begin
-    ignore (Alto_fs.Flight.adopt fs : string option);
-    ignore (Alto_fs.Patrol.recover fs : Alto_fs.Patrol.recovery)
-  end;
+  (* A pack that mounts dirty crashed: recover it as every boot does
+     (flight record first, then the write-ahead map or, where that
+     cannot serve, a whole-pack scavenge) before trusting the volume
+     with a world. *)
+  let fs, (_ : Alto_fs.Recovery.outcome) = Alto_fs.Recovery.recover fs in
   match boot_file fs with
   | Error e -> Error e
   | Ok fn -> (

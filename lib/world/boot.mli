@@ -32,5 +32,6 @@ val boot_file : Fs.t -> (Page.full_name, error) result
 (** Read the boot record: the boot world's leader full name. *)
 
 val boot : Fs.t -> Cpu.t -> (unit, error) result
-(** Press the button: restore the machine from the boot world with an
-    empty message. *)
+(** Press the button: recover the volume as every boot does
+    ({!Alto_fs.Recovery.recover}), then restore the machine from the boot
+    world with an empty message. *)

@@ -65,10 +65,10 @@ let out_load cpu file =
       (image_of ~registers:(Cpu.registers cpu) (Cpu.memory cpu))
   in
   (* A completed OutLoad is a consistency point: seal a flight record
-     (before the clean flag — the write dirties the volume), then the
-     world and the volume agree and the pack may declare itself cleanly
-     shut down. Best effort — a failed flush merely leaves the flag set,
-     and the next boot pays a bounded recovery scan it did not need. *)
+     (before emptying the write-ahead map — the seal writes the volume),
+     then the world and the volume agree and the pack may declare itself
+     cleanly shut down. Best effort — a failed flush merely leaves the
+     map as it was, and the next boot reads cylinders it did not need. *)
   (match r with
   | Ok () ->
       let fs = File.fs file in

@@ -263,11 +263,10 @@ let transparency_workload ~cached =
   ignore (Bio.flush (Fs.bio fs) : Bio.flush_report);
   drive
 
-(* The crash-ordering promise: the descriptor's dirty flag reaches the
-   platter {e before} the first delayed write is acknowledged, so a
-   crash with dirty buffers always boots into the bounded recovery
-   scan — never into a volume that claims to be clean while delayed
-   writes rot in lost core. *)
+(* The crash-ordering promise: the write-ahead map reaches the platter
+   {e before} the first delayed write is acknowledged, so a crash with
+   dirty buffers always boots into recovery — never into a volume that
+   claims to be clean while delayed writes rot in lost core. *)
 let test_dirty_flag_on_platter_before_delayed_ack () =
   let drive = Drive.create ~pack_id:9 small_geometry in
   let fs = Fs.format drive in
@@ -292,7 +291,7 @@ let test_dirty_flag_on_platter_before_delayed_ack () =
     (Fs.dirty fs')
 
 (* The same promise must survive a remount: each mount wires its own
-   [on_dirty] hook to its own track buffers (a world swap or recovery
+   [on_write] hook to its own track buffers (a world swap or recovery
    boot swaps the whole [Fs] handle underneath the machine). *)
 let test_dirty_flag_rearms_after_remount () =
   let drive = Drive.create ~pack_id:9 small_geometry in

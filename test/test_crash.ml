@@ -16,6 +16,8 @@ module File = Alto_fs.File
 module Page = Alto_fs.Page
 module Directory = Alto_fs.Directory
 module Scavenger = Alto_fs.Scavenger
+module Recovery = Alto_fs.Recovery
+module Compactor = Alto_fs.Compactor
 module Flight = Alto_fs.Flight
 module Checkpoint = Alto_world.Checkpoint
 module World = Alto_world.World
@@ -133,8 +135,40 @@ let verify fs' =
                   done)))
     entries
 
+(* The write-ahead rule, checked out of band: every sector whose label
+   or value differs from [before] (the image the pack held when the
+   writes began) lies in a cylinder of the map the platter holds — the
+   descriptor's own pages excepted, which write without it. A pack that
+   does not mount owes the whole of it. *)
+let map_covers where drive before =
+  match Fs.mount drive with
+  | Error _ -> ()
+  | Ok fs ->
+      let mapped = Fs.mapped_cylinders fs in
+      let g = Drive.geometry drive in
+      let per_cylinder = g.Geometry.heads * g.Geometry.sectors_per_track in
+      let descriptor_top = 1 + Fs.descriptor_page_count fs in
+      Array.iteri
+        (fun i (label, value) ->
+          let now = Drive.peek drive (Disk_address.of_index i) in
+          if
+            i > descriptor_top
+            && (now.Sector.label <> label || now.Sector.value <> value)
+            && not
+                 (match mapped with
+                 | None -> true
+                 | Some cylinders -> List.mem (i / per_cylinder) cylinders)
+          then Alcotest.failf "%s: sector %d changed outside the map" where i)
+        before
+
+let image drive =
+  Array.init (Drive.sector_count drive) (fun i ->
+      let s = Drive.peek drive (Disk_address.of_index i) in
+      (s.Sector.label, s.Sector.value))
+
 let crash_at budget =
   let drive, fs, root, files = build () in
+  let before = image drive in
   Drive.set_power_budget drive (Some budget);
   let crashed =
     match workload fs root files with
@@ -142,6 +176,7 @@ let crash_at budget =
     | exception Drive.Power_failure -> true
   in
   Drive.set_power_budget drive None;
+  map_covers (Printf.sprintf "budget %d" budget) drive before;
   (* The machine is gone; all in-core state (fs handle, file handles,
      the allocation map!) is lost. Recovery starts from the drive. *)
   match Scavenger.scavenge drive with
@@ -459,10 +494,11 @@ let tear_name = function
   | Some Drive.Torn_value -> " torn value"
 
 (* Kill [work] at every write it issues on a freshly [plant]ed pack,
-   cleanly and with the fatal sector's label or value torn, and recover
-   by the harness's rule: boot, and one verifying scavenge if the
-   checker or [damage] still objects. After it the checker must find no
-   violation and [damage] nothing. Returns how many writes [work]
+   cleanly and with the fatal sector's label or value torn; check that
+   the map the platter holds covers every sector the writes changed; and
+   recover by the harness's rule: boot, and one verifying scavenge if
+   the checker or [damage] still objects. After it the checker must find
+   no violation and [damage] nothing. Returns how many writes [work]
    issues. *)
 let sweep_crash_points ~plant ~work ~damage =
   let writes =
@@ -475,20 +511,17 @@ let sweep_crash_points ~plant ~work ~damage =
     List.iter
       (fun tear ->
         let drive = plant () in
+        let before = image drive in
         Fault.crash_after_writes ?tear drive point;
         (match work drive with
         | () -> Alcotest.failf "crash point %d never fired" point
         | exception Drive.Power_failure -> ());
         Fault.cancel_crash drive;
+        let where = Printf.sprintf "write %d%s" point (tear_name tear) in
+        map_covers where drive before;
         let sys = System.boot ~drive () in
-        let ticks = ref 0 in
-        while Alto_fs.Patrol.makeup_pending (System.patrol sys) > 0 && !ticks < 10_000 do
-          ignore (System.patrol_tick sys);
-          incr ticks
-        done;
         ignore (Fs.mark_clean (System.fs sys));
         Flight.disable ();
-        let where = Printf.sprintf "write %d%s" point (tear_name tear) in
         let judge () = ((Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations, damage drive) in
         let violations, damage =
           match judge () with
@@ -612,10 +645,9 @@ let test_truncate_run_crash_points () =
 
 (* {2 Boot's recovery path}
 
-   A pack that crashed with its saved patrol cursor at 0 owes a recovery
-   lap over every sector, so boot runs one value-verifying scavenge
-   instead, and the checker certifies the pack it leaves. A cursor past
-   0 keeps the bounded lap over the unswept tail. *)
+   A pack that crashed is settled through its write-ahead map, whatever
+   the patrol's cursor says, and the checker certifies the pack it
+   leaves. A pack whose map cannot serve is scavenged whole. *)
 
 (* The run file's delete killed at its sixth write, with pages freed
    from the middle of the file, on a pack whose saved patrol cursor is
@@ -643,44 +675,79 @@ let saved_cursor drive =
       Alcotest.(check bool) "the crash left the pack dirty" true (Fs.dirty fs);
       Fs.patrol_cursor fs
 
-let test_whole_lap_owed_boots_certified () =
+(* The same pack with both map records overwritten: nothing says where
+   the crash wrote. *)
+let crashed_delete_without_map ~scattered () =
+  let drive = crashed_delete ~scattered () in
+  let top =
+    match Fs.mount drive with
+    | Ok fs -> 1 + Fs.descriptor_page_count fs
+    | Error msg -> failwith msg
+  in
+  List.iter
+    (fun i ->
+      Drive.poke drive (Disk_address.of_index i) Sector.Value
+        (Array.make Sector.value_words Word.zero))
+    [ top - 1; top ];
+  drive
+
+let test_dirty_pack_boots_through_the_map () =
   let drive = crashed_delete ~scattered:false () in
-  Alcotest.(check int) "the lap owes every sector" 0 (saved_cursor drive);
+  Alcotest.(check int) "the cursor is at 0" 0 (saved_cursor drive);
   let sys = System.boot ~drive () in
   Flight.disable ();
   (match System.recovery sys with
-  | System.Boot_scavenge (System.Whole_lap_owed, _) -> ()
+  | Recovery.Through_map _ -> ()
   | r -> Alcotest.failf "boot recovered by %a" System.pp_recovery r);
   List.iter
     (fun i -> Alcotest.failf "fsck: %a" Alto_fs.Fsck.pp_issue i)
     (Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations;
   List.iter Alcotest.fail (run_damage ~may_vanish:true drive)
 
-let test_mid_lap_keeps_bounded_lap () =
+let test_mid_lap_recovers_through_the_map () =
   let count name = Alto_obs.Obs.counter_value (Alto_obs.Obs.counter name) in
   let cursor = Geometry.sector_count small_geometry / 2 in
   let drive = crashed_delete ~cursor ~scattered:false () in
   Alcotest.(check int) "the cursor survived the crash" cursor (saved_cursor drive);
-  let laps = count "fs.patrol.recoveries" and scavenges = count "scavenger.runs" in
+  let scavenges = count "scavenger.runs" in
   let sys = System.boot ~drive () in
   Flight.disable ();
   (match System.recovery sys with
-  | System.Bounded_lap r ->
-      Alcotest.(check int) "the lap resumed at the cursor" cursor r.Alto_fs.Patrol.resumed_at
+  | Recovery.Through_map _ -> ()
   | r -> Alcotest.failf "boot recovered by %a" System.pp_recovery r);
-  Alcotest.(check int) "one bounded lap" (laps + 1) (count "fs.patrol.recoveries");
   Alcotest.(check int) "no scavenge" scavenges (count "scavenger.runs")
 
+let test_lost_map_scavenges_whole () =
+  let drive = crashed_delete_without_map ~scattered:false () in
+  (match Fs.mount drive with
+  | Ok fs ->
+      Alcotest.(check (option (list int))) "no map record read back" None
+        (Fs.mapped_cylinders fs)
+  | Error msg -> Alcotest.failf "mount: %s" msg);
+  let sys = System.boot ~drive () in
+  Flight.disable ();
+  (match System.recovery sys with
+  | Recovery.Scavenged (Recovery.No_map_record, _) -> ()
+  | r -> Alcotest.failf "boot recovered by %a" System.pp_recovery r);
+  List.iter
+    (fun i -> Alcotest.failf "fsck: %a" Alto_fs.Fsck.pp_issue i)
+    (Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations
+
+(* A boot's recovery, through the map or (with the map lost) a whole-pack
+   scavenge, killed at every write it issues. *)
 let test_boot_scavenge_crash_points () =
   List.iter
-    (fun scattered ->
-      let writes =
-        sweep_crash_points ~plant:(crashed_delete ~scattered)
-          ~work:(fun drive -> ignore (System.boot ~drive () : System.t))
-          ~damage:(run_damage ~may_vanish:true)
-      in
-      Alcotest.(check bool) "the boot scavenge writes" true (writes >= 5))
-    [ false; true ]
+    (fun (plant, what) ->
+      List.iter
+        (fun scattered ->
+          let writes =
+            sweep_crash_points ~plant:(plant ~scattered)
+              ~work:(fun drive -> ignore (System.boot ~drive () : System.t))
+              ~damage:(run_damage ~may_vanish:true)
+          in
+          Alcotest.(check bool) (what ^ " writes") true (writes >= 5))
+        [ false; true ])
+    [ (crashed_delete ?cursor:None, "the repair"); (crashed_delete_without_map, "the scavenge") ]
 
 (* {2 Serials after a dirty boot} *)
 
@@ -734,12 +801,190 @@ let test_dirty_mount_resumes_past_every_serial () =
         Alcotest.failf "a dirty mount resumes at %d, but %d is in use"
           (Fs.next_serial mounted) !last
 
+(* {2 The write-ahead map} *)
+
+(* A committed pack whose files are scattered by interleaved growth:
+   compaction has every page to move. *)
+let scattered_pack () =
+  let drive = Drive.create ~pack_id:12 small_geometry in
+  let fs = Fs.format drive in
+  let root = match Directory.open_root fs with Ok r -> r | Error _ -> failwith "root" in
+  let files =
+    List.init 4 (fun seed ->
+        let name = Printf.sprintf "K%02d.dat" seed in
+        match File.create fs ~name with
+        | Ok f ->
+            (match Directory.add root ~name (File.leader_name f) with
+            | Ok () -> ()
+            | Error _ -> failwith "add");
+            (f, seed)
+        | Error _ -> failwith "create")
+  in
+  for r = 0 to 3 do
+    List.iter
+      (fun (f, seed) ->
+        match File.write_bytes f ~pos:(r * 512) (String.sub (pattern ~seed ~version:1 2048) (r * 512) 512) with
+        | Ok () -> ()
+        | Error _ -> failwith "extend")
+      files
+  done;
+  List.iter (fun (f, _) -> ignore (File.flush_leader f)) files;
+  (match Fs.mark_clean fs with Ok () -> () | Error _ -> failwith "clean");
+  drive
+
+let compact drive =
+  match Fs.mount drive with
+  | Error msg -> failwith msg
+  | Ok fs -> ignore (Compactor.compact fs : (Compactor.report, string) result)
+
+(* A pack with a world saved to its state file, and little else. *)
+let world_pack () =
+  let geometry = { Geometry.diablo_31 with Geometry.model = "w"; cylinders = 14 } in
+  let drive = Drive.create ~pack_id:4 geometry in
+  let fs = Fs.format drive in
+  let root = match Directory.open_root fs with Ok r -> r | Error _ -> failwith "root" in
+  (match Checkpoint.state_file fs ~directory:root ~name:"W.state" with
+  | Ok state ->
+      let memory = Alto_machine.Memory.create () in
+      Alto_machine.Memory.fill memory ~pos:0 ~len:65536 (Word.of_int 0xAAAA);
+      ignore (World.out_load (Alto_machine.Cpu.create memory) state : (unit, World.error) result)
+  | Error _ -> failwith "state");
+  (match Fs.mark_clean fs with Ok () -> () | Error _ -> failwith "clean");
+  drive
+
+let out_load drive =
+  match Fs.mount drive with
+  | Error msg -> failwith msg
+  | Ok fs -> (
+      let root = match Directory.open_root fs with Ok r -> r | Error _ -> failwith "root" in
+      match Checkpoint.state_file fs ~directory:root ~name:"W.state" with
+      | Ok state ->
+          let memory = Alto_machine.Memory.create () in
+          Alto_machine.Memory.fill memory ~pos:0 ~len:65536 (Word.of_int 0xBBBB);
+          ignore (World.out_load (Alto_machine.Cpu.create memory) state : (unit, World.error) result)
+      | Error _ -> failwith "state")
+
+(* Kill [work] at each of its writes: whenever anything outside the
+   descriptor reached the platter, the pack mounts dirty. Returns the
+   writes, and how many crash points left a change behind. *)
+let crashes_mount_dirty ~plant ~work =
+  let writes =
+    let drive = plant () in
+    let before = Drive.write_ops drive in
+    work drive;
+    Drive.write_ops drive - before
+  in
+  let changed_points = ref 0 in
+  for point = 0 to writes - 1 do
+    let drive = plant () in
+    let before = image drive in
+    let top = match Fs.mount drive with Ok fs -> 1 + Fs.descriptor_page_count fs | Error m -> failwith m in
+    Fault.crash_after_writes drive point;
+    (try work drive with Drive.Power_failure -> ());
+    Fault.cancel_crash drive;
+    let changed = ref false in
+    Array.iteri
+      (fun i (label, value) ->
+        let now = Drive.peek drive (Disk_address.of_index i) in
+        if i > top && (now.Sector.label <> label || now.Sector.value <> value) then changed := true)
+      before;
+    if !changed then begin
+      incr changed_points;
+      match Fs.mount drive with
+      | Error _ -> ()
+      | Ok fs ->
+          if not (Fs.dirty fs) then Alcotest.failf "write %d changed the pack, which mounts clean" point
+    end
+  done;
+  (writes, !changed_points)
+
+let test_compaction_crash_mounts_dirty () =
+  let writes, changed = crashes_mount_dirty ~plant:scattered_pack ~work:compact in
+  Alcotest.(check bool) "the compaction moves pages" true (writes >= 20);
+  Alcotest.(check bool) "nearly every crash point changed the pack" true (changed >= writes - 3)
+
+let test_out_load_crash_mounts_dirty () =
+  let writes, changed = crashes_mount_dirty ~plant:world_pack ~work:out_load in
+  Alcotest.(check bool) "the swap writes the image" true (writes >= 100);
+  Alcotest.(check bool) "nearly every crash point changed the pack" true (changed >= writes - 3)
+
+(* A compaction that ran to its end on a clean pack leaves it clean. *)
+let test_compaction_keeps_a_clean_pack_clean () =
+  let drive = scattered_pack () in
+  compact drive;
+  match Fs.mount drive with
+  | Error msg -> Alcotest.failf "mount: %s" msg
+  | Ok fs -> Alcotest.(check bool) "clean after a whole compaction" false (Fs.dirty fs)
+
+(* The second map record write of a run dies torn: the pack still
+   mounts, the older record answers, and recovery reads what it names. *)
+let test_torn_map_write_keeps_the_older_map () =
+  let drive = run_pack ~scattered:false () in
+  let fs = match Fs.mount drive with Ok fs -> fs | Error msg -> failwith msg in
+  let n = Drive.sector_count drive and per_cylinder = 24 in
+  let last = Disk_address.of_index (n - 1) in
+  let middle = Disk_address.of_index (n / 2) in
+  Fs.announce fs [ middle ];
+  let older = Fs.mapped_cylinders fs in
+  Alcotest.(check (option (list int))) "one cylinder mapped" (Some [ n / 2 / per_cylinder ]) older;
+  Fault.crash_after_writes ~tear:Drive.Torn_value drive 0;
+  (match Fs.announce fs [ last ] with
+  | () -> Alcotest.fail "the map write outran its crash point"
+  | exception Drive.Power_failure -> ());
+  Fault.cancel_crash drive;
+  Alcotest.(check bool) "a record is torn" true
+    (List.exists (Drive.is_torn drive) (Fs.map_records drive));
+  match Fs.mount drive with
+  | Error msg -> Alcotest.failf "a torn map record left the pack unmountable: %s" msg
+  | Ok crashed -> (
+      Alcotest.(check (option (list int))) "the older record answers" older
+        (Fs.mapped_cylinders crashed);
+      match Recovery.recover crashed with
+      | _, Recovery.Through_map (cylinders, _) ->
+          Alcotest.(check (option (list int))) "recovery read the older map" older (Some cylinders);
+          List.iter
+            (fun i -> Alcotest.failf "fsck: %a" Alto_fs.Fsck.pp_issue i)
+            (Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations
+      | _, outcome -> Alcotest.failf "recovered by %a" Recovery.pp_outcome outcome)
+
+(* A dirty boot reads the mapped cylinders, a sector each, plus what its
+   repairs read — never the pack. *)
+let test_dirty_boot_reads_the_mapped_cylinders () =
+  let drive = crashed_delete ~scattered:false () in
+  let fs = match Fs.mount drive with Ok fs -> fs | Error msg -> failwith msg in
+  let cylinders = match Fs.mapped_cylinders fs with Some c -> c | None -> Alcotest.fail "no map" in
+  let ops () = (Drive.stats drive).Drive.operations and writes () = Drive.write_ops drive in
+  let ops0 = ops () and writes0 = writes () in
+  let report =
+    match Scavenger.repair fs ~cylinders with
+    | Ok r -> r
+    | Error why -> Alcotest.failf "the map did not settle the pack: %s" why
+  in
+  let reads = ops () - ops0 - (writes () - writes0) in
+  let swept = 24 * List.length cylinders in
+  let walked = report.Scavenger.sectors_scanned - swept in
+  Alcotest.(check bool) "the sweep read every mapped sector" true (walked >= 0);
+  (* What the repairs read: the pages the walks followed, and the root
+     directory, a track of it at a time. *)
+  if reads > swept + walked + 24 then
+    Alcotest.failf "%d reads for %d mapped cylinders and %d walked pages" reads
+      (List.length cylinders) walked;
+  Alcotest.(check bool) "a fraction of the pack" true (reads < Drive.sector_count drive / 4)
+
+(* Recovery through the map leaves what a whole-pack scavenge leaves. *)
+let test_recovery_agrees_with_a_scavenge () =
+  let compared, disagreements = Crash_harness.differential ~points_per_workload:3 () in
+  List.iter print_endline disagreements;
+  Alcotest.(check int) "45 crash points" 45 compared;
+  Alcotest.(check int) "no disagreement" 0 (List.length disagreements)
+
 (* {2 The harness, in miniature} *)
 
 let test_harness_small_sweep () =
   let t = Crash_harness.run ~points_per_workload:3 () in
   List.iter print_endline t.Crash_harness.violation_log;
   Alcotest.(check int) "no invariant violations" 0 t.Crash_harness.violations;
+  Alcotest.(check int) "no escalations" 0 t.Crash_harness.scavenges;
   Alcotest.(check int) "45 trials" 45 t.Crash_harness.trials;
   Alcotest.(check bool) "crash points fired" true (t.Crash_harness.crash_points > 0);
   Alcotest.(check bool) "torn variants fired" true (t.Crash_harness.torn_points > 0)
@@ -766,10 +1011,13 @@ let () =
           ("replace survives a crash at every write", `Quick, test_replace_crash_points);
           ("delete survives a crash at every write", `Quick, test_delete_run_crash_points);
           ("truncate survives a crash at every write", `Quick, test_truncate_run_crash_points);
-          ( "a dirty pack owing a whole lap boots certified",
+          ( "a dirty pack boots certified through the map",
             `Quick,
-            test_whole_lap_owed_boots_certified );
-          ("a dirty pack mid-lap keeps the bounded lap", `Quick, test_mid_lap_keeps_bounded_lap);
+            test_dirty_pack_boots_through_the_map );
+          ( "a dirty pack mid-lap recovers through the map",
+            `Quick,
+            test_mid_lap_recovers_through_the_map );
+          ("a lost map scavenges the whole pack", `Quick, test_lost_map_scavenges_whole);
           ( "boot scavenge survives a crash at every write",
             `Quick,
             test_boot_scavenge_crash_points );
@@ -777,5 +1025,22 @@ let () =
           ( "a dirty mount resumes past every serial",
             `Quick,
             test_dirty_mount_resumes_past_every_serial );
+        ] );
+      ( "write-ahead map",
+        [
+          ("a crash mid-compaction mounts dirty", `Quick, test_compaction_crash_mounts_dirty);
+          ("a crash mid-OutLoad mounts dirty", `Quick, test_out_load_crash_mounts_dirty);
+          ( "a whole compaction keeps a clean pack clean",
+            `Quick,
+            test_compaction_keeps_a_clean_pack_clean );
+          ( "a torn map write keeps the older map",
+            `Quick,
+            test_torn_map_write_keeps_the_older_map );
+          ( "a dirty boot reads the mapped cylinders",
+            `Quick,
+            test_dirty_boot_reads_the_mapped_cylinders );
+          ( "recovery agrees with a scavenge",
+            `Quick,
+            test_recovery_agrees_with_a_scavenge );
         ] );
     ]

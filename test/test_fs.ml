@@ -666,13 +666,16 @@ let test_free_run_refused_frees_nothing () =
 let test_extend_run_writes () =
   let drive, fs, file = run_subject 1 in
   let writes0 = Drive.write_ops drive in
+  let maps0 = Alto_obs.Obs.(counter_value (counter "fs.map_writes")) in
   let reserves0 = span_calls "fs.allocate_page" in
   let passes0 = span_calls ~child:"disk.sched.sweep" "fs.allocate_page" in
   let free0 = Fs.free_count fs in
   let body = other (24 * Sector.bytes_per_page) in
   file_ok "extend" (File.append_bytes file body);
+  let maps = Alto_obs.Obs.(counter_value (counter "fs.map_writes")) - maps0 in
+  Alcotest.(check bool) "at most one map write for the run" true (maps <= 1);
   Alcotest.(check int) "one label-and-value write and one relink a page" 48
-    (Drive.write_ops drive - writes0);
+    (Drive.write_ops drive - writes0 - maps);
   Alcotest.(check int) "one reservation" 1 (span_calls "fs.allocate_page" - reserves0);
   Alcotest.(check int) "one check pass" 1
     (span_calls ~child:"disk.sched.sweep" "fs.allocate_page" - passes0);

@@ -1,9 +1,9 @@
 (* The online patrol: the incremental verify sweep finds marginal
    sectors by retry evidence and moves their pages to safety before the
-   sector dies; the dirty flag and the persisted cursor turn an unsafe
-   shutdown into a bounded recovery scan instead of a full scavenge; and
-   quarantine verdicts that overflow the descriptor table survive
-   remount through the spill file. *)
+   sector dies; its slice rules settle the sectors an unsafe shutdown's
+   write-ahead map names, so recovery reads those cylinders instead of
+   the whole pack; and quarantine verdicts that overflow the descriptor
+   table survive remount through the spill file. *)
 
 module Word = Alto_machine.Word
 module Geometry = Alto_disk.Geometry
@@ -17,6 +17,7 @@ module Directory = Alto_fs.Directory
 module Patrol = Alto_fs.Patrol
 module Bad_sectors = Alto_fs.Bad_sectors
 module Scavenger = Alto_fs.Scavenger
+module Recovery = Alto_fs.Recovery
 module Page = Alto_fs.Page
 module System = Alto_os.System
 module Executive = Alto_os.Executive
@@ -176,14 +177,14 @@ let test_deterministic_under_seed () =
 
 (* {2 unsafe shutdown} *)
 
-(* The dirty flag: set and persisted by the first mutation, cleared by a
-   consistency point, and readable across remounts. *)
+(* The write-ahead map: set and persisted by the first mutation, emptied
+   by a consistency point, and readable across remounts. *)
 let test_dirty_flag_lifecycle () =
   let drive, fs = make_volume () in
   Alcotest.(check bool) "a fresh format is clean" false (Fs.dirty fs);
   let _ = create_file fs "Mut.dat" "mutation" in
   Alcotest.(check bool) "mutation set the flag" true (Fs.dirty fs);
-  (* The flag was written through at the first mutation: a remount (the
+  (* The map was written through before the first write: a remount (the
      crash view) sees it without any further flush. *)
   (match Fs.mount drive with
   | Error msg -> Alcotest.failf "remount: %s" msg
@@ -195,8 +196,14 @@ let test_dirty_flag_lifecycle () =
   | Error msg -> Alcotest.failf "remount: %s" msg
   | Ok clean -> Alcotest.(check bool) "clean shutdown persisted" false (Fs.dirty clean)
 
-(* Power fails mid-workload; the pack mounts dirty, the bounded recovery
-   scan runs, and the volume is sound and clean afterwards. *)
+let through_map fs =
+  match Recovery.recover fs with
+  | fs, Recovery.Through_map (cylinders, report) -> (fs, cylinders, report)
+  | _, outcome -> Alcotest.failf "recovered by %a" Recovery.pp_outcome outcome
+
+(* Power fails mid-workload; the pack mounts dirty, recovery reads only
+   the cylinders the map names, and the volume is sound and clean
+   afterwards. *)
 let test_crash_recovery_bounded () =
   let drive, fs = make_volume ~geometry:{ tiny with Geometry.cylinders = 5 } () in
   let keep = String.init 1200 (fun i -> Char.chr (65 + (i mod 26))) in
@@ -217,10 +224,17 @@ let test_crash_recovery_bounded () =
   | Error msg -> Alcotest.failf "mount after crash: %s" msg
   | Ok crashed ->
       Alcotest.(check bool) "the pack mounts dirty" true (Fs.dirty crashed);
-      let recovery = Patrol.recover crashed in
-      Alcotest.(check bool) "the scan covered the unfinished lap" true
-        (recovery.Patrol.sectors_scanned
-        = Drive.sector_count drive - recovery.Patrol.resumed_at);
+      let mapped =
+        match Fs.mapped_cylinders crashed with
+        | Some c -> c
+        | None -> Alcotest.fail "no map record read back"
+      in
+      Alcotest.(check bool) "the map names less than the pack" true
+        (mapped <> [] && List.length mapped < 5);
+      let crashed, cylinders, report = through_map crashed in
+      Alcotest.(check (list int)) "recovery read the mapped cylinders" mapped cylinders;
+      Alcotest.(check bool) "no more than those cylinders and the walks" true
+        (report.Scavenger.sectors_scanned >= 24 * List.length mapped);
       Alcotest.(check bool) "recovery declared the consistency point" false
         (Fs.dirty crashed);
       (* The volume is sound: the pre-crash file reads back, and a fresh
@@ -229,50 +243,39 @@ let test_crash_recovery_bounded () =
       Alcotest.(check string) "pre-crash data intact" keep (read_all kept);
       (match Fs.mount drive with
       | Error msg -> Alcotest.failf "clean remount: %s" msg
-      | Ok clean -> Alcotest.(check bool) "clean after recovery" false (Fs.dirty clean))
+      | Ok clean -> Alcotest.(check bool) "clean after recovery" false (Fs.dirty clean));
+      List.iter
+        (fun i -> Alcotest.failf "fsck: %a" Alto_fs.Fsck.pp_issue i)
+        (Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations
 
-(* Recovery restores safety over the unswept tail; the head region the
-   crashed lap already covered is owed completeness. A patrol created
-   with [~makeup_until] runs double-rate slices until the cursor crosses
-   that region, then settles back to one slice per tick. *)
-let test_makeup_lap_after_recovery () =
+(* A recovery through the map ends at a consistency point: the map is
+   empty on the platter, the next boot mounts clean, and a later crash
+   maps only what was written after it. *)
+let test_recovery_declares_a_consistency_point () =
   let drive, fs = make_volume () in
   let _ = create_file fs "Keep.dat" (String.make 900 'k') in
   (match Fs.mark_clean fs with
   | Ok () -> ()
   | Error e -> Alcotest.failf "mark_clean: %a" Fs.pp_error e);
-  (* Walk the sweep into the middle of the pack, then crash. *)
-  let walker = Patrol.create fs in
-  let n = Drive.sector_count drive in
-  while Fs.patrol_cursor fs < n / 2 do
-    ignore (Patrol.tick walker : Patrol.report)
-  done;
   let _ = create_file fs "Dirty.dat" "unsaved" in
-  Alcotest.(check bool) "mutation dirtied the pack" true (Fs.dirty fs);
-  let recovery = Patrol.recover fs in
-  let owed = recovery.Patrol.resumed_at in
-  Alcotest.(check bool) "recovery skipped a head region" true (owed > 0);
-  let patrol = Patrol.create ~makeup_until:owed fs in
-  Alcotest.(check int) "the head region is owed" owed (Patrol.makeup_pending patrol);
-  let slice = 24 in
-  let ticks = ref 0 in
-  while Patrol.makeup_pending patrol > 0 && !ticks < n do
-    ignore (Patrol.tick patrol : Patrol.report);
-    incr ticks
-  done;
-  Alcotest.(check int) "the completeness lap finished" 0
-    (Patrol.makeup_pending patrol);
-  (* Double rate: two slices per tick while the debt lasts. *)
-  let budget = ((owed + (2 * slice) - 1) / (2 * slice)) + 1 in
-  Alcotest.(check bool)
-    (Printf.sprintf "finished in %d ticks (budget %d)" !ticks budget)
-    true (!ticks <= budget);
-  (* The debt is paid once: a plain patrol owes nothing. *)
-  Alcotest.(check int) "no debt without a crash" 0
-    (Patrol.makeup_pending (Patrol.create fs))
+  let crashed =
+    match Fs.mount drive with Ok fs -> fs | Error msg -> Alcotest.failf "mount: %s" msg
+  in
+  let _, cylinders, _ = through_map crashed in
+  Alcotest.(check bool) "something was mapped" true (cylinders <> []);
+  (match Fs.mount drive with
+  | Error msg -> Alcotest.failf "remount: %s" msg
+  | Ok again ->
+      Alcotest.(check (option (list int))) "the map is empty" (Some [])
+        (Fs.mapped_cylinders again);
+      (match Recovery.recover again with
+      | _, Recovery.Clean -> ()
+      | _, outcome -> Alcotest.failf "a second boot recovered by %a" Recovery.pp_outcome outcome));
+  let _, _ = open_by_name crashed "Dirty.dat" in
+  ()
 
 (* A crash between reserving a page and writing it leaks the map bit;
-   the recovery scan reclaims it (label free, map busy). *)
+   recovery through the map reclaims it (label free, map busy). *)
 let test_abandoned_reservation_reclaimed () =
   let drive, fs = make_volume () in
   let reserved =
@@ -290,11 +293,62 @@ let test_abandoned_reservation_reclaimed () =
   | Ok crashed ->
       Alcotest.(check bool) "the leak survived the crash" false
         (Fs.is_free_in_map crashed reserved);
-      let recovery = Patrol.recover crashed in
-      Alcotest.(check bool) "the scan repaired the map" true
-        (recovery.Patrol.r_map_repairs >= 1);
+      let crashed, _, _ = through_map crashed in
       Alcotest.(check bool) "the leaked page is free again" true
-        (Fs.is_free_in_map crashed reserved)
+        (Fs.is_free_in_map crashed reserved);
+      match Fs.mount drive with
+      | Error msg -> Alcotest.failf "remount: %s" msg
+      | Ok again ->
+          Alcotest.(check bool) "and stays free on the platter" true
+            (Fs.is_free_in_map again reserved)
+
+(* A flush is not a consistency point: the map keeps every cylinder
+   written since the last one, and only [mark_clean] empties it. *)
+let test_flush_keeps_the_map () =
+  let drive, fs = make_volume () in
+  let _ = create_file fs "Mut.dat" "mutation" in
+  let mapped = Fs.mapped_cylinders fs in
+  Alcotest.(check bool) "the write mapped a cylinder" true (mapped <> Some []);
+  (match Fs.flush fs with Ok () -> () | Error e -> Alcotest.failf "flush: %a" Fs.pp_error e);
+  (match Fs.mount drive with
+  | Error msg -> Alcotest.failf "remount: %s" msg
+  | Ok after_flush ->
+      Alcotest.(check (option (list int))) "flush kept the map" mapped
+        (Fs.mapped_cylinders after_flush));
+  (match Fs.mark_clean fs with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "mark_clean: %a" Fs.pp_error e);
+  match Fs.mount drive with
+  | Error msg -> Alcotest.failf "remount: %s" msg
+  | Ok clean ->
+      Alcotest.(check (option (list int))) "a consistency point empties it" (Some [])
+        (Fs.mapped_cylinders clean)
+
+(* A descriptor of the format before the map (version 1) has no map
+   records: the pack owes the whole of it, and boot's scavenge writes it
+   back in the current format. *)
+let test_pack_before_the_map () =
+  let drive, fs = make_volume () in
+  let _ = create_file fs "Old.dat" "from before the map" in
+  (match Fs.flush fs with Ok () -> () | Error e -> Alcotest.failf "flush: %a" Fs.pp_error e);
+  (* Word 1 of the descriptor's first content page is the format
+     version. *)
+  let first = addr 2 in
+  let value = Array.copy (Drive.peek drive first).Sector.value in
+  value.(1) <- Word.of_int 1;
+  Drive.poke drive first Sector.Value value;
+  let cylinders = tiny.Geometry.cylinders in
+  match Fs.mount drive with
+  | Error msg -> Alcotest.failf "a version 1 descriptor does not mount: %s" msg
+  | Ok old -> (
+      Alcotest.(check (option (list int))) "the whole pack is owed"
+        (Some (List.init cylinders Fun.id)) (Fs.mapped_cylinders old);
+      match Recovery.recover old with
+      | recovered, Recovery.Scavenged (Recovery.Whole_pack, _) ->
+          Alcotest.(check bool) "clean after the scavenge" false (Fs.dirty recovered);
+          let kept, _ = open_by_name recovered "Old.dat" in
+          Alcotest.(check string) "the file survived" "from before the map" (read_all kept)
+      | _, outcome -> Alcotest.failf "recovered by %a" Recovery.pp_outcome outcome)
 
 (* {2 the spill file} *)
 
@@ -356,7 +410,7 @@ let test_health_command () =
   Alcotest.(check bool) "reports the bad-sector stores" true (contains "spilled");
   Alcotest.(check bool) "reports the spill file" true (contains "no spill file");
   (* quit declared the consistency point: the pack reboots clean, with
-     no recovery scan. *)
+     no recovery. *)
   Alcotest.(check bool) "quit left the volume clean" false
     (Fs.dirty (System.fs system))
 
@@ -375,7 +429,11 @@ let () =
         [
           ("dirty flag lifecycle", `Quick, test_dirty_flag_lifecycle);
           ("crash recovery bounded", `Quick, test_crash_recovery_bounded);
-          ("makeup lap after recovery", `Quick, test_makeup_lap_after_recovery);
+          ( "recovery declares a consistency point",
+            `Quick,
+            test_recovery_declares_a_consistency_point );
+          ("flush keeps the map", `Quick, test_flush_keeps_the_map);
+          ("a pack from before the map owes all of it", `Quick, test_pack_before_the_map);
           ( "abandoned reservation reclaimed",
             `Quick,
             test_abandoned_reservation_reclaimed );
