@@ -96,7 +96,7 @@ let e2 () =
         name)
   in
   let clock = Drive.clock drive in
-  let read_all () =
+  let read_all fs () =
     List.iter
       (fun name ->
         let file = reopen fs name in
@@ -105,16 +105,15 @@ let e2 () =
         s.Stream.close ())
       names
   in
-  let fragmentation name =
-    ok File.pp_error (Compactor.consecutive_fraction fs (reopen fs name))
+  let frag_before =
+    ok File.pp_error (File.consecutive_fraction (reopen fs (List.hd names)))
   in
-  let frag_before = fragmentation (List.hd names) in
-  let (), scattered_us = timed clock read_all in
-  let report, compact_us =
+  let (), scattered_us = timed clock (read_all fs) in
+  let (fs, report), compact_us =
     timed clock (fun () ->
         match Compactor.compact fs with Ok r -> r | Error msg -> failwith msg)
   in
-  let (), consecutive_us = timed clock read_all in
+  let (), consecutive_us = timed clock (read_all fs) in
   print_table [ 34; 14 ]
     [ "configuration"; "read time" ]
     [
@@ -126,8 +125,8 @@ let e2 () =
     ];
   Printf.printf "speedup: %.1fx  (compaction itself: %s, %d moves, %d/%d files consecutive)\n"
     (float_of_int scattered_us /. float_of_int consecutive_us)
-    (us_to_string compact_us) report.Compactor.moves
-    report.Compactor.files_consecutive report.Compactor.files_total
+    (us_to_string compact_us) report.Scavenger.relocated_pages
+    report.Scavenger.files_consecutive report.Scavenger.files_found
 
 (* E3 — §3.3: "This scheme costs a disk revolution each time a page is
    allocated or freed … On any other write the label is checked, at no
@@ -484,7 +483,9 @@ let e8 () =
     Fs.set_policy fs (Fs.Scattered (Random.State.make [| 3 |]));
     let root = ok Directory.pp_error (Directory.open_root fs) in
     let (_ : File.t) = make_file fs root "Target.dat" 20_000 5 in
-    (match Compactor.compact fs with Ok _ -> () | Error msg -> failwith msg);
+    let fs =
+      match Compactor.compact fs with Ok (fs, _) -> fs | Error msg -> failwith msg
+    in
     let file = reopen fs "Target.dat" in
     let clock = Drive.clock drive in
     let base = ok File.pp_error (File.page_name file 1) in
@@ -835,11 +836,13 @@ let e13 () =
     let geometry = { Geometry.diablo_31 with Geometry.model = "aging"; cylinders = 26 } in
     let drive, fs = fresh ~geometry () in
     let clock = Drive.clock drive in
-    let root = ok Directory.pp_error (Directory.open_root fs) in
+    (* A compaction hands back the rebuilt volume. *)
+    let volume = ref (fs, ok Directory.pp_error (Directory.open_root fs)) in
     let rng = Random.State.make [| 77 |] in
     let live = ref [] in
     let counter = ref 0 in
     let round r =
+      let fs, root = !volume in
       (* Churn: delete a few files, create a few, append to some. *)
       let victims, keep =
         List.partition (fun _ -> Random.State.int rng 3 = 0) !live
@@ -876,12 +879,15 @@ let e13 () =
             | Ok None | Error _ -> ())
         !live;
       if compact_every > 0 && r mod compact_every = 0 then
-        match Compactor.compact fs with Ok _ -> () | Error _ -> ()
+        match Compactor.compact fs with
+        | Ok (fs, _) -> volume := (fs, ok Directory.pp_error (Directory.open_root fs))
+        | Error _ -> ()
     in
     (* After each round: average adjacency and a sequential read probe. *)
     List.map
       (fun r ->
         round r;
+        let fs, root = !volume in
         let fractions =
           List.filter_map
             (fun name ->
@@ -889,7 +895,7 @@ let e13 () =
               | Ok (Some e) -> (
                   match File.open_leader fs e.Directory.entry_file with
                   | Ok f -> (
-                      match Compactor.consecutive_fraction fs f with
+                      match File.consecutive_fraction f with
                       | Ok x -> Some x
                       | Error _ -> None)
                   | Error _ -> None)

@@ -4,39 +4,23 @@
     files can be read sequentially by an order of magnitude over what is
     possible if the pages have become scattered."
 
-    Files are laid out one after another starting just past the disk
-    descriptor, each as one consecutive run (bad sectors are skipped,
-    splitting the run but nothing else). The permutation is executed with
-    ordinary timed disk operations and one in-memory sector buffer, so the
-    compactor works on a completely full pack. Moved pages are written
-    with their final links; a repair pass fixes the stragglers whose
-    neighbours moved out from under them. Vacated sectors are freed, every
-    leader's hints are refreshed (and its maybe-consecutive flag set), and
-    directory entries are re-aimed at the new leader addresses. *)
+    A compaction is a scavenge ({!Scavenger.rebuild}) whose placement
+    plan lays the files out one after another just past the disk
+    descriptor, in file-id order, each as one consecutive run (bad,
+    quarantined and marginal sectors are skipped, splitting the run but
+    nothing else). The scavenge writes every page at its target with
+    its final links, and every leader with its last-page hint and
+    maybe-consecutive flag, then frees the old copies, re-aims the
+    directory entries and rebuilds the descriptor. Before any sector
+    holding a page's only copy is overwritten, a twin is staged on a
+    free sector, so a crash part way boots into a scavenge that finds a
+    whole copy of every page; only a pack with no free sector left holds
+    a page in core alone across a swap. *)
 
-type report = {
-  pages_placed : int;  (** Pages now sitting in their planned slot. *)
-  moves : int;  (** Physical sector copies performed. *)
-  links_rewritten : int;
-  sectors_freed : int;  (** Stale copies and garbage erased. *)
-  leaders_updated : int;
-  entries_fixed : int;  (** Directory entries re-aimed. *)
-  files_consecutive : int;  (** Files whose pages ended fully consecutive. *)
-  files_total : int;
-  duration_us : int;
-}
+val layout : Scavenger.plan
+(** The back-to-back plan. The boot page at sector 0 stays. *)
 
-val pp_report : Format.formatter -> report -> unit
-
-val compact : Fs.t -> (report, string) result
-(** Compact a mounted, structurally sound volume (run {!Scavenger} first
-    if in doubt). The whole pack is announced to the write-ahead map
-    before the first move ({!Fs.announce_whole}), so a crash part way
-    boots into a whole-pack scavenge. The volume handle's map is updated
-    in place and the descriptor flushed; a volume that was clean when
-    the compaction began is declared clean again ({!Fs.mark_clean}). *)
-
-val consecutive_fraction : Fs.t -> File.t -> (float, File.error) result
-(** Fraction of a file's page transitions that are physically adjacent —
-    0.0 for fully scattered, 1.0 for fully consecutive. Experiments use
-    this as the fragmentation measure. *)
+val compact : Fs.t -> (Fs.t * Scavenger.report, string) result
+(** Flush the volume's delayed writes and compact its pack. The result
+    is the rebuilt volume, as {!Scavenger.scavenge} returns it: the
+    handle passed in is stale once this returns. *)

@@ -71,7 +71,7 @@ val rewrite : File.t -> entry list -> (unit, error) result
 val salvage : File.t -> entry list * bool
 (** Read as many live entries as possible, stopping at the first slot
     that does not scan; the boolean reports whether anything was
-    unreadable. The compactor uses this where {!entries} would refuse. *)
+    unreadable: what survives where {!entries} would refuse. *)
 
 (** {2 Directories held in memory}
 

@@ -995,3 +995,21 @@ let replace ?through t s =
   flush_leader t
 
 let replace_words t ws = replace t (Word.string_of_words ws ~len:(2 * Array.length ws))
+
+(* {2 Layout} *)
+
+let consecutive_fraction t =
+  let ( let* ) = Result.bind in
+  let last = last_page t in
+  let rec count pn prev adjacent =
+    if pn > last then Ok adjacent
+    else
+      let* fn = page_name t pn in
+      let here = Disk_address.to_index fn.Page.addr in
+      count (pn + 1) here (if here = prev + 1 then adjacent + 1 else adjacent)
+  in
+  if last < 1 then Ok 1.0
+  else
+    let* leader = page_name t 0 in
+    let* adjacent = count 1 (Disk_address.to_index leader.Page.addr) 0 in
+    Ok (float_of_int adjacent /. float_of_int last)

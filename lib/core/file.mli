@@ -172,3 +172,9 @@ val retain_hints : t -> every:int -> unit
 val hinted_pages : t -> int
 (** How many page addresses the handle currently holds — benchmarks
     report hint coverage. *)
+
+val consecutive_fraction : t -> (float, error) result
+(** The fraction of the file's page transitions, leader included, that
+    land on the next sector: 0.0 for fully scattered, 1.0 for fully
+    consecutive (and for a file of one page). The experiments' measure
+    of fragmentation. *)

@@ -5,7 +5,9 @@ module Json = Alto_obs.Json
 
 let file_name = "FlightRecorder.log"
 let magic = "altos.flight/1"
-let default_capacity = 256
+
+(* The newest events kept in core for the next seal. *)
+let capacity = 256
 
 let m_flushes = Obs.counter "fs.flight.flushes"
 let m_adoptions = Obs.counter "fs.flight.adoptions"
@@ -15,14 +17,13 @@ let m_adoptions = Obs.counter "fs.flight.adoptions"
    tests) never grow a surprise catalogued file; booting the full
    machine arms it. *)
 let armed = ref false
-let capacity = ref default_capacity
 let ring : Obs.event Queue.t = Queue.create ()
 let sink : Obs.sink_id option ref = ref None
 let last_adopted : string option ref = ref None
 
 let on_event e =
   Queue.push e ring;
-  while Queue.length ring > !capacity do
+  while Queue.length ring > capacity do
     ignore (Queue.pop ring)
   done
 
@@ -40,13 +41,6 @@ let disable () =
   last_adopted := None
 
 let is_enabled () = !armed
-
-let set_capacity n =
-  if n <= 0 then invalid_arg "Flight.set_capacity: capacity must be positive";
-  capacity := n;
-  while Queue.length ring > n do
-    ignore (Queue.pop ring)
-  done
 
 let field_json = function
   | Obs.I i -> Json.Int i

@@ -1,6 +1,6 @@
 (** The on-pack flight recorder: the machine's black box.
 
-    A bounded {!Obs} sink keeps the newest trace events in core; at each
+    A bounded {!Obs} sink keeps the newest 256 trace events in core; at each
     consistency point ([quit], OutLoad, scavenge completion) the
     recorder seals them — together with a full metrics snapshot — into
     a catalogued [FlightRecorder.log] file on the pack: a one-line
@@ -43,10 +43,6 @@ val disable : unit -> unit
     simulated incarnation to. *)
 
 val is_enabled : unit -> bool
-
-val set_capacity : int -> unit
-(** Resize the in-core event buffer (default 256 newest events),
-    evicting the oldest. Raises [Invalid_argument] when not positive. *)
 
 val flush : reason:string -> Fs.t -> unit
 (** Seal the current buffer and metrics into the pack, creating the

@@ -30,16 +30,6 @@ let pp_error fmt = function
   | Page_error e -> Page.pp_error fmt e
   | Corrupt msg -> Format.fprintf fmt "descriptor corrupt: %s" msg
 
-type counters = {
-  allocations : int;
-  frees : int;
-  stale_map_hits : int;
-  bad_sectors_hit : int;
-}
-
-let zero_counters =
-  { allocations = 0; frees = 0; stale_map_hits = 0; bad_sectors_hit = 0 }
-
 (* The write-ahead cylinder map of one pack: one bit per cylinder, set
    before any write lands there and cleared only at a consistency point.
    It is the pack's, not a handle's: every handle mounted on the drive
@@ -70,7 +60,6 @@ type t = {
   mutable policy : allocation_policy;
   mutable label_checking : bool;
   mutable descriptor_pages : Disk_address.t array;  (** Data pages, pn 1.. *)
-  mutable counters : counters;
   mutable bad_table : int list;
       (** Quarantined sector indexes, oldest first — the persistent
           bad-sector table, flushed with the descriptor. *)
@@ -136,8 +125,6 @@ let policy t = t.policy
 let set_policy t p = t.policy <- p
 let label_checking t = t.label_checking
 let set_label_checking t flag = t.label_checking <- flag
-let counters t = t.counters
-let reset_counters t = t.counters <- zero_counters
 let next_serial t = t.next_serial
 let set_next_serial t n = t.next_serial <- n
 
@@ -525,14 +512,12 @@ let pass t op ?value requests =
 let first_error results = List.find_map (function Error e -> Some e | Ok () -> None) results
 
 let count_stale_map_hit t addr =
-  t.counters <- { t.counters with stale_map_hits = t.counters.stale_map_hits + 1 };
   Obs.incr m_stale_map_hits;
   Obs.event ~clock:(Drive.clock t.drive)
     ~fields:[ ("addr", Obs.I (Disk_address.to_index addr)) ]
     "fs.stale_map_hit"
 
 let count_bad_sector t addr =
-  t.counters <- { t.counters with bad_sectors_hit = t.counters.bad_sectors_hit + 1 };
   Obs.incr m_bad_sectors_hit;
   (* Record the dud so no future mount hands it out again. *)
   quarantine t addr
@@ -592,7 +577,6 @@ let write_reserved t addr label value =
       (* A completed label write is its own verification: the relink
          that follows checks this label in core, not on the platter. *)
       Label_cache.note_verified t.cache addr words;
-      t.counters <- { t.counters with allocations = t.counters.allocations + 1 };
       Obs.incr m_allocations;
       Ok ()
   | Error Drive.Bad_sector ->
@@ -653,7 +637,6 @@ let free_pages t (names : Page.full_name list) =
           (fun (fn : Page.full_name) result ->
             if Result.is_ok result then begin
               mark_free t fn.Page.addr;
-              t.counters <- { t.counters with frees = t.counters.frees + 1 };
               Obs.incr m_frees
             end)
           names written;
@@ -869,7 +852,6 @@ let make_handle drive =
       policy = Near_previous;
       label_checking = true;
       descriptor_pages = [||];
-      counters = zero_counters;
       bad_table = [];
       spill = [];
       intent = intent_of drive;

@@ -168,8 +168,8 @@ val free_page : t -> Page.full_name -> (unit, error) result
 val free_count : t -> int
 val is_free_in_map : t -> Disk_address.t -> bool
 val mark_busy : t -> Disk_address.t -> unit
-(** Map-only marking; the scavenger and compactor use these while they
-    rebuild the map from labels. *)
+(** Map-only marking; the scavenger uses these while it rebuilds the map
+    from labels. *)
 
 val mark_free : t -> Disk_address.t -> unit
 (** Map-only freeing. A quarantined sector is left busy: the bad-sector
@@ -254,8 +254,8 @@ val announce : t -> Disk_address.t list -> unit
     before a pass that will write the sectors. *)
 
 val announce_whole : t -> unit
-(** Map every cylinder: for passes that may write anywhere (the
-    compactor, a whole-pack scavenge). *)
+(** Map every cylinder: for passes that may write anywhere (a
+    whole-pack scavenge, a compaction among them). *)
 
 val mark_clean : t -> (unit, error) result
 (** Declare a consistency point: {!flush}, then write an empty map
@@ -268,18 +268,6 @@ val patrol_cursor : t -> int
 val set_patrol_cursor : t -> int -> unit
 (** In-core only; {!flush} (or the patrol's own persistence policy)
     writes it out. Raises [Invalid_argument] beyond the pack. *)
-
-type counters = {
-  allocations : int;
-  frees : int;
-  stale_map_hits : int;
-      (** Allocation attempts refuted by the label's free check — the
-          map hint being caught lying. *)
-  bad_sectors_hit : int;
-}
-
-val counters : t -> counters
-val reset_counters : t -> unit
 
 (** {2 Reconstruction interface}
 

@@ -32,6 +32,7 @@ let m_leaders_rebuilt = Obs.counter "scavenger.leaders_rebuilt"
 type report = {
   sectors_scanned : int;
   files_found : int;
+  files_consecutive : int;
   nameless_files : int;
   directories_found : int;
   orphans_adopted : int;
@@ -55,13 +56,13 @@ type report = {
 let pp_report fmt r =
   Format.fprintf fmt
     "@[<v>scanned %d sectors in %a@,\
-     files %d (dirs %d), orphans adopted %d@,\
+     files %d (dirs %d, %d consecutive), orphans adopted %d@,\
      links repaired %d, labels reclaimed %d, bad sectors %d@,\
      entries fixed %d, removed %d; incomplete files %d, pages lost %d@,\
      duplicates %d, relocated %d%s%s%s%s%s@]"
     r.sectors_scanned Sim_clock.pp_duration r.duration_us r.files_found
-    r.directories_found r.orphans_adopted r.links_repaired r.labels_reclaimed
-    r.bad_sectors r.entries_fixed r.entries_removed r.incomplete_files
+    r.directories_found r.files_consecutive r.orphans_adopted r.links_repaired
+    r.labels_reclaimed r.bad_sectors r.entries_fixed r.entries_removed r.incomplete_files
     r.pages_lost r.duplicate_pages r.relocated_pages
     (if r.marginal_relocated > 0 then
        Printf.sprintf ", %d marginal pages rescued" r.marginal_relocated
@@ -142,26 +143,6 @@ let write_labelled drive i ~label ~value =
     { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
     ~label ~value ()
 
-(* Copy one page's sector to a fresh location, out of the descriptor's
-   reserved range (or off a marginal surface), returning the value
-   copied. The read runs under the salvage policy: this is the last copy
-   of somebody's data, so the scavenger tries much harder than the
-   ordinary ladder before giving the page up. *)
-let move_page st ~src ~dst (label : Label.t) =
-  let value = Array.make Sector.value_words Word.zero in
-  match
-    Reliable.run ~policy:Reliable.salvage_policy st.drive (Disk_address.of_index src)
-      { Drive.op_none with value = Some Drive.Read }
-      ~value ()
-  with
-  | Error _ -> None
-  | Ok () -> (
-      match write_labelled st.drive dst ~label:(Label.to_words label) ~value with
-      | Error _ -> None
-      | Ok () ->
-          st.relocated_pages <- st.relocated_pages + 1;
-          Some value)
-
 (* Rewrite a page's label with corrected links (reads the value first —
    the write-continuation rule means a label write must carry the value
    along — then writes both back). The read runs under the salvage
@@ -231,8 +212,8 @@ let group st sectors =
    drops out of its file. A sector that read back only after
    [suspect_retries] or more retries is *marginal*: still readable
    today, unlikely to be tomorrow. Its page survives, but the sector
-   joins the suspect list and its data is copied off to a fresh sector
-   in step 4. *)
+   joins the suspect list, where no page may end: step 4's plan moves
+   the page to a fresh sector. *)
 let verify st ~suspect_retries =
   let live =
     Hashtbl.fold
@@ -335,6 +316,229 @@ let assemble st =
         Hashtbl.replace st.final fid (Array.init (k + 1) (fun pn -> Hashtbl.find pages pn))
       end)
     st.files
+
+(* 4. Placement. *)
+
+type layout = {
+  sectors : int;
+  first : int;
+  files : (File_id.t * int array) list;
+  usable : int -> bool;
+  free : int -> bool;
+}
+
+type plan = layout -> ((File_id.t * int) * int) list
+
+(* Pages on the descriptor's sectors or on marginal ones (the boot page
+   at sector 0 stays) take the lowest free sectors. *)
+let evacuation l =
+  let next = ref 0 and plan = ref [] in
+  let rec free_from i =
+    if i < l.sectors && not (l.free i) then free_from (i + 1) else i
+  in
+  List.iter
+    (fun (fid, sectors) ->
+      Array.iteri
+        (fun pn i ->
+          if i > 0 && not (l.usable i) then begin
+            let t = free_from !next in
+            next := t + 1;
+            if t < l.sectors then plan := ((fid, pn), t) :: !plan
+          end)
+        sectors)
+    l.files;
+  List.rev !plan
+
+(* Targets are filled in ascending order, each with the image its page
+   ends with, so step 7 finds nothing to repair in a placed page. The
+   platter holds a whole copy of every page throughout: before a sector
+   holding a page's only copy is overwritten — a page in the way, or a
+   page rewritten where it stands — that image is staged on the lowest
+   free sector above every target, and a torn write leaves the twin
+   that step 1b's rescue adopts. A page in the way is parked where the
+   incoming page stood, or stays on the staging sector when that is
+   marginal or the descriptor's (the next free sector up stages from
+   then on). Only a pack with no such sector holds a parked page in
+   core alone across the swap. A page that leaves a marginal sector
+   retires it to the quarantine. Returns the sectors written. *)
+let place st ~cache ~usable plan =
+  let n = Array.length st.sweep.Sweep.classes in
+  let pages_of fid = Hashtbl.find st.final fid in
+  let at (fid, pn) = fst (pages_of fid).(pn) in
+  let occupant = Array.make n None in
+  Hashtbl.iter
+    (fun fid pages -> Array.iteri (fun pn (i, _) -> occupant.(i) <- Some (fid, pn)) pages)
+    st.final;
+  (* An entry naming a page the run did not keep, a sector no page may
+     end on, or a sector already named, is ignored. *)
+  let target = Hashtbl.create 64 and origin = Hashtbl.create 64 in
+  let incoming = Array.make n None in
+  List.iter
+    (fun (((fid, pn) as id), t) ->
+      if
+        (match Hashtbl.find_opt st.final fid with
+        | Some pages -> pn >= 0 && pn < Array.length pages
+        | None -> false)
+        && t >= 0 && t < n && usable t
+        && Option.is_none incoming.(t)
+        && not (Hashtbl.mem target id)
+      then begin
+        Hashtbl.replace target id t;
+        Hashtbl.replace origin id (at id);
+        incoming.(t) <- Some id
+      end)
+    plan;
+  let final_at id = Option.value (Hashtbl.find_opt target id) ~default:(at id) in
+  let final_label (fid, pn) =
+    let pages = pages_of fid in
+    let link k =
+      if k < 0 || k >= Array.length pages then Disk_address.nil
+      else Disk_address.of_index (final_at (fid, k))
+    in
+    Label.make ~fid ~page:pn ~length:(snd pages.(pn)).Label.length
+      ~next:(link (pn + 1)) ~prev:(link (pn - 1))
+  in
+  let final_value (fid, pn) value =
+    match Leader.of_value value with
+    | Ok leader when pn = 0 ->
+        let last = Array.length (pages_of fid) - 1 in
+        let rec consecutive k =
+          k > last
+          || (final_at (fid, k) = final_at (fid, k - 1) + 1 && consecutive (k + 1))
+        in
+        Leader.to_value
+          (Leader.with_consecutive
+             (Leader.with_last leader ~last_page:last
+                ~last_addr:(Disk_address.of_index (final_at (fid, last))))
+             (consecutive 1))
+    | Ok _ | Error _ -> value
+  in
+  (* A page's value: kept from the sweep, or read under the salvage
+     policy — this may be the last copy of somebody's data. *)
+  let value_at i =
+    match Hashtbl.find_opt st.values i with
+    | Some value -> Some value
+    | None -> (
+        let value = Array.make Sector.value_words Word.zero in
+        match
+          Reliable.run ~policy:Reliable.salvage_policy st.drive
+            (Disk_address.of_index i)
+            { Drive.op_none with value = Some Drive.Read }
+            ~value ()
+        with
+        | Ok () -> Some value
+        | Error _ -> None)
+  in
+  let image id =
+    Option.map (fun v -> (final_label id, final_value id v)) (value_at (at id))
+  in
+  let written = Hashtbl.create 8 in
+  let write i (label, value) =
+    Hashtbl.replace written i ();
+    let words = Label.to_words label in
+    match write_labelled st.drive i ~label:words ~value with
+    | Ok () ->
+        Label_cache.note_verified cache (Disk_address.of_index i) words;
+        true
+    | Error _ -> false
+  in
+  let settle ((fid, pn) as id) i ((label, value) : Label.t * Word.t array) =
+    let pages = pages_of fid in
+    (match occupant.(fst pages.(pn)) with
+    | Some (f, p) when File_id.equal f fid && p = pn -> occupant.(fst pages.(pn)) <- None
+    | Some _ | None -> ());
+    occupant.(i) <- Some id;
+    pages.(pn) <- (i, label);
+    if pn = 0 || File_id.is_directory fid then Hashtbl.replace st.values i value
+    else Hashtbl.remove st.values i
+  in
+  (* The staging sector: the lowest free one above every target, close
+     to the pages being placed. *)
+  let spare = ref (Hashtbl.fold (fun _ t m -> max t m) target 0) in
+  let rec next_spare () =
+    incr spare;
+    if !spare >= n then None
+    else if usable !spare && Option.is_none occupant.(!spare) then Some !spare
+    else next_spare ()
+  in
+  let staging = ref (next_spare ()) in
+  let stage img = Option.iter (fun s -> ignore (write s img)) !staging in
+  (* The staged twin becomes the page's home. *)
+  let keep_staged id img =
+    Option.iter
+      (fun s ->
+        settle id s img;
+        staging := next_spare ())
+      !staging
+  in
+  let unchanged ((fid, pn) as id) =
+    Label.equal (final_label id) (snd (pages_of fid).(pn))
+    && (pn > 0
+       ||
+       match value_at (at id) with
+       | Some v -> Array.for_all2 Word.equal v (final_value id v)
+       | None -> true)
+  in
+  let leave src =
+    if Hashtbl.mem st.suspects src then begin
+      (* The bad marker: the old sector reads as quarantined ever after,
+         never as a duplicate of the page that moved. *)
+      (match
+         write_labelled st.drive src ~label:(Label.bad_words ())
+           ~value:(Label.free_value ())
+       with
+      | Ok () | Error _ -> ());
+      Hashtbl.replace st.quarantined src ();
+      st.marginal_relocated <- st.marginal_relocated + 1
+    end
+  in
+  Array.iteri
+    (fun t -> function
+      | None -> ()
+      | Some id -> (
+          let src = at id in
+          (* A page that cannot be placed stays where it stands. *)
+          let abandon () = Hashtbl.remove target id in
+          if src = t then begin
+            if not (unchanged id) then
+              match image id with
+              | None -> abandon ()
+              | Some img ->
+                  stage img;
+                  if write t img then settle id t img
+                  else begin
+                    abandon ();
+                    keep_staged id img
+                  end
+          end
+          else
+            match occupant.(t) with
+            | None -> (
+                match image id with
+                | Some img when write t img ->
+                    settle id t img;
+                    leave src
+                | Some _ | None -> abandon ())
+            | Some q -> (
+                match (image q, image id) with
+                | Some qimg, Some img when usable src || Option.is_some !staging ->
+                    stage qimg;
+                    if write t img then begin
+                      settle id t img;
+                      if usable src && write src qimg then settle q src qimg
+                      else keep_staged q qimg;
+                      leave src
+                    end
+                    else begin
+                      abandon ();
+                      keep_staged q qimg
+                    end
+                | (Some _ | None), _ -> abandon ())))
+    incoming;
+  Hashtbl.iter
+    (fun id i -> if at id <> i then st.relocated_pages <- st.relocated_pages + 1)
+    origin;
+  written
 
 (* 5's write pass: free the sectors in one elevator batch of label+value
    writes. Writes never mutate their buffers, so every request shares the
@@ -461,6 +665,15 @@ let report_of st ~sectors_scanned ~nameless_files ~directories_found ~bad_sector
   {
     sectors_scanned;
     files_found = Hashtbl.length st.final;
+    files_consecutive =
+      Hashtbl.fold
+        (fun _ pages k ->
+          let rec run pn =
+            pn >= Array.length pages
+            || (fst pages.(pn) = fst pages.(pn - 1) + 1 && run (pn + 1))
+          in
+          if run 1 then k + 1 else k)
+        st.final 0;
     nameless_files;
     directories_found;
     orphans_adopted = st.orphans_adopted;
@@ -481,7 +694,7 @@ let report_of st ~sectors_scanned ~nameless_files ~directories_found ~bad_sector
     duration_us;
   }
 
-let scavenge_run ~suspect_retries drive =
+let scavenge_run ~suspect_retries plan drive =
   let clock = Drive.clock drive in
   let started = Sim_clock.now_us clock in
   (* Each pass that touches the disk runs under a named span, so the
@@ -540,100 +753,71 @@ let scavenge_run ~suspect_retries drive =
   pass "verify" (fun () -> verify st ~suspect_retries);
   assemble st;
 
-  (* 3. Occupancy: the reserved range, bad sectors, and every kept page. *)
+  (* 3. Where a page may end: past the descriptor's standard addresses,
+     on a sector neither bad, quarantined nor marginal. *)
   let reserved_top = 1 + Fs.descriptor_page_count fs in
-  let reserved i = i >= 1 && i <= reserved_top in
+  let bad i =
+    match sweep.Sweep.classes.(i) with
+    | Sweep.Marked_bad | Sweep.Bad_media -> true
+    | Sweep.Live _ | Sweep.Free_sector | Sweep.Garbage _ -> false
+  in
+  let usable i =
+    i > reserved_top
+    && not (bad i || Hashtbl.mem st.quarantined i || Hashtbl.mem st.suspects i)
+  in
+  let files =
+    Hashtbl.fold (fun fid pages l -> (fid, Array.map fst pages) :: l) st.final []
+  in
+  let kept =
+    lazy
+      (let kept = Array.make n false in
+       List.iter (fun (_, at) -> Array.iter (fun i -> kept.(i) <- true) at) files;
+       kept)
+  in
+  let layout =
+    {
+      sectors = n;
+      first = reserved_top + 1;
+      files;
+      usable;
+      free = (fun i -> usable i && not (Lazy.force kept).(i));
+    }
+  in
+
+  (* 4. Place pages where the plan says. *)
+  let written =
+    pass "place" (fun () ->
+        match plan layout with
+        | [] -> Hashtbl.create 1
+        | entries -> place st ~cache:(Fs.label_cache fs) ~usable entries)
+  in
+
+  (* 5. Occupancy: the boot page, the reserved range, bad and
+     quarantined sectors, and every kept page — one left on the
+     reserved range is lost to the descriptor. Free every other sector
+     the sweep did not find free or placement wrote. *)
   let busy = Array.make n false in
-  busy.(0) <- true;
-  for i = 1 to reserved_top do
-    busy.(i) <- true
-  done;
   let bad_sectors = ref 0 in
   for i = 0 to n - 1 do
-    match sweep.Sweep.classes.(i) with
-    | Sweep.Marked_bad | Sweep.Bad_media ->
-        busy.(i) <- true;
-        incr bad_sectors
-    | Sweep.Live _ | Sweep.Free_sector | Sweep.Garbage _ ->
-        if Hashtbl.mem st.quarantined i then busy.(i) <- true
+    if i <= reserved_top || Hashtbl.mem st.quarantined i then busy.(i) <- true;
+    if bad i then begin
+      busy.(i) <- true;
+      incr bad_sectors
+    end
   done;
   Hashtbl.iter
     (fun _ pages ->
-      Array.iter (fun (i, _) -> if not (reserved i) then busy.(i) <- true) pages)
-    st.final;
-
-  (* 4. Evacuate live pages from the reserved range (page 0, the boot
-     page, stays where it is) — and off suspect sectors, while their
-     data can still be read. An evacuated suspect gets the bad marker in
-     its old label and joins the quarantine list; if no room or the copy
-     fails, the page stays put and keeps limping. *)
-  let next_target = ref 0 in
-  let pick_target () =
-    while
-      !next_target < n
-      && (busy.(!next_target)
-         ||
-         match sweep.Sweep.classes.(!next_target) with
-         | Sweep.Marked_bad | Sweep.Bad_media -> true
-         | Sweep.Live _ | Sweep.Free_sector | Sweep.Garbage _ -> false)
-    do
-      incr next_target
-    done;
-    if !next_target >= n then None
-    else begin
-      busy.(!next_target) <- true;
-      Some !next_target
-    end
-  in
-  pass "evacuate" (fun () ->
-  Hashtbl.iter
-    (fun fid pages ->
-      Array.iteri
-        (fun pn (i, label) ->
-          let suspect = Hashtbl.mem st.suspects i in
-          if reserved i || suspect then
-            match
-              Option.bind (pick_target ()) (fun dst ->
-                  Option.map (fun value -> (dst, value)) (move_page st ~src:i ~dst label))
-            with
-            | Some (dst, value) ->
-                (* A directory page keeps the value it carried; a moved
-                   leader is read back in step 8. *)
-                if pn > 0 && File_id.is_directory fid then
-                  Hashtbl.replace values dst value
-                else Hashtbl.remove values dst;
-                pages.(pn) <- (dst, label);
-                if suspect then begin
-                  st.marginal_relocated <- st.marginal_relocated + 1;
-                  (* Retire the old copy: bad marker in the label so the
-                     sector reads as quarantined ever after, never as a
-                     duplicate of the page that just moved. *)
-                  (match
-                     write_labelled st.drive i ~label:(Label.bad_words ())
-                       ~value:(Label.free_value ())
-                   with
-                  | Ok () | Error _ -> ());
-                  Hashtbl.replace st.quarantined i ()
-                end
-            | None ->
-                if suspect then
-                  (* Could not rescue it; the page stays on the marginal
-                     sector and keeps its data for now. *)
-                  pages.(pn) <- (i, label)
-                else begin
-                  (* No room or the move failed: the page is lost. *)
-                  st.pages_lost <- st.pages_lost + 1;
-                  pages.(pn) <- (i, label)
-                end)
+      Array.iter
+        (fun (i, _) ->
+          if i >= 1 && i <= reserved_top then st.pages_lost <- st.pages_lost + 1;
+          busy.(i) <- true)
         pages)
-    st.final);
-
-  (* 5. Free every non-busy sector that is not already free. *)
+    st.final;
   let to_free = ref [] in
   for i = n - 1 downto 0 do
     if not busy.(i) then
       match sweep.Sweep.classes.(i) with
-      | Sweep.Free_sector -> ()
+      | Sweep.Free_sector -> if Hashtbl.mem written i then to_free := i :: !to_free
       | Sweep.Garbage _ | Sweep.Live _ -> to_free := i :: !to_free
       | Sweep.Marked_bad | Sweep.Bad_media -> assert false
   done;
@@ -669,10 +853,10 @@ let scavenge_run ~suspect_retries drive =
      kit, so the scavenger verifies each one is legible. This pass is a
      large share of the minute the paper quotes — one scattered read per
      file — so the whole set goes through the elevator as one batch. The
-     sweep already holds every leader it read back, and nothing since
-     has rewritten one in place (the link repairs write the value they
-     read), so only leaders moved or rebuilt since are read again, and
-     what they read is kept with the rest. *)
+     sweep already holds every leader it read back, placement keeps the
+     image it wrote, and the link repairs write the value they read, so
+     only leaders rebuilt since are read again, and what they read is
+     kept with the rest. *)
   let nameless_files = ref 0 in
   let legible value =
     match Leader.of_value value with
@@ -728,7 +912,7 @@ let scavenge_run ~suspect_retries drive =
 
   (* 10. Directories: verify entries, fix addresses, drop dangling ones —
      from the values kept, which hold every page of every directory in
-     [final] as the sweep read it (or as evacuation carried it). A
+     [final] as the sweep read it (or as placement carried it). A
      directory opens as [File.open_leader] would open it, if its leader
      is legible; it is read through [File] only if it must be
      rewritten. *)
@@ -1185,13 +1369,13 @@ let record_report r =
   Obs.add m_entries_removed r.entries_removed;
   if r.root_rebuilt then Obs.incr m_roots_rebuilt
 
-let scavenge ?verify_values:(_ : bool option) ?(suspect_retries = 2) drive =
+let rebuild ?(suspect_retries = 2) plan drive =
   if suspect_retries < 1 then invalid_arg "Scavenger: suspect_retries below 1";
   let clock = Drive.clock drive in
   Obs.incr m_runs;
   let result =
     Obs.time clock "scavenger.duration_us" (fun () ->
-        scavenge_run ~suspect_retries drive)
+        scavenge_run ~suspect_retries plan drive)
   in
   (match result with
   | Ok (_, report) ->
@@ -1207,3 +1391,6 @@ let scavenge ?verify_values:(_ : bool option) ?(suspect_retries = 2) drive =
         "scavenger.report"
   | Error _ -> Obs.incr m_failed_runs);
   result
+
+let scavenge ?verify_values:(_ : bool option) ?suspect_retries drive =
+  rebuild ?suspect_retries evacuation drive

@@ -17,13 +17,20 @@
       whose data will not read back; (2) discard duplicate pages and
       pages beyond a gap in the chain, and give a headless page set a
       fresh leader;
-    + (3-4) evacuate any foreign page squatting on the descriptor's
-      standard addresses, and any page on a marginal sector, carrying
-      the value along;
-    + (5-6) reclaim garbage-labelled sectors and quarantine bad ones;
+    + (3) offer the kept files and the sectors a page may end on to a
+      placement plan ({!plan}); (4) write each page the plan names at
+      its target with the image it ends with — its final links and, for
+      a leader, its last-page hint and consecutive flag — parking a
+      page in the way and staging a twin before any sector holding a
+      page's only copy is overwritten. A scavenge's plan
+      ({!evacuation}) moves the pages squatting on the descriptor's
+      standard addresses or sitting on marginal sectors; a compaction's
+      lays the files out back to back ({!Compactor});
+    + (5-6) free stale copies, the staging twin and garbage-labelled
+      sectors, and quarantine bad ones;
     + (7) repair every incorrect next/previous link;
     + (8) check that every leader is legible, reading again only the
-      leaders moved or rebuilt;
+      leaders rebuilt;
     + (9) set the serial counter beyond every serial seen;
     + (10) verify every directory entry "points to page 0 of an
       existing file, fixing up the address if necessary and detecting
@@ -48,6 +55,8 @@ type report = {
   files_found : int;
       (** Files alive when the dust settled; for {!repair}, the files it
           rebuilt. *)
+  files_consecutive : int;
+      (** Of those, the files whose pages stand in consecutive sectors. *)
   nameless_files : int;
       (** Files whose leader page no longer yields a legible leader
           name — they survive, but under a synthesized name if adopted. *)
@@ -86,26 +95,56 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
+(** {2 Placement plans} *)
+
+type layout = {
+  sectors : int;  (** Sectors on the pack. *)
+  first : int;  (** The first sector past the descriptor's standard addresses. *)
+  files : (File_id.t * int array) list;
+      (** Every file the run keeps, in no particular order, with the
+          sector each of its pages stands on, leader first. *)
+  usable : int -> bool;
+      (** A page may end on this sector: it is past the descriptor's,
+          and neither bad, quarantined nor marginal. *)
+  free : int -> bool;  (** Usable, and no page the run keeps stands on it. *)
+}
+(** What a plan sees after steps 1-2. *)
+
+type plan = layout -> ((File_id.t * int) * int) list
+(** Where pages end: ((file, page number), target sector). Every page
+    the plan does not name stays where it stands. An entry naming a
+    page the run did not keep or already named, or a target that is not
+    [usable] or already taken, is ignored; a page in the way of a target
+    is moved aside: a plan says where pages go, never which survive. *)
+
+val evacuation : plan
+(** A scavenge's plan: pages on the descriptor's standard addresses or
+    on marginal sectors take the lowest free sectors; the boot page at
+    sector 0 stays. *)
+
+val rebuild : ?suspect_retries:int -> plan -> Drive.t -> (Fs.t * report, string) result
+(** One whole-pack scavenge, placing pages by [plan]. The only fatal
+    error is a disk so broken that a fresh descriptor cannot be written.
+    The sweep reads every sector's value in the same operation as its
+    label, under {!Alto_disk.Reliable.salvage_policy} — one pass over
+    the pack, not two — and stamps the bad-page marker into the label of
+    any live page whose surface has failed, so "they will never be used
+    again" (§3.5). The values of leaders and directory pages come out of
+    that pass too, so the leaders pass re-reads only rebuilt leaders,
+    and a pack that needs no repair costs the directory and orphan
+    passes no disk operation: a directory is read only to be rewritten,
+    and the root only to take orphans. A page whose sweep read succeeded
+    only after [suspect_retries] or more retries (default 2) sits on a
+    marginal sector, where no page may end: once its page leaves, the
+    sector is quarantined. Every sector known bad at the end of the run
+    is recorded in the rebuilt volume's persistent bad-sector table
+    ({!Fs.bad_sector_table}). Raises [Invalid_argument] if
+    [suspect_retries < 1]. *)
+
 val scavenge :
   ?verify_values:bool -> ?suspect_retries:int -> Drive.t -> (Fs.t * report, string) result
-(** The only fatal error is a disk so broken that a fresh descriptor
-    cannot be written. The sweep reads every sector's value in the same
-    operation as its label, under {!Alto_disk.Reliable.salvage_policy} —
-    one pass over the pack, not two — and stamps the bad-page marker
-    into the label of any live page whose surface has failed, so "they
-    will never be used again" (§3.5). The values of leaders and
-    directory pages come out of that pass too, so the leaders pass
-    re-reads only leaders moved or rebuilt after the sweep, and a pack
-    that needs no repair costs the directory and orphan passes no disk
-    operation: a directory is read only to be rewritten, and the root
-    only to take orphans. A page whose sweep read succeeded only after
-    [suspect_retries] or more retries (default 2) sits on a marginal
-    sector: its data is copied to a fresh sector, links re-chained, and
-    the old sector quarantined. Every sector known bad at the end of the
-    run is recorded in the rebuilt volume's persistent bad-sector table
-    ({!Fs.bad_sector_table}). [verify_values] is accepted and ignored:
-    every scavenge verifies values. Raises [Invalid_argument] if
-    [suspect_retries < 1]. *)
+(** [rebuild evacuation]. [verify_values] is accepted and ignored:
+    every scavenge verifies values. *)
 
 val repair : Fs.t -> cylinders:int list -> (report, string) result
 (** Settle a mounted dirty volume through its write-ahead map instead of

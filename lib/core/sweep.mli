@@ -5,9 +5,9 @@
     a track stream past in a single revolution, which is what makes a
     full sweep of a 2.5 MB pack take seconds rather than minutes. The
     result classifies every sector; interpreting the classes (chains,
-    files, repairs) is the caller's job. The scavenger, the compacting
-    scavenger ({!Compactor}) and the offline checker ({!Fsck}) sweep the
-    whole pack with {!run}; boot's recovery reads the cylinders its
+    files, repairs) is the caller's job. The scavenger (a compaction
+    included) and the offline checker ({!Fsck}) sweep the whole pack
+    with {!run}; boot's recovery reads the cylinders its
     write-ahead map names with {!run_sectors}; the patrol's slices and
     the replica audit ({!Audit}) read a run of sectors with {!read}.
 

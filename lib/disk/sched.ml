@@ -220,9 +220,9 @@ let sweep t =
 
 (* {2 The one-shot compatibility path}
 
-   Every pre-existing caller — the scavenger's passes, the compactor,
-   world transfers, [File]'s auto-batch — goes through here: a private
-   standing queue that lives for exactly one batch. The elevator order,
+   Every pre-existing caller — the scavenger's passes, world transfers,
+   [File]'s auto-batch — goes through here: a private standing queue
+   that lives for exactly one batch. The elevator order,
    the retry ladder and the metrics are the standing queue's; only the
    merging opportunity is absent, because a synchronous caller cannot
    wait for company. *)

@@ -2,8 +2,8 @@
     {!Reliable}.
 
     A caller that knows a whole set of sectors it wants — the scavenger
-    sweeping the pack, the compactor freeing evacuated sectors, a level-4
-    world transfer streaming 257 pages — gains nothing from issuing them
+    sweeping the pack or freeing the stale copies a compaction left, a
+    level-4 world transfer streaming 257 pages — gains nothing from issuing them
     in logical order: every jump between cylinders is a seek, and
     [disk.seeks] shows those passes are seek-dominated. This module
     accepts whole request sets, orders each sweep with a C-SCAN elevator

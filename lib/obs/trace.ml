@@ -42,7 +42,7 @@ let next_span = ref 1
 
 let traces : (int, trace) Hashtbl.t = Hashtbl.create 64
 let finished : int Queue.t = Queue.create ()  (* closed ids, oldest first *)
-let retention = ref 1024
+let retention = 1024  (* finished traces kept, newest first *)
 let cur : context option ref = ref None
 
 (* The balance sheet: component microseconds charged under some context
@@ -137,7 +137,7 @@ let finish ctx ~status =
         Obs.observe h_service (max 0 (t1 - tr.tr_start_us - tr.tr_wait_us))
       end;
       Queue.push tr.tr_id finished;
-      while Queue.length finished > !retention do
+      while Queue.length finished > retention do
         Hashtbl.remove traces (Queue.pop finished)
       done
   | _ -> ()
@@ -278,13 +278,6 @@ let infos () = List.map info_of (sorted_traces ())
 
 let active_count () =
   Hashtbl.fold (fun _ tr n -> if is_open tr then n + 1 else n) traces 0
-
-let set_retention n =
-  if n <= 0 then invalid_arg "Trace.set_retention: retention must be positive";
-  retention := n;
-  while Queue.length finished > n do
-    Hashtbl.remove traces (Queue.pop finished)
-  done
 
 let info_json i =
   Json.Obj

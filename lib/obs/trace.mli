@@ -28,7 +28,7 @@
     totals, and an exact queue-wait account: {!parked} stamps the
     moment a request's batch joins the standing queue, {!served} the
     moment the sweep first reaches it. Completed traces are retained in
-    a bounded ring ({!set_retention}) for the executive's [requests]
+    a ring of the newest 1,024 for the executive's [requests]
     command, the flight recorder, and the Chrome [trace_event] export;
     the attribution accumulators are exact regardless of eviction. *)
 
@@ -160,11 +160,6 @@ val infos : unit -> info list
 (** Every retained trace, ascending id (open and closed alike). *)
 
 val active_count : unit -> int
-
-val set_retention : int -> unit
-(** Bound the finished-trace ring (default 1024), trimming the oldest
-    now if needed. Open traces are never evicted. Raises
-    [Invalid_argument] when not positive. *)
 
 val chrome_json : unit -> Json.t
 (** Every retained trace as Chrome [trace_event] JSON: one thread per

@@ -287,8 +287,10 @@ let bio_workload =
   }
 
 (* 3. Compactor: an in-place permutation of committed pages — crash
-   points land between a move's copy and its retire. Content must come
-   back byte-identical: compaction never changes a file. *)
+   points land between a move's copy and the free of its old sector,
+   inside a swap's staged twin, and in a page rewritten where it stands.
+   Content must come back byte-identical: compaction never changes a
+   file. *)
 let compactor_workload =
   let base = List.init 6 (fun j -> (Printf.sprintf "K%02d.dat" (20 + j), 20 + j)) in
   let rounds seed = 3 + (seed mod 3) in

@@ -16,7 +16,8 @@
 
     Five workloads cover the machinery's writing paths: file
     overwrite/delete/create, the track buffers' coalesced flush sweep,
-    the compactor's copy-and-retire moves, the patrol's marginal-page
+    a compaction's placement (moves, swaps through a staged twin, and
+    in-place rewrites), the patrol's marginal-page
     relocations, and a world OutLoad. Everything is seeded and
     simulated-clock driven, so a sweep is deterministic end to end. *)
 

@@ -130,7 +130,9 @@ let cmd_fsck system =
 let cmd_compact system =
   match Compactor.compact (System.fs system) with
   | Error msg -> say system "compact failed: %s" msg
-  | Ok report -> say system "%a" Compactor.pp_report report
+  | Ok (fs, report) ->
+      System.set_fs system fs;
+      say system "%a" Scavenger.pp_report report
 
 let cmd_levels system =
   let resident = System.resident_level system in

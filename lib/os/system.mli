@@ -102,7 +102,8 @@ val drive : t -> Drive.t
 val fs : t -> Fs.t
 
 val set_fs : t -> Fs.t -> unit
-(** Swap the mounted volume (the scavenger's rescue path). The patrol is
+(** Swap the mounted volume for the one a scavenge or a compaction
+    rebuilt. The patrol is
     re-created for the new volume, resuming at its persisted cursor. *)
 
 val patrol : t -> Alto_fs.Patrol.t

@@ -835,7 +835,7 @@ let scattered_pack () =
 let compact drive =
   match Fs.mount drive with
   | Error msg -> failwith msg
-  | Ok fs -> ignore (Compactor.compact fs : (Compactor.report, string) result)
+  | Ok fs -> ignore (Compactor.compact fs : (Fs.t * Scavenger.report, string) result)
 
 (* A pack with a world saved to its state file, and little else. *)
 let world_pack () =
@@ -989,6 +989,15 @@ let test_harness_small_sweep () =
   Alcotest.(check bool) "crash points fired" true (t.Crash_harness.crash_points > 0);
   Alcotest.(check bool) "torn variants fired" true (t.Crash_harness.torn_points > 0)
 
+(* Sixty points per workload reach the compaction's in-place rewrites:
+   a torn one must leave a twin the boot scavenge adopts. *)
+let test_harness_sixty_points () =
+  let t = Crash_harness.run ~points_per_workload:60 () in
+  List.iter print_endline t.Crash_harness.violation_log;
+  Alcotest.(check int) "684 trials" 684 t.Crash_harness.trials;
+  Alcotest.(check int) "no invariant violations" 0 t.Crash_harness.violations;
+  Alcotest.(check int) "no escalations" 0 t.Crash_harness.scavenges
+
 let () =
   Alcotest.run "alto crash consistency"
     [
@@ -1008,6 +1017,7 @@ let () =
           ("a damaged flight seal reads as absent", `Quick, test_damaged_flight_seal_reads_as_absent);
           ("boot scavenges before formatting", `Quick, test_boot_scavenges_before_formatting);
           ("the harness in miniature", `Quick, test_harness_small_sweep);
+          ("the harness at sixty points", `Quick, test_harness_sixty_points);
           ("replace survives a crash at every write", `Quick, test_replace_crash_points);
           ("delete survives a crash at every write", `Quick, test_delete_run_crash_points);
           ("truncate survives a crash at every write", `Quick, test_truncate_run_crash_points);

@@ -13,6 +13,9 @@ module Page = Alto_fs.Page
 module Directory = Alto_fs.Directory
 module Leader = Alto_fs.Leader
 
+(* Obs counters are process-wide: a case reads the delta it caused. *)
+let counted name = Alto_obs.Obs.(counter_value (counter name))
+
 let small_geometry =
   (* A small disk keeps tests fast while exercising every code path. *)
   {
@@ -84,7 +87,7 @@ let test_stale_map_hint_is_survived () =
   let drive, fs = fresh_fs () in
   (* Lie in the map: mark a busy page (the descriptor leader) free. *)
   Fs.mark_free fs Fs.descriptor_leader_address;
-  let before = (Fs.counters fs).Fs.stale_map_hits in
+  let before = counted "fs.stale_map_hits" in
   (* Force allocation to try the liar first. *)
   let free_before = Fs.free_count fs in
   let rec exhaust n =
@@ -100,7 +103,7 @@ let test_stale_map_hint_is_survived () =
       | Error e -> Alcotest.failf "allocate: %a" Fs.pp_error e
   in
   exhaust free_before;
-  let after = (Fs.counters fs).Fs.stale_map_hits in
+  let after = counted "fs.stale_map_hits" in
   Alcotest.(check bool) "the lie was caught by the label check" true (after > before);
   (* The descriptor leader was never overwritten. *)
   match Label.classify (Drive.peek drive Fs.descriptor_leader_address).Sector.label with
@@ -508,19 +511,21 @@ let test_replace_in_place () =
   List.iter
     (fun (before, after) ->
       let what = Printf.sprintf "%d -> %d bytes" before after in
-      let _, fs, _, file = replace_subject (Some before) in
-      let c0 = Fs.counters fs in
+      let _, _, _, file = replace_subject (Some before) in
+      let allocations0 = counted "fs.page_allocations"
+      and frees0 = counted "fs.page_frees" in
       file_ok "replace" (File.replace file (other after));
-      let c1 = Fs.counters fs in
+      let allocations = counted "fs.page_allocations" - allocations0
+      and frees = counted "fs.page_frees" - frees0 in
       let got = file_ok "read" (File.read_bytes file ~pos:0 ~len:after) in
       Alcotest.(check string) (what ^ ": contents") (other after) (Bytes.to_string got);
       let pages n = max 1 ((n + 511) / 512) in
       Alcotest.(check int) (what ^ ": allocations")
         (max 0 (pages after - pages before))
-        (c1.Fs.allocations - c0.Fs.allocations);
+        allocations;
       Alcotest.(check int) (what ^ ": frees")
         (max 0 (pages before - pages after))
-        (c1.Fs.frees - c0.Fs.frees))
+        frees)
     [ (2048, 2048); (2000, 1600); (1800, 1536); (2048, 1024); (1024, 2048); (600, 2000) ]
 
 (* A grow that runs out of room stops with every page it allocated

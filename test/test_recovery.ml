@@ -39,6 +39,12 @@ let scavenge_ok drive =
   | Ok x -> x
   | Error msg -> Alcotest.failf "scavenge: %s" msg
 
+(* A compaction hands back the volume it rebuilt. *)
+let compact_ok fs =
+  match Compactor.compact fs with
+  | Ok x -> x
+  | Error msg -> Alcotest.failf "compact: %s" msg
+
 (* Quiesce a live handle: push its delayed track-buffer writes to the
    platter, the way the Executive does before any raw-pack work. The
    damage these tests inject is to a pack at rest — not to one with
@@ -368,21 +374,17 @@ let test_compact_makes_consecutive () =
   let _drive, fs, names = fragment_fs () in
   let fragmented =
     let f = reopen_by_name fs "Alpha.dat" in
-    check_ok File.pp_error "fraction" (Compactor.consecutive_fraction fs f)
+    check_ok File.pp_error "fraction" (File.consecutive_fraction f)
   in
   Alcotest.(check bool) "fragmented before" true (fragmented < 0.9);
-  let report =
-    match Compactor.compact fs with
-    | Ok r -> r
-    | Error msg -> Alcotest.failf "compact: %s" msg
-  in
-  Alcotest.(check bool) "files compacted" true (report.Compactor.files_consecutive >= 3);
+  let fs, report = compact_ok fs in
+  Alcotest.(check bool) "files compacted" true (report.Scavenger.files_consecutive >= 3);
   List.iter
     (fun (name, n, seed) ->
       check_content fs name n seed;
       let f = reopen_by_name fs name in
       let fraction =
-        check_ok File.pp_error "fraction" (Compactor.consecutive_fraction fs f)
+        check_ok File.pp_error "fraction" (File.consecutive_fraction f)
       in
       Alcotest.(check (float 0.001)) (name ^ " fully consecutive") 1.0 fraction;
       Alcotest.(check bool) (name ^ " leader flag") true
@@ -391,9 +393,7 @@ let test_compact_makes_consecutive () =
 
 let test_compact_then_mount_and_scavenge_stable () =
   let drive, fs, names = fragment_fs () in
-  (match Compactor.compact fs with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "compact: %s" msg);
+  ignore (compact_ok fs);
   (* A fresh mount sees the same world. *)
   let fs' =
     match Fs.mount drive with Ok f -> f | Error msg -> Alcotest.failf "mount: %s" msg
@@ -421,19 +421,82 @@ let test_compact_full_disk () =
   in
   let made = fill 0 in
   Alcotest.(check bool) "disk is crowded" true (Fs.free_count fs < 40);
-  (match Compactor.compact fs with
-  | Ok r -> Alcotest.(check bool) "moves happened" true (r.Compactor.moves > 0)
-  | Error msg -> Alcotest.failf "compact full disk: %s" msg);
+  let fs, report = compact_ok fs in
+  Alcotest.(check bool) "moves happened" true (report.Scavenger.relocated_pages > 0);
   (* Spot-check some files (later ones may have failed mid-write when
      the disk filled; check the early complete ones). *)
   for i = 0 to min 3 (made - 1) do
     check_content fs (Printf.sprintf "Fill%d." i) 1800 i
   done
 
-(* The compactor rewrites every leader's last-page hint with a value
-   write, which leaves the label generation alone: a leader whose track
-   the cache holds must be refreshed with it, or the next open reads the
-   old hints (and a later [flush_leader] writes them back). *)
+(* Interleaved files, with one of them on marginal sectors: most
+   placements swap a page in the way, and a page leaving a marginal
+   sector cannot take it in, so the staged twin becomes its home. The
+   sectors the sweep found marginal end quarantined and hold no page,
+   and nothing is lost. (A marginal sector the sweep happened to read
+   cleanly stays in service, as in any scavenge, so reads are patient.) *)
+let test_compact_off_marginal_sectors () =
+  let drive, fs = fresh_fs () in
+  let root = dir_ok "root" (Directory.open_root fs) in
+  let names = [ ("Red.dat", 41); ("Green.dat", 42); ("Blue.dat", 43) ] in
+  let files =
+    List.map
+      (fun (name, seed) ->
+        let file = file_ok "create" (File.create fs ~name) in
+        dir_ok "add" (Directory.add root ~name (File.leader_name file));
+        (file, seed))
+      names
+  in
+  for r = 0 to 3 do
+    List.iter
+      (fun (file, seed) ->
+        let page = String.sub (payload 2048 seed) (r * 512) 512 in
+        file_ok "extend" (File.write_bytes file ~pos:(r * 512) page))
+      files
+  done;
+  List.iter (fun (file, _) -> file_ok "flush" (File.flush_leader file)) files;
+  settle fs;
+  let green = fst (List.nth files 1) in
+  let victims =
+    List.init (File.last_page green) (fun i ->
+        (file_ok "page" (File.page_name green (i + 1))).Page.addr)
+  in
+  List.iter
+    (fun a -> Fault.make_marginal ~rate:0.8 ~growth:1.0 ~degrade_after:1_000 drive a)
+    victims;
+  let fs', report =
+    match Scavenger.rebuild ~suspect_retries:1 Compactor.layout drive with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "compact: %s" msg
+  in
+  Alcotest.(check bool) "marginal pages moved" true
+    (report.Scavenger.marginal_relocated >= 1);
+  Alcotest.(check int) "nothing lost" 0 report.Scavenger.pages_lost;
+  let quarantined = Fs.bad_sector_table fs' in
+  Alcotest.(check bool) "old sectors quarantined" true (List.length quarantined >= 1);
+  List.iter
+    (fun (name, seed) ->
+      let file = reopen_by_name fs' name in
+      for pn = 0 to File.last_page file do
+        let at = (file_ok "page" (File.page_name file pn)).Page.addr in
+        if List.exists (Disk_address.equal at) quarantined then
+          Alcotest.failf "%s page %d on a quarantined sector" name pn
+      done;
+      let rec patient_read k =
+        match File.read_bytes file ~pos:0 ~len:2048 with
+        | Ok got -> Bytes.to_string got
+        | Error _ when k > 0 -> patient_read (k - 1)
+        | Error e -> Alcotest.failf "read: %a" File.pp_error e
+      in
+      Alcotest.(check string) (name ^ " content intact") (payload 2048 seed)
+        (patient_read 5))
+    names
+
+(* A compaction rewrites every leader's last-page hint. The old
+   compactor did it with a value write, which leaves the label
+   generation alone, so a leader whose track the cache held kept the old
+   hints (and a later [flush_leader] wrote them back); the volume a
+   compaction returns must open every leader as the platter holds it. *)
 let test_compact_refreshes_buffered_leaders () =
   let drive, fs = fresh_fs () in
   Fs.set_policy fs (Fs.Scattered (Random.State.make [| 23 |]));
@@ -445,9 +508,7 @@ let test_compact_refreshes_buffered_leaders () =
   done;
   settle fs;
   ignore (dir_ok "entries" (Directory.entries (dir_ok "root" (Directory.open_root fs))));
-  (match Compactor.compact fs with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "compact: %s" msg);
+  let fs, _ = compact_ok fs in
   let root_fn = Option.get (Fs.root_dir fs) in
   let opened = File.leader (file_ok "open" (File.open_leader fs root_fn)) in
   let on_platter =
@@ -559,7 +620,7 @@ let test_consecutive_file_arithmetic () =
   let drive, fs = fresh_fs () in
   let root = dir_ok "root" (Directory.open_root fs) in
   let (_ : File.t) = make_file fs root "Consec.dat" 2048 50 in
-  (match Compactor.compact fs with Ok _ -> () | Error m -> Alcotest.failf "compact: %s" m);
+  let fs, _ = compact_ok fs in
   let file = reopen_by_name fs "Consec.dat" in
   let p1 = file_ok "p1" (File.page_name file 1) in
   (* Arithmetic for page 4 from page 1. *)
@@ -699,6 +760,7 @@ let () =
           ("stable under mount+scavenge", `Quick, test_compact_then_mount_and_scavenge_stable);
           ("full disk", `Quick, test_compact_full_disk);
           ("refreshes buffered leaders", `Quick, test_compact_refreshes_buffered_leaders);
+          ("moves pages off marginal sectors", `Quick, test_compact_off_marginal_sectors);
         ] );
       ( "hints",
         [
