@@ -15,7 +15,7 @@ failing run shows the whole picture instead of the first casualty.
 Usage: check_regression.py BASELINE.json FRESH.json
 
 When a change legitimately moves a metric past its gate, regenerate the
-baseline (dune exec bench/main.exe -- e1 e3 e4 e6 e14 e15 e16 e17 e18 e19 e20 e21 e22 --json BENCH_PR22.json)
+baseline (dune exec bench/main.exe -- e1 e3 e4 e6 e14 e15 e16 e17 e18 e19 e20 e21 e22 --json BENCH_PR23.json)
 and commit it alongside the change, with the movement called out in the
 PR description.
 """

@@ -1928,7 +1928,21 @@ let e21 () =
      where the map cannot serve) survives every enumerated crash point \
      with zero invariant violations and zero escalations, and agrees with \
      a whole-pack scavenge at every one";
+  let causes =
+    [
+      ("unmountable", Recovery.Unmountable);
+      ("no map record read back", Recovery.No_map_record);
+      ("the map covers the whole pack", Recovery.Whole_pack);
+      ("the root directory needs repair", Recovery.Unsettled Scavenger.root_needs_repair);
+      ("another repair refusal", Recovery.Unsettled "");
+    ]
+  in
+  let fallbacks () =
+    List.map (fun (_, cause) -> Obs.counter_value (Recovery.counter_of cause)) causes
+  in
+  let fallbacks0 = fallbacks () in
   let t = Crash_harness.run () in
+  let by_cause = List.map2 ( - ) (fallbacks ()) fallbacks0 in
   let compared, disagreements = Crash_harness.differential () in
   Obs.add (Obs.counter "e21.trials") t.Crash_harness.trials;
   Obs.add (Obs.counter "e21.crash_points") t.Crash_harness.crash_points;
@@ -1950,9 +1964,9 @@ let e21 () =
       float_of_int t.Crash_harness.cylinders_read
       /. float_of_int t.Crash_harness.through_map
   in
-  print_table [ 34; 10 ]
+  print_table [ 36; 10 ]
     [ "crash-point sweep"; "count" ]
-    [
+    ([
       [ "trials (5 workloads x 15 x 3)"; string_of_int t.Crash_harness.trials ];
       [ "crash points fired"; string_of_int t.Crash_harness.crash_points ];
       [ "  of which torn"; string_of_int t.Crash_harness.torn_points ];
@@ -1960,6 +1974,9 @@ let e21 () =
       [ "  recovered through the map"; string_of_int t.Crash_harness.through_map ];
       [ "    mean cylinders read"; Printf.sprintf "%.1f" mean_cylinders ];
       [ "  fallbacks to a boot scavenge"; string_of_int t.Crash_harness.fallbacks ];
+    ]
+    @ List.map2 (fun (why, _) n -> [ "    " ^ why; string_of_int n ]) causes by_cause
+    @ [
       [ "flight records adopted"; string_of_int t.Crash_harness.flight_adoptions ];
       [ "settled at boot"; string_of_int t.Crash_harness.settled_at_boot ];
       [ "escalations to scavenge"; string_of_int t.Crash_harness.scavenges ];
@@ -1967,7 +1984,7 @@ let e21 () =
       [ "invariant violations"; string_of_int t.Crash_harness.violations ];
       [ "agreeing with a scavenge";
         Printf.sprintf "%d/%d" (compared - List.length disagreements) compared ];
-    ];
+    ]);
   List.iter
     (fun v -> print_endline ("  VIOLATION " ^ v))
     t.Crash_harness.violation_log;

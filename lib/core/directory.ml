@@ -228,7 +228,6 @@ let salvage_view viewed =
   in
   (List.rev !found, not scanned)
 
-let salvage dir = salvage_view (read_view dir)
 let salvage_of pages = salvage_view (view (File.word_pages_of pages))
 
 let rewrite dir entries =

@@ -68,11 +68,6 @@ val rewrite : File.t -> entry list -> (unit, error) result
 (** Replace the directory's whole contents — the scavenger's way of
     dropping dangling entries wholesale. *)
 
-val salvage : File.t -> entry list * bool
-(** Read as many live entries as possible, stopping at the first slot
-    that does not scan; the boolean reports whether anything was
-    unreadable: what survives where {!entries} would refuse. *)
-
 (** {2 Directories held in memory}
 
     The scavenger and the offline checker have already read every
@@ -85,7 +80,9 @@ val entries_of : (Word.t array * int) array -> (entry list, error) result
 (** {!entries} over pages held in memory. *)
 
 val salvage_of : (Word.t array * int) array -> entry list * bool
-(** {!salvage} over pages held in memory. *)
+(** As many live entries as the pages hold, stopping at the first slot
+    that does not scan; the boolean reports whether anything was
+    unreadable: what survives where {!entries_of} would refuse. *)
 
 val entry_words : string -> int
 (** Size in words of an entry with this name. *)

@@ -192,7 +192,7 @@ let known_addresses t ~first ~last =
   done;
   if !all_known then Some addrs else None
 
-(* {2 Opening and creating} *)
+(* {2 Opening} *)
 
 let now t = Fs.now_seconds t.fs
 
@@ -256,61 +256,149 @@ let open_leader fs (fn : Page.full_name) =
   t.last_length <- last_len;
   Ok t
 
+(* {2 Fresh pages}
+
+   Every fresh page a file takes — a new file's leader and first page,
+   or the pages a write adds past the last — comes from one run,
+   reserved and checked free in one pass (E3), and is written once, in
+   file order, with its final label: its full length, and a next link
+   naming the run's following page, nil only on the last page written.
+   A label may name a page that is not yet written. A link is a hint
+   (§3.3): the drive's fence maps the cylinder a label names before the
+   label goes down, and recovery ends the file at the last page written.
+   A page whose label names a successor is left in the track buffer
+   cache; the last page is not. Installing the last page too would
+   change what a file server's GETs find buffered, a move the serve
+   benchmark's ladder test does not yet allow. *)
+
+(* Rewrite page [pn]'s label, preserving its links, with a new length
+   and/or next link. *)
+let rewrite_page t pn ~length ~next value =
+  with_page t pn (fun fn ->
+      let ( let* ) = Result.bind in
+      let* old = Page.read_label ~cache:(cache t) (drive t) fn in
+      let new_label =
+        Label.make ~fid:t.fid ~page:pn ~length
+          ~next:(Option.value next ~default:old.Label.next)
+          ~prev:old.Label.prev
+      in
+      Page.rewrite_label ~cache:(cache t) ~bio:(bio t) (drive t) fn ~new_label ~value)
+
+(* The page a fresh page follows: the sector its label names now, and
+   its length and value should it need relinking. *)
+type before = {
+  names : Disk_address.t;
+  length : int;
+  value : unit -> (Word.t array, error) result;
+}
+
+(* Write [pages], each a byte length and a value, as pages [first ..]
+   at the sectors reserved in [run], taken from its head. [prev] is the
+   sector of page [first - 1] and [before] that page ([None] before a
+   leader). Once a page is down, a predecessor whose label does not name
+   its sector is relinked to it: the page before the run when nothing
+   linked it in advance, and the predecessor of a sector that refused
+   its write (quarantined; the run's next sector stands in). When the map
+   runs dry the pages that fit are written, the last with a nil link,
+   and the write fails [Disk_full]. *)
+let write_run t ~first ~prev ~before run pages =
+  let ( let* ) = Result.bind in
+  let relink pn b addr =
+    let* value = b.value () in
+    rewrite_page t pn ~length:b.length ~next:(Some addr) value
+  in
+  let rec place pn prev before pages =
+    match pages with
+    | [] -> Ok ()
+    | (length, value) :: rest -> (
+        (* This page's sector and, when a page follows, the sector its
+           label names. *)
+        if List.compare_length_with !run (if rest = [] then 1 else 2) < 0 then
+          Result.iter
+            (fun more -> run := !run @ more)
+            (Fs.reserve_pages t.fs (List.length pages - List.length !run));
+        match !run with
+        | [] ->
+            (* No sector for this page: its predecessor ends the file. *)
+            let* () =
+              match before with
+              | Some b when not (Disk_address.is_nil b.names) ->
+                  relink (pn - 1) b Disk_address.nil
+              | Some _ | None -> Ok ()
+            in
+            Error (Fs_error Fs.Disk_full)
+        | addr :: after -> (
+            run := after;
+            let next =
+              match (rest, after) with _ :: _, a :: _ -> a | _ -> Disk_address.nil
+            in
+            let label = Label.make ~fid:t.fid ~page:pn ~length ~next ~prev in
+            match Fs.write_reserved t.fs addr label value with
+            | Error `Quarantined -> place pn prev before pages
+            | Ok () ->
+                if not (Disk_address.is_nil next) then
+                  Bio.install (bio t) addr ~label:(Label.to_words label) ~value;
+                let* () =
+                  match before with
+                  | Some b when not (Disk_address.equal b.names addr) -> relink (pn - 1) b addr
+                  | Some _ | None -> Ok ()
+                in
+                set_hint t pn addr;
+                if pn = 0 then t.leader_addr <- addr
+                else begin
+                  t.last_page <- pn;
+                  t.last_length <- length
+                end;
+                if Disk_address.is_nil next && rest <> [] then Error (Fs_error Fs.Disk_full)
+                else
+                  place (pn + 1) addr
+                    (Some { names = next; length; value = (fun () -> Ok value) })
+                    rest))
+  in
+  place first prev before pages
+
+(* {2 Creating} *)
+
 let create_with_fid fs fid ~name =
   let ( let* ) = Result.bind in
-  let wrap = Result.map_error (fun e -> Fs_error e) in
   let created_s = int_of_float (Alto_machine.Sim_clock.now_seconds (Fs.clock fs)) in
-  (* Leader first (next link set afterwards), then the empty data page,
-     then the leader's label learns the data page's address. The next
-     link is only a hint, so a crash anywhere here leaves nothing
-     dangerous behind. *)
-  let leader0 =
-    Leader.make ~created_s ~written_s:created_s ~name ~last_page:1
-      ~last_addr:Disk_address.nil ~maybe_consecutive:true ()
-  in
-  let* leader_addr =
-    wrap
-      (Fs.allocate_page fs
-         ~label:(fun _ ->
-           Label.make ~fid ~page:0 ~length:Sector.bytes_per_page
-             ~next:Disk_address.nil ~prev:Disk_address.nil)
-         ~value:(Leader.to_value leader0))
-  in
-  let* page1_addr =
-    wrap
-      (Fs.allocate_page fs
-         ~label:(fun _ ->
-           Label.make ~fid ~page:1 ~length:0 ~next:Disk_address.nil ~prev:leader_addr)
-         ~value:(Array.make Sector.value_words Word.zero))
-  in
-  let leader = Leader.with_last leader0 ~last_page:1 ~last_addr:page1_addr in
-  let leader_label =
-    Label.make ~fid ~page:0 ~length:Sector.bytes_per_page ~next:page1_addr
-      ~prev:Disk_address.nil
-  in
-  let* () =
-    match
-      Page.rewrite_label ~cache:(Fs.label_cache fs) ~bio:(Fs.bio fs) (Fs.drive fs)
-        (Page.full_name fid ~page:0 ~addr:leader_addr)
-        ~new_label:leader_label ~value:(Leader.to_value leader)
-    with
-    | Ok () -> Ok ()
-    | Error (Page.Hint_failed _) -> Error Hint_failed
-    | Error (Page.Bad_label msg) -> Error (Structure msg)
-  in
   let t =
     {
       fs;
       fid;
-      leader_addr;
-      leader;
+      leader_addr = Disk_address.nil;
+      leader =
+        Leader.make ~created_s ~written_s:created_s ~name ~last_page:1
+          ~last_addr:Disk_address.nil ~maybe_consecutive:true ();
       hints = Array.make 8 Disk_address.nil;
-      last_page = 1;
+      last_page = 0;
       last_length = 0;
     }
   in
-  set_hint t 0 leader_addr;
-  set_hint t 1 page1_addr;
+  (* The leader and the empty first page are one run of two, written in
+     file order: the leader goes down naming page 1, in its label and in
+     its last-page hint, before page 1 is written. A crash between leaves
+     a leader whose link names a free page; the link is a hint, and
+     recovery keeps the leader as a file with no data page. A pack with
+     room for only one of them gets neither. *)
+  let run = ref [] in
+  let written =
+    let* reserved = Result.map_error (fun e -> Fs_error e) (Fs.reserve_pages fs 2) in
+    run := reserved;
+    match reserved with
+    | [ _; page1 ] ->
+        t.leader <- Leader.with_last t.leader ~last_page:1 ~last_addr:page1;
+        write_run t ~first:0 ~prev:Disk_address.nil ~before:None run
+          [
+            (Sector.bytes_per_page, Leader.to_value t.leader);
+            (0, Array.make Sector.value_words Word.zero);
+          ]
+    | _ -> Error (Fs_error Fs.Disk_full)
+  in
+  List.iter (Fs.unreserve fs) !run;
+  let* () = written in
+  (* Page 1 where it landed, should a refused sector have moved it. *)
+  t.leader <- Leader.with_last t.leader ~last_page:1 ~last_addr:(hint t 1);
   Ok t
 
 let create fs ~name = create_with_fid fs (Fs.fresh_fid fs) ~name
@@ -643,42 +731,6 @@ let patch_page value ~page_off s ~s_off ~len =
 let update_leader_last t =
   t.leader <- Leader.with_last t.leader ~last_page:t.last_page ~last_addr:(hint t t.last_page)
 
-(* Rewrite page [pn]'s label, preserving its links, with a new length
-   and/or next link. *)
-let rewrite_page t pn ~length ~next value =
-  with_page t pn (fun fn ->
-      let ( let* ) = Result.bind in
-      let* old = Page.read_label ~cache:(cache t) (drive t) fn in
-      let new_label =
-        Label.make ~fid:t.fid ~page:pn ~length
-          ~next:(Option.value next ~default:old.Label.next)
-          ~prev:old.Label.prev
-      in
-      Page.rewrite_label ~cache:(cache t) ~bio:(bio t) (drive t) fn ~new_label ~value)
-
-(* The first write of a fresh page: the next page of [run], or, when
-   the run is spent, the first of a new run of [pages] reserved and
-   checked free in one pass. A sector that refuses the write has been
-   quarantined; the next page stands in for it. *)
-let rec write_fresh t run ~pages label value =
-  let ( let* ) = Result.bind in
-  let* addr =
-    match !run with
-    | addr :: rest ->
-        run := rest;
-        Ok addr
-    | [] -> (
-        match Fs.reserve_pages t.fs pages with
-        | Ok (addr :: rest) ->
-            run := rest;
-            Ok addr
-        | Ok [] -> Error (Fs_error Fs.Disk_full)
-        | Error e -> Error (Fs_error e))
-  in
-  match Fs.write_reserved t.fs addr label value with
-  | Ok () -> Ok addr
-  | Error `Quarantined -> write_fresh t run ~pages label value
-
 (* One label-checked value write of page [pn]. [through] refuses the
    track buffer cache's absorption: the value reaches the platter now,
    and a buffered copy of the sector is brought up to date. *)
@@ -738,6 +790,67 @@ let write_bytes ?through t ~pos s =
   let cached = ref None in
   (* Fresh pages reserved and checked free, not yet written. *)
   let run = ref [] in
+  (* The bytes from [s_off] as fresh pages after the last page, reserved
+     as one run before any is written. With [rewrite], the last page's
+     new length and value (it holds the write's first bytes), its one
+     rewrite links it into the run before the run's first page goes
+     down. Otherwise the last page (full, or the leader of a file with
+     no data page) is relinked once that page is down. *)
+  let extend ?rewrite s_off =
+    let last = t.last_page in
+    let* prev = page_name t last in
+    let count = (len - s_off + Sector.bytes_per_page - 1) / Sector.bytes_per_page in
+    let* first =
+      match Fs.reserve_pages t.fs count with
+      | Ok (first :: _ as reserved) ->
+          run := reserved;
+          Ok first
+      | Ok [] -> Error (Fs_error Fs.Disk_full)
+      | Error e -> Error (Fs_error e)
+    in
+    let* before =
+      match rewrite with
+      | Some (length, value) ->
+          let* () = rewrite_page t last ~length ~next:(Some first) value in
+          t.last_length <- length;
+          Ok { names = first; length; value = (fun () -> Ok value) }
+      | None ->
+          Ok
+            {
+              names = Disk_address.nil;
+              length = Sector.bytes_per_page;
+              value =
+                (fun () ->
+                  match !cached with
+                  | Some (p, v) when p = last -> Ok v
+                  | Some _ | None ->
+                      Result.map snd
+                        (with_page t last (fun fn ->
+                             Page.read ~cache:(cache t) ~bio:(bio t) (drive t) fn)));
+            }
+    in
+    let pages =
+      List.init count (fun k ->
+          let off = s_off + (k * Sector.bytes_per_page) in
+          let here = min Sector.bytes_per_page (len - off) in
+          let value = Array.make Sector.value_words Word.zero in
+          patch_page value ~page_off:0 s ~s_off:off ~len:here;
+          (here, value))
+    in
+    let written =
+      write_run t ~first:(last + 1) ~prev:prev.Page.addr ~before:(Some before) run pages
+    in
+    let rec judge pn prev =
+      if pn <= t.last_page then begin
+        let addr = hint t pn in
+        if not (Disk_address.equal addr (Disk_address.offset prev 1)) then
+          t.leader <- Leader.with_consecutive t.leader false;
+        judge (pn + 1) addr
+      end
+    in
+    judge (last + 1) prev.Page.addr;
+    written
+  in
   (* A long run of whole-page overwrites of existing pages — the shape
      of a world swap's outload — goes to the disk as one elevator batch
      before the page-at-a-time loop takes over for the remainder. *)
@@ -794,59 +907,27 @@ let write_bytes ?through t ~pos s =
       else if pn <= t.last_page then begin
         let* value, plen = read_page t pn in
         patch_page value ~page_off s ~s_off ~len:here;
-        let* () =
-          if pn < t.last_page then write_value ?through t pn value
-          else begin
-            let new_plen = max plen (page_off + here) in
-            if new_plen <> plen then begin
+        let new_plen = max plen (page_off + here) in
+        if pn = t.last_page && s_off + here < len then
+          (* The write runs past the last page: its bytes go down with
+             the link into the run, before any page after it. *)
+          extend ~rewrite:(new_plen, value) (s_off + here)
+        else begin
+          let* () =
+            if pn < t.last_page || new_plen = plen then write_value ?through t pn value
+            else begin
               let* () = rewrite_page t pn ~length:new_plen ~next:None value in
               t.last_length <- new_plen;
               Ok ()
             end
-            else write_value ?through t pn value
-          end
-        in
-        cached := Some (pn, value);
-        put (pn + 1) 0 (s_off + here)
+          in
+          cached := Some (pn, value);
+          put (pn + 1) 0 (s_off + here)
+        end
       end
-      else begin
-        (* A brand-new page; the previous last page must be full. The
-           first one reserves every page the remaining bytes need, so
-           their free checks share one pass; each is still written and
-           linked in file order, one page at a time. *)
-        let value = Array.make Sector.value_words Word.zero in
-        patch_page value ~page_off:0 s ~s_off ~len:here;
-        let pn' = t.last_page + 1 in
-        let* prev_fn = page_name t t.last_page in
-        let* addr =
-          write_fresh t run
-            ~pages:((len - s_off + Sector.bytes_per_page - 1) / Sector.bytes_per_page)
-            (Label.make ~fid:t.fid ~page:pn' ~length:here ~next:Disk_address.nil
-               ~prev:prev_fn.Page.addr)
-            value
-        in
-        set_hint t pn' addr;
-        if not (Disk_address.equal addr (Disk_address.offset prev_fn.Page.addr 1)) then
-          t.leader <- Leader.with_consecutive t.leader false;
-        (* Tell the old last page about its successor. When the file had
-           no data pages at all, the "old last" is the leader itself. *)
-        let old_last = t.last_page in
-        let* old_value =
-          match !cached with
-          | Some (p, v) when p = old_last -> Ok v
-          | Some _ | None ->
-              let* _, v = with_page t old_last (fun fn -> Page.read ~cache:(cache t) ~bio:(bio t) (drive t) fn) in
-              Ok v
-        in
-        let* () =
-          rewrite_page t old_last ~length:Sector.bytes_per_page ~next:(Some addr)
-            old_value
-        in
-        t.last_page <- pn';
-        t.last_length <- here;
-        cached := Some (pn', value);
-        put (pn' + 1) 0 (s_off + here)
-      end
+      else
+        (* The write starts where a full last page ends. *)
+        extend s_off
   in
   let written =
     let* start_pn, start_s_off = batched_prefix () in

@@ -36,9 +36,11 @@ val pp_error : Format.formatter -> error -> unit
 
 val create : Fs.t -> name:string -> (t, error) result
 (** A new file: a fresh id, a leader page carrying [name] as its leader
-    name, and one empty data page. The file is {e not} entered in any
-    directory — "a separate mechanism exists for associating names with
-    files" (§3.4). *)
+    name, and one empty data page, reserved as one run of two and
+    written in that order, the leader already naming page 1; a pack
+    with room for only one of them gets neither ([Disk_full]). The file
+    is {e not} entered in any directory — "a separate mechanism exists
+    for associating names with files" (§3.4). *)
 
 val create_directory_file : Fs.t -> name:string -> (t, error) result
 (** As {!create} but with a directory-flagged id, so the scavenger can
@@ -97,13 +99,17 @@ val finish_read : read_plan -> Alto_disk.Sched.outcome array -> (string, error) 
 
 val write_bytes : ?through:bool -> t -> pos:int -> string -> (unit, error) result
 (** Overwrite and/or extend. [pos] may not exceed the current length
-    (files have no holes). Growing the last page or adding pages pays
-    the label-rewrite revolution the paper describes. The first fresh
-    page reserves every page the remaining bytes need
-    ({!Fs.reserve_pages}, one check pass); the pages are then written
-    and linked one at a time in file order, and a write that fails part
-    way hands the unwritten reservations back. When the volume runs out,
-    the file still takes every page there is before [Disk_full]. With
+    (files have no holes). Growing the last page pays the
+    label-rewrite revolution the paper describes. A write that reaches
+    past the last page first reserves every fresh page the remaining
+    bytes need ({!Fs.reserve_pages}, one check pass); the old last
+    page's one rewrite (or relink, when it was full) links it into the
+    run, and each fresh page is written once, in file order, with its
+    label already naming the next. A sector that refuses its write is
+    quarantined and the run's next sector stands in, its predecessor
+    relinked to it. A write that fails part way hands the unwritten
+    reservations back. When the volume runs out, the file still takes
+    every page there is before [Disk_full]. With
     [through] (default off) no value write waits in the track buffer
     cache: every data page written is on the platter when this
     returns. *)

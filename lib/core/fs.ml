@@ -574,8 +574,8 @@ let write_reserved t addr label value =
       ~label:words ~value ()
   with
   | Ok () ->
-      (* A completed label write is its own verification: the relink
-         that follows checks this label in core, not on the platter. *)
+      (* A completed label write is its own verification: a relink of
+         this page checks the label in core, not on the platter. *)
       Label_cache.note_verified t.cache addr words;
       Obs.incr m_allocations;
       Ok ()

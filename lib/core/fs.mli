@@ -147,7 +147,7 @@ val write_reserved :
   t -> Disk_address.t -> Label.t -> Word.t array -> (unit, [ `Quarantined ]) result
 (** The first write of a page {!reserve_pages} checked free: label and
     value in one operation. The written label is recorded in
-    {!label_cache}, so the relink that follows checks it in core. A
+    {!label_cache}, so a later relink of the page checks it in core. A
     sector that refuses the write is quarantined, and the caller takes
     another page. *)
 

@@ -3,7 +3,7 @@
     §3.6's hint ladder spends most of its budget re-reading labels it
     checked moments ago: a chain walk reads every link, opening a file
     confirms the leader's last-page hint, and a relink checks the label
-    an allocation wrote one page earlier. This table remembers, for each
+    an allocation wrote moments before. This table remembers, for each
     sector, the label image a successful check, read or label write last
     verified, so the next label-only access costs nothing. It is sized
     from the drive — 8 words a sector (the 7-word image and its

@@ -96,9 +96,9 @@ val rewrite_label :
     buffer if desired), then write the new label and value. Costs about a
     revolution — the price the paper quotes for changing a file's
     length. A valid [cache] entry stands in for the first operation,
-    halving that price; the new label is cached after the write. Every
-    relink after an allocation finds its entry, since {!Fs.write_reserved}
-    records the label it writes. With [bio], the written label and value
+    halving that price; the new label is cached after the write. A
+    relink of a freshly allocated page finds its entry, since
+    {!Fs.write_reserved} records the label it writes. With [bio], the written label and value
     are re-installed clean in the track buffer — superseding any delayed
     value write the buffer held for the sector. *)
 

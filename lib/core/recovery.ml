@@ -7,6 +7,21 @@ let m_scavenges = Obs.counter "fs.recovery.scavenges"
 
 type cause = Unmountable | No_map_record | Whole_pack | Unsettled of string
 
+(* Whole-pack fallbacks by cause, the repair's refusal over a damaged
+   root apart from its others. *)
+let m_unmountable = Obs.counter "fs.recovery.fallback.unmountable"
+let m_no_map_record = Obs.counter "fs.recovery.fallback.no_map_record"
+let m_whole_pack = Obs.counter "fs.recovery.fallback.whole_pack"
+let m_root_needs_repair = Obs.counter "fs.recovery.fallback.root_needs_repair"
+let m_refused = Obs.counter "fs.recovery.fallback.refused"
+
+let counter_of = function
+  | Unmountable -> m_unmountable
+  | No_map_record -> m_no_map_record
+  | Whole_pack -> m_whole_pack
+  | Unsettled why when String.equal why Scavenger.root_needs_repair -> m_root_needs_repair
+  | Unsettled _ -> m_refused
+
 type outcome =
   | Clean
   | Through_map of int list * Scavenger.report
@@ -16,6 +31,7 @@ type outcome =
 
 let scavenge drive cause =
   Obs.incr m_scavenges;
+  Obs.incr (counter_of cause);
   Result.map (fun (fs, report) -> (fs, Scavenged (cause, report))) (Scavenger.scavenge drive)
 
 let recover fs =

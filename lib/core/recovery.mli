@@ -34,6 +34,14 @@ type outcome =
           the crash left it. *)
   | Formatted  (** Neither mount nor scavenge worked: a fresh volume. *)
 
+val counter_of : cause -> Alto_obs.Obs.counter
+(** The counter of whole-pack fallbacks for this cause, one of
+    [fs.recovery.fallback.unmountable], [.no_map_record], [.whole_pack],
+    [.root_needs_repair] (the repair refused because the root directory
+    itself needs repair: {!Scavenger.root_needs_repair}) and [.refused]
+    (every other refusal). Every fallback also counts in
+    [fs.recovery.scavenges]. *)
+
 val recover : Fs.t -> Fs.t * outcome
 (** Recover a mounted volume; the handle returned is the one to use (a
     scavenge builds a new one). A volume that is not scavenged re-enters

@@ -1060,6 +1060,8 @@ let scavenge_run ~suspect_retries plan drive =
    rebuilds just those files with the steps above. The map says only
    where damage can be; the labels still say what it is. *)
 
+let root_needs_repair = "the root directory needs repair"
+
 let repair fs ~cylinders =
   let ( let* ) = Result.bind in
   let drive = Fs.drive fs in
@@ -1141,9 +1143,7 @@ let repair fs ~cylinders =
     | None -> Error "the descriptor names no root directory"
   in
   (* Entries lost from a damaged root would name files outside the map. *)
-  let* () =
-    if Hashtbl.mem affected root_fid then Error "the root directory needs repair" else Ok ()
-  in
+  let* () = if Hashtbl.mem affected root_fid then Error root_needs_repair else Ok () in
   (* Walk each affected file's chain out of the map: every page there is
      as the consistency point left it, linked where its neighbours say. *)
   let walked = ref [] in

@@ -146,6 +146,11 @@ val scavenge :
 (** [rebuild evacuation]. [verify_values] is accepted and ignored:
     every scavenge verifies values. *)
 
+val root_needs_repair : string
+(** The reason {!repair} gives when the root directory itself is among
+    the files the map shows damaged: the entries a repair might drop
+    name files outside the map, so the pack must be scavenged whole. *)
+
 val repair : Fs.t -> cylinders:int list -> (report, string) result
 (** Settle a mounted dirty volume through its write-ahead map instead of
     the whole pack. [cylinders] (ascending) are the ones the map holds:

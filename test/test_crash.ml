@@ -419,7 +419,7 @@ let test_boot_scavenges_before_formatting () =
    old or its new version. Kept outside the harness so its gated
    crash-point count stays exact. *)
 
-let replace_cases = [ ("Grow.dat", 1, 700, 1900); ("Shrink.dat", 2, 1900, 700); ("Same.dat", 3, 1400, 1100) ]
+let replace_cases = [ ("Grow.dat", 1, 700, 3400); ("Shrink.dat", 2, 1900, 700); ("Same.dat", 3, 1400, 1100) ]
 
 let replace_pack () =
   let drive = Drive.create ~pack_id:8 small_geometry in
@@ -540,6 +540,83 @@ let sweep_crash_points ~plant ~work ~damage =
 let test_replace_crash_points () =
   let writes = sweep_crash_points ~plant:replace_pack ~work:replace_all ~damage:replace_damage in
   Alcotest.(check bool) "the replaces write" true (writes >= 10)
+
+(* {2 Creating a file, crashed at every write}
+
+   [File.create], a multi-page [File.write_bytes] and [Directory.add] on
+   the committed replace pack, killed at every write, cleanly and torn.
+   The new file's leader goes down naming a page 1 not yet written, and
+   each fresh page names its successor before that is written. Recovery
+   keeps the committed files whole; the new file is gone, or reads back
+   a prefix of its bytes under its own name (its leader is written
+   first, so no page is ever left headless). *)
+
+let created_name = "New.dat"
+let created_contents = pattern ~seed:4 ~version:1 ((5 * Sector.bytes_per_page) + 300)
+
+let create_work drive =
+  match Fs.mount drive with
+  | Error msg -> failwith msg
+  | Ok fs -> (
+      let root = match Directory.open_root fs with Ok r -> r | Error _ -> failwith "root" in
+      match File.create fs ~name:created_name with
+      | Error _ -> ()
+      | Ok f ->
+          ignore (File.write_bytes f ~pos:0 created_contents);
+          ignore (File.flush_leader f);
+          ignore (Directory.add root ~name:created_name (File.leader_name f));
+          ignore (Fs.flush fs))
+
+let create_damage drive =
+  match Fs.mount drive with
+  | Error msg -> [ "remount: " ^ msg ]
+  | Ok fs -> (
+      match Directory.open_root fs with
+      | Error _ -> [ "root unopenable" ]
+      | Ok root -> (
+          match Directory.entries root with
+          | Error _ -> [ "root unreadable" ]
+          | Ok entries ->
+              let contents name =
+                match Directory.lookup root name with
+                | Ok None -> None
+                | Error _ -> Some (Error "lookup failed")
+                | Ok (Some e) -> (
+                    match File.open_leader fs e.Directory.entry_file with
+                    | Error _ -> Some (Error "unopenable")
+                    | Ok f -> (
+                        match File.read_bytes f ~pos:0 ~len:(File.byte_length f) with
+                        | Error _ -> Some (Error "unreadable")
+                        | Ok b -> Some (Ok (Bytes.to_string b))))
+              in
+              List.filter_map
+                (fun (e : Directory.entry) ->
+                  if String.starts_with ~prefix:"Scavenged." e.Directory.entry_name then
+                    Some ("headless pages adopted as " ^ e.Directory.entry_name)
+                  else None)
+                entries
+              @ List.concat_map
+                  (fun (name, seed, len1, _) ->
+                    match contents name with
+                    | None -> [ name ^ " lost" ]
+                    | Some (Error why) -> [ name ^ " " ^ why ]
+                    | Some (Ok got) ->
+                        if String.equal got (pattern ~seed ~version:1 len1) then []
+                        else [ name ^ " changed" ])
+                  replace_cases
+              @
+              match contents created_name with
+              | None -> []
+              | Some (Error why) -> [ created_name ^ " " ^ why ]
+              | Some (Ok got) ->
+                  let n = String.length got in
+                  if n <= String.length created_contents && String.equal got (String.sub created_contents 0 n)
+                  then []
+                  else [ Printf.sprintf "%s holds %d bytes that are not a prefix of its own" created_name n ]))
+
+let test_create_crash_points () =
+  let writes = sweep_crash_points ~plant:replace_pack ~work:create_work ~damage:create_damage in
+  Alcotest.(check bool) "the create writes every page" true (writes >= 10)
 
 (* {2 Freeing a run, crashed at every write}
 
@@ -1019,6 +1096,7 @@ let () =
           ("the harness in miniature", `Quick, test_harness_small_sweep);
           ("the harness at sixty points", `Quick, test_harness_sixty_points);
           ("replace survives a crash at every write", `Quick, test_replace_crash_points);
+          ("create survives a crash at every write", `Quick, test_create_crash_points);
           ("delete survives a crash at every write", `Quick, test_delete_run_crash_points);
           ("truncate survives a crash at every write", `Quick, test_truncate_run_crash_points);
           ( "a dirty pack boots certified through the map",

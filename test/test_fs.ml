@@ -149,17 +149,26 @@ let test_free_page_refuses_wrong_name () =
 
 let test_disk_full () =
   let _drive, fs = fresh_fs () in
-  let rec fill () =
+  let rec fill ~leave =
     let fid = Fs.fresh_fid fs in
     let label _ =
       Label.make ~fid ~page:1 ~length:0 ~next:Disk_address.nil ~prev:Disk_address.nil
     in
-    match Fs.allocate_page fs ~label ~value:(Array.make Sector.value_words Word.zero) with
-    | Ok _ -> fill ()
-    | Error Fs.Disk_full -> ()
-    | Error e -> Alcotest.failf "allocate: %a" Fs.pp_error e
+    if Fs.free_count fs > leave then
+      match Fs.allocate_page fs ~label ~value:(Array.make Sector.value_words Word.zero) with
+      | Ok _ -> fill ~leave
+      | Error Fs.Disk_full -> ()
+      | Error e -> Alcotest.failf "allocate: %a" Fs.pp_error e
   in
-  fill ();
+  fill ~leave:1;
+  (* A file needs its leader and page 1: with room for one, it takes
+     neither. *)
+  (match File.create fs ~name:"Late." with
+  | Error (File.Fs_error Fs.Disk_full) -> ()
+  | Ok _ -> Alcotest.fail "a file fitted into one free page"
+  | Error e -> Alcotest.failf "expected a full disk, got %a" File.pp_error e);
+  Alcotest.(check int) "the last free page stays free" 1 (Fs.free_count fs);
+  fill ~leave:0;
   Alcotest.(check int) "no free pages left" 0 (Fs.free_count fs)
 
 (* {2 files} *)
@@ -679,7 +688,7 @@ let test_extend_run_writes () =
   file_ok "extend" (File.append_bytes file body);
   let maps = Alto_obs.Obs.(counter_value (counter "fs.map_writes")) - maps0 in
   Alcotest.(check bool) "at most one map write for the run" true (maps <= 1);
-  Alcotest.(check int) "one label-and-value write and one relink a page" 48
+  Alcotest.(check int) "one pre-linked write a page and one relink of the old last" 25
     (Drive.write_ops drive - writes0 - maps);
   Alcotest.(check int) "one reservation" 1 (span_calls "fs.allocate_page" - reserves0);
   Alcotest.(check int) "one check pass" 1
@@ -687,6 +696,66 @@ let test_extend_run_writes () =
   Alcotest.(check int) "24 pages taken" (free0 - 24) (Fs.free_count fs);
   let got = file_ok "read" (File.read_bytes file ~pos:Sector.bytes_per_page ~len:(String.length body)) in
   Alcotest.(check string) "contents" body (Bytes.to_string got)
+
+(* A write that extends a partial last page past its end: the page's
+   one rewrite carries its new length and the link into the run, so no
+   page is rewritten twice and no fresh page is rewritten at all. *)
+let test_extend_partial_run_writes () =
+  let drive, fs = fresh_fs () in
+  let file = file_ok "create" (File.create fs ~name:"Part.") in
+  file_ok "write" (File.write_bytes file ~pos:0 (lorem 300));
+  ignore (Alto_fs.Bio.flush (Fs.bio fs));
+  let writes0 = Drive.write_ops drive in
+  let maps0 = Alto_obs.Obs.(counter_value (counter "fs.map_writes")) in
+  let rewrites0 = span_calls "page.rewrite_label" in
+  let body = other (24 * Sector.bytes_per_page) in
+  file_ok "extend" (File.append_bytes file body);
+  let maps = Alto_obs.Obs.(counter_value (counter "fs.map_writes")) - maps0 in
+  Alcotest.(check int) "the last page's rewrite and one write a fresh page" 25
+    (Drive.write_ops drive - writes0 - maps);
+  Alcotest.(check int) "one rewrite: new length and link together" 1
+    (span_calls "page.rewrite_label" - rewrites0);
+  Alcotest.(check int) "pages" 25 (File.last_page file);
+  let got = file_ok "read" (File.read_bytes file ~pos:0 ~len:(File.byte_length file)) in
+  Alcotest.(check string) "contents" (lorem 300 ^ body) (Bytes.to_string got)
+
+(* A reserved sector that refuses its write part way through a run: it
+   is quarantined, the run's next sector stands in, and the page before
+   it, whose label named the dud, is relinked to the stand-in. With the
+   free check off (E3's ablation) a dud is first found by its write. *)
+let test_refused_sector_mid_run () =
+  let drive, fs = fresh_fs () in
+  Fs.set_policy fs Fs.Near_previous;
+  let file = file_ok "create" (File.create fs ~name:"Dud.") in
+  file_ok "write" (File.write_bytes file ~pos:0 (lorem Sector.bytes_per_page));
+  let page1 = file_ok "page 1" (File.page_name file 1) in
+  (* The coming run is the next six sectors: page 4's is the dud. *)
+  let dud = Disk_address.offset page1.Page.addr 3 in
+  Alto_disk.Fault.make_bad drive dud;
+  Fs.set_label_checking fs false;
+  let body = other (6 * Sector.bytes_per_page) in
+  file_ok "extend" (File.append_bytes file body);
+  Fs.set_label_checking fs true;
+  let page3 = file_ok "page 3" (File.page_name file 3) in
+  let page4 = file_ok "page 4" (File.page_name file 4) in
+  Alcotest.(check bool) "page 3 landed before the dud" true
+    (Disk_address.equal page3.Page.addr (Disk_address.offset dud (-1)));
+  Alcotest.(check bool) "page 4 stands on the run's next sector" true
+    (Disk_address.equal page4.Page.addr (Disk_address.offset dud 1));
+  (match Page.read_label drive page3 with
+  | Ok label ->
+      Alcotest.(check bool) "page 3 relinked to the stand-in" true
+        (Disk_address.equal label.Label.next page4.Page.addr)
+  | Error e -> Alcotest.failf "page 3: %a" Page.pp_error e);
+  let again = file_ok "reopen" (File.open_leader fs (File.leader_name file)) in
+  let got = file_ok "read" (File.read_bytes again ~pos:0 ~len:(File.byte_length again)) in
+  Alcotest.(check string) "contents" (lorem Sector.bytes_per_page ^ body) (Bytes.to_string got);
+  let root = dir_ok "root" (Directory.open_root fs) in
+  dir_ok "add" (Directory.add root ~name:"Dud." (File.leader_name file));
+  ignore (Alto_fs.Bio.flush (Fs.bio fs));
+  fs_ok "mark clean" (Fs.mark_clean fs);
+  let report = Alto_fs.Fsck.check drive in
+  if not (Alto_fs.Fsck.clean report) then Alcotest.failf "%a" Alto_fs.Fsck.pp_report report
 
 let test_refused_write_returns_run () =
   let drive, fs, file = run_subject 1 in
@@ -882,6 +951,11 @@ let entry_testable =
       && File_id.equal a.entry_file.Page.abs.Page.fid b.entry_file.Page.abs.Page.fid
       && Disk_address.equal a.entry_file.Page.addr b.entry_file.Page.addr)
 
+(* Every data page of [dir], as the scavenger holds them: value and
+   label length. *)
+let data_pages dir =
+  Array.init (File.last_page dir) (fun i -> file_ok "page" (File.read_page dir (i + 1)))
+
 let check_against_reference what dir =
   let reference = List.map (fun (_, _, e) -> e) (reference_slots dir) in
   Alcotest.(check (list entry_testable)) (what ^ ": entries") reference
@@ -893,7 +967,7 @@ let check_against_reference what dir =
         (Some e)
         (dir_ok "lookup" (Directory.lookup dir e.Directory.entry_name)))
     reference;
-  let salvaged, truncated = Directory.salvage dir in
+  let salvaged, truncated = Directory.salvage_of (data_pages dir) in
   Alcotest.(check (list entry_testable)) (what ^ ": salvage") reference salvaged;
   Alcotest.(check bool) (what ^ ": salvage complete") false truncated
 
@@ -971,7 +1045,7 @@ let test_directory_corrupt_after_match () =
     (match Directory.entries dir with
     | Error (Directory.Malformed msg) -> Alcotest.(check string) (what ^ ": entries") expect msg
     | Ok _ | Error _ -> Alcotest.failf "%s: entries did not refuse" what);
-    let salvaged, truncated = Directory.salvage dir in
+    let salvaged, truncated = Directory.salvage_of (data_pages dir) in
     Alcotest.(check (list entry_testable)) (what ^ ": salvage keeps the prefix") before salvaged;
     Alcotest.(check bool) (what ^ ": salvage truncated") true truncated
   in
@@ -1085,6 +1159,8 @@ let suite =
     ("free run with a wrong name frees nothing", `Quick, test_free_run_refused_frees_nothing);
     ("label check costs a turn alone, not in a run", `Quick, test_check_cost);
     ("extend by a run writes as page by page", `Quick, test_extend_run_writes);
+    ("extend a partial last page by a run", `Quick, test_extend_partial_run_writes);
+    ("a sector refusing its write mid-run is stood in for", `Quick, test_refused_sector_mid_run);
     ("refused write returns the run", `Quick, test_refused_write_returns_run);
     ("directory add/lookup/remove", `Quick, test_directory_add_lookup_remove);
     ("directory slot reuse", `Quick, test_directory_slot_reuse);
