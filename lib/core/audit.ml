@@ -126,8 +126,3 @@ let apply_page fs ~index ~label ~value =
       Obs.incr m_applied
   | Apply_failed _ | Verify_mismatch -> Obs.incr m_apply_failures);
   outcome
-
-let pp_apply_result fmt = function
-  | Applied -> Format.pp_print_string fmt "applied"
-  | Apply_failed e -> Format.fprintf fmt "apply failed: %a" Drive.pp_error e
-  | Verify_mismatch -> Format.pp_print_string fmt "read-back mismatch"

@@ -61,5 +61,3 @@ val apply_page :
     replicated content and arrives with the descriptor sectors' own
     repair. Counted in [fs.audit.pages_applied] /
     [fs.audit.apply_failures]. *)
-
-val pp_apply_result : Format.formatter -> apply_result -> unit

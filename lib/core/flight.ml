@@ -40,8 +40,6 @@ let disable () =
   Queue.clear ring;
   last_adopted := None
 
-let is_enabled () = !armed
-
 let field_json = function
   | Obs.I i -> Json.Int i
   | Obs.S s -> Json.String s

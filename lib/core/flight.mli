@@ -42,8 +42,6 @@ val disable : unit -> unit
     adopted record — the clean slate the crash harness resets each
     simulated incarnation to. *)
 
-val is_enabled : unit -> bool
-
 val flush : reason:string -> Fs.t -> unit
 (** Seal the current buffer and metrics into the pack, creating the
     file on first use. Best effort and a no-op while disarmed: a dying

@@ -35,17 +35,16 @@ let pp_error fmt = function
    It is the pack's, not a handle's: every handle mounted on the drive
    shares it (and the drive's write fence reads it), so a remount, a
    read-only checker's mount or the scavenger's unplaced handle all see
-   and extend the one map the platter's records hold. *)
+   and extend the one map the platter's records hold. With it goes the
+   newest record's content, which a map write carries forward: the fence
+   has no handle to assemble one from. *)
 type intent = {
   mapped : bool array;  (** Per cylinder, as the newest record holds it. *)
   per_cylinder : int;  (** Sectors per cylinder. *)
-  mutable read_back : bool;
-      (** A record read back at the last mount (or has been written
-          since). When none did, the map cannot say where writes landed
-          and the pack owes the whole of it. *)
+  mutable content : Word.t array;  (** The newest record's content. *)
   mutable seq : int;  (** Sequence number of the newest record. *)
   mutable newest : int;  (** The record slot (0 or 1) that holds it. *)
-  mutable known : bool;  (** [seq] was learned from the platter. *)
+  mutable known : bool;  (** [seq] and [content] were learned from the platter. *)
 }
 
 type t = {
@@ -59,7 +58,9 @@ type t = {
   mutable last_allocated : int;
   mutable policy : allocation_policy;
   mutable label_checking : bool;
-  mutable descriptor_pages : Disk_address.t array;  (** Data pages, pn 1.. *)
+  mutable placed : bool;
+      (** The descriptor file stands: mounted, formatted or rebuilt. The
+          scavenger's handle is unplaced until its rebuild. *)
   mutable bad_table : int list;
       (** Quarantined sector indexes, oldest first — the persistent
           bad-sector table, flushed with the descriptor. *)
@@ -79,27 +80,23 @@ type t = {
 let boot_address = Disk_address.of_index 0
 let descriptor_leader_address = Disk_address.of_index 1
 
-(* Descriptor content layout (word offsets within the file's data):
+(* Descriptor content layout (word offsets):
      0      magic            10      (end of shape)
      1      format version   11-13   root directory file id
      2-10   disk shape       14     root directory leader address
      15-16  next serial (hi/lo)
      17     allocation-map word count W
-     18     bad-sector table entry count B (0 on packs written before
-            the table existed — the word was reserved-as-zero)
+     18     bad-sector table entry count B
      19..   allocation map, 16 sectors per word, MSB first
      19+W.. bad-sector table: B quarantined disk addresses, in room
             reserved for [max_bad_sectors] of them
-     19+W+64    reserved, written zero (version 1 kept a dirty flag here)
+     19+W+64    reserved, written zero
      19+W+65    patrol cursor: the sector index where the verify sweep
-            resumes. Zero on old packs, which is also the sweep's start.
-   The content fills the file's first data pages; its last two pages are
-   the write-ahead map records, outside the content (see below). *)
+            resumes
+   The content travels in every descriptor record, followed by the
+   write-ahead map (see below). *)
 let desc_magic = 0xA170
-let desc_version = 2
-
-(* Version 1 descriptors predate the map records. *)
-let legacy_version = 1
+let desc_version = 3
 let map_offset = 19
 
 let max_bad_sectors = 64
@@ -145,131 +142,141 @@ let mark_free t addr =
   if not (List.mem i t.bad_table) && not (List.mem i t.spill) then
     t.busy.(i) <- false
 
-(* The descriptor's size is fixed by the pack's: content pages first,
-   then the two map records. The content words are laid out above. *)
 let content_words n = map_offset + ((n + 15) / 16) + max_bad_sectors + 2
-let content_pages n = (content_words n + Sector.value_words - 1) / Sector.value_words
-let record_pages = 2
 
-(* {2 The write-ahead cylinder map}
+(* Bitmaps (the allocation map, the cylinder map) pack 16 bits a word,
+   MSB first. *)
+let bit i = 1 lsl (15 - (i mod 16))
 
-   Two records, each one page of the descriptor file after its content,
-   written alternately under a sequence number:
+let pack_bits bits =
+  let words = Array.make ((Array.length bits + 15) / 16) 0 in
+  Array.iteri (fun i set -> if set then words.(i / 16) <- words.(i / 16) lor bit i) bits;
+  Array.map Word.of_int words
 
-     0      magic 0xA1C0
-     1-2    sequence number (hi/lo)
-     3      cylinder count C
-     4..    C bits, 16 cylinders per word, MSB first
+let unpack_bit words ~at i = Word.to_int words.(at + (i / 16)) land bit i <> 0
 
-   A bit is set, and its record written, before any write reaches that
-   cylinder; only a consistency point clears the map. A torn record
-   write leaves the other record, and by the write-ahead rule it already
-   covers every write that reached the platter. *)
+(* {2 The descriptor records}
 
-let map_magic = 0xA1C0
+   The descriptor file's data pages are two record slots, written
+   alternately under a sequence number. Every descriptor write is one
+   whole record into the slot that does not hold the newest. Each page
+   of a record starts with its sequence number (hi/lo); the rest of the
+   slot's pages carry, in order:
 
-let record_address n slot = Disk_address.of_index (2 + content_pages n + slot)
+     the content, laid out above
+     cylinder count C
+     C bits, 16 cylinders per word, MSB first: the write-ahead map
 
-let map_records drive =
-  let n = Drive.sector_count drive in
-  [ record_address n 0; record_address n 1 ]
+   A map bit is set, and its record written, before any write reaches
+   that cylinder; only a consistency point clears the map. A torn record
+   write leaves the other slot whole, and by the write-ahead rule its
+   map already covers every write that reached the platter. *)
 
-(* One label-checked transfer of a record's value: the check keeps a
-   record write off any sector that is not the record's own page. *)
-let record_op drive slot action value =
-  let n = Drive.sector_count drive in
-  Reliable.run drive (record_address n slot)
+let page_payload = Sector.value_words - 2
+
+let record_pages drive =
+  let cylinders = (Drive.geometry drive).Geometry.cylinders in
+  let words = content_words (Drive.sector_count drive) + 1 + ((cylinders + 15) / 16) in
+  (words + page_payload - 1) / page_payload
+
+let descriptor_pages drive = 2 * record_pages drive
+
+(* One label-checked transfer of a record page's value: the check keeps
+   a record write off any sector that is not that page of the file. *)
+let record_op drive slot k action value =
+  let pn = 1 + (slot * record_pages drive) + k in
+  Reliable.run drive
+    (Disk_address.of_index (1 + pn))
     { Drive.op_none with label = Some Drive.Check; value = Some action }
-    ~label:(Label.check_name File_id.descriptor ~page:(content_pages n + 1 + slot))
+    ~label:(Label.check_name File_id.descriptor ~page:pn)
     ~value ()
 
-let encode_record mapped seq =
-  let v = Array.make Sector.value_words Word.zero in
-  v.(0) <- Word.of_int map_magic;
-  v.(1) <- Word.of_int (seq lsr 16);
-  v.(2) <- Word.of_int seq;
-  v.(3) <- Word.of_int_exn (Array.length mapped);
-  Array.iteri
-    (fun c set ->
-      if set then
-        let j = 4 + (c / 16) in
-        v.(j) <- Word.of_int (Word.to_int v.(j) lor (1 lsl (15 - (c mod 16)))))
-    mapped;
-  v
+(* A slot's sequence number and payload, if every page reads back under
+   one sequence number. *)
+let read_record drive slot =
+  let page k =
+    let v = Array.make Sector.value_words Word.zero in
+    match record_op drive slot k Drive.Read v with
+    | Error _ -> None
+    | Ok () ->
+        Some ((Word.to_int v.(0) lsl 16) lor Word.to_int v.(1), Array.sub v 2 page_payload)
+  in
+  match List.init (record_pages drive) page with
+  | Some (seq, _) :: _ as pages
+    when List.for_all (function Some (s, _) -> s = seq | None -> false) pages ->
+      Some (seq, Array.concat (List.filter_map (Option.map snd) pages))
+  | _ -> None
 
-let decode_record ~cylinders v =
-  if Word.to_int v.(0) <> map_magic || Word.to_int v.(3) <> cylinders then None
-  else
-    let seq = (Word.to_int v.(1) lsl 16) lor Word.to_int v.(2) in
-    Some
-      ( seq,
-        Array.init cylinders (fun c ->
-            Word.to_int v.(4 + (c / 16)) land (1 lsl (15 - (c mod 16))) <> 0) )
-
-(* The records that read back, newest first. *)
-let read_records drive i =
+(* Take the platter's newest whole record as the pack's: its sequence
+   number, its slot and its content. The payload, if one read back. *)
+let learn drive i =
   let found =
     List.filter_map
-      (fun slot ->
-        let v = Array.make Sector.value_words Word.zero in
-        match record_op drive slot Drive.Read v with
-        | Error _ -> None
-        | Ok () ->
-            Option.map
-              (fun (seq, bits) -> (slot, seq, bits))
-              (decode_record ~cylinders:(Array.length i.mapped) v))
+      (fun slot -> Option.map (fun (seq, words) -> (slot, seq, words)) (read_record drive slot))
       [ 0; 1 ]
   in
-  List.sort (fun (_, a, _) (_, b, _) -> compare b a) found
-
-let newest_of i = function
-  | (slot, seq, _) :: _ ->
-      i.seq <- seq;
-      i.newest <- slot
-  | [] ->
-      i.seq <- 0;
-      i.newest <- 1
-
-(* Write the in-core map as the next record: the slot not holding the
-   newest, or the other one if that write fails. Best effort — with
-   neither written, the bits stay set in core and the next write tries
-   again. *)
-let persist drive i =
-  if not i.known then begin
-    (* An unplaced handle's first record: learn the sequence number the
-       platter already holds, so the new record outranks it. *)
-    newest_of i (read_records drive i);
-    i.known <- true
-  end;
-  let seq = i.seq + 1 in
-  let value = encode_record i.mapped seq in
-  let write slot = Result.is_ok (record_op drive slot Drive.Write value) in
-  let target = 1 - i.newest in
-  let landed =
-    if write target then Some target else if write i.newest then Some i.newest else None
-  in
-  Option.iter
-    (fun slot ->
-      Obs.incr m_map_writes;
+  i.known <- true;
+  match List.sort (fun (_, a, _) (_, b, _) -> compare b a) found with
+  | (slot, seq, payload) :: _ ->
       i.seq <- seq;
       i.newest <- slot;
-      i.read_back <- true)
-    landed
+      i.content <- Array.sub payload 0 (Array.length i.content);
+      Some payload
+  | [] ->
+      i.seq <- 0;
+      i.newest <- 1;
+      None
+
+(* Write [content] and [mapped] as the next record: into the slot not
+   holding the newest, or into that one if the write fails. *)
+let write_record drive i content mapped =
+  if not i.known then
+    (* An unplaced handle's first write: learn what the platter holds,
+       so the new record outranks it and carries its content. *)
+    ignore (learn drive i : Word.t array option);
+  let seq = i.seq + 1 in
+  let payload =
+    Array.concat
+      [
+        Option.value content ~default:i.content;
+        [| Word.of_int_exn (Array.length mapped) |];
+        pack_bits mapped;
+      ]
+  in
+  let rec write slot k =
+    if k * page_payload >= Array.length payload then Ok ()
+    else
+      let v = Array.make Sector.value_words Word.zero in
+      v.(0) <- Word.of_int (seq lsr 16);
+      v.(1) <- Word.of_int seq;
+      Array.blit payload (k * page_payload) v 2
+        (min page_payload (Array.length payload - (k * page_payload)));
+      Result.bind (record_op drive slot k Drive.Write v) (fun () -> write slot (k + 1))
+  in
+  let landed slot =
+    i.seq <- seq;
+    i.newest <- slot;
+    Option.iter (fun c -> i.content <- c) content
+  in
+  let target = 1 - i.newest in
+  match write target 0 with
+  | Ok () -> Ok (landed target)
+  | Error _ -> Result.map (fun () -> landed i.newest) (write i.newest 0)
 
 let announce_cylinders drive i cylinders =
   if List.exists (fun c -> not i.mapped.(c)) cylinders then begin
     List.iter (fun c -> i.mapped.(c) <- true) cylinders;
-    persist drive i
+    (* Best effort: with neither slot written, the bits stay set in
+       core and the next write tries again. *)
+    if Result.is_ok (write_record drive i None i.mapped) then Obs.incr m_map_writes
   end
 
 (* The drive's write fence: every write's cylinder, and for a label
    write the cylinders its links name, is mapped before the write
-   begins. The descriptor's own pages (1 to [top]) pass: the records are
-   the map's own writes, and a torn content page leaves a pack that does
-   not mount, which boot scavenges whole. *)
+   begins. The descriptor file's own pages pass: they are the records. *)
 let fence drive i =
   let n = Drive.sector_count drive in
-  let top = 1 + content_pages n + record_pages in
+  let top = 1 + descriptor_pages drive in
   let cylinder addr =
     if Disk_address.is_nil addr then None
     else
@@ -299,7 +306,7 @@ let intent_of drive =
         {
           mapped = Array.make g.Geometry.cylinders false;
           per_cylinder = g.Geometry.heads * g.Geometry.sectors_per_track;
-          read_back = true;
+          content = Array.make (content_words (Drive.sector_count drive)) Word.zero;
           seq = 0;
           newest = 1;
           known = false;
@@ -320,13 +327,10 @@ let announce_whole t =
   announce_cylinders t.drive t.intent
     (List.init (Array.length t.intent.mapped) Fun.id)
 
-let dirty t = (not t.intent.read_back) || Array.exists Fun.id t.intent.mapped
+let dirty t = Array.exists Fun.id t.intent.mapped
 
 let mapped_cylinders t =
-  if not t.intent.read_back then None
-  else
-    Some
-      (List.filter (fun c -> t.intent.mapped.(c)) (List.init (Array.length t.intent.mapped) Fun.id))
+  List.filter (fun c -> t.intent.mapped.(c)) (List.init (Array.length t.intent.mapped) Fun.id)
 
 (* The descriptor is written (best effort) before a serial runs too far
    ahead of its record; that write needs [flush], defined below. *)
@@ -337,8 +341,8 @@ let flush_ref : (t -> (unit, error) result) ref = ref (fun _ -> Ok ())
    serial in use stays below where a dirty mount resumes. *)
 let fresh_fid ?directory t =
   let serial = t.next_serial in
-  if serial >= t.recorded_serial + serial_gap && Array.length t.descriptor_pages > 0
-  then (match !flush_ref t with Ok () | Error _ -> ());
+  if serial >= t.recorded_serial + serial_gap && t.placed then
+    (match !flush_ref t with Ok () | Error _ -> ());
   t.next_serial <- serial + 1;
   File_id.make ?directory ~serial ~version:1 ()
 
@@ -649,13 +653,10 @@ let free_page t fn = free_pages t [ fn ]
 (* {2 Descriptor encoding} *)
 
 let map_word_count t = (sector_count t + 15) / 16
-let descriptor_content_words t = content_words (sector_count t)
-let descriptor_content_pages t = content_pages (sector_count t)
-let descriptor_data_pages t = descriptor_content_pages t + record_pages
+let descriptor_page_count t = descriptor_pages t.drive
 
 let assemble_descriptor t =
-  let total = descriptor_content_words t in
-  let words = Array.make total Word.zero in
+  let words = Array.make (content_words (sector_count t)) Word.zero in
   words.(0) <- Word.of_int desc_magic;
   words.(1) <- Word.of_int desc_version;
   Array.blit (Geometry.to_words t.shape) 0 words 2 Geometry.encoded_words;
@@ -672,14 +673,7 @@ let assemble_descriptor t =
   let map_words = map_word_count t in
   words.(17) <- Word.of_int_exn map_words;
   words.(18) <- Word.of_int_exn (List.length t.bad_table);
-  for j = 0 to map_words - 1 do
-    let w = ref 0 in
-    for k = 0 to 15 do
-      let i = (j * 16) + k in
-      if i < sector_count t && t.busy.(i) then w := !w lor (1 lsl (15 - k))
-    done;
-    words.(map_offset + j) <- Word.of_int !w
-  done;
+  Array.blit (pack_bits t.busy) 0 words map_offset map_words;
   List.iteri
     (fun j i ->
       words.(map_offset + map_words + j) <-
@@ -689,150 +683,106 @@ let assemble_descriptor t =
   words.(tail + 1) <- Word.of_int_exn t.patrol_cursor;
   words
 
-let parse_descriptor t words =
+(* Read a record's payload into the handle, and return its map. *)
+let parse_descriptor t payload =
   let ( let* ) = Result.bind in
-  if Array.length words < map_offset then Error "descriptor too short"
-  else if Word.to_int words.(0) <> desc_magic then Error "bad descriptor magic"
-  else if not (List.mem (Word.to_int words.(1)) [ desc_version; legacy_version ]) then
-    Error "unknown descriptor version"
+  let map_words = map_word_count t in
+  let cylinders = Array.length t.intent.mapped in
+  let at_map = content_words (sector_count t) in
+  if Word.to_int payload.(0) <> desc_magic then Error "bad descriptor magic"
+  else if Word.to_int payload.(1) <> desc_version then Error "unknown descriptor version"
   else
-    let* shape = Geometry.of_words (Array.sub words 2 Geometry.encoded_words) in
+    let* shape = Geometry.of_words (Array.sub payload 2 Geometry.encoded_words) in
     if not (Geometry.equal shape (Drive.geometry t.drive)) then
       Error "descriptor shape contradicts the drive"
+    else if
+      Word.to_int payload.(17) <> map_words || Word.to_int payload.(at_map) <> cylinders
+    then Error "descriptor maps contradict the drive"
     else begin
-      (match File_id.of_words words.(11) words.(12) words.(13) with
+      (match File_id.of_words payload.(11) payload.(12) payload.(13) with
       | Ok fid ->
           t.root <-
-            Some (Page.full_name fid ~page:0 ~addr:(Disk_address.of_word words.(14)))
+            Some (Page.full_name fid ~page:0 ~addr:(Disk_address.of_word payload.(14)))
       | Error _ -> t.root <- None);
-      t.recorded_serial <- (Word.to_int words.(15) lsl 16) lor Word.to_int words.(16);
-      let map_words = Word.to_int words.(17) in
-      if Array.length words < map_offset + map_words then
-        Error "descriptor map truncated"
-      else begin
-        for j = 0 to map_words - 1 do
-          let w = Word.to_int words.(map_offset + j) in
-          for k = 0 to 15 do
-            let i = (j * 16) + k in
-            if i < sector_count t then t.busy.(i) <- w land (1 lsl (15 - k)) <> 0
-          done
-        done;
-        (* The bad-sector table. Clamp the count against what's actually
-           present so packs written before the table existed (word 18
-           reserved-as-zero, no entries appended) parse cleanly. *)
-        let declared = Word.to_int words.(18) in
-        let available = max 0 (Array.length words - (map_offset + map_words)) in
-        let count = min declared (min available max_bad_sectors) in
-        t.bad_table <- [];
-        for j = count - 1 downto 0 do
-          let addr = Disk_address.of_word words.(map_offset + map_words + j) in
-          let i = Disk_address.to_index addr in
-          if i < sector_count t then begin
-            t.busy.(i) <- true;
-            t.bad_table <- i :: t.bad_table
-          end
-        done;
-        (* The patrol cursor. Packs written before it existed end at the
-           bad table; the concatenated pages pad with zeros, which read
-           back as the default: sweep from sector 0. *)
-        let tail = map_offset + map_words + max_bad_sectors in
-        t.patrol_cursor <-
-          (if Array.length words > tail + 1 && Word.to_int words.(tail + 1) < sector_count t
-           then Word.to_int words.(tail + 1)
-           else 0);
-        Ok (Word.to_int words.(1))
-      end
+      t.recorded_serial <- (Word.to_int payload.(15) lsl 16) lor Word.to_int payload.(16);
+      Array.iteri (fun i _ -> t.busy.(i) <- unpack_bit payload ~at:map_offset i) t.busy;
+      t.bad_table <- [];
+      for j = min (Word.to_int payload.(18)) max_bad_sectors - 1 downto 0 do
+        let addr = Disk_address.of_word payload.(map_offset + map_words + j) in
+        let i = Disk_address.to_index addr in
+        if i < sector_count t then begin
+          t.busy.(i) <- true;
+          t.bad_table <- i :: t.bad_table
+        end
+      done;
+      let cursor = Word.to_int payload.(map_offset + map_words + max_bad_sectors + 1) in
+      t.patrol_cursor <- (if cursor < sector_count t then cursor else 0);
+      Ok (Array.init cylinders (unpack_bit payload ~at:(at_map + 1)))
     end
 
-(* {2 Writing the descriptor file} *)
+(* {2 Writing the descriptor} *)
 
-let descriptor_page_name t pn =
-  if pn = 0 then
-    Page.full_name File_id.descriptor ~page:0 ~addr:descriptor_leader_address
-  else Page.full_name File_id.descriptor ~page:pn ~addr:t.descriptor_pages.(pn - 1)
+let leader_name =
+  Page.full_name File_id.descriptor ~page:0 ~addr:descriptor_leader_address
 
-let flush t =
+(* One record holding the content as it stands and [mapped]. Delayed page
+   writes go first: a descriptor write is the volume saying "the platter
+   now agrees with everything acknowledged", and that claim must cover the
+   buffer cache before the descriptor asserts it. *)
+let write_descriptor t mapped =
   Prof.span (Drive.clock t.drive) "fs.flush" @@ fun () ->
-  (* Delayed page writes first: a flush is the volume saying "the
-     platter now agrees with everything acknowledged", and that claim
-     must cover the buffer cache before the descriptor asserts it. *)
   ignore (Bio.flush t.bio);
   Obs.incr m_descriptor_flushes;
   let serial = t.next_serial in
-  let words = assemble_descriptor t in
-  let pages = descriptor_content_pages t in
-  let rec write pn =
-    if pn > pages then Ok ()
-    else
-      let value = Array.make Sector.value_words Word.zero in
-      let offset = (pn - 1) * Sector.value_words in
-      let len = min Sector.value_words (Array.length words - offset) in
-      Array.blit words offset value 0 len;
-      let fn = descriptor_page_name t pn in
-      match Page.write ~cache:t.cache t.drive fn value with
-      | Error e -> Error (Page_error e)
-      | Ok _ ->
-          (* The descriptor writes through (its durability is the whole
-             point); any buffered track image of the sector is stale. *)
-          Bio.invalidate t.bio fn.Page.addr;
-          write (pn + 1)
-  in
-  let written = write 1 in
-  if Result.is_ok written then t.recorded_serial <- serial;
-  written
+  match write_record t.drive t.intent (Some (assemble_descriptor t)) (mapped ()) with
+  | Ok () ->
+      t.recorded_serial <- serial;
+      Ok ()
+  | Error e -> Error (Page_error (Page.Hint_failed e))
+
+let flush t = write_descriptor t (fun () -> t.intent.mapped)
 
 let () = flush_ref := flush
 
-let clear_map t =
-  Array.fill t.intent.mapped 0 (Array.length t.intent.mapped) false;
-  persist t.drive t.intent
-
 let mark_clean t =
-  (* A consistency point: everything acknowledged reaches the platter
-     and the descriptor, then an empty map says no write since needs
-     recovery. *)
-  let flushed = flush t in
-  if Result.is_ok flushed && dirty t then clear_map t;
-  flushed
+  (* A consistency point: everything acknowledged reaches the platter,
+     then one record whose empty map says no write since needs recovery.
+     The map in core empties only once that record is down. *)
+  let cylinders = Array.length t.intent.mapped in
+  let cleared = write_descriptor t (fun () -> Array.make cylinders false) in
+  if Result.is_ok cleared then Array.fill t.intent.mapped 0 cylinders false;
+  cleared
 
-(* Lay down fresh labels and leader for the descriptor file at the
-   standard addresses, a map record holding the map as it stands, and
-   the content. The other record slot keeps whatever it held: an older
-   record, or nothing that reads back. Used at format and by the
-   scavenger's rebuild. *)
+(* Lay down fresh labels and a leader for the descriptor file at the
+   standard addresses, then write a record. A record page keeps its
+   record, so a crash before the new one lands leaves the older. Any
+   other sector starts empty, at sequence number 0: under the fresh
+   label, what it held (a freed page's ones) could read back as the
+   newest record. Used at format and by the scavenger's rebuild. *)
 let place_descriptor_file t =
-  let content = descriptor_content_pages t in
-  let pages = content + record_pages in
-  let words = descriptor_content_words t in
+  let pages = descriptor_page_count t in
   let addr pn = Disk_address.of_index (1 + pn) in
-  t.descriptor_pages <- Array.init content (fun i -> addr (i + 1));
   mark_busy t boot_address;
   for pn = 0 to pages do
-    mark_busy t (addr pn)
-  done;
-  let label pn =
-    let length =
-      if pn = content then (2 * words) - (Sector.bytes_per_page * (content - 1))
-      else Sector.bytes_per_page
-    in
+    mark_busy t (addr pn);
     let next = if pn = pages then Disk_address.nil else addr (pn + 1) in
     let prev = if pn = 0 then Disk_address.nil else addr (pn - 1) in
-    Label.make ~fid:File_id.descriptor ~page:pn ~length ~next ~prev
-  in
-  for pn = 0 to pages do
-    Alto_disk.Drive.poke t.drive (addr pn) Sector.Label (Label.to_words (label pn))
+    let label =
+      Label.make ~fid:File_id.descriptor ~page:pn ~length:Sector.bytes_per_page ~next ~prev
+    in
+    let words = Label.to_words label in
+    if pn > 0 && (Drive.peek t.drive (addr pn)).Sector.label <> words then
+      Drive.poke t.drive (addr pn) Sector.Value (Array.make Sector.value_words Word.zero);
+    Drive.poke t.drive (addr pn) Sector.Label words
   done;
   let leader =
     Leader.make ~created_s:(now_seconds t) ~name:"DiskDescriptor."
       ~last_page:pages ~last_addr:(addr pages) ~maybe_consecutive:true ()
   in
-  match
-    Page.write ~cache:t.cache t.drive (descriptor_page_name t 0)
-      (Leader.to_value leader)
-  with
+  match Page.write ~cache:t.cache t.drive leader_name (Leader.to_value leader) with
   | Error e -> Error (Page_error e)
   | Ok _ ->
-      persist t.drive t.intent;
+      t.placed <- true;
       flush t
 
 let make_handle drive =
@@ -851,7 +801,7 @@ let make_handle drive =
       last_allocated = 0;
       policy = Near_previous;
       label_checking = true;
-      descriptor_pages = [||];
+      placed = false;
       bad_table = [];
       spill = [];
       intent = intent_of drive;
@@ -871,7 +821,6 @@ let create_unmounted drive =
 
 let rebuild_descriptor t = place_descriptor_file t
 
-let descriptor_page_count = descriptor_data_pages
 (* Create the root directory: a leader page and one empty data page,
    written through the ordinary allocation path. *)
 let create_root_directory t =
@@ -909,73 +858,48 @@ let format drive =
   let i = t.intent in
   (* The platter's old records go with everything else. *)
   Array.fill i.mapped 0 (Array.length i.mapped) false;
-  i.read_back <- true;
   i.known <- true;
-  newest_of i [];
+  i.seq <- 0;
+  i.newest <- 1;
   (* Factory formatting: free every sector out-of-band. *)
   let free_label = Label.free_words () and free_value = Label.free_value () in
   for i = 0 to Drive.sector_count drive - 1 do
     let addr = Disk_address.of_index i in
-    Alto_disk.Drive.poke drive addr Sector.Label free_label;
-    Alto_disk.Drive.poke drive addr Sector.Value free_value
+    Drive.poke drive addr Sector.Label free_label;
+    Drive.poke drive addr Sector.Value free_value
   done;
-  mark_busy t boot_address;
-  (match place_descriptor_file t with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Format.asprintf "Fs.format: %a" pp_error e));
-  (match create_root_directory t with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Format.asprintf "Fs.format: %a" pp_error e));
-  (* Formatting's own allocations mapped a cylinder; a virgin pack is
+  let ( let* ) = Result.bind in
+  (* Formatting's own allocations map a cylinder; a virgin pack is
      clean. *)
-  clear_map t;
-  (match flush t with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Format.asprintf "Fs.format: %a" pp_error e));
-  t
+  match
+    let* () = place_descriptor_file t in
+    let* () = create_root_directory t in
+    mark_clean t
+  with
+  | Ok () -> t
+  | Error e -> invalid_arg (Format.asprintf "Fs.format: %a" pp_error e)
 
 let mount drive =
   let ( let* ) = Result.bind in
   let t = make_handle drive in
-  let* leader_label, leader_value =
+  let* _, leader_value =
     Result.map_error
       (fun e -> Format.asprintf "descriptor leader unreadable: %a" Page.pp_error e)
-      (Page.read ~cache:t.cache drive (descriptor_page_name t 0))
+      (Page.read ~cache:t.cache drive leader_name)
   in
   let* (_ : Leader.t) = Leader.of_value leader_value in
-  let pages = descriptor_content_pages t in
-  let rec chase acc fn label pn =
-    if pn > pages then Ok (List.rev acc)
-    else
-      match Page.next_name fn label with
-      | None -> Error "descriptor file ends early"
-      | Some next_fn -> (
-          match Page.read ~cache:t.cache drive next_fn with
-          | Error e ->
-              Error (Format.asprintf "descriptor page %d unreadable: %a" pn Page.pp_error e)
-          | Ok (next_label, value) ->
-              chase ((next_fn, value) :: acc) next_fn next_label (pn + 1))
-  in
-  let* data = chase [] (descriptor_page_name t 0) leader_label 1 in
-  let words = Array.concat (List.map snd data) in
-  let* version = parse_descriptor t words in
-  t.descriptor_pages <- Array.of_list (List.map (fun (fn, _) -> fn.Page.addr) data);
-  (* The map, as the platter holds it: a mount starts a new incarnation,
-     so whatever a handle before it kept in core gives way. *)
+  (* The newest record that reads back whole, as the platter holds it: a
+     mount starts a new incarnation, so whatever a handle before it kept
+     in core gives way. Never an older record in place of a newest whose
+     content does not parse: only the newest map is sure to cover every
+     write. *)
   let i = t.intent in
-  i.known <- true;
-  (match if version = legacy_version then [] else read_records drive i with
-  | (_, _, bits) :: _ as found ->
-      Array.blit bits 0 i.mapped 0 (Array.length bits);
-      i.read_back <- true;
-      newest_of i found
-  | [] ->
-      (* No record read back, or a pack from before the map, which has
-         none: nothing says where writes landed, so the whole pack is
-         owed. *)
-      Array.fill i.mapped 0 (Array.length i.mapped) true;
-      i.read_back <- version = legacy_version;
-      newest_of i []);
+  let* payload =
+    Option.to_result ~none:"neither descriptor record reads back" (learn drive i)
+  in
+  let* mapped = parse_descriptor t payload in
+  Array.blit mapped 0 i.mapped 0 (Array.length mapped);
+  t.placed <- true;
   t.next_serial <-
     (if dirty t then t.recorded_serial + serial_gap else t.recorded_serial);
   Ok t

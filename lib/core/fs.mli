@@ -23,13 +23,16 @@
     {2 The descriptor file}
 
     The leader sits at DA 1 and the data pages follow it at consecutive
-    addresses. The first pages hold the content: magic, format version
-    (2), disk shape, root directory name, serial counter, allocation map
-    (16 sectors a word), the 64-entry bad-sector table, a reserved word
-    and the patrol cursor. The file's last two pages are the write-ahead
-    map records, outside the content; each is one page with a magic word,
-    a 32-bit sequence number, the cylinder count and one bit per
-    cylinder (203 on a Model 31). *)
+    addresses: two record slots of equal size. A record holds the whole
+    descriptor — magic, format version (3), disk shape, root directory
+    name, serial counter, allocation map (16 sectors a word), the
+    64-entry bad-sector table, a reserved word and the patrol cursor —
+    followed by the write-ahead cylinder map (the cylinder count, then
+    one bit per cylinder), and every page of it starts with the record's
+    32-bit sequence number. Every descriptor write after the leader is
+    one whole record into the slot that does not hold the newest. On a
+    Model 31 a record is 404 words, two pages; a torn record write leaves
+    the other slot whole. *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -78,14 +81,15 @@ val format : Drive.t -> t
     pack out-of-band, so it costs no simulated time. *)
 
 val mount : Drive.t -> (t, string) result
-(** Read the descriptor from the standard address, then the map
-    records. Any damage to the descriptor's content — its pages, its
-    magic, or a shape that contradicts the drive — yields [Error]; the
-    caller's recovery is {!Scavenger}. Records that do not read back
-    leave the pack mounted and dirty ({!mapped_cylinders}). A dirty pack
-    resumes its serial counter the {!fresh_fid} gap past the recorded
-    value: a crash may have lost the record of serials already on the
-    platter, but never of one that far ahead. *)
+(** Read the descriptor's leader and both record slots, and take the
+    newest record whose pages all read back under one sequence number.
+    [Error] when neither does, or when that record's content does not
+    parse — bad magic or version, a shape that contradicts the drive; an
+    older record never stands in for it, since only the newest map is
+    sure to cover every write. The caller's recovery is {!Scavenger}. A
+    dirty pack resumes its serial counter the {!fresh_fid} gap past the
+    recorded value: a crash may have lost the record of serials already
+    on the platter, but never of one that far ahead. *)
 
 val drive : t -> Drive.t
 
@@ -209,8 +213,9 @@ val adopt_spilled : t -> Disk_address.t -> unit
     label cache evicted, no overflow counted. *)
 
 val flush : t -> (unit, error) result
-(** Write map, serial counter, shape and root name back into the
-    descriptor file. *)
+(** Write the track cache's delayed writes back, then one descriptor
+    record: allocation map, serial counter, shape, root name, bad-sector
+    table and patrol cursor, with the write-ahead map as it stands. *)
 
 (** {2 The write-ahead cylinder map}
 
@@ -222,31 +227,21 @@ val flush : t -> (unit, error) result
     name too, so a page that links to a damaged sector is mapped as well.
     Batch writers announce a whole pass first ({!announce}), so one
     record write covers it and the fence never fires inside an elevator
-    sweep. The two records are written alternately under a sequence
-    number and a mount takes the newest that reads back: a torn record
-    write leaves the older, which by the write-ahead rule covers every
-    write that reached the platter. The descriptor's own pages are
-    exempt — a torn one leaves a pack that does not mount.
+    sweep. An announcement writes a whole descriptor record, carrying the
+    newest record's content forward with the new map; the descriptor's
+    own pages are exempt from the fence, being the records.
 
     The map is the pack's, shared by every handle mounted on the same
     drive. {e Dirty} means the map is not empty. Only {!mark_clean}
     empties it: a clean unmount, an OutLoad, the end of a recovery or a
-    scavenge. A pack written before the map existed (descriptor version
-    1) mounts owing the whole pack. *)
+    scavenge. *)
 
 val dirty : t -> bool
-(** The map is not empty, or the mount read back no record. *)
+(** The map is not empty. *)
 
-val mapped_cylinders : t -> int list option
+val mapped_cylinders : t -> int list
 (** The mapped cylinders, ascending; every cylinder after a whole-pack
-    announcement or on a pack from before the map. [None] when the mount
-    read back no record — the map cannot say, and the whole pack is
-    owed. *)
-
-val map_records : Drive.t -> Disk_address.t list
-(** The two record sectors' standard addresses on this drive's pack. A
-    torn or unreadable one is damage the map tolerates: the other record
-    covers, and the next map write rewrites it. *)
+    announcement. *)
 
 val announce : t -> Disk_address.t list -> unit
 (** Map the cylinders of these sectors (nil and out-of-pack addresses
@@ -258,8 +253,9 @@ val announce_whole : t -> unit
     whole-pack scavenge, a compaction among them). *)
 
 val mark_clean : t -> (unit, error) result
-(** Declare a consistency point: {!flush}, then write an empty map
-    record if the map was not already empty. *)
+(** Declare a consistency point: write the track cache back, then one
+    descriptor record, as {!flush} does, but with an empty map. The map
+    in core empties only once that record is down. *)
 
 val patrol_cursor : t -> int
 (** The sector index where the verify sweep resumes; persisted with the
@@ -278,17 +274,21 @@ val create_unmounted : Drive.t -> t
 (** A handle with an all-busy map, no root, and the serial counter at
     the first user serial; the scavenger then corrects all three and
     calls {!rebuild_descriptor}. It shares the pack's write-ahead map
-    like any handle. *)
+    like any handle; on a pack no handle has mounted or formatted, the
+    first record write reads the newest record's sequence number and
+    content from the platter, so it outranks that record and carries
+    its content. *)
 
 val set_next_serial : t -> int -> unit
 val next_serial : t -> int
 
 val rebuild_descriptor : t -> (unit, error) result
-(** Re-create the descriptor file's pages at the standard addresses
-    (assumed free or already the descriptor's own), write a map record
-    as the map stands, and flush the content. *)
+(** Re-create the descriptor file's labels and leader at the standard
+    addresses (assumed free or already the descriptor's own), then
+    {!flush}. A page that held its record keeps it; any other starts
+    as an empty slot. *)
 
 val descriptor_page_count : t -> int
 (** Number of data pages the descriptor file occupies on this geometry,
-    map records included; together with the leader they sit at addresses
+    both record slots; together with the leader they sit at addresses
     1..1+count. *)

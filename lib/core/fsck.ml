@@ -319,16 +319,17 @@ let check drive =
     pages;
   (* Pass 7: the data itself, as the sweep read it back. Any live page
      that would not — torn by a crash, or decayed — is data loss if a
-     catalogued file owns it, a leaked fragment otherwise. A map record
-     that will not read back is neither: the other record covers, and
-     the next map write rewrites it. *)
-  let records = List.map Disk_address.to_index (Fs.map_records drive) in
+     catalogued file owns it, a leaked fragment otherwise. A descriptor
+     record page that will not read back is neither: the mount took the
+     other slot's record (pass 3 reports a pack where neither reads
+     back), and the next descriptor write rewrites it. *)
   Array.iteri
     (fun index -> function
       | Some label
-        when sweep.Sweep.values.(index) = Sweep.Unreadable && List.mem index records ->
-          finding ~addr:index "map-record-unreadable" "write-ahead map record %d will not read back"
-            label.Label.page
+        when sweep.Sweep.values.(index) = Sweep.Unreadable
+             && File_id.equal label.Label.fid File_id.descriptor && label.Label.page > 0 ->
+          finding ~addr:index "record-unreadable"
+            "descriptor record page %d will not read back" label.Label.page
       | Some label when sweep.Sweep.values.(index) = Sweep.Unreadable ->
           (sev label.Label.fid)
             ~addr:index

@@ -26,10 +26,6 @@ let next_name fn (label : Label.t) =
   if Disk_address.is_nil label.Label.next then None
   else Some (full_name fn.abs.fid ~page:(fn.abs.page + 1) ~addr:label.Label.next)
 
-let prev_name fn (label : Label.t) =
-  if Disk_address.is_nil label.Label.prev then None
-  else Some (full_name fn.abs.fid ~page:(fn.abs.page - 1) ~addr:label.Label.prev)
-
 type error = Hint_failed of Drive.error | Bad_label of string
 
 let pp_error fmt = function

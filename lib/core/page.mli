@@ -24,8 +24,6 @@ val next_name : full_name -> Label.t -> full_name option
     the next and previous pages". [None] when the label's next link is
     NIL. *)
 
-val prev_name : full_name -> Label.t -> full_name option
-
 type error =
   | Hint_failed of Drive.error
       (** The label check refuted the address hint, or the sector is

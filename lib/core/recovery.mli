@@ -6,8 +6,9 @@
     ({!Scavenger.repair}) — only the cylinders written since the last
     consistency point are read. The whole-pack verifying scavenge
     ({!Scavenger.scavenge}) remains the cure when the map cannot serve:
-    the pack does not mount, no map record reads back, the map covers
-    the whole pack, or the repair reports that it cannot settle the pack
+    the pack does not mount (neither descriptor record reads back, or
+    the newest does not parse), the map covers the whole pack, or the
+    repair reports that it cannot settle the pack
     (the root directory itself needs repair, a chain leaves the map at a
     page that does not answer, or an orphan may belong to another
     directory). A pack that neither mounts nor scavenges is formatted.
@@ -20,7 +21,8 @@ module Drive = Alto_disk.Drive
 (** Why the pack was scavenged whole. *)
 type cause =
   | Unmountable
-  | No_map_record  (** Mounted, but neither map record read back. *)
+      (** Neither descriptor record reads back, or the newest does not
+          parse. *)
   | Whole_pack  (** The map covers every cylinder. *)
   | Unsettled of string  (** The repair through the map gave up: why. *)
 
@@ -36,7 +38,7 @@ type outcome =
 
 val counter_of : cause -> Alto_obs.Obs.counter
 (** The counter of whole-pack fallbacks for this cause, one of
-    [fs.recovery.fallback.unmountable], [.no_map_record], [.whole_pack],
+    [fs.recovery.fallback.unmountable], [.whole_pack],
     [.root_needs_repair] (the repair refused because the root directory
     itself needs repair: {!Scavenger.root_needs_repair}) and [.refused]
     (every other refusal). Every fallback also counts in

@@ -321,8 +321,6 @@ let write_ops t = t.write_ops
 
 let is_torn t addr = t.torn.(check_address t addr) <> 0
 
-let clear_torn t addr = t.torn.(check_address t addr) <- 0
-
 (* The fatal operation of a torn crash: power dies while the heads are
    writing. Actions before the first write (the label check guarding a
    data write) still ran — an aborted check means nothing was written —
@@ -592,10 +590,6 @@ let set_value_unreadable t addr flag =
     t.label_gen.(index) <- t.label_gen.(index) + 1;
   t.value_unreadable.(index) <- flag
 
-let is_value_unreadable t addr =
-  let index = check_address t addr in
-  t.value_unreadable.(index)
-
 (* {2 The transient-fault model} *)
 
 let set_soft_errors t ~seed ~rate =
@@ -605,8 +599,6 @@ let set_soft_errors t ~seed ~rate =
     t.soft_rng <- Splitmix.of_seed seed;
     t.soft_rate <- rate
   end
-
-let soft_error_rate t = t.soft_rate
 
 let set_marginal t addr ~rate ~growth ~degrade_after =
   let index = check_address t addr in

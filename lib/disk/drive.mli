@@ -170,8 +170,6 @@ val set_soft_errors : t -> seed:int -> rate:float -> unit
     0.0 (the default) disables base soft errors without disturbing
     marginal sectors. Raises [Invalid_argument] unless [0 <= rate <= 1]. *)
 
-val soft_error_rate : t -> float
-
 val set_marginal :
   t -> Disk_address.t -> rate:float -> growth:float -> degrade_after:int -> unit
 (** Declare one sector marginal: its data surface is wearing out, so
@@ -245,10 +243,6 @@ val is_torn : t -> Disk_address.t -> bool
 (** Some part of this sector was left mid-transfer by a torn crash and
     has not been rewritten since. *)
 
-val clear_torn : t -> Disk_address.t -> unit
-(** Out-of-band repair of the torn state (tests only); production paths
-    heal a torn part by rewriting it. *)
-
 (** {2 Out-of-band access}
 
     These bypass the controller and the clock. They exist for tests,
@@ -278,5 +272,3 @@ val set_value_unreadable : t -> Disk_address.t -> bool -> unit
     special value so that they will never be used again". Toggling the
     flag bumps the sector's label generation — the surface died (or
     healed) under whatever was cached. *)
-
-val is_value_unreadable : t -> Disk_address.t -> bool

@@ -23,8 +23,6 @@ let make_value_unreadable drive addr = Drive.set_value_unreadable drive addr tru
 
 let set_soft_errors drive ~seed ~rate = Drive.set_soft_errors drive ~seed ~rate
 
-let clear_soft_errors drive = Drive.set_soft_errors drive ~seed:0 ~rate:0.
-
 let make_marginal ?(rate = 0.5) ?(growth = 1.25) ?(degrade_after = 16) drive addr =
   Drive.set_marginal drive addr ~rate ~growth ~degrade_after
 

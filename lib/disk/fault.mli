@@ -29,9 +29,6 @@ val set_soft_errors : Drive.t -> seed:int -> rate:float -> unit
     access fails with probability [rate], deterministically in [seed]
     (see {!Drive.set_soft_errors}). {!Reliable.run} absorbs these. *)
 
-val clear_soft_errors : Drive.t -> unit
-(** Base rate back to zero (marginal sectors keep their own rates). *)
-
 val make_marginal :
   ?rate:float ->
   ?growth:float ->

@@ -76,7 +76,6 @@ let set_faults net ?(drop = 0.0) ?(dup = 0.0) ?(delay = 0.0) ?(delay_us = 2_000)
         f_delay_us = max 1 delay_us;
       }
 
-let clear_faults net = net.faults <- None
 let faults_on net = net.faults <> None
 let fault_census net = (net.n_dropped, net.n_duped, net.n_delayed)
 

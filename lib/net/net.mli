@@ -58,8 +58,6 @@ val set_faults :
     the per-net census. Without a clock, delay degrades to in-order
     delivery (there is no time to be late against). *)
 
-val clear_faults : t -> unit
-
 val faults_on : t -> bool
 
 val fault_census : t -> int * int * int

@@ -132,8 +132,6 @@ let summary h =
     p99 = percentile h 0.99;
   }
 
-let histogram_name h = h.h_name
-
 (* {2 Event trace: a ring buffer plus sinks} *)
 
 type field_value = I of int | S of string | B of bool
@@ -158,8 +156,6 @@ type trace_state = {
 
 let tr =
   { ring = Array.make 1024 None; head = 0; stored = 0; next_seq = 0; sinks = []; next_sink = 0 }
-
-let trace_capacity () = Array.length tr.ring
 
 let trace () =
   let cap = Array.length tr.ring in
@@ -302,11 +298,3 @@ let metrics_json () =
 let pp_summary fmt s =
   Format.fprintf fmt "count %d, sum %d, min %d, max %d, mean %.1f, p50 %d, p90 %d, p99 %d"
     s.count s.sum s.min s.max s.mean s.p50 s.p90 s.p99
-
-let pp_metrics fmt () =
-  List.iter
-    (fun (name, m) ->
-      match m with
-      | Counter v -> Format.fprintf fmt "%-36s %d@." name v
-      | Histogram s -> Format.fprintf fmt "%-36s %a@." name pp_summary s)
-    (snapshot ())

@@ -19,8 +19,8 @@
     registers on first use and keeps its kind forever; registering the
     same name with the other kind raises [Invalid_argument].
 
-    The event trace is a ring buffer holding the most recent
-    {!trace_capacity} events; {!add_sink} taps the stream as it flows
+    The event trace is a ring buffer holding the most recent events
+    ({!set_trace_capacity}); {!add_sink} taps the stream as it flows
     (for live debugging or custom aggregation) regardless of ring size.
 
     Everything here is deliberately global: the simulation is a
@@ -66,7 +66,6 @@ val histogram : string -> histogram
 
 val observe : histogram -> int -> unit
 val summary : histogram -> summary
-val histogram_name : histogram -> string
 
 val percentile : histogram -> float -> int
 (** [percentile h p] with [p] in [[0, 1]]: the smallest recorded bucket
@@ -105,8 +104,6 @@ val event : ?clock:Sim_clock.t -> ?fields:(string * field_value) list -> string 
 
 val trace : unit -> event list
 (** The retained events, oldest first. *)
-
-val trace_capacity : unit -> int
 
 val set_trace_capacity : int -> unit
 (** Resize the ring, keeping the newest events that fit. The default
@@ -152,5 +149,3 @@ val metrics_json : unit -> Json.t
     carry their full summary. *)
 
 val pp_summary : Format.formatter -> summary -> unit
-val pp_metrics : Format.formatter -> unit -> unit
-(** A human-readable dump of the whole registry, one metric per line. *)

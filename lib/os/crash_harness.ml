@@ -45,16 +45,6 @@ type totals = {
   mutable violation_log : string list;  (** Newest first, for the report. *)
 }
 
-let pp_totals fmt t =
-  Format.fprintf fmt
-    "@[<v>%d trials: %d crashed (%d torn), %d ran to completion@,\
-     %d dirty boots (%d through the map, %d cylinders read; %d whole-pack \
-     scavenges), %d flight adoptions@,\
-     %d settled at boot, %d scavenges; %d findings, %d violations@]"
-    t.trials t.crash_points t.torn_points t.completed t.dirty_boots t.through_map
-    t.cylinders_read t.fallbacks t.flight_adoptions t.settled_at_boot t.scavenges
-    t.findings t.violations
-
 (* {2 Expectations}
 
    Every workload commits a set of files before the crash window opens.

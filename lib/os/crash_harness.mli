@@ -43,8 +43,6 @@ type totals = {
   mutable violation_log : string list;  (** Newest first, for the report. *)
 }
 
-val pp_totals : Format.formatter -> totals -> unit
-
 val run : ?points_per_workload:int -> unit -> totals
 (** Sweep [points_per_workload] (default 15) evenly spaced crash points
     per workload (["files"], ["bio-flush"], ["compactor"], ["patrol"],

@@ -294,11 +294,10 @@ let cmd_health system =
   say system "boot:    %a" System.pp_recovery (System.recovery system);
   say system "volume:  %s"
     (match Fs.mapped_cylinders fs with
-    | Some [] -> "clean"
-    | Some [ _ ] -> "dirty - 1 cylinder to recover at next boot"
-    | Some cylinders ->
-        Printf.sprintf "dirty - %d cylinders to recover at next boot" (List.length cylinders)
-    | None -> "dirty - no map record read back, the whole pack at next boot");
+    | [] -> "clean"
+    | [ _ ] -> "dirty - 1 cylinder to recover at next boot"
+    | cylinders ->
+        Printf.sprintf "dirty - %d cylinders to recover at next boot" (List.length cylinders));
   say system "patrol:  cursor %d/%d, %d laps, %d slices this session"
     (Fs.patrol_cursor fs) sectors (Patrol.laps patrol) (Patrol.slices patrol);
   say system "         %d suspect, %d relocated, %d quarantined, %d lost, %d map repairs"

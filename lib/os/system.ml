@@ -175,10 +175,6 @@ let read_vm_string t addr =
   let len = Word.to_int (Memory.read t.memory addr) in
   Memory.read_string t.memory ~pos:(addr + 1) ~len
 
-let write_vm_string t addr s =
-  Memory.write t.memory addr (Word.of_int_exn (String.length s));
-  Memory.write_string t.memory ~pos:(addr + 1) s
-
 (* {2 The dispatcher} *)
 
 let ok cpu = Cpu.set_ac cpu 3 Word.zero

@@ -175,5 +175,3 @@ val file_of_handle : t -> int -> File.t option
 
 val read_vm_string : t -> int -> string
 (** Read a length-prefixed packed string from VM memory. *)
-
-val write_vm_string : t -> int -> string -> unit

@@ -69,4 +69,3 @@ val idle : t -> bool
 (** No live activities. *)
 
 val max_active : t -> int
-val disk_queue : t -> Sched.t

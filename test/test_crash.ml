@@ -138,7 +138,7 @@ let verify fs' =
 (* The write-ahead rule, checked out of band: every sector whose label
    or value differs from [before] (the image the pack held when the
    writes began) lies in a cylinder of the map the platter holds — the
-   descriptor's own pages excepted, which write without it. A pack that
+   descriptor's own pages excepted, which hold the map. A pack that
    does not mount owes the whole of it. *)
 let map_covers where drive before =
   match Fs.mount drive with
@@ -154,10 +154,7 @@ let map_covers where drive before =
           if
             i > descriptor_top
             && (now.Sector.label <> label || now.Sector.value <> value)
-            && not
-                 (match mapped with
-                 | None -> true
-                 | Some cylinders -> List.mem (i / per_cylinder) cylinders)
+            && not (List.mem (i / per_cylinder) mapped)
           then Alcotest.failf "%s: sector %d changed outside the map" where i)
         before
 
@@ -752,20 +749,20 @@ let saved_cursor drive =
       Alcotest.(check bool) "the crash left the pack dirty" true (Fs.dirty fs);
       Fs.patrol_cursor fs
 
-(* The same pack with both map records overwritten: nothing says where
-   the crash wrote. *)
+(* The same pack with both descriptor records overwritten: nothing says
+   where the crash wrote, and the pack does not mount. *)
 let crashed_delete_without_map ~scattered () =
   let drive = crashed_delete ~scattered () in
-  let top =
+  let pages =
     match Fs.mount drive with
-    | Ok fs -> 1 + Fs.descriptor_page_count fs
+    | Ok fs -> Fs.descriptor_page_count fs
     | Error msg -> failwith msg
   in
   List.iter
     (fun i ->
       Drive.poke drive (Disk_address.of_index i) Sector.Value
         (Array.make Sector.value_words Word.zero))
-    [ top - 1; top ];
+    (List.init pages (fun k -> 2 + k));
   drive
 
 let test_dirty_pack_boots_through_the_map () =
@@ -797,14 +794,12 @@ let test_mid_lap_recovers_through_the_map () =
 let test_lost_map_scavenges_whole () =
   let drive = crashed_delete_without_map ~scattered:false () in
   (match Fs.mount drive with
-  | Ok fs ->
-      Alcotest.(check (option (list int))) "no map record read back" None
-        (Fs.mapped_cylinders fs)
-  | Error msg -> Alcotest.failf "mount: %s" msg);
+  | Ok _ -> Alcotest.fail "a pack with neither record mounted"
+  | Error _ -> ());
   let sys = System.boot ~drive () in
   Flight.disable ();
   (match System.recovery sys with
-  | Recovery.Scavenged (Recovery.No_map_record, _) -> ()
+  | Recovery.Scavenged (Recovery.Unmountable, _) -> ()
   | r -> Alcotest.failf "boot recovered by %a" System.pp_recovery r);
   List.iter
     (fun i -> Alcotest.failf "fsck: %a" Alto_fs.Fsck.pp_issue i)
@@ -993,8 +988,8 @@ let test_compaction_keeps_a_clean_pack_clean () =
   | Error msg -> Alcotest.failf "mount: %s" msg
   | Ok fs -> Alcotest.(check bool) "clean after a whole compaction" false (Fs.dirty fs)
 
-(* The second map record write of a run dies torn: the pack still
-   mounts, the older record answers, and recovery reads what it names. *)
+(* The second map write of a run dies torn: the pack still mounts, the
+   older descriptor record answers, and recovery reads what it names. *)
 let test_torn_map_write_keeps_the_older_map () =
   let drive = run_pack ~scattered:false () in
   let fs = match Fs.mount drive with Ok fs -> fs | Error msg -> failwith msg in
@@ -1003,22 +998,22 @@ let test_torn_map_write_keeps_the_older_map () =
   let middle = Disk_address.of_index (n / 2) in
   Fs.announce fs [ middle ];
   let older = Fs.mapped_cylinders fs in
-  Alcotest.(check (option (list int))) "one cylinder mapped" (Some [ n / 2 / per_cylinder ]) older;
+  Alcotest.(check (list int)) "one cylinder mapped" [ n / 2 / per_cylinder ] older;
   Fault.crash_after_writes ~tear:Drive.Torn_value drive 0;
   (match Fs.announce fs [ last ] with
   | () -> Alcotest.fail "the map write outran its crash point"
   | exception Drive.Power_failure -> ());
   Fault.cancel_crash drive;
-  Alcotest.(check bool) "a record is torn" true
-    (List.exists (Drive.is_torn drive) (Fs.map_records drive));
+  (* The records are the descriptor's data pages, after its leader. *)
+  let records = List.init (Fs.descriptor_page_count fs) (fun k -> Disk_address.of_index (2 + k)) in
+  Alcotest.(check bool) "a record is torn" true (List.exists (Drive.is_torn drive) records);
   match Fs.mount drive with
-  | Error msg -> Alcotest.failf "a torn map record left the pack unmountable: %s" msg
+  | Error msg -> Alcotest.failf "a torn record left the pack unmountable: %s" msg
   | Ok crashed -> (
-      Alcotest.(check (option (list int))) "the older record answers" older
-        (Fs.mapped_cylinders crashed);
+      Alcotest.(check (list int)) "the older record answers" older (Fs.mapped_cylinders crashed);
       match Recovery.recover crashed with
       | _, Recovery.Through_map (cylinders, _) ->
-          Alcotest.(check (option (list int))) "recovery read the older map" older (Some cylinders);
+          Alcotest.(check (list int)) "recovery read the older map" older cylinders;
           List.iter
             (fun i -> Alcotest.failf "fsck: %a" Alto_fs.Fsck.pp_issue i)
             (Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations
@@ -1029,7 +1024,7 @@ let test_torn_map_write_keeps_the_older_map () =
 let test_dirty_boot_reads_the_mapped_cylinders () =
   let drive = crashed_delete ~scattered:false () in
   let fs = match Fs.mount drive with Ok fs -> fs | Error msg -> failwith msg in
-  let cylinders = match Fs.mapped_cylinders fs with Some c -> c | None -> Alcotest.fail "no map" in
+  let cylinders = Fs.mapped_cylinders fs in
   let ops () = (Drive.stats drive).Drive.operations and writes () = Drive.write_ops drive in
   let ops0 = ops () and writes0 = writes () in
   let report =
@@ -1047,6 +1042,125 @@ let test_dirty_boot_reads_the_mapped_cylinders () =
     Alcotest.failf "%d reads for %d mapped cylinders and %d walked pages" reads
       (List.length cylinders) walked;
   Alcotest.(check bool) "a fraction of the pack" true (reads < Drive.sector_count drive / 4)
+
+(* {2 The descriptor, crashed at every write}
+
+   On a Model 31 a descriptor record spans two pages, so a crash can fall
+   between a record's pages. A burst of descriptor writes — map
+   announcements for new cylinders, a flush carrying a new patrol
+   cursor, then a consistency point — is killed at each of its writes,
+   cleanly or tearing the fatal sector: the pack mounts from the other
+   record slot, recovers through its map or comes back clean, and every
+   committed file reads back as it was. *)
+
+let descriptor_files = [ ("D1.dat", 21, 700); ("D2.dat", 22, 2600); ("D3.dat", 23, 5200) ]
+let burst_cursor = 1200
+
+let model_31_pack () =
+  let drive = Drive.create ~pack_id:11 Geometry.diablo_31 in
+  let fs = Fs.format drive in
+  let root = match Directory.open_root fs with Ok r -> r | Error _ -> failwith "root" in
+  List.iter
+    (fun (name, seed, len) ->
+      match
+        Result.bind (File.create fs ~name) (fun f ->
+            Result.bind (File.replace f (pattern ~seed ~version:1 len)) (fun () ->
+                Result.map_error (fun _ -> File.Hint_failed) (Directory.add root ~name (File.leader_name f))))
+      with
+      | Ok () -> ()
+      | Error _ -> failwith "plant")
+    descriptor_files;
+  (match Fs.mark_clean fs with Ok () -> () | Error _ -> failwith "clean");
+  drive
+
+let descriptor_burst drive =
+  match Fs.mount drive with
+  | Error msg -> failwith msg
+  | Ok fs ->
+      let cylinder c = Disk_address.of_index (c * 24) in
+      Fs.announce fs [ cylinder 60 ];
+      Fs.announce fs [ cylinder 120; cylinder 180 ];
+      Fs.set_patrol_cursor fs burst_cursor;
+      (match Fs.flush fs with Ok () -> () | Error _ -> failwith "flush");
+      Fs.announce fs [ cylinder 200 ];
+      match Fs.mark_clean fs with Ok () -> () | Error _ -> failwith "clean"
+
+let test_descriptor_crash_points () =
+  Flight.disable ();
+  let writes =
+    let drive = model_31_pack () in
+    (match Fs.mount drive with
+    | Ok fs -> Alcotest.(check int) "two record slots of two pages" 4 (Fs.descriptor_page_count fs)
+    | Error msg -> Alcotest.failf "mount: %s" msg);
+    let before = Drive.write_ops drive in
+    descriptor_burst drive;
+    Drive.write_ops drive - before
+  in
+  Alcotest.(check int) "five records, two pages each" 10 writes;
+  for point = 0 to writes - 1 do
+    List.iter
+      (fun tear ->
+        let drive = model_31_pack () in
+        Fault.crash_after_writes ?tear drive point;
+        (match descriptor_burst drive with
+        | () -> Alcotest.failf "crash point %d never fired" point
+        | exception Drive.Power_failure -> ());
+        Fault.cancel_crash drive;
+        let where = Printf.sprintf "write %d%s" point (tear_name tear) in
+        match Fs.mount drive with
+        | Error msg -> Alcotest.failf "%s: the pack does not mount: %s" where msg
+        | Ok crashed -> (
+            let cursor = Fs.patrol_cursor crashed in
+            if cursor <> 0 && cursor <> burst_cursor then
+              Alcotest.failf "%s: the patrol cursor reads %d, neither old nor new" where cursor;
+            match Recovery.recover crashed with
+            | fs, (Recovery.Clean | Recovery.Through_map _) ->
+                List.iter
+                  (fun i -> Alcotest.failf "%s: fsck: %a" where Alto_fs.Fsck.pp_issue i)
+                  (Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations;
+                let root =
+                  match Directory.open_root fs with Ok r -> r | Error _ -> Alcotest.failf "%s: root" where
+                in
+                List.iter
+                  (fun (name, seed, len) ->
+                    let got =
+                      match Directory.lookup root name with
+                      | Ok (Some e) -> (
+                          match File.open_leader fs e.Directory.entry_file with
+                          | Error _ -> None
+                          | Ok f ->
+                              Result.to_option
+                                (Result.map Bytes.to_string
+                                   (File.read_bytes f ~pos:0 ~len:(File.byte_length f))))
+                      | Ok None | Error _ -> None
+                    in
+                    if got <> Some (pattern ~seed ~version:1 len) then
+                      Alcotest.failf "%s: %s does not read back as committed" where name)
+                  descriptor_files
+            | _, outcome -> Alcotest.failf "%s: recovered by %a" where Recovery.pp_outcome outcome))
+      [ None; Some Drive.Torn_label; Some Drive.Torn_value ]
+  done
+
+(* The scavenger moves a page off a descriptor sector and frees it: a
+   free sector's value is all ones, which under the descriptor's label
+   would read back as a record with the highest sequence number. The
+   rebuilt descriptor lays such a sector down empty, so the pack mounts
+   from the record it wrote. *)
+let test_rebuild_empties_foreign_slots () =
+  let drive = Drive.create ~pack_id:12 small_geometry in
+  let fs = Fs.format drive in
+  List.iter
+    (fun k ->
+      let addr = Disk_address.of_index (2 + k) in
+      Drive.poke drive addr Sector.Label (Alto_fs.Label.free_words ());
+      Drive.poke drive addr Sector.Value (Alto_fs.Label.free_value ()))
+    (List.init (Fs.descriptor_page_count fs) Fun.id);
+  (match Fs.rebuild_descriptor (Fs.create_unmounted drive) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "rebuild: %a" Fs.pp_error e);
+  match Fs.mount drive with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "the rebuilt descriptor does not mount: %s" msg
 
 (* Recovery through the map leaves what a whole-pack scavenge leaves. *)
 let test_recovery_agrees_with_a_scavenge () =
@@ -1130,5 +1244,11 @@ let () =
           ( "recovery agrees with a scavenge",
             `Quick,
             test_recovery_agrees_with_a_scavenge );
+          ( "the descriptor survives a crash at every write",
+            `Quick,
+            test_descriptor_crash_points );
+          ( "a rebuilt descriptor empties foreign slots",
+            `Quick,
+            test_rebuild_empties_foreign_slots );
         ] );
     ]

@@ -165,8 +165,8 @@ let page_address f pn =
 let tear drive addr how =
   let sector = Drive.peek drive addr in
   (* A writer maps the sector's cylinder before it writes there; do the
-     same, so the write the crash tears is the sector's own and not the
-     map record's. *)
+     same, so the write the crash tears is the sector's own and not a
+     descriptor record's. *)
   (match Fs.mount drive with Ok fs -> Fs.announce fs [ addr ] | Error _ -> ());
   Fault.crash_after_writes ~tear:how drive 0;
   (match
@@ -325,8 +325,9 @@ let test_verifying_scavenge_matches_the_batched_passes () =
       Alcotest.(check int) "pages relocated" 1 r.Scavenger.relocated_pages;
       Alcotest.(check int) "rescued from twins" 1 r.Scavenger.duplicates_rescued;
       (* Sector numbers as the layout places the files: the descriptor
-         file's map records put the first user page at sector 6. *)
-      Alcotest.(check (list int)) "quarantined" [ 10; 27 ]
+         file's two one-page record slots put the first user page at
+         sector 4. *)
+      Alcotest.(check (list int)) "quarantined" [ 9; 26 ]
         (List.map Disk_address.to_index (Fs.bad_sector_table fs'));
       let r2 = Fsck.check drive in
       if r2.Fsck.violations <> [] then
@@ -411,7 +412,7 @@ let test_root_verdicts_match_a_read_through_file () =
     (("root: the root directory does not read: hint failed, consult a directory or the \
        scavenger"
      :: all_orphans)
-    @ [ "unreadable-page @ 6: D2!1 page 1 will not read back" ]);
+    @ [ "unreadable-page @ 5: D2!1 page 1 will not read back" ]);
   verdicts "a malformed slot"
     (fun drive _ root _ -> poke_word drive (page1 root) (slot 2 + 5) 0xff)
     ("root: the root directory does not read: directory malformed: entry name length \

@@ -224,11 +224,7 @@ let test_crash_recovery_bounded () =
   | Error msg -> Alcotest.failf "mount after crash: %s" msg
   | Ok crashed ->
       Alcotest.(check bool) "the pack mounts dirty" true (Fs.dirty crashed);
-      let mapped =
-        match Fs.mapped_cylinders crashed with
-        | Some c -> c
-        | None -> Alcotest.fail "no map record read back"
-      in
+      let mapped = Fs.mapped_cylinders crashed in
       Alcotest.(check bool) "the map names less than the pack" true
         (mapped <> [] && List.length mapped < 5);
       let crashed, cylinders, report = through_map crashed in
@@ -266,8 +262,7 @@ let test_recovery_declares_a_consistency_point () =
   (match Fs.mount drive with
   | Error msg -> Alcotest.failf "remount: %s" msg
   | Ok again ->
-      Alcotest.(check (option (list int))) "the map is empty" (Some [])
-        (Fs.mapped_cylinders again);
+      Alcotest.(check (list int)) "the map is empty" [] (Fs.mapped_cylinders again);
       (match Recovery.recover again with
       | _, Recovery.Clean -> ()
       | _, outcome -> Alcotest.failf "a second boot recovered by %a" Recovery.pp_outcome outcome));
@@ -308,47 +303,19 @@ let test_flush_keeps_the_map () =
   let drive, fs = make_volume () in
   let _ = create_file fs "Mut.dat" "mutation" in
   let mapped = Fs.mapped_cylinders fs in
-  Alcotest.(check bool) "the write mapped a cylinder" true (mapped <> Some []);
+  Alcotest.(check bool) "the write mapped a cylinder" true (mapped <> []);
   (match Fs.flush fs with Ok () -> () | Error e -> Alcotest.failf "flush: %a" Fs.pp_error e);
   (match Fs.mount drive with
   | Error msg -> Alcotest.failf "remount: %s" msg
   | Ok after_flush ->
-      Alcotest.(check (option (list int))) "flush kept the map" mapped
-        (Fs.mapped_cylinders after_flush));
+      Alcotest.(check (list int)) "flush kept the map" mapped (Fs.mapped_cylinders after_flush));
   (match Fs.mark_clean fs with
   | Ok () -> ()
   | Error e -> Alcotest.failf "mark_clean: %a" Fs.pp_error e);
   match Fs.mount drive with
   | Error msg -> Alcotest.failf "remount: %s" msg
   | Ok clean ->
-      Alcotest.(check (option (list int))) "a consistency point empties it" (Some [])
-        (Fs.mapped_cylinders clean)
-
-(* A descriptor of the format before the map (version 1) has no map
-   records: the pack owes the whole of it, and boot's scavenge writes it
-   back in the current format. *)
-let test_pack_before_the_map () =
-  let drive, fs = make_volume () in
-  let _ = create_file fs "Old.dat" "from before the map" in
-  (match Fs.flush fs with Ok () -> () | Error e -> Alcotest.failf "flush: %a" Fs.pp_error e);
-  (* Word 1 of the descriptor's first content page is the format
-     version. *)
-  let first = addr 2 in
-  let value = Array.copy (Drive.peek drive first).Sector.value in
-  value.(1) <- Word.of_int 1;
-  Drive.poke drive first Sector.Value value;
-  let cylinders = tiny.Geometry.cylinders in
-  match Fs.mount drive with
-  | Error msg -> Alcotest.failf "a version 1 descriptor does not mount: %s" msg
-  | Ok old -> (
-      Alcotest.(check (option (list int))) "the whole pack is owed"
-        (Some (List.init cylinders Fun.id)) (Fs.mapped_cylinders old);
-      match Recovery.recover old with
-      | recovered, Recovery.Scavenged (Recovery.Whole_pack, _) ->
-          Alcotest.(check bool) "clean after the scavenge" false (Fs.dirty recovered);
-          let kept, _ = open_by_name recovered "Old.dat" in
-          Alcotest.(check string) "the file survived" "from before the map" (read_all kept)
-      | _, outcome -> Alcotest.failf "recovered by %a" Recovery.pp_outcome outcome)
+      Alcotest.(check (list int)) "a consistency point empties it" [] (Fs.mapped_cylinders clean)
 
 (* {2 the spill file} *)
 
@@ -433,7 +400,6 @@ let () =
             `Quick,
             test_recovery_declares_a_consistency_point );
           ("flush keeps the map", `Quick, test_flush_keeps_the_map);
-          ("a pack from before the map owes all of it", `Quick, test_pack_before_the_map);
           ( "abandoned reservation reclaimed",
             `Quick,
             test_abandoned_reservation_reclaimed );
