@@ -87,7 +87,7 @@ let e2 () =
   claim "consecutive layout reads ~an order of magnitude faster than scattered";
   let files = 12 and file_bytes = 40_000 in
   let drive, fs = fresh () in
-  Fs.set_policy fs (Fs.Scattered (Random.State.make [| 7 |]));
+  Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 7));
   let root = ok Directory.pp_error (Directory.open_root fs) in
   let names =
     List.init files (fun i ->
@@ -480,7 +480,7 @@ let e8 () =
      the compactor runs. *)
   let compacted_row =
     let drive, fs = fresh () in
-    Fs.set_policy fs (Fs.Scattered (Random.State.make [| 3 |]));
+    Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 3));
     let root = ok Directory.pp_error (Directory.open_root fs) in
     let (_ : File.t) = make_file fs root "Target.dat" 20_000 5 in
     let fs =
@@ -509,7 +509,7 @@ let e8 () =
     [
       trial "fresh quiet disk" ~prepare:(fun _ -> ());
       trial "scattered allocation" ~prepare:(fun fs ->
-          Fs.set_policy fs (Fs.Scattered (Random.State.make [| 3 |])));
+          Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 3)));
       compacted_row;
     ]
   in
@@ -810,8 +810,7 @@ let e12 () =
   (* A fixed pseudo-random access pattern, the same on every compiler. *)
   let accesses =
     let rng = Alto_machine.Splitmix.of_seed 42 in
-    let draw () = Int64.unsigned_rem (Alto_machine.Splitmix.next rng) (Int64.of_int pages) in
-    Array.init 48 (fun _ -> 1 + Int64.to_int (draw ()))
+    Array.init 48 (fun _ -> 1 + Alto_machine.Splitmix.int rng pages)
   in
   let trial density =
     (* Warm all hints, then thin. *)
@@ -1148,7 +1147,7 @@ let e15 () =
   heading "E15  batched vs naive transfers (elevator scheduling)";
   claim "cylinder batching at least halves the seeks on a scattered pack";
   let drive, fs = fresh () in
-  Fs.set_policy fs (Fs.Scattered (Random.State.make [| 42 |]));
+  Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 42));
   let root = ok Directory.pp_error (Directory.open_root fs) in
   let names = fill_to fs root ~fraction:0.5 ~file_bytes:8000 in
   (* The request set a whole-pack reader (a backup pass, say) wants:
@@ -1844,24 +1843,19 @@ let e19 () =
      byte-identical through a lying net, the survivor keeps serving\n\
      files the whole time, and nothing is lost."
 
-(* E20 — the write-back track cache at work, before/after on the two
-   workloads it was built for. (a) Record rewrites: a program updates a
+(* E20 — the write-back track cache at work, before/after on the
+   workload it was built for. Record rewrites: a program updates a
    small record in the middle of every page of a database file — each
    update is a read-modify-write, the worst case for a write-through
    disk (two rotational waits per page). With the cache, the read side
    hits after one track fill and the write side is absorbed and
    delayed; the final flush coalesces a hundred page writes into a
-   handful of contiguous track sweeps. (b) Allocation on a fragmented
-   pack: when the free sectors are scattered holes, Near_previous takes
-   the linearly-next hole and waits most of a revolution for it;
-   Rotation_aware takes the hole that lands next under the head. *)
+   handful of contiguous track sweeps. *)
 let e20 () =
-  heading "E20  write coalescing and rotation-aware allocation";
-  claim
-    "delayed track write-back coalesces read-modify-write traffic; \
-     rotation-aware allocation dodges the rotational wait on a fragmented pack";
+  heading "E20  write coalescing";
+  claim "delayed track write-back coalesces read-modify-write traffic";
   let page_bytes = 2 * Sector.value_words in
-  (* (a) rewrite a 16-byte record in the middle of every page. *)
+  (* Rewrite a 16-byte record in the middle of every page. *)
   let rewrite_records ~cached =
     let _drive, fs = fresh () in
     if not cached then Bio.set_tracks (Fs.bio fs) 0;
@@ -1884,76 +1878,18 @@ let e20 () =
   let _, cached_us = rewrite_records ~cached:true in
   Obs.add (Obs.counter "e20.rmw_uncached_us") uncached_us;
   Obs.add (Obs.counter "e20.rmw_cached_us") cached_us;
-  (* (b) allocate 100 fresh pages onto a pack whose free list is
-     scattered holes, under each allocation policy. Each allocation is
-     the paper's check-free-then-write revolution; what the policy
-     controls is the arrival wait before the check. Back-to-back
-     allocations hide the difference (the linearly-next hole is just
-     ahead of the head anyway), so each allocation is interleaved with
-     a metadata read at another cylinder — the directory and leader
-     traffic every real allocation stream carries. *)
-  let alloc policy =
-    let drive, fs = fresh () in
-    let root = ok Directory.pp_error (Directory.open_root fs) in
-    Fs.set_policy fs (Fs.Scattered (Random.State.make [| 20 |]));
-    let (_ : string list) = fill_to fs root ~fraction:0.6 ~file_bytes:4000 in
-    Fs.set_policy fs policy;
-    let fid = Fs.fresh_fid fs in
-    let value = Array.make Sector.value_words (Word.of_int 0x2020) in
-    let shape = Drive.geometry drive in
-    let metadata_addr =
-      (* Track 0 of a middling cylinder, sector 0 — stand-in for the
-         descriptor / directory neighbourhood. *)
-      Disk_address.of_index (50 * 2 * shape.Geometry.sectors_per_track)
-    in
-    let scratch = Array.make Sector.value_words Word.zero in
-    let clock = Drive.clock drive in
-    (* Sum the allocations' own time: the metadata read sits between
-       them to move the head, but a fixed sector re-synchronizes the
-       rotational phase, so including it would hide exactly the wait
-       being measured. *)
-    let alloc_us = ref 0 in
-    for page = 0 to 99 do
-      let (_ : Disk_address.t), us =
-        timed clock (fun () ->
-            ok Fs.pp_error
-              (Fs.allocate_page fs
-                 ~label:(fun _ ->
-                   Label.make ~fid ~page ~length:512
-                     ~next:Disk_address.nil ~prev:Disk_address.nil)
-                 ~value))
-      in
-      alloc_us := !alloc_us + us;
-      ok Drive.pp_error
-        (Drive.run drive metadata_addr
-           { Drive.op_none with Drive.value = Some Drive.Read }
-           ~value:scratch ())
-    done;
-    !alloc_us
-  in
-  let near_us = alloc Fs.Near_previous in
-  let rps_us = alloc Fs.Rotation_aware in
-  Obs.add (Obs.counter "e20.alloc_near_us") near_us;
-  Obs.add (Obs.counter "e20.alloc_rps_us") rps_us;
-  let speedup a b = Printf.sprintf "%.1fx" (float_of_int a /. float_of_int b) in
   print_table [ 34; 14; 14; 9 ]
     [ "workload"; "before"; "after"; "speedup" ]
     [
       [ Printf.sprintf "record rewrite, %d pages" pages;
         us_to_string uncached_us; us_to_string cached_us;
-        speedup uncached_us cached_us ];
-      [ "100 allocations, fragmented pack";
-        us_to_string near_us; us_to_string rps_us;
-        speedup near_us rps_us ];
+        Printf.sprintf "%.1fx" (float_of_int uncached_us /. float_of_int cached_us) ];
     ];
   if cached_us >= uncached_us then
     failwith "E20: the track cache did not speed up record rewrites";
-  if rps_us >= near_us then
-    failwith "E20: rotation-aware allocation did not beat near-previous";
   print_endline
     "shape: read-modify-write traffic collapses once reads hit filled\n\
-     tracks and writes leave coalesced; on a fragmented pack the\n\
-     allocator stops parking through most of a revolution per page."
+     tracks and writes leave coalesced."
 
 (* E21 — §3.3/§3.5: every crash point survivable. The harness kills the
    machine at every Nth writing operation of five metadata-mutating

@@ -75,7 +75,7 @@ let () =
   let net = Net.create () in
   let server_station = Net.attach net ~name:"fileserver" in
   let server = File_server.create (System.fs server_system) server_station in
-  let pump () = ignore (File_server.serve_pending server) in
+  let pump () = ignore (File_server.tick server : int) in
 
   (* {2 The diskless machine: memory, processor, display, keyboard, zone} *)
   let memory = Memory.create () in

@@ -500,33 +500,15 @@ let adopt_batched t ~first ~addrs ~labels ~values results =
   in
   collect 0 []
 
-(* One elevator pass of label-checked value reads for pages
-   [first .. first + n - 1] at [addrs]; a refuted or failed request
-   falls back to the ordinary one-page path for that page alone.
-
-   With the track buffer cache enabled the batching is the cache's:
-   each miss pulls its whole track through the shared elevator in one
-   fill, the rest of the run is answered from core, and the track stays
-   resident for the next reader. The hand-rolled request batch remains
-   as the disabled-cache path (and the experiments' ablation). *)
+(* Pages [first .. first + n - 1] at [addrs], every one through the
+   one-page path with its hint seeded from the resolved address, so it
+   spends no operations re-chasing it. The batching is the track buffer
+   cache's: each miss pulls its whole track through the shared elevator
+   in one fill, the rest of the run is answered from core, and the track
+   stays resident for the next reader. *)
 let read_pages_batched t ~first addrs =
-  let n = Array.length addrs in
-  if Bio.enabled (bio t) then
-    (* Every page through the one-page path, its hint seeded from the
-       resolved address so it spends no operations re-chasing it. *)
-    adopt_batched t ~first ~addrs ~labels:[||] ~values:[||] (Array.make n None)
-  else begin
-    let values = Array.init n (fun _ -> Array.make Sector.value_words Word.zero) in
-    let labels = Array.init n (fun i -> Label.check_name t.fid ~page:(first + i)) in
-    let requests =
-      Array.init n (fun i ->
-          Sched.request ~label:labels.(i) ~value:values.(i) addrs.(i)
-            { Drive.op_none with label = Some Drive.Check; value = Some Drive.Read })
-    in
-    let outcomes = Sched.run_batch (drive t) requests in
-    adopt_batched t ~first ~addrs ~labels ~values
-      (Array.map (fun o -> Some o.Sched.result) outcomes)
-  end
+  adopt_batched t ~first ~addrs ~labels:[||] ~values:[||]
+    (Array.make (Array.length addrs) None)
 
 (* How many of [len] bytes from [pos] the file holds. *)
 let span_length t ~pos ~len = max 0 (min len (byte_length t - pos))
@@ -598,9 +580,7 @@ let read_bytes t ~pos ~len =
    while the disk turns: it asks for a plan (the label-checked value
    reads for every data page, as one request set), parks the requests on
    the standing elevator queue alongside every other conversation's, and
-   assembles the bytes when the shared sweep has completed them. The
-   split is exactly {!read_pages_batched} pulled apart at the disk
-   wait. *)
+   assembles the bytes when the shared sweep has completed them. *)
 
 type read_plan = {
   plan_file : t;

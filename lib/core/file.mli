@@ -92,8 +92,8 @@ val plan_requests : read_plan -> Alto_disk.Sched.request array
 (** The requests to submit — outcomes must come back in this order. *)
 
 val finish_read : read_plan -> Alto_disk.Sched.outcome array -> (string, error) result
-(** Adopt the outcomes (cache-priming hints and labels exactly as the
-    batched read path does), fall back page-wise where a request failed,
+(** Adopt the outcomes (each verified label noted, each hint seeded and
+    each page's links cached), fall back page-wise where a request failed,
     and assemble the file's whole contents. Raises [Invalid_argument]
     when the outcome count does not match the plan. *)
 

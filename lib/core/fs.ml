@@ -1,4 +1,5 @@
 module Word = Alto_machine.Word
+module Splitmix = Alto_machine.Splitmix
 module Sim_clock = Alto_machine.Sim_clock
 module Sector = Alto_disk.Sector
 module Drive = Alto_disk.Drive
@@ -18,10 +19,7 @@ let m_quarantined = Obs.counter "fs.sectors_quarantined"
 let m_quarantine_overflow = Obs.counter "fs.quarantine_overflow"
 let m_map_writes = Obs.counter "fs.map_writes"
 
-type allocation_policy =
-  | Near_previous
-  | Rotation_aware
-  | Scattered of Random.State.t
+type allocation_policy = Near_previous | Scattered of Splitmix.t
 
 type error = Disk_full | Page_error of Page.error | Corrupt of string
 
@@ -118,7 +116,6 @@ let now_seconds t = int_of_float (Sim_clock.now_seconds (clock t))
 let root_dir t = t.root
 let set_root_dir t fn = t.root <- Some fn
 
-let policy t = t.policy
 let set_policy t p = t.policy <- p
 let label_checking t = t.label_checking
 let set_label_checking t flag = t.label_checking <- flag
@@ -410,80 +407,11 @@ let pick_candidate t =
   in
   match t.policy with
   | Near_previous -> linear_from ((t.last_allocated + 1) mod n)
-  | Rotation_aware ->
-      (* Near-previous with rotational position sensing: charge every
-         free sector in a small window of upcoming tracks its true
-         arrival cost — the seek plus the rotational wait to its slot
-         ([Drive.catch_slot] knows where the surface will be when the
-         heads settle) — and take the cheapest. The lookahead is the
-         point: within one track, picking holes in slot order instead
-         of address order merely permutes the same waits (the slot
-         angles of the track's holes are what they are), but a window
-         of a few tracks almost always contains a hole the head can
-         catch within a slot or two, and a hostile-angle hole is simply
-         left for a later pass that arrives at a different phase. Track
-         order is still near-previous, so locality (and the read side's
-         track buffers) keep their clustering. *)
-      let spt = t.shape.Geometry.sectors_per_track in
-      let sector_us = Geometry.sector_time_us t.shape in
-      let tracks = n / spt in
-      let start_track = (t.last_allocated + 1) mod n / spt in
-      let best_in_window = ref None in
-      let lookahead = min 4 tracks in
-      for k = 0 to lookahead - 1 do
-        let track = (start_track + k) mod tracks in
-        let base = track * spt in
-        let cylinder, _, _ =
-          Disk_address.chs t.shape (Disk_address.of_index base)
-        in
-        let seek_us =
-          Geometry.seek_time_us t.shape
-            ~from_cylinder:(Drive.current_cylinder t.drive)
-            ~to_cylinder:cylinder
-        in
-        let catch = Drive.catch_slot t.drive ~cylinder in
-        for rel = 0 to spt - 1 do
-          if not t.busy.(base + rel) then begin
-            let cost = seek_us + (((rel - catch + spt) mod spt) * sector_us) in
-            match !best_in_window with
-            | Some (_, best_cost) when best_cost <= cost -> ()
-            | Some _ | None -> best_in_window := Some (base + rel, cost)
-          end
-        done
-      done;
-      (match !best_in_window with
-      | Some (i, _) -> Ok i
-      | None ->
-          (* The window is solid: march onward to the first track with
-             any hole and take its soonest-catchable sector. *)
-          let rec scan_track k track =
-            if k >= tracks then Error Disk_full
-            else begin
-              let base = track * spt in
-              let cylinder, _, _ =
-                Disk_address.chs t.shape (Disk_address.of_index base)
-              in
-              let catch = Drive.catch_slot t.drive ~cylinder in
-              let best = ref None in
-              for rel = 0 to spt - 1 do
-                if not t.busy.(base + rel) then begin
-                  let wait = (rel - catch + spt) mod spt in
-                  match !best with
-                  | Some (_, best_wait) when best_wait <= wait -> ()
-                  | Some _ | None -> best := Some (base + rel, wait)
-                end
-              done;
-              match !best with
-              | Some (i, _) -> Ok i
-              | None -> scan_track (k + 1) ((track + 1) mod tracks)
-            end
-          in
-          scan_track 0 ((start_track + lookahead) mod tracks))
   | Scattered rng ->
       let rec probe k =
-        if k = 0 then linear_from (Random.State.int rng n)
+        if k = 0 then linear_from (Splitmix.int rng n)
         else
-          let i = Random.State.int rng n in
+          let i = Splitmix.int rng n in
           if not t.busy.(i) then Ok i else probe (k - 1)
       in
       probe 32
@@ -882,12 +810,6 @@ let format drive =
 let mount drive =
   let ( let* ) = Result.bind in
   let t = make_handle drive in
-  let* _, leader_value =
-    Result.map_error
-      (fun e -> Format.asprintf "descriptor leader unreadable: %a" Page.pp_error e)
-      (Page.read ~cache:t.cache drive leader_name)
-  in
-  let* (_ : Leader.t) = Leader.of_value leader_value in
   (* The newest record that reads back whole, as the platter holds it: a
      mount starts a new incarnation, so whatever a handle before it kept
      in core gives way. Never an older record in place of a newest whose

@@ -6,7 +6,7 @@
     shape (absolute), and the name of the root directory (a hint).
 
     Allocation follows the paper's protocol exactly. The map proposes a
-    page; the first write checks the free pattern in its label and only
+    page, the first free one after the last allocation; the first write checks the free pattern in its label and only
     then writes the real label — so "a page improperly marked free in the
     map results in a little extra one-time disk activity", and a page
     improperly marked busy is merely lost until the scavenger finds it.
@@ -32,7 +32,10 @@
     32-bit sequence number. Every descriptor write after the leader is
     one whole record into the slot that does not hold the newest. On a
     Model 31 a record is 404 words, two pages; a torn record write leaves
-    the other slot whole. *)
+    the other slot whole. A mount reads the records alone: each page is
+    label-checked as the descriptor's and the record carries the magic,
+    version and shape, so a leader a crash tore does not keep the pack
+    from mounting. *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -41,22 +44,12 @@ module Disk_address = Alto_disk.Disk_address
 
 type allocation_policy =
   | Near_previous
-      (** Scan onward from the last allocation — the default, which lays
-          files out close to consecutively on a quiet disk. *)
-  | Rotation_aware
-      (** Near-previous track order with rotational position sensing:
-          every free sector in a small window of upcoming tracks is
-          charged its arrival cost — seek plus rotational wait to its
-          slot ({!Drive.catch_slot}) — and the cheapest wins, so an
-          allocation stream never waits most of a revolution for the
-          linearly-next sector; a hostile-angle hole is left for a
-          later pass that arrives at a different phase.
-          Trades consecutive sector numbering (and so the leader's
-          consecutive-layout hint) for lower first-write latency on
-          fragmented tracks. *)
-  | Scattered of Random.State.t
-      (** Allocate uniformly at random — used by the experiments to
-          manufacture fragmentation. *)
+      (** Scan onward from the last allocation — the allocator, which
+          lays files out close to consecutively on a quiet disk. *)
+  | Scattered of Alto_machine.Splitmix.t
+      (** Allocate uniformly at random — the fixture the experiments and
+          tests use to manufacture fragmentation. The same seed scatters
+          the same way on every compiler. *)
 
 type error =
   | Disk_full
@@ -81,8 +74,7 @@ val format : Drive.t -> t
     pack out-of-band, so it costs no simulated time. *)
 
 val mount : Drive.t -> (t, string) result
-(** Read the descriptor's leader and both record slots, and take the
-    newest record whose pages all read back under one sequence number.
+(** Read both record slots of the descriptor, and take the newest record whose pages all read back under one sequence number.
     [Error] when neither does, or when that record's content does not
     parse — bad magic or version, a shape that contradicts the drive; an
     older record never stands in for it, since only the newest map is
@@ -122,7 +114,6 @@ val fresh_fid : ?directory:bool -> t -> File_id.t
     descriptor last recorded: the serial that would reach the gap is
     handed out only after a descriptor write ({!flush}, best effort). *)
 
-val policy : t -> allocation_policy
 val set_policy : t -> allocation_policy -> unit
 val label_checking : t -> bool
 val set_label_checking : t -> bool -> unit
@@ -258,8 +249,9 @@ val mark_clean : t -> (unit, error) result
     in core empties only once that record is down. *)
 
 val patrol_cursor : t -> int
-(** The sector index where the verify sweep resumes; persisted with the
-    descriptor so recovery is bounded by the sweep's unfinished tail. *)
+(** The sector index where the verify sweep resumes, persisted with the
+    descriptor so a remount carries on the patrol's lap where it
+    stopped. *)
 
 val set_patrol_cursor : t -> int -> unit
 (** In-core only; {!flush} (or the patrol's own persistence policy)

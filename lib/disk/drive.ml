@@ -107,7 +107,6 @@ type t = {
   bad : bool array;
   mutable current_cylinder : int;
   mutable stats : stats;
-  mutable power_budget : int option;
   mutable crash_point : crash_point option;
   mutable write_ops : int;
   (* Torn parts: a crash stopped a write partway through this part, so
@@ -155,7 +154,6 @@ let create ?clock ~pack_id geometry =
       bad = Array.make n false;
       current_cylinder = 0;
       stats = zero_stats;
-      power_budget = None;
       crash_point = None;
       write_ops = 0;
       torn = Array.make n 0;
@@ -301,11 +299,6 @@ let perform t part action (disk_words : Word.t array) (buf : Word.t array) =
         end
       in
       scan 0
-
-let set_power_budget t budget =
-  if Option.fold ~none:false ~some:(fun n -> n < 0) budget then
-    invalid_arg "Drive.set_power_budget: negative budget"
-  else t.power_budget <- budget
 
 (* {2 The crash-point model} *)
 
@@ -459,10 +452,6 @@ let run t addr op ?header ?label ?value () =
      writes reaches the platter before this operation begins. *)
   if has_write_action op then
     t.fence addr (match op.label with Some Write -> label | Some (Read | Check) | None -> None);
-  (match t.power_budget with
-  | Some 0 -> raise Power_failure
-  | Some n -> t.power_budget <- Some (n - 1)
-  | None -> ());
   let index = check_address t addr in
   validate_continuation op;
   validate_buffer Sector.Header op.header header;

@@ -105,8 +105,7 @@ type attachment = ..
 val attach : t -> attachment -> fence:(Disk_address.t -> Word.t array option -> unit) -> unit
 (** Hold [attachment] and install [fence] as the write-ahead point:
     {!run} calls the fence before every operation with a write action —
-    before the power budget or a crash point sees the operation — with
-    the sector and, when the operation writes the label, the label
+    before a crash point sees the operation — with the sector and, when the operation writes the label, the label
     words. Whatever the fence writes itself (its own {!run} calls reach
     it again) lands on the platter first, so a mounted volume can
     persist where a write may land before the write begins.
@@ -184,30 +183,25 @@ val soft_failures : t -> Disk_address.t -> int
 (** How many soft errors this sector's marginal profile has recorded;
     0 for non-marginal sectors. *)
 
-exception Power_failure
-(** Raised by {!run} when an injected power budget runs out — the
-    machine stops mid-workload, leaving the pack exactly as the
-    completed operations left it. The crash-consistency tests sweep the
-    failure point across whole workloads. *)
-
-val set_power_budget : t -> int option -> unit
-(** [set_power_budget t (Some n)] lets [n] more operations complete and
-    makes the one after raise {!Power_failure}; [None] (the default)
-    removes the limit. Out-of-band access ({!peek}/{!poke}) is not
-    limited — the microscope works even on a dead machine. *)
-
 (** {2 The crash-point model}
 
-    {!set_power_budget} counts every operation, reads included, and
-    assumes each completed sector is atomic. The crash point is the
-    sharper instrument the crash-injection harness enumerates with: it
-    counts only operations that {e write}, and can stop the fatal write
-    partway through one part — the torn sector a real power failure can
-    leave, which §3.3's label discipline never promises against at the
-    sub-sector level. The controller models a per-part checksum: a torn
-    part reads back as {!Bad_sector} until a full rewrite of that part
-    restores it, so recovery can always {e detect} the tear even though
-    the data is gone. *)
+    A crash point counts only operations that {e write}: a read changes
+    nothing on the platter, so killing the machine at each write reaches
+    every state a power failure can leave. It can also stop the fatal
+    write partway through one part — the torn sector a real power
+    failure can leave, which §3.3's label discipline never promises
+    against at the sub-sector level. The controller models a per-part
+    checksum: a torn part reads back as {!Bad_sector} until a full
+    rewrite of that part restores it, so recovery can always {e detect}
+    the tear even though the data is gone. Out-of-band access
+    ({!peek}/{!poke}) is not counted — the microscope works even on a
+    dead machine. *)
+
+exception Power_failure
+(** Raised by {!run} when an armed crash point fires — the machine stops
+    mid-workload, leaving the pack exactly as the completed operations
+    (and a torn one's transferred prefix) left it. The crash-consistency
+    tests sweep the failure point across whole workloads. *)
 
 type tear =
   | Torn_label

@@ -11,3 +11,7 @@ let next p =
 
 (* The top 53 bits. *)
 let float p = Int64.to_float (Int64.shift_right_logical (next p) 11) /. 9007199254740992.0
+
+let int p bound =
+  if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";
+  Int64.to_int (Int64.unsigned_rem (next p) (Int64.of_int bound))

@@ -13,3 +13,7 @@ val next : t -> int64
 
 val float : t -> float
 (** A float in [[0, 1)]. *)
+
+val int : t -> int -> int
+(** [int t bound] is an integer in [[0, bound)]. Raises
+    [Invalid_argument] unless [bound > 0]. *)

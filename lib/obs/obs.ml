@@ -146,7 +146,7 @@ type event = {
 type sink_id = int
 
 type trace_state = {
-  mutable ring : event option array;
+  ring : event option array;  (* The newest 1,024 events. *)
   mutable head : int;  (* Next write position. *)
   mutable stored : int;
   mutable next_seq : int;
@@ -164,23 +164,6 @@ let trace () =
       match tr.ring.((oldest + i) mod cap) with
       | Some e -> e
       | None -> assert false)
-
-let set_trace_capacity n =
-  if n <= 0 then invalid_arg "Obs.set_trace_capacity: capacity must be positive"
-  else begin
-    let keep = trace () in
-    let keep = List.filteri (fun i _ -> i >= List.length keep - n) keep in
-    let ring = Array.make n None in
-    List.iteri (fun i e -> ring.(i) <- Some e) keep;
-    tr.ring <- ring;
-    tr.stored <- List.length keep;
-    tr.head <- tr.stored mod n
-  end
-
-let clear_trace () =
-  Array.fill tr.ring 0 (Array.length tr.ring) None;
-  tr.head <- 0;
-  tr.stored <- 0
 
 let add_sink f =
   let id = tr.next_sink in
@@ -266,7 +249,9 @@ let reset () =
           h.h_max <- 0;
           Array.fill h.h_buckets 0 bucket_count 0)
     registry;
-  clear_trace ();
+  Array.fill tr.ring 0 (Array.length tr.ring) None;
+  tr.head <- 0;
+  tr.stored <- 0;
   tr.next_seq <- 0;
   Prof.reset ();
   List.iter (fun f -> f ()) !reset_hooks

@@ -19,9 +19,9 @@
     registers on first use and keeps its kind forever; registering the
     same name with the other kind raises [Invalid_argument].
 
-    The event trace is a ring buffer holding the most recent events
-    ({!set_trace_capacity}); {!add_sink} taps the stream as it flows
-    (for live debugging or custom aggregation) regardless of ring size.
+    The event trace is a ring buffer holding the most recent 1,024
+    events; {!add_sink} taps the stream as it flows (for live debugging
+    or custom aggregation), evicted events included.
 
     Everything here is deliberately global: the simulation is a
     single-user machine, and the registry plays the role of the
@@ -104,13 +104,6 @@ val event : ?clock:Sim_clock.t -> ?fields:(string * field_value) list -> string 
 
 val trace : unit -> event list
 (** The retained events, oldest first. *)
-
-val set_trace_capacity : int -> unit
-(** Resize the ring, keeping the newest events that fit. The default
-    capacity is 1024. Raises [Invalid_argument] when the capacity is
-    not positive. *)
-
-val clear_trace : unit -> unit
 
 type sink_id
 

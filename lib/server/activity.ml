@@ -51,7 +51,6 @@ let create ~max_active ~queue clock =
 
 let live t = t.live
 let blocked t = t.blocked
-let max_active t = t.max_active
 let idle t = t.live = 0
 
 let spawn ?ctx t ~name body =

@@ -65,7 +65,3 @@ val live : t -> int
 val blocked : t -> int
 (** Live activities currently parked on a disk wait. *)
 
-val idle : t -> bool
-(** No live activities. *)
-
-val max_active : t -> int

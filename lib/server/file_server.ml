@@ -80,9 +80,6 @@ let stats t =
     send_errors = t.send_errors;
   }
 
-let activities t = t.acts
-let max_active t = Activity.max_active t.acts
-
 let packet_string payload ~at =
   if Array.length payload <= at then None
   else
@@ -297,36 +294,12 @@ let admit_one t =
 
 (* {2 Driving the server} *)
 
-let busy t = Net.pending t.station > 0 || not (Activity.idle t.acts)
-
 let tick t =
   let admitted = ref 0 in
   while Net.pending t.station > 0 do
     if admit_one t then incr admitted
   done;
   !admitted + Activity.round t.acts
-
-let step t =
-  if not (busy t) then false
-  else begin
-    ignore (admit_one t : bool);
-    Activity.run_until_idle t.acts;
-    true
-  end
-
-let serve_pending t =
-  let served = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let admitted = ref 0 in
-    while Net.pending t.station > 0 do
-      if admit_one t then incr admitted
-    done;
-    Activity.run_until_idle t.acts;
-    served := !served + !admitted;
-    continue := !admitted > 0 || Net.pending t.station > 0
-  done;
-  !served
 
 module Client = struct
   type error =

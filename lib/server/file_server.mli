@@ -18,11 +18,11 @@
     Requests are single packets ([GET name], [PUT name] followed by the
     file body, [LIST]); replies are file transfers (the content, or a
     listing under the reserved name [";listing"]), ACK/NAK packets, or
-    error packets. The simulation is single-threaded, so the legacy
+    error packets. The simulation is single-threaded, so the blocking
     client calls take a [pump] callback that gives the server its turn —
     the moral equivalent of waiting for the wire — while concurrent
-    workloads use the split [send_*]/[poll_reply] interface and drive
-    the server with {!tick}. *)
+    workloads use the split [send_*]/[poll_reply] interface. Either way
+    the server takes its turns through {!tick}. *)
 
 module Net = Alto_net.Net
 module Fs = Alto_fs.Fs
@@ -50,22 +50,7 @@ val tick : t -> int
     0 means the server is idle. This is what the [ServerTick] level
     service calls. *)
 
-val busy : t -> bool
-(** Requests pending on the wire, or activities still live. *)
-
-val step : t -> bool
-(** Handle one pending request to completion; [false] when the queue is
-    empty. (Legacy single-shot interface.) *)
-
-val serve_pending : t -> int
-(** Handle everything pending to completion; returns the number of
-    requests admitted. (Legacy interface; never NAKs fewer than
-    [max_active] concurrent requests since it drains as it admits.) *)
-
 val stats : t -> stats
-
-val activities : t -> Activity.t
-val max_active : t -> int
 
 (** {2 The client side} *)
 

@@ -1,8 +1,9 @@
-(* Crash consistency: the power fails at an arbitrary disk-operation
-   boundary in the middle of real workloads; one scavenge later the
-   volume must be sound and no file may ever contain torn or alien
-   bytes. This is the property §3.3's label discipline was designed
-   for — "recovery from crashes and resistance to misuse" (§1). *)
+(* Crash consistency: the power fails at an arbitrary write, between
+   sectors or tearing one, in the middle of real workloads; one
+   scavenge later the volume must be sound and no file may ever contain
+   torn or alien bytes. This is the property §3.3's label discipline
+   was designed for — "recovery from crashes and resistance to misuse"
+   (§1). *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -163,50 +164,66 @@ let image drive =
       let s = Drive.peek drive (Disk_address.of_index i) in
       (s.Sector.label, s.Sector.value))
 
-let crash_at budget =
+let crash_at ?tear point =
   let drive, fs, root, files = build () in
   let before = image drive in
-  Drive.set_power_budget drive (Some budget);
+  Fault.crash_after_writes ?tear drive point;
   let crashed =
     match workload fs root files with
     | () -> false
     | exception Drive.Power_failure -> true
   in
-  Drive.set_power_budget drive None;
-  map_covers (Printf.sprintf "budget %d" budget) drive before;
+  Fault.cancel_crash drive;
+  map_covers (Printf.sprintf "write %d" point) drive before;
   (* The machine is gone; all in-core state (fs handle, file handles,
      the allocation map!) is lost. Recovery starts from the drive. *)
   match Scavenger.scavenge drive with
-  | Error msg -> Alcotest.failf "scavenge after crash at %d: %s" budget msg
+  | Error msg -> Alcotest.failf "scavenge after crash at %d: %s" point msg
   | Ok (fs', _report) ->
       verify fs';
       (match Fs.mount drive with
       | Ok _ -> ()
-      | Error msg -> Alcotest.failf "remount after crash at %d: %s" budget msg);
+      | Error msg -> Alcotest.failf "remount after crash at %d: %s" point msg);
       crashed
 
-let test_crash_sweep_early () =
-  (* Crash inside the first few dozen operations — mid-truncate,
-     mid-free, mid-first-write. *)
-  List.iter
-    (fun budget -> ignore (crash_at budget))
-    [ 0; 1; 2; 3; 5; 8; 13; 21; 34; 55 ]
+(* How many writes the workload issues: the crash points to sweep. *)
+let workload_writes =
+  lazy
+    (let drive, fs, root, files = build () in
+     let before = Drive.write_ops drive in
+     workload fs root files;
+     Drive.write_ops drive - before)
 
-let test_crash_sweep_dense () =
-  (* A dense sweep across one region of the workload. *)
-  for budget = 60 to 90 do
-    ignore (crash_at budget)
+(* Where the early sweep ends and the dense one begins. *)
+let early_writes = 60
+
+(* Crash at every write of the workload from [first] up to [last]
+   (default: its last write) — mid-truncate, mid-free, mid-write,
+   mid-create — with the fatal write cut off by [tears]. *)
+let sweep ?(first = 0) ?last tears () =
+  let writes = Lazy.force workload_writes in
+  let last = Option.value last ~default:writes in
+  let inside = first < last && last <= writes in
+  Alcotest.(check bool) "the workload writes past the sweep" true inside;
+  for point = first to last - 1 do
+    List.iter
+      (fun tear ->
+        if not (crash_at ?tear point) then Alcotest.failf "crash point %d never fired" point)
+      tears
   done
 
 let test_no_crash_baseline () =
-  (* With a huge budget the workload completes and still verifies. *)
+  (* With a crash point past its last write the workload completes and
+     still verifies. *)
   Alcotest.(check bool) "did not crash" false (crash_at 1_000_000)
 
 let prop_crash_anywhere =
   QCheck.Test.make ~name:"crash at any operation leaves a recoverable pack" ~count:40
     QCheck.(int_bound 400)
-    (fun budget ->
-      match crash_at budget with _ -> true | exception _ -> false)
+    (fun point ->
+      match crash_at (point mod Lazy.force workload_writes) with
+      | crashed -> crashed
+      | exception _ -> false)
 
 let test_crash_during_world_swap () =
   (* OutLoad is hundreds of sequential writes; a crash mid-swap must
@@ -228,12 +245,12 @@ let test_crash_during_world_swap () =
   (match World.out_load cpu state with Ok () -> () | Error _ -> failwith "first save");
   (* Second save dies halfway through. *)
   Alto_machine.Memory.write memory 1234 (Word.of_int 0xBBBB);
-  Drive.set_power_budget drive (Some 150);
+  Fault.crash_after_writes drive 150;
   (match World.out_load cpu state with
   | Ok () -> Alcotest.fail "should have crashed"
   | Error _ -> Alcotest.fail "expected a power failure"
   | exception Drive.Power_failure -> ());
-  Drive.set_power_budget drive None;
+  Fault.cancel_crash drive;
   match Scavenger.scavenge drive with
   | Error msg -> Alcotest.failf "scavenge: %s" msg
   | Ok (fs', _) -> (
@@ -382,12 +399,13 @@ let test_damaged_flight_seal_reads_as_absent () =
 let test_boot_scavenges_before_formatting () =
   let drive, fs, _root, _files = build () in
   (match Fs.flush fs with Ok () -> () | Error _ -> failwith "flush");
-  (* Garble the descriptor's leader label: the pack no longer mounts,
-     but every file is still on the platter — boot must reach for the
-     scavenger, not the formatter. *)
-  Fault.corrupt_part
-    (Random.State.make [| 7 |])
-    drive Fs.descriptor_leader_address Sector.Label;
+  (* Garble the label of the first page of each descriptor record slot:
+     the pack no longer mounts, but every file is still on the platter —
+     boot must reach for the scavenger, not the formatter. *)
+  let rng = Random.State.make [| 7 |] in
+  List.iter
+    (fun i -> Fault.corrupt_part rng drive (Disk_address.of_index i) Sector.Label)
+    [ 2; 2 + (Fs.descriptor_page_count fs / 2) ];
   (match Fs.mount drive with
   | Ok _ -> Alcotest.fail "mount should fail on a garbled descriptor"
   | Error _ -> ());
@@ -634,7 +652,7 @@ let run_contents = pattern ~seed:6 ~version:1 run_bytes
 let run_pack ~scattered () =
   let drive = Drive.create ~pack_id:9 small_geometry in
   let fs = Fs.format drive in
-  if scattered then Fs.set_policy fs (Fs.Scattered (Random.State.make [| 9 |]));
+  if scattered then Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 9));
   let root = match Directory.open_root fs with Ok r -> r | Error _ -> failwith "root" in
   (match
      Result.bind (File.create fs ~name:run_file) (fun f ->
@@ -1194,8 +1212,11 @@ let () =
     [
       ( "power failure",
         [
-          ("early sweep", `Quick, test_crash_sweep_early);
-          ("dense sweep", `Quick, test_crash_sweep_dense);
+          (* The clean crash points, split at the sixtieth write;
+             together they cover every write. *)
+          ("early sweep", `Quick, sweep ~last:early_writes [ None ]);
+          ("dense sweep", `Quick, sweep ~first:early_writes [ None ]);
+          ("torn-write sweep", `Quick, sweep [ Some Drive.Torn_label; Some Drive.Torn_value ]);
           ("baseline without crash", `Quick, test_no_crash_baseline);
           ("mid world swap", `Quick, test_crash_during_world_swap);
           QCheck_alcotest.to_alcotest ~verbose:false prop_crash_anywhere;

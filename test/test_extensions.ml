@@ -150,7 +150,7 @@ let server_setup () =
   let station = Net.attach net ~name:"server" in
   let server = File_server.create fs station in
   let client = Net.attach net ~name:"client" in
-  let pump () = ignore (File_server.serve_pending server) in
+  let pump () = ignore (File_server.tick server : int) in
   (fs, server, client, pump)
 
 let client_ok what r = check_ok File_server.Client.pp_error what r
@@ -200,7 +200,7 @@ let test_server_persists () =
   let station = Net.attach net ~name:"server" in
   let server = File_server.create fs station in
   let client = Net.attach net ~name:"client" in
-  let pump () = ignore (File_server.serve_pending server) in
+  let pump () = ignore (File_server.tick server : int) in
   client_ok "store" (File_server.Client.store client ~server:"server" ~name:"Keep." "kept" ~pump);
   let fs' = match Fs.mount drive with Ok f -> f | Error m -> Alcotest.failf "%s" m in
   let root = dir_ok "root" (Directory.open_root fs') in

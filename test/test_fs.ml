@@ -54,12 +54,65 @@ let test_mount_rejects_unformatted () =
   | Error _ -> ()
 
 let test_mount_rejects_corrupt_descriptor () =
-  let drive, _fs = fresh_fs () in
+  let drive, fs = fresh_fs () in
   let junk = Array.make Sector.value_words (Word.of_int 0xDEAD) in
-  Drive.poke drive Fs.descriptor_leader_address Sector.Value junk;
+  (* The first page of each record slot. *)
+  List.iter
+    (fun i -> Drive.poke drive (Disk_address.of_index i) Sector.Value junk)
+    [ 2; 2 + (Fs.descriptor_page_count fs / 2) ];
   match Fs.mount drive with
-  | Ok _ -> Alcotest.fail "mounted despite a destroyed descriptor leader"
+  | Ok _ -> Alcotest.fail "mounted despite a destroyed descriptor"
   | Error _ -> ()
+
+(* The records carry everything a mount needs, so a leader a crash tore
+   (a scavenge's rebuild rewrites it in place) or junk overwrote does not
+   keep the pack from mounting. *)
+let test_mount_needs_no_leader () =
+  let body = String.init 3000 (fun i -> Char.chr (32 + (i mod 90))) in
+  let pack () =
+    let drive, fs = fresh_fs () in
+    let root = dir_ok "root" (Directory.open_root fs) in
+    let file = file_ok "create" (File.create fs ~name:"Keep.dat") in
+    file_ok "write" (File.write_bytes file ~pos:0 body);
+    dir_ok "add" (Directory.add root ~name:"Keep.dat" (File.leader_name file));
+    fs_ok "flush" (Fs.flush fs);
+    drive
+  in
+  let junk drive =
+    Drive.poke drive Fs.descriptor_leader_address Sector.Value
+      (Array.make Sector.value_words (Word.of_int 0xDEAD))
+  in
+  let tear drive =
+    (* The writes above mapped cylinder 0, so the write fence adds no
+       record and the crash point fires on the leader's own rewrite. *)
+    let leader = Drive.peek drive Fs.descriptor_leader_address in
+    Alto_disk.Fault.crash_after_writes ~tear:Drive.Torn_label drive 0;
+    (match
+       Drive.run drive Fs.descriptor_leader_address
+         { Drive.op_none with Drive.label = Some Drive.Write; value = Some Drive.Write }
+         ~label:leader.Sector.label ~value:leader.Sector.value ()
+     with
+    | _ -> Alcotest.fail "the crash point never fired"
+    | exception Drive.Power_failure -> ());
+    Alcotest.(check bool) "the leader is torn" true
+      (Drive.is_torn drive Fs.descriptor_leader_address)
+  in
+  List.iter
+    (fun (what, damage) ->
+      let drive = pack () in
+      damage drive;
+      match Fs.mount drive with
+      | Error e -> Alcotest.failf "%s leader: mount: %s" what e
+      | Ok fs -> (
+          let root = dir_ok "root" (Directory.open_root fs) in
+          match dir_ok "lookup" (Directory.lookup root "Keep.dat") with
+          | None -> Alcotest.failf "%s leader: Keep.dat lost" what
+          | Some e ->
+              let file = file_ok "open" (File.open_leader fs e.Directory.entry_file) in
+              let got = file_ok "read" (File.read_bytes file ~pos:0 ~len:(String.length body)) in
+              Alcotest.(check string) (what ^ " leader: Keep.dat reads back") body
+                (Bytes.to_string got)))
+    [ ("junk", junk); ("torn", tear) ]
 
 let test_boot_page_never_allocated () =
   let _drive, fs = fresh_fs () in
@@ -467,7 +520,7 @@ let other n = String.init n (fun i -> Char.chr (33 + (((i * 13) + 5) mod 90)))
    created and never written. *)
 let replace_subject ?(scattered = false) before =
   let drive, fs = fresh_fs () in
-  if scattered then Fs.set_policy fs (Fs.Scattered (Random.State.make [| 5 |]));
+  if scattered then Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 5));
   let root = dir_ok "root" (Directory.open_root fs) in
   let free0 = Fs.free_count fs in
   let file = file_ok "create" (File.create fs ~name:"Swap.") in
@@ -1133,6 +1186,7 @@ let suite =
     ("format then mount", `Quick, test_format_then_mount);
     ("mount rejects unformatted", `Quick, test_mount_rejects_unformatted);
     ("mount rejects corrupt descriptor", `Quick, test_mount_rejects_corrupt_descriptor);
+    ("mount needs no leader", `Quick, test_mount_needs_no_leader);
     ("boot page never allocated", `Quick, test_boot_page_never_allocated);
     ("allocate writes label+value", `Quick, test_allocate_writes_label_and_value);
     ("stale map hint survived", `Quick, test_stale_map_hint_is_survived);

@@ -12,9 +12,7 @@ module Sector = Alto_disk.Sector
 module Disk_address = Alto_disk.Disk_address
 
 (* Every test starts from a clean slate; the registry is process-wide. *)
-let fresh () =
-  Obs.reset ();
-  Obs.set_trace_capacity 1024
+let fresh () = Obs.reset ()
 
 (* {2 Counters} *)
 
@@ -160,33 +158,16 @@ let test_reset_preserves_sinks () =
 
 let test_trace_wraparound () =
   fresh ();
-  Obs.set_trace_capacity 4;
-  for i = 0 to 9 do
+  for i = 0 to 1033 do
     Obs.event ~fields:[ ("i", Obs.I i) ] "test.tick"
   done;
   let events = Obs.trace () in
-  Alcotest.(check int) "ring keeps capacity" 4 (List.length events);
+  Alcotest.(check int) "ring keeps capacity" 1024 (List.length events);
+  let newest = List.init 1024 (fun k -> 10 + k) in
   let is = List.map (fun e -> match e.Obs.fields with [ (_, Obs.I i) ] -> i | _ -> -1) events in
-  Alcotest.(check (list int)) "newest four, oldest first" [ 6; 7; 8; 9 ] is;
+  Alcotest.(check (list int)) "newest 1,024, oldest first" newest is;
   let seqs = List.map (fun e -> e.Obs.seq) events in
-  Alcotest.(check (list int)) "sequence numbers survive eviction" [ 6; 7; 8; 9 ] seqs
-
-let test_trace_resize_keeps_newest () =
-  fresh ();
-  Obs.set_trace_capacity 8;
-  for i = 0 to 5 do
-    Obs.event ~fields:[ ("i", Obs.I i) ] "test.tick"
-  done;
-  Obs.set_trace_capacity 3;
-  let is =
-    List.map
-      (fun e -> match e.Obs.fields with [ (_, Obs.I i) ] -> i | _ -> -1)
-      (Obs.trace ())
-  in
-  Alcotest.(check (list int)) "shrink keeps newest" [ 3; 4; 5 ] is;
-  (* And the ring still accepts events after the resize. *)
-  Obs.event ~fields:[ ("i", Obs.I 6) ] "test.tick";
-  Alcotest.(check int) "still bounded" 3 (List.length (Obs.trace ()))
+  Alcotest.(check (list int)) "sequence numbers survive eviction" newest seqs
 
 let test_sinks () =
   fresh ();
@@ -309,7 +290,6 @@ let () =
       ( "trace",
         [
           ("ring wraparound", `Quick, test_trace_wraparound);
-          ("resize keeps newest", `Quick, test_trace_resize_keeps_newest);
           ("sinks", `Quick, test_sinks);
           ("span times the sim clock", `Quick, test_span_times_sim_clock);
         ] );

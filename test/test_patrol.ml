@@ -212,14 +212,14 @@ let test_crash_recovery_bounded () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "mark_clean: %a" Fs.pp_error e);
   (* Now a workload that dies mid-flight. *)
-  Drive.set_power_budget drive (Some 120);
+  Fault.crash_after_writes drive 49;
   (try
      for i = 0 to 30 do
        ignore (create_file fs (Printf.sprintf "Doomed%d.dat" i) (String.make 700 'd'))
      done;
-     Alcotest.fail "the power budget never ran out"
+     Alcotest.fail "the crash point never fired"
    with Drive.Power_failure -> ());
-  Drive.set_power_budget drive None;
+  Fault.cancel_crash drive;
   match Fs.mount drive with
   | Error msg -> Alcotest.failf "mount after crash: %s" msg
   | Ok crashed ->

@@ -364,7 +364,7 @@ let test_scavenge_everything_destroyed () =
 let fragment_fs () =
   (* Build files under a scattering allocator so their pages interleave. *)
   let drive, fs = fresh_fs () in
-  Fs.set_policy fs (Fs.Scattered (Random.State.make [| 21 |]));
+  Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 21));
   let root = dir_ok "root" (Directory.open_root fs) in
   let names = [ ("Alpha.dat", 3000, 31); ("Beta.dat", 2000, 32); ("Gamma.dat", 2500, 33) ] in
   List.iter (fun (name, n, seed) -> ignore (make_file fs root name n seed)) names;
@@ -408,7 +408,7 @@ let test_compact_then_mount_and_scavenge_stable () =
 let test_compact_full_disk () =
   (* The swap-with-buffer permutation needs no free sectors. *)
   let _drive, fs = fresh_fs () in
-  Fs.set_policy fs (Fs.Scattered (Random.State.make [| 22 |]));
+  Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 22));
   let root = dir_ok "root" (Directory.open_root fs) in
   let rec fill i =
     match File.create fs ~name:(Printf.sprintf "Fill%d." i) with
@@ -499,7 +499,7 @@ let test_compact_off_marginal_sectors () =
    compaction returns must open every leader as the platter holds it. *)
 let test_compact_refreshes_buffered_leaders () =
   let drive, fs = fresh_fs () in
-  Fs.set_policy fs (Fs.Scattered (Random.State.make [| 23 |]));
+  Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 23));
   let root = dir_ok "root" (Directory.open_root fs) in
   for i = 0 to 59 do
     let name = Printf.sprintf "Entry%02d." i in

@@ -330,7 +330,7 @@ let test_send_failures_counted () =
   let got =
     client_ok "fetch"
       (File_server.Client.fetch client ~server:"fs" ~name:"A.dat"
-         ~pump:(fun () -> ignore (File_server.serve_pending srv : int)))
+         ~pump:(fun () -> ignore (File_server.tick srv : int)))
   in
   Alcotest.(check string) "subsequent service intact" (body 1 800) got
 
