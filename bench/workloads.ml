@@ -25,6 +25,14 @@ let body seed n = String.init n (fun i -> Char.chr (32 + (((i * 11) + seed) mod 
    the Executive does before raw-pack work (scavenge, audits). *)
 let settle fs = ignore (Alto_fs.Bio.flush (Fs.bio fs))
 
+(* Drop what the caches hold, so the next access pays its disk cost:
+   delayed writes settled, then the track buffers and the verified
+   labels forgotten. *)
+let go_cold fs =
+  settle fs;
+  Alto_fs.Bio.clear (Fs.bio fs);
+  Alto_fs.Label_cache.clear (Fs.label_cache fs)
+
 (* Create and catalogue one file with [n] bytes of content, settled to
    the platter so raw readers (scavenger, sweeps) see it whole. *)
 let make_file fs root name n seed =

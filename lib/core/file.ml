@@ -500,16 +500,6 @@ let adopt_batched t ~first ~addrs ~labels ~values results =
   in
   collect 0 []
 
-(* Pages [first .. first + n - 1] at [addrs], every one through the
-   one-page path with its hint seeded from the resolved address, so it
-   spends no operations re-chasing it. The batching is the track buffer
-   cache's: each miss pulls its whole track through the shared elevator
-   in one fill, the rest of the run is answered from core, and the track
-   stays resident for the next reader. *)
-let read_pages_batched t ~first addrs =
-  adopt_batched t ~first ~addrs ~labels:[||] ~values:[||]
-    (Array.make (Array.length addrs) None)
-
 (* How many of [len] bytes from [pos] the file holds. *)
 let span_length t ~pos ~len = max 0 (min len (byte_length t - pos))
 
@@ -537,30 +527,21 @@ let walk_span ~page ~pos ~n f =
   loop (1 + (pos / Sector.bytes_per_page)) (pos mod Sector.bytes_per_page) 0
 
 (* The page walk under every read: resolve and read the pages covering
-   bytes [pos, pos + n) — one elevator batch when the addresses of four
-   or more are known, page by page otherwise — and walk them. [n] is a
-   {!span_length}. *)
+   bytes [pos, pos + n), page by page, and walk them. When the addresses
+   of four or more are known, each page's hint is seeded first, so no
+   page spends operations chasing its address; the batching is the track
+   buffer cache's, whose fills pull a whole track through the elevator.
+   [n] is a {!span_length}. *)
 let read_span t ~pos ~n f =
-  let ( let* ) = Result.bind in
   if n = 0 then Ok ()
   else begin
     let first = 1 + (pos / Sector.bytes_per_page) in
     let last = 1 + ((pos + n - 1) / Sector.bytes_per_page) in
-    let* prefetched =
-      if last - first + 1 >= batch_threshold then
-        match known_addresses t ~first ~last with
-        | Some addrs -> Result.map Option.some (read_pages_batched t ~first addrs)
-        | None -> Ok None
-      else Ok None
-    in
-    (* A short page before [last] carries the walk past it; the pages
-       beyond are read one by one, as they are without a batch. *)
-    let page pn =
-      match prefetched with
-      | Some pages when pn <= last -> Ok pages.(pn - first)
-      | Some _ | None -> read_page t pn
-    in
-    let result = walk_span ~page ~pos ~n f in
+    (if last - first + 1 >= batch_threshold then
+       match known_addresses t ~first ~last with
+       | Some addrs -> Array.iteri (fun i a -> set_hint t (first + i) a) addrs
+       | None -> ());
+    let result = walk_span ~page:(read_page t) ~pos ~n f in
     if Result.is_ok result then touch_read t;
     result
   end

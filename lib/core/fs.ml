@@ -426,22 +426,43 @@ let reserve t =
 
 let unreserve t addr = mark_free t addr
 
-(* One pass of [op] over a list of (address, label buffer) requests,
+(* One pass of [op] over an array of (address, label buffer) requests,
    results in the caller's order. A run goes to the elevator; a single
    page is one operation with nothing to order, so it goes straight to
    the drive. *)
 let pass t op ?value requests =
   match requests with
-  | [ (addr, label) ] -> [ Reliable.run t.drive addr op ~label ?value () ]
+  | [||] -> [||]
+  | [| (addr, label) |] -> [| Reliable.run t.drive addr op ~label ?value () |]
   | _ ->
-      Array.to_list
-        (Array.map
-           (fun o -> o.Sched.result)
-           (Sched.run_batch t.drive
-              (Array.of_list
-                 (List.map (fun (addr, label) -> Sched.request ~label ?value addr op) requests))))
+      let batch =
+        Array.map (fun (addr, label) -> Sched.request ~label ?value addr op) requests
+      in
+      Array.map (fun o -> o.Sched.result) (Sched.run_batch t.drive batch)
 
-let first_error results = List.find_map (function Error e -> Some e | Ok () -> None) results
+(* Label checks of (address, pattern) requests, verdicts in the caller's
+   order: the table answers every sector whose entry is live, and the
+   rest go to the platter in one pass. *)
+let check_labels t requests =
+  let verdicts =
+    Array.map (fun (addr, pattern) -> Label_cache.check t.cache addr pattern) requests
+  in
+  let misses =
+    Array.of_list
+      (List.filter
+         (fun j -> Option.is_none verdicts.(j))
+         (List.init (Array.length requests) Fun.id))
+  in
+  let read =
+    pass t
+      { Drive.op_none with label = Some Drive.Check }
+      (Array.map (Array.get requests) misses)
+  in
+  Array.iteri (fun k j -> verdicts.(j) <- Some read.(k)) misses;
+  Array.map Option.get verdicts
+
+let first_error results =
+  Array.find_map (function Error e -> Some e | Ok () -> None) results
 
 let count_stale_map_hit t addr =
   Obs.incr m_stale_map_hits;
@@ -473,8 +494,8 @@ let reserve_run t n =
     | picked when not t.label_checking -> Ok (List.rev_append acc picked)
     | picked ->
         let checked =
-          pass t { Drive.op_none with label = Some Drive.Check }
-            (List.map (fun addr -> (addr, Label.check_free ())) picked)
+          check_labels t
+            (Array.of_list (List.map (fun addr -> (addr, Label.check_free ())) picked))
         in
         let acc, refused =
           List.fold_left2
@@ -488,7 +509,7 @@ let reserve_run t n =
                   (* A transient here means the retry ladder already ran dry. *)
                   count_bad_sector t addr;
                   (acc, refused + 1))
-            (acc, 0) picked checked
+            (acc, 0) picked (Array.to_list checked)
         in
         if refused = 0 then Ok (List.rev acc) else round acc refused
   in
@@ -530,19 +551,19 @@ let allocate_page t ~label ~value =
   in
   attempt ()
 
-let free_pages t (names : Page.full_name list) =
+let free_pages t names =
   if names = [] then Ok ()
   else
     Prof.span (Drive.clock t.drive) "fs.free_page" @@ fun () ->
+    let names = Array.of_list names in
     let checks =
-      List.map
+      Array.map
         (fun (fn : Page.full_name) ->
           (fn.Page.addr, Label.check_name fn.Page.abs.Page.fid ~page:fn.Page.abs.Page.page))
         names
     in
     let refused =
-      if not t.label_checking then None
-      else first_error (pass t { Drive.op_none with label = Some Drive.Check } checks)
+      if not t.label_checking then None else first_error (check_labels t checks)
     in
     (* The pass writes each page's label, so the map takes the pages and
        what their labels linked to — the check filled the links in — so
@@ -553,7 +574,7 @@ let free_pages t (names : Page.full_name list) =
            match Label.of_words words with
            | Ok l when t.label_checking -> [ addr; l.Label.next; l.Label.prev ]
            | Ok _ | Error _ -> [ addr ])
-         checks);
+         (Array.to_list checks));
     match refused with
     | Some e -> Error (Page_error (Page.Hint_failed e))
     | None -> (
@@ -563,15 +584,19 @@ let free_pages t (names : Page.full_name list) =
           pass t
             { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
             ~value:(Label.free_value ())
-            (List.map (fun (fn : Page.full_name) -> (fn.Page.addr, free_label)) names)
+            (Array.map (fun (fn : Page.full_name) -> (fn.Page.addr, free_label)) names)
         in
-        List.iter2
-          (fun (fn : Page.full_name) result ->
+        Array.iteri
+          (fun j result ->
             if Result.is_ok result then begin
-              mark_free t fn.Page.addr;
+              let addr = names.(j).Page.addr in
+              mark_free t addr;
+              (* The written label is verified: allocating the page
+                 takes its check from the table. *)
+              Label_cache.note_verified t.cache addr free_label;
               Obs.incr m_frees
             end)
-          names written;
+          written;
         match first_error written with
         | Some e -> Error (Page_error (Page.Hint_failed e))
         | None -> Ok ())

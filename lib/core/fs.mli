@@ -11,11 +11,15 @@
     map results in a little extra one-time disk activity", and a page
     improperly marked busy is merely lost until the scavenger finds it.
     Freeing checks the page's full name, then writes ones through label
-    and value. For one page, allocation and freeing therefore each cost
-    about one disk revolution, as the paper says; ordinary data writes
-    check the label for free. A run of pages pays the check once: every
-    page's check rides one elevator pass, then the writes follow, so a
-    page inside a run costs about a sector time instead of a revolution.
+    and value. For one page checked on the platter, allocation and
+    freeing therefore each cost about one disk revolution, as the paper
+    says; ordinary data writes check the label for free. A check whose
+    label the {!label_cache} holds is answered there instead (the hint
+    rule of §3.6: a verified fact stands in for the platter), so a page
+    whose label was written or read since costs only its write. A run of
+    pages pays the check once: every check the table cannot answer rides
+    one elevator pass, then the writes follow, so a page inside a run
+    costs about a sector time instead of a revolution.
 
     [label_checking] can be turned off to measure what those checks cost
     and what they buy (experiment E3/E9 ablations).
@@ -88,9 +92,10 @@ val drive : t -> Drive.t
 val label_cache : t -> Label_cache.t
 (** The volume's verified-label table: one per handle, one slot per
     sector, primed and consulted by every {!Page} access made on the
-    volume's behalf and primed by {!write_reserved}. {!quarantine}
-    invalidates eagerly; everything else relies on the drive's
-    generation counters. *)
+    volume's behalf and by the checks of {!reserve_pages} and
+    {!free_pages}, and primed by {!write_reserved} and {!free_pages}.
+    {!quarantine} invalidates eagerly; everything else relies on the
+    drive's generation counters. *)
 
 val bio : t -> Bio.t
 (** The volume's track buffer cache: one per handle, consulted and
@@ -129,7 +134,8 @@ val allocate_page :
 
 val reserve_pages : t -> int -> (Disk_address.t list, error) result
 (** [reserve_pages t n] picks [n] pages from the map, marks them busy,
-    and checks every candidate's label free in one elevator pass. A
+    and checks every candidate's label free: from {!label_cache} where
+    the sector's entry is live, the rest in one elevator pass. A
     candidate the check refutes stays busy (the map lied), a bad one is
     quarantined, and the pass repeats for that many re-picks. The pages
     come back in pick order, which is the order {!allocate_page} would
@@ -142,20 +148,23 @@ val write_reserved :
   t -> Disk_address.t -> Label.t -> Word.t array -> (unit, [ `Quarantined ]) result
 (** The first write of a page {!reserve_pages} checked free: label and
     value in one operation. The written label is recorded in
-    {!label_cache}, so a later relink of the page checks it in core. A
-    sector that refuses the write is quarantined, and the caller takes
-    another page. *)
+    {!label_cache}, so a later relink or free of the page checks it in
+    core. A sector that refuses the write is quarantined, and the caller
+    takes another page. *)
 
 val unreserve : t -> Disk_address.t -> unit
 (** Hand an unwritten reservation back to the map. *)
 
 val free_pages : t -> Page.full_name list -> (unit, error) result
-(** Free a run of pages. Every page's full name is checked in one
-    elevator pass; if any is refused, nothing is written and the error
+(** Free a run of pages. Every page's full name is checked: from
+    {!label_cache} where the sector's entry is live, the rest in one
+    elevator pass. If any is refused, nothing is written and the error
     is [Page_error (Hint_failed _)]. Otherwise a second pass writes ones
-    through every page's label and value and clears their map bits. A
-    write that fails leaves its page busy and is reported after the
-    rest of the pass; the pages written are free. *)
+    through every page's label and value and clears their map bits, and
+    each free label written is recorded in {!label_cache}, so allocating
+    the page again checks it in core. A write that fails leaves its page
+    busy and is reported after the rest of the pass; the pages written
+    are free. *)
 
 val free_page : t -> Page.full_name -> (unit, error) result
 (** [free_pages] of one page. *)

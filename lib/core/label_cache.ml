@@ -34,7 +34,27 @@ let drop t i =
   t.gens.(i) <- empty;
   Obs.incr m_invalidations
 
-let lookup t addr =
+(* The controller's check action, replayed against the label image at
+   [image.(at)]: a zero pattern word learns the image's word, a
+   non-zero one must match it. *)
+let replay pattern image ~at =
+  let rec scan k =
+    if k >= label_words then Ok ()
+    else
+      let w = image.(at + k) in
+      if Word.equal pattern.(k) Word.zero then begin
+        pattern.(k) <- w;
+        scan (k + 1)
+      end
+      else if Word.equal pattern.(k) w then scan (k + 1)
+      else
+        Error
+          (Drive.Check_mismatch
+             { part = Sector.Label; offset = k; memory = pattern.(k); disk = w })
+  in
+  scan 0
+
+let check t addr pattern =
   let i = slot t addr in
   if i < 0 || t.gens.(i) = empty then begin
     Obs.incr m_misses;
@@ -42,7 +62,7 @@ let lookup t addr =
   end
   else if t.gens.(i) = Drive.label_generation t.drive addr then begin
     Obs.incr m_hits;
-    Some (Array.sub t.words (i * label_words) label_words)
+    Some (replay pattern t.words ~at:(i * label_words))
   end
   else begin
     (* The drive saw a label write, a quarantine or retry evidence on

@@ -3,12 +3,13 @@
     §3.6's hint ladder spends most of its budget re-reading labels it
     checked moments ago: a chain walk reads every link, opening a file
     confirms the leader's last-page hint, and a relink checks the label
-    an allocation wrote moments before. This table remembers, for each
+    an allocation wrote moments before, and allocating a page checks the
+    free label its free wrote. This table remembers, for each
     sector, the label image a successful check, read or label write last
     verified, so the next label-only access costs nothing. It is sized
     from the drive — 8 words a sector (the 7-word image and its
     generation), about 0.3 MB on a Model 31 — so nothing is ever
-    evicted, and lookup, note and invalidate are O(1).
+    evicted, and check, note and invalidate are O(1).
 
     Safety is the whole design. An entry is valid only while the drive's
     {!Alto_disk.Drive.label_generation} for its sector still equals the
@@ -17,13 +18,16 @@
     marked bad or degrading, and on every transient trip — the retry
     evidence {!Alto_disk.Reliable} acts on. A quarantined or suspect
     sector therefore can never be satisfied from a stale entry: the act
-    that made it suspect also killed the entry. {!lookup} detects dead
+    that made it suspect also killed the entry. {!check} detects dead
     entries lazily and counts them as [fs.label_cache.invalidations].
 
-    The table is consulted and primed by {!Page}, primed by {!Fs}'s
-    allocation writes, {!Bio}'s track fills and {!File}'s batched
-    transfers; one instance hangs off each {!Fs.t} handle. Counters:
-    [fs.label_cache.{hits,misses,invalidations}]. *)
+    The table answers the label checks of {!Page}'s label-only accesses
+    and of {!Fs}'s allocations and frees, which send only its misses to
+    the platter; it is primed by {!Page}, by {!Fs}'s allocation and free
+    writes, by {!Bio}'s track fills and by {!File}'s batched transfers.
+    One instance hangs off each {!Fs.t} handle. Counters:
+    [fs.label_cache.{hits,misses,invalidations}]: a hit is a check the
+    table answered, a miss one it sent to the platter. *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -36,12 +40,24 @@ val create : Drive.t -> t
 
 val drive : t -> Drive.t
 
-val lookup : t -> Disk_address.t -> Word.t array option
-(** The verified label image for this sector, or [None] on a miss. An
-    address outside the pack (nil included) is a miss. A stored entry
-    whose generation has moved is removed, counted as an invalidation,
-    and reported as a miss. The returned array is a copy — mutating it
-    (as a check's wildcard fill does) cannot corrupt the table. *)
+val replay : Word.t array -> Word.t array -> at:int -> (unit, Drive.error) result
+(** [replay pattern image ~at] replays the controller's check action
+    for the label pattern [pattern] against the label image that starts
+    at [image.(at)]: a zero pattern word learns the image's word, a
+    non-zero one must equal it. It fills [pattern] as the disk check
+    would and reports the first difference as the disk does, a
+    [Check_mismatch] in the label part, so a caller cannot tell a verdict
+    from core from one read off the platter. {!check} replays against
+    the table; {!Page} also replays against {!Bio}'s buffered labels. *)
+
+val check : t -> Disk_address.t -> Word.t array -> (unit, Drive.error) result option
+(** [check t addr pattern] answers a label check from the table:
+    [Some verdict] when the sector's entry is live, the {!replay} of
+    [pattern] against it (counted as a hit, a refusal included), and
+    [None] when the table cannot answer, which leaves [pattern] as it
+    was and counts a miss. An address outside the pack (nil included)
+    is a miss. A stored entry whose generation has moved is removed,
+    counted as an invalidation, and reported as a miss. *)
 
 val note_verified : t -> Disk_address.t -> Word.t array -> unit
 (** Remember a label image the caller has {e just} verified against the

@@ -60,32 +60,23 @@ let note cache addr words =
   | None -> ()
   | Some c -> Label_cache.note_verified c addr words
 
-(* Replay the controller's check action against a cached label image:
-   zero memory words learn the cached word, non-zero words must match.
-   Mutates [pattern] exactly as the disk check would, and reports the
-   first mismatch the same way — so a caller cannot tell a cached
-   verdict from a disk verdict except by the microseconds it didn't
-   spend. *)
-let cached_check pattern cached =
-  let n = Array.length pattern in
-  let rec scan i =
-    if i >= n then Ok ()
-    else if Word.equal pattern.(i) Word.zero then begin
-      pattern.(i) <- cached.(i);
-      scan (i + 1)
-    end
-    else if Word.equal pattern.(i) cached.(i) then scan (i + 1)
-    else
-      Error
-        (Drive.Check_mismatch
-           {
-             part = Sector.Label;
-             offset = i;
-             memory = pattern.(i);
-             disk = cached.(i);
-           })
-  in
-  scan 0
+(* A label check: from the verified-label table when the sector's entry
+   is live, else one label-only operation on the platter, whose verified
+   label the table then records. *)
+let check_label cache drive fn label_buf =
+  match Option.bind cache (fun c -> Label_cache.check c fn.addr label_buf) with
+  | Some verdict ->
+      Prof.note "page.cache_hit";
+      verdict
+  | None ->
+      if cache <> None then Prof.note "page.cache_miss";
+      let checked =
+        Reliable.run drive fn.addr
+          { Drive.op_none with label = Some Drive.Check }
+          ~label:label_buf ()
+      in
+      if Result.is_ok checked then note cache fn.addr label_buf;
+      checked
 
 let read ?cache ?bio drive fn =
   on_pack drive fn @@ fun () ->
@@ -98,7 +89,7 @@ let read ?cache ?bio drive fn =
      exactly — a stale hint is refused whether the track is buffered or
      not. *)
   let serve cached_label cached_value =
-    match cached_check label_buf cached_label with
+    match Label_cache.replay label_buf cached_label ~at:0 with
     | Error e -> hint_failed e
     | Ok () -> (
         Array.blit cached_value 0 value 0 Sector.value_words;
@@ -143,25 +134,9 @@ let read_label ?cache drive fn =
   on_pack drive fn @@ fun () ->
   Prof.span (Drive.clock drive) "page.read_label" @@ fun () ->
   let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
-  match Option.bind cache (fun c -> Label_cache.lookup c fn.addr) with
-  | Some cached -> (
-      (* A label-only access answered from core: the one disk operation
-         this function exists to issue is skipped entirely. *)
-      Prof.note "page.cache_hit";
-      match cached_check label_buf cached with
-      | Error e -> hint_failed e
-      | Ok () -> decode_checked_label label_buf)
-  | None -> (
-      if cache <> None then Prof.note "page.cache_miss";
-      match
-        Reliable.run drive fn.addr
-          { Drive.op_none with label = Some Drive.Check }
-          ~label:label_buf ()
-      with
-      | Error e -> hint_failed e
-      | Ok () ->
-          note cache fn.addr label_buf;
-          decode_checked_label label_buf)
+  match check_label cache drive fn label_buf with
+  | Error e -> hint_failed e
+  | Ok () -> decode_checked_label label_buf
 
 let check_value_size value =
   if Array.length value <> Sector.value_words then
@@ -185,7 +160,7 @@ let write ?cache ?bio drive fn value =
         match Bio.lookup b fn.addr with
         | None -> None
         | Some (cached_label, _) -> (
-            match cached_check label_buf cached_label with
+            match Label_cache.replay label_buf cached_label ~at:0 with
             | Error e -> Some (hint_failed e)
             | Ok () ->
                 if Bio.absorb b fn.addr value then begin
@@ -216,18 +191,7 @@ let rewrite_label ?cache ?bio drive fn ~new_label ~value =
   on_pack drive fn @@ fun () ->
   Prof.span (Drive.clock drive) "page.rewrite_label" @@ fun () ->
   let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
-  let checked =
-    match Option.bind cache (fun c -> Label_cache.lookup c fn.addr) with
-    | Some cached ->
-        Prof.note "page.cache_hit";
-        cached_check label_buf cached
-    | None ->
-        if cache <> None then Prof.note "page.cache_miss";
-        Reliable.run drive fn.addr
-          { Drive.op_none with label = Some Drive.Check }
-          ~label:label_buf ()
-  in
-  match checked with
+  match check_label cache drive fn label_buf with
   | Error e -> hint_failed e
   | Ok () -> (
       let new_words = Label.to_words new_label in

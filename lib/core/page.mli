@@ -93,12 +93,14 @@ val rewrite_label :
     the old label (and read the current value into [value]'s zeroed
     buffer if desired), then write the new label and value. Costs about a
     revolution — the price the paper quotes for changing a file's
-    length. A valid [cache] entry stands in for the first operation,
-    halving that price; the new label is cached after the write. A
+    length. A live [cache] entry answers the check instead
+    ({!Label_cache.check}), halving that price; the new label is
+    recorded after the write. A
     relink of a freshly allocated page finds its entry, since
-    {!Fs.write_reserved} records the label it writes. With [bio], the written label and value
-    are re-installed clean in the track buffer — superseding any delayed
-    value write the buffer held for the sector. *)
+    {!Fs.write_reserved} records the label it writes. With [bio], the
+    written label and value are re-installed clean in the track buffer —
+    superseding any delayed value write the buffer held for the
+    sector. *)
 
 val read_raw :
   Drive.t -> Disk_address.t -> (Word.t array * Word.t array, Drive.error) result

@@ -576,6 +576,12 @@ let test_deep_recursion_is_fine () =
     "let count(n) be { if n = 0 then resultis 0; resultis 1 + count(n - 1); }\n\
      let main() = count(200);"
 
+(* The seed every property draws from, so that a run replays. *)
+let qcheck_seed = 1
+
+let property t =
+  QCheck_alcotest.to_alcotest ~verbose:false ~rand:(Random.State.make [| qcheck_seed |]) t
+
 let () =
   Alcotest.run "alto_bcpl"
     [
@@ -615,6 +621,6 @@ let () =
           ("junta from a program", `Quick, test_junta_from_bcpl);
         ] );
       ( "differential",
-        [ QCheck_alcotest.to_alcotest ~verbose:false prop_compiled_expressions_agree ] );
+        [ property prop_compiled_expressions_agree ] );
       ("rejections", [ ("bad programs rejected", `Quick, test_rejections) ]);
     ]

@@ -1207,6 +1207,12 @@ let test_harness_sixty_points () =
   Alcotest.(check int) "no invariant violations" 0 t.Crash_harness.violations;
   Alcotest.(check int) "no escalations" 0 t.Crash_harness.scavenges
 
+(* The seed every property draws from, so that a run replays. *)
+let qcheck_seed = 1
+
+let property t =
+  QCheck_alcotest.to_alcotest ~verbose:false ~rand:(Random.State.make [| qcheck_seed |]) t
+
 let () =
   Alcotest.run "alto crash consistency"
     [
@@ -1219,7 +1225,7 @@ let () =
           ("torn-write sweep", `Quick, sweep [ Some Drive.Torn_label; Some Drive.Torn_value ]);
           ("baseline without crash", `Quick, test_no_crash_baseline);
           ("mid world swap", `Quick, test_crash_during_world_swap);
-          QCheck_alcotest.to_alcotest ~verbose:false prop_crash_anywhere;
+          property prop_crash_anywhere;
         ] );
       ( "crash points and torn sectors",
         [

@@ -340,6 +340,12 @@ let test_fault_flip_word () =
   Array.iteri (fun i w -> if not (Word.equal w value.(i)) then incr diffs) after;
   Alcotest.(check int) "exactly one word differs" 1 !diffs
 
+(* The seed every property draws from, so that a run replays. *)
+let qcheck_seed = 1
+
+let property t =
+  QCheck_alcotest.to_alcotest ~verbose:false ~rand:(Random.State.make [| qcheck_seed |]) t
+
 let () =
   Alcotest.run "alto_disk"
     [
@@ -355,8 +361,8 @@ let () =
           ("chs roundtrip", `Quick, test_address_chs_roundtrip);
           ("nil", `Quick, test_address_nil);
           ("offset arithmetic", `Quick, test_address_offset);
-          QCheck_alcotest.to_alcotest ~verbose:false prop_geometry_words_roundtrip;
-          QCheck_alcotest.to_alcotest ~verbose:false prop_chs_bijective;
+          property prop_geometry_words_roundtrip;
+          property prop_chs_bijective;
         ] );
       ( "transfer",
         [

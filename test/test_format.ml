@@ -242,7 +242,15 @@ let test_foreign_environment_reads_the_pack () =
   walk leader_addr true;
   Alcotest.(check string) "reconstructed from raw sectors" text (Buffer.contents buffer)
 
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
+(* The seed every property draws from, so that a run replays. *)
+let qcheck_seed = 1
+
+let qcheck tests =
+  List.map
+    (fun t ->
+      let rand = Random.State.make [| qcheck_seed |] in
+      QCheck_alcotest.to_alcotest ~verbose:false ~rand t)
+    tests
 
 let () =
   Alcotest.run "alto_fs formats"

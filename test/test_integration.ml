@@ -264,6 +264,12 @@ let test_executive_survives_crash_and_scavenges () =
   let text = Display.contents (System.display system) in
   Alcotest.(check bool) "file typed after scavenge" true (contains_sub text "do not lose")
 
+(* The seed every property draws from, so that a run replays. *)
+let qcheck_seed = 1
+
+let property t =
+  QCheck_alcotest.to_alcotest ~verbose:false ~rand:(Random.State.make [| qcheck_seed |]) t
+
 let () =
   Alcotest.run "alto integration"
     [
@@ -273,6 +279,6 @@ let () =
           ("executive survives a crash", `Quick, test_executive_survives_crash_and_scavenges);
         ] );
       ( "model",
-        [ QCheck_alcotest.to_alcotest ~verbose:false prop_file_matches_model ] );
+        [ property prop_file_matches_model ] );
       ("two drives", [ ("copy between packs", `Quick, test_copy_between_packs) ]);
     ]

@@ -303,7 +303,15 @@ let test_asm_string_data () =
   Alcotest.(check int) "packed" (Word.to_int (Word.of_char_pair 'h' 'i'))
     (Word.to_int program.Asm.code.(1))
 
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
+(* The seed every property draws from, so that a run replays. *)
+let qcheck_seed = 1
+
+let qcheck tests =
+  List.map
+    (fun t ->
+      let rand = Random.State.make [| qcheck_seed |] in
+      QCheck_alcotest.to_alcotest ~verbose:false ~rand t)
+    tests
 
 let () =
   Alcotest.run "alto_machine"

@@ -304,7 +304,15 @@ let test_stub_words_trap_correctly () =
         l.Level.services)
     Level.all
 
-let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
+(* The seed every property draws from, so that a run replays. *)
+let qcheck_seed = 1
+
+let qcheck tests =
+  List.map
+    (fun t ->
+      let rand = Random.State.make [| qcheck_seed |] in
+      QCheck_alcotest.to_alcotest ~verbose:false ~rand t)
+    tests
 
 let () =
   Alcotest.run "alto_machine deeper"

@@ -249,6 +249,12 @@ let test_display () =
   s.Stream.put (Char.code '\012');
   Alcotest.(check string) "form feed clears" "" (Display.contents d)
 
+(* The seed every property draws from, so that a run replays. *)
+let qcheck_seed = 1
+
+let property t =
+  QCheck_alcotest.to_alcotest ~verbose:false ~rand:(Random.State.make [| qcheck_seed |]) t
+
 let () =
   Alcotest.run "alto_streams"
     [
@@ -269,7 +275,7 @@ let () =
           ("modes", `Quick, test_disk_stream_modes);
           ("closed", `Quick, test_disk_stream_closed);
           ("zone workspace", `Quick, test_disk_stream_zone_workspace);
-          QCheck_alcotest.to_alcotest ~verbose:false prop_disk_stream_matches_model;
+          property prop_disk_stream_matches_model;
         ] );
       ( "devices",
         [

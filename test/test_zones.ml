@@ -143,6 +143,12 @@ let prop_random_traffic =
       (Zone.stats z).Zone.free_words = initial_free
       && (Zone.stats z).Zone.live_blocks = 0)
 
+(* The seed every property draws from, so that a run replays. *)
+let qcheck_seed = 1
+
+let property t =
+  QCheck_alcotest.to_alcotest ~verbose:false ~rand:(Random.State.make [| qcheck_seed |]) t
+
 let () =
   Alcotest.run "alto_zones"
     [
@@ -159,6 +165,6 @@ let () =
           ("check finds corruption", `Quick, test_corruption_detected_by_check);
           ("object interface", `Quick, test_obj_interface);
           ("invalid sizes", `Quick, test_invalid_sizes);
-          QCheck_alcotest.to_alcotest ~verbose:false prop_random_traffic;
+          property prop_random_traffic;
         ] );
     ]
