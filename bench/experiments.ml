@@ -1193,10 +1193,11 @@ let e15 () =
   let op =
     { Drive.op_none with Drive.label = Some Drive.Check; value = Some Drive.Read }
   in
+  let seeks = Obs.counter "disk.seeks" in
   let measure f =
-    Drive.reset_stats drive;
+    let seeks0 = Obs.counter_value seeks in
     let (), us = timed clock f in
-    ((Drive.stats drive).Drive.seeks, us)
+    (Obs.counter_value seeks - seeks0, us)
   in
   let naive_seeks, naive_us =
     measure (fun () ->
@@ -1565,6 +1566,20 @@ let e18 () =
         completed.(i) <- completed.(i) + 1;
         inflight.(i) <- false
   in
+  let count name =
+    match Obs.find name with
+    | Some (Obs.Counter n) -> n
+    | Some (Obs.Histogram s) -> s.Obs.count
+    | None -> 0
+  in
+  (* The server's books are the registry's [server.*] metrics: this
+     run's share is what they gain while it runs. *)
+  let books0 =
+    List.map
+      (fun name -> (name, count name))
+      [ "server.get_us"; "server.put_us"; "server.list_us"; "server.naks"; "server.send_errors" ]
+  in
+  let gained name = count name - List.assoc name books0 in
   let t0 = Sim_clock.now_us clock in
   (* One full rotation of the send order: every client leads the queue
      an equal number of rounds, so fairness is a property the admission
@@ -1597,14 +1612,12 @@ let e18 () =
   Obs.add (Obs.counter "e18.throughput_mrps") throughput_mrps;
   Obs.add (Obs.counter "e18.fairness_x100")
     (int_of_float (ceil (fairness *. 100.)));
-  let s = File_server.stats srv in
-  if s.File_server.gets + s.File_server.puts + s.File_server.lists <> reqs then
+  let gets = gained "server.get_us" and puts = gained "server.put_us" in
+  let lists = gained "server.list_us" in
+  if gets + puts + lists <> reqs then
     failwith "E18: the server's books disagree with the clients'";
-  if s.File_server.naks <> total_naks then
+  if gained "server.naks" <> total_naks then
     failwith "E18: NAK counts disagree between server and clients";
-  let counter name =
-    match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0
-  in
   let hist_p name p =
     match Obs.find name with
     | Some (Obs.Histogram s) ->
@@ -1618,10 +1631,9 @@ let e18 () =
       [ "activity slots"; string_of_int slots ];
       [ "requests completed"; string_of_int reqs ];
       [ "  gets / puts / lists";
-        Printf.sprintf "%d / %d / %d" s.File_server.gets s.File_server.puts
-          s.File_server.lists ];
+        Printf.sprintf "%d / %d / %d" gets puts lists ];
       [ "admission NAKs"; string_of_int total_naks ];
-      [ "reply send errors"; string_of_int s.File_server.send_errors ];
+      [ "reply send errors"; string_of_int (gained "server.send_errors") ];
       [ "elapsed (sim)"; us_to_string elapsed ];
       [ "throughput"; Printf.sprintf "%.2f reqs/s" (float_of_int throughput_mrps /. 1000.) ];
       [ "per-client completed"; Printf.sprintf "min %d  max %d" c_min c_max ];
@@ -1630,8 +1642,8 @@ let e18 () =
       [ "client wait p99"; us_to_string (hist_p "e18.client_wait_us" 99) ];
       [ "server req p99"; us_to_string (hist_p "server.req_us" 99) ];
       [ "disk.op_us p99 under load"; us_to_string (hist_p "disk.op_us" 99) ];
-      [ "shared sweeps"; string_of_int (counter "server.activities.shared_sweeps") ];
-      [ "merged batches"; string_of_int (counter "disk.sched.merged_batches") ];
+      [ "shared sweeps"; string_of_int (count "server.activities.shared_sweeps") ];
+      [ "merged batches"; string_of_int (count "disk.sched.merged_batches") ];
     ];
   if n_clients < 200 then failwith "E18: the acceptance floor is 200 clients";
   if total_naks = 0 then
@@ -1640,7 +1652,7 @@ let e18 () =
     Format.kasprintf failwith
       "E18: fairness %.2f exceeds the 2.0 ceiling (min %d, max %d)" fairness
       c_min c_max;
-  if counter "disk.sched.merged_batches" = 0 then
+  if count "disk.sched.merged_batches" = 0 then
     failwith "E18: concurrent conversations never shared an elevator sweep";
   print_endline
     "shape: overload is refused at the door, not absorbed: the table\n\
@@ -1917,18 +1929,12 @@ let e20 () =
     "shape: read-modify-write traffic collapses once reads hit filled\n\
      tracks and writes leave coalesced."
 
-(* E21 — §3.3/§3.5: every crash point survivable. The harness kills the
-   machine at every Nth writing operation of five metadata-mutating
-   workloads — cleanly, or tearing the fatal sector's label or value —
-   then boots recovery and interrogates the pack with the offline
-   checker plus a byte-level read-back of every committed file. *)
-let e21 () =
-  heading "E21  crash-point injection: recovery from every torn write";
-  claim
-    "recovery (through the write-ahead map, or boot's whole-pack scavenge \
-     where the map cannot serve) survives every enumerated crash point \
-     with zero invariant violations and zero escalations, and agrees with \
-     a whole-pack scavenge at every one";
+(* The crash-point sweep behind E21 and the grid: [points] crash points
+   per workload (each in three variants), then the same points replayed
+   against a whole-pack scavenge. Prints the totals, with boot's
+   whole-pack fallbacks split by cause, and each violation and
+   disagreement. *)
+let crash_sweep ~points ~trials =
   let causes =
     [
       ("unmountable", Recovery.Unmountable);
@@ -1941,23 +1947,9 @@ let e21 () =
     List.map (fun (_, cause) -> Obs.counter_value (Recovery.counter_of cause)) causes
   in
   let fallbacks0 = fallbacks () in
-  let t = Crash_harness.run () in
+  let t = Crash_harness.run ~points_per_workload:points () in
   let by_cause = List.map2 ( - ) (fallbacks ()) fallbacks0 in
-  let compared, disagreements = Crash_harness.differential () in
-  Obs.add (Obs.counter "e21.trials") t.Crash_harness.trials;
-  Obs.add (Obs.counter "e21.crash_points") t.Crash_harness.crash_points;
-  Obs.add (Obs.counter "e21.torn_points") t.Crash_harness.torn_points;
-  Obs.add (Obs.counter "e21.dirty_boots") t.Crash_harness.dirty_boots;
-  Obs.add (Obs.counter "e21.through_map") t.Crash_harness.through_map;
-  Obs.add (Obs.counter "e21.cylinders_read") t.Crash_harness.cylinders_read;
-  Obs.add (Obs.counter "e21.fallbacks") t.Crash_harness.fallbacks;
-  Obs.add (Obs.counter "e21.flight_adoptions") t.Crash_harness.flight_adoptions;
-  Obs.add (Obs.counter "e21.settled_at_boot") t.Crash_harness.settled_at_boot;
-  Obs.add (Obs.counter "e21.scavenges") t.Crash_harness.scavenges;
-  Obs.add (Obs.counter "e21.fsck_findings") t.Crash_harness.findings;
-  Obs.add (Obs.counter "e21.invariant_violations") t.Crash_harness.violations;
-  Obs.add (Obs.counter "e21.differential_points") compared;
-  Obs.add (Obs.counter "e21.differential_disagreements") (List.length disagreements);
+  let compared, disagreements = Crash_harness.differential ~points_per_workload:points () in
   let mean_cylinders =
     if t.Crash_harness.through_map = 0 then 0.0
     else
@@ -1967,7 +1959,7 @@ let e21 () =
   print_table [ 36; 10 ]
     [ "crash-point sweep"; "count" ]
     ([
-      [ "trials (5 workloads x 15 x 3)"; string_of_int t.Crash_harness.trials ];
+      [ trials; string_of_int t.Crash_harness.trials ];
       [ "crash points fired"; string_of_int t.Crash_harness.crash_points ];
       [ "  of which torn"; string_of_int t.Crash_harness.torn_points ];
       [ "dirty boots"; string_of_int t.Crash_harness.dirty_boots ];
@@ -1989,6 +1981,37 @@ let e21 () =
     (fun v -> print_endline ("  VIOLATION " ^ v))
     t.Crash_harness.violation_log;
   List.iter (fun d -> print_endline ("  DISAGREES " ^ d)) disagreements;
+  (t, compared, disagreements)
+
+(* E21 — §3.3/§3.5: every crash point survivable. The harness kills the
+   machine at every Nth writing operation of five metadata-mutating
+   workloads — cleanly, or tearing the fatal sector's label or value —
+   then boots recovery and interrogates the pack with the offline
+   checker plus a byte-level read-back of every committed file. *)
+let e21 () =
+  heading "E21  crash-point injection: recovery from every torn write";
+  claim
+    "recovery (through the write-ahead map, or boot's whole-pack scavenge \
+     where the map cannot serve) survives every enumerated crash point \
+     with zero invariant violations and zero escalations, and agrees with \
+     a whole-pack scavenge at every one";
+  let t, compared, disagreements =
+    crash_sweep ~points:15 ~trials:"trials (5 workloads x 15 x 3)"
+  in
+  Obs.add (Obs.counter "e21.trials") t.Crash_harness.trials;
+  Obs.add (Obs.counter "e21.crash_points") t.Crash_harness.crash_points;
+  Obs.add (Obs.counter "e21.torn_points") t.Crash_harness.torn_points;
+  Obs.add (Obs.counter "e21.dirty_boots") t.Crash_harness.dirty_boots;
+  Obs.add (Obs.counter "e21.through_map") t.Crash_harness.through_map;
+  Obs.add (Obs.counter "e21.cylinders_read") t.Crash_harness.cylinders_read;
+  Obs.add (Obs.counter "e21.fallbacks") t.Crash_harness.fallbacks;
+  Obs.add (Obs.counter "e21.flight_adoptions") t.Crash_harness.flight_adoptions;
+  Obs.add (Obs.counter "e21.settled_at_boot") t.Crash_harness.settled_at_boot;
+  Obs.add (Obs.counter "e21.scavenges") t.Crash_harness.scavenges;
+  Obs.add (Obs.counter "e21.fsck_findings") t.Crash_harness.findings;
+  Obs.add (Obs.counter "e21.invariant_violations") t.Crash_harness.violations;
+  Obs.add (Obs.counter "e21.differential_points") compared;
+  Obs.add (Obs.counter "e21.differential_disagreements") (List.length disagreements);
   if t.Crash_harness.crash_points < 200 then
     failwith "E21: fewer than 200 crash points fired";
   if t.Crash_harness.torn_points = 0 then
@@ -2008,6 +2031,24 @@ let e21 () =
      the other record slot to mount from.\n\
      Every recovery leaves the catalogue and the readable bytes a\n\
      whole-pack scavenge leaves."
+
+(* The every-write crash grid: E21's sweep at 1,000 points per workload,
+   more than any workload writes, so every write of every workload is a
+   crash point, in each variant. Too slow for the smoke selection; run
+   on its own as a gate. *)
+let grid () =
+  heading "grid  every-write crash grid (E21 at 1,000 points per workload)";
+  let t, _, disagreements =
+    crash_sweep ~points:1000 ~trials:"trials (every write x 3)"
+  in
+  if t.Crash_harness.violations <> 0 then
+    failwith "grid: a crash point broke a recovery invariant";
+  if t.Crash_harness.scavenges <> 0 then
+    failwith "grid: a crash point escalated to a scavenge after boot";
+  if t.Crash_harness.findings <> 0 then
+    failwith "grid: fsck found something after a recovery";
+  if disagreements <> [] then
+    failwith "grid: recovery through the map disagreed with a whole-pack scavenge"
 
 (* E22 — observability for everything E18 and E19 exercise: every
    request minted as a causal trace at the client, carried through

@@ -4,6 +4,8 @@
      dune exec bench/main.exe                 -- all experiments + micro-benchmarks
      dune exec bench/main.exe -- e1 e5        -- selected experiments
      dune exec bench/main.exe -- micro        -- host-time micro-benchmarks only
+     dune exec bench/main.exe -- grid         -- the every-write crash grid, a gate
+                                                (not in the default run)
      dune exec bench/main.exe -- --json F     -- additionally dump results and
                                                 the metric registry to F
      dune exec bench/main.exe -- --trace F    -- additionally dump the run's
@@ -340,26 +342,20 @@ let rec parse_args (selected, json, trace) = function
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let named, json_file, trace_file = parse_args ([], None, None) args in
+  let runs = Experiments.all @ [ ("micro", run_micro); ("grid", Experiments.grid) ] in
   let known = List.map fst Experiments.all in
   let selected = if named = [] then known @ [ "micro" ] else named in
   List.iter
     (fun name ->
-      match List.assoc_opt name Experiments.all with
+      match List.assoc_opt name runs with
       | Some f ->
           Workloads.begin_experiment name;
           f ();
           Workloads.finish_experiment ()
       | None ->
-          if String.equal name "micro" then begin
-            Workloads.begin_experiment name;
-            run_micro ();
-            Workloads.finish_experiment ()
-          end
-          else begin
-            Printf.eprintf "unknown experiment %S (have: %s, micro)\n" name
-              (String.concat " " known);
-            exit 1
-          end)
+          Printf.eprintf "unknown experiment %S (have: %s)\n" name
+            (String.concat " " (List.map fst runs));
+          exit 1)
     selected;
   (match json_file with None -> () | Some file -> write_json file selected);
   match trace_file with None -> () | Some file -> write_trace file

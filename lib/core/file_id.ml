@@ -56,7 +56,5 @@ let compare a b =
   | 0 -> Stdlib.compare (a.version, a.directory) (b.version, b.directory)
   | c -> c
 
-let hash t = Hashtbl.hash (t.serial, t.version, t.directory)
-
 let pp fmt t =
   Format.fprintf fmt "%s%d!%d" (if t.directory then "D" else "F") t.serial t.version

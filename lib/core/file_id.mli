@@ -49,5 +49,4 @@ val check_words : Word.t -> Word.t -> Word.t -> (unit, string) result
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

@@ -6,7 +6,7 @@ module Json = Alto_obs.Json
 let file_name = "FlightRecorder.log"
 let magic = "altos.flight/1"
 
-(* The newest events kept in core for the next seal. *)
+(* A seal holds at most this many events, the newest. *)
 let capacity = 256
 
 let m_flushes = Obs.counter "fs.flight.flushes"
@@ -17,27 +17,22 @@ let m_adoptions = Obs.counter "fs.flight.adoptions"
    tests) never grow a surprise catalogued file; booting the full
    machine arms it. *)
 let armed = ref false
-let ring : Obs.event Queue.t = Queue.create ()
-let sink : Obs.sink_id option ref = ref None
 let last_adopted : string option ref = ref None
 
-let on_event e =
-  Queue.push e ring;
-  while Queue.length ring > capacity do
-    ignore (Queue.pop ring)
-  done
+(* The first event a seal may hold: the next one numbered when the
+   recorder was armed. The registry numbers events from 0 again after
+   a reset, and forgets the ones before it. *)
+let since = ref 0
+let () = Obs.on_reset (fun () -> since := 0)
 
 let enable () =
-  armed := true;
-  match !sink with
-  | Some _ -> ()
-  | None -> sink := Some (Obs.add_sink on_event)
+  if not !armed then begin
+    armed := true;
+    since := List.fold_left (fun _ (e : Obs.event) -> e.Obs.seq + 1) 0 (Obs.trace ())
+  end
 
 let disable () =
   armed := false;
-  (match !sink with Some id -> Obs.remove_sink id | None -> ());
-  sink := None;
-  Queue.clear ring;
   last_adopted := None
 
 let field_json = function
@@ -54,10 +49,19 @@ let event_json (e : Obs.event) =
       ("fields", Json.Obj (List.map (fun (k, v) -> (k, field_json v)) e.Obs.fields));
     ]
 
-(* Render before writing: the write itself emits events that would
-   otherwise mutate the ring mid-serialization. *)
+(* The newest [capacity] events recorded since arming, oldest first.
+   The registry's ring holds more than a seal, so it still holds them. *)
+let window () =
+  let rec newest n acc = function
+    | (e : Obs.event) :: rest when n > 0 && e.Obs.seq >= !since ->
+        newest (n - 1) (e :: acc) rest
+    | _ -> acc
+  in
+  newest capacity [] (List.rev (Obs.trace ()))
+
+(* Render before writing: the write itself records events. *)
 let render ~reason fs =
-  let events = List.rev (Queue.fold (fun acc e -> event_json e :: acc) [] ring) in
+  let events = List.map event_json (window ()) in
   Json.to_string
     (Json.Obj
        [

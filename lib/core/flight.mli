@@ -1,10 +1,10 @@
 (** The on-pack flight recorder: the machine's black box.
 
-    A bounded {!Obs} sink keeps the newest 256 trace events in core; at each
-    consistency point ([quit], OutLoad, scavenge completion) the
-    recorder seals them — together with a full metrics snapshot — into
-    a catalogued [FlightRecorder.log] file on the pack: a one-line
-    header followed by one JSON object:
+    At each consistency point ([quit], OutLoad, scavenge completion) the
+    recorder seals the newest 256 events of the {!Alto_obs.Obs} trace
+    recorded since it was armed — together with a full metrics snapshot
+    — into a catalogued [FlightRecorder.log] file on the pack: a
+    one-line header followed by one JSON object:
 
     {v
     altos.flight/1 <payload bytes> <fnv64 of payload, hex>
@@ -34,16 +34,18 @@ val file_name : string
 (** ["FlightRecorder.log"], catalogued in the root directory. *)
 
 val enable : unit -> unit
-(** Arm the recorder: register the event sink (idempotent) and allow
-    {!flush} to write. *)
+(** Arm the recorder (idempotent): from now on {!flush} may write, and
+    a seal holds only events recorded since this moment. An
+    {!Alto_obs.Obs.reset} restarts the window too, since it forgets
+    every earlier event. *)
 
 val disable : unit -> unit
-(** Disarm, remove the sink, drop the buffered events, and forget any
-    adopted record — the clean slate the crash harness resets each
-    simulated incarnation to. *)
+(** Disarm, and forget any adopted record — the clean slate the crash
+    harness resets each simulated incarnation to: the next {!enable}
+    opens a fresh window. *)
 
 val flush : reason:string -> Fs.t -> unit
-(** Seal the current buffer and metrics into the pack, creating the
+(** Seal the window's events and the metrics into the pack, creating the
     file on first use. Best effort and a no-op while disarmed: a dying
     machine must not be stopped by its own black box. Call {e before}
     {!Fs.mark_clean} — the write dirties the volume. *)

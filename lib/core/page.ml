@@ -22,10 +22,6 @@ let pp_full_name fmt fn =
   Format.fprintf fmt "(%a, %d) @@ %a" File_id.pp fn.abs.fid fn.abs.page
     Disk_address.pp fn.addr
 
-let next_name fn (label : Label.t) =
-  if Disk_address.is_nil label.Label.next then None
-  else Some (full_name fn.abs.fid ~page:(fn.abs.page + 1) ~addr:label.Label.next)
-
 type error = Hint_failed of Drive.error | Bad_label of string
 
 let pp_error fmt = function

@@ -18,12 +18,6 @@ type full_name = { abs : absolute; addr : Disk_address.t }
 val full_name : File_id.t -> page:int -> addr:Disk_address.t -> full_name
 val pp_full_name : Format.formatter -> full_name -> unit
 
-val next_name : full_name -> Label.t -> full_name option
-(** The full name of the following page, built from a just-read label —
-    "it is easy to go from the full name of a page to the full names of
-    the next and previous pages". [None] when the label's next link is
-    NIL. *)
-
 type error =
   | Hint_failed of Drive.error
       (** The label check refuted the address hint, or the sector is

@@ -405,10 +405,3 @@ let settle t ~sectors read ~values =
   report_of tally ~first_sector:(if sectors = [||] then 0 else sectors.(0))
     ~scanned:(Array.length sectors) ~wrapped:false
 
-let pp_report fmt r =
-  Format.fprintf fmt
-    "slice %d+%d: %d suspect, %d relocated, %d quarantined, %d lost, %d map repairs%s"
-    r.first_sector r.scanned r.suspects r.relocated r.quarantined r.pages_lost
-    r.map_repairs
-    (if r.wrapped then " (lap complete)" else "")
-

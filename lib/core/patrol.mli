@@ -79,5 +79,3 @@ val settle : t -> sectors:int array -> Sweep.t -> values:Alto_machine.Word.t arr
     of the sweep is sector [sectors.(j)], and [values.(j)] its value
     when it is a live page (a suspect moves without a second read).
     Nothing is persisted; the caller declares the consistency point. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -46,7 +46,6 @@ let of_chs g ~cylinder ~head ~sector =
     + sector
 
 let equal (a : int) b = a = b
-let compare (a : int) b = Stdlib.compare a b
 
 let pp fmt a =
   if a = nil then Format.pp_print_string fmt "NIL"

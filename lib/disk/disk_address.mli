@@ -37,5 +37,4 @@ val chs : Geometry.t -> t -> int * int * int
 val of_chs : Geometry.t -> cylinder:int -> head:int -> sector:int -> t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

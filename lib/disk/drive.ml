@@ -5,8 +5,8 @@ module Obs = Alto_obs.Obs
 module Prof = Alto_obs.Prof
 module Trace = Alto_obs.Trace
 
-(* Process-wide metrics, aggregated across every drive; per-drive
-   figures stay in [stats]. *)
+(* The drive's books: process-wide metrics, aggregated across every
+   drive. *)
 let m_operations = Obs.counter "disk.operations"
 let m_seeks = Obs.counter "disk.seeks"
 let m_seek_us = Obs.counter "disk.seek_us"
@@ -54,31 +54,6 @@ let pp_error fmt = function
       Format.fprintf fmt "transient error reading %a (retry may succeed)"
         Sector.pp_part part
 
-type stats = {
-  operations : int;
-  seeks : int;
-  seek_us : int;
-  rotational_wait_us : int;
-  transfer_us : int;
-  words_read : int;
-  words_written : int;
-  check_failures : int;
-  soft_errors : int;
-}
-
-let zero_stats =
-  {
-    operations = 0;
-    seeks = 0;
-    seek_us = 0;
-    rotational_wait_us = 0;
-    transfer_us = 0;
-    words_read = 0;
-    words_written = 0;
-    check_failures = 0;
-    soft_errors = 0;
-  }
-
 exception Power_failure
 
 type tear = Torn_label | Torn_value
@@ -106,7 +81,6 @@ type t = {
   sectors : Sector.t array;
   bad : bool array;
   mutable current_cylinder : int;
-  mutable stats : stats;
   mutable crash_point : crash_point option;
   mutable write_ops : int;
   (* Torn parts: a crash stopped a write partway through this part, so
@@ -153,7 +127,6 @@ let create ?clock ~pack_id geometry =
       sectors = Array.init n (fun _ -> Sector.create ());
       bad = Array.make n false;
       current_cylinder = 0;
-      stats = zero_stats;
       crash_point = None;
       write_ops = 0;
       torn = Array.make n 0;
@@ -208,50 +181,50 @@ let validate_buffer part action buf =
           (Format.asprintf "Drive.run: %a buffer must have %d words" Sector.pp_part
              part (Sector.part_size part))
 
-let charge_motion t index =
-  let cylinder, _, sector = Disk_address.chs t.geometry (Disk_address.of_index index) in
-  let seek_us =
+(* One motion component, booked once: the clock advances and the
+   [disk.*] counter, the span profiler and the request tracer are charged
+   the same amount at the same site, so the three books balance. *)
+let book t counter prof trace us =
+  Sim_clock.advance_us t.clock us;
+  Obs.add counter us;
+  prof us;
+  trace us
+
+(* Move the heads to [cylinder]; returns the seek time. *)
+let seek t cylinder =
+  let us =
     Geometry.seek_time_us t.geometry ~from_cylinder:t.current_cylinder
       ~to_cylinder:cylinder
   in
-  if seek_us > 0 then begin
-    Sim_clock.advance_us t.clock seek_us;
-    t.stats <- { t.stats with seeks = t.stats.seeks + 1; seek_us = t.stats.seek_us + seek_us };
+  book t m_seek_us Prof.charge_seek Trace.charge_seek us;
+  if us > 0 then begin
     Obs.incr m_seeks;
-    Obs.add m_seek_us seek_us;
-    Obs.observe m_seek_distance (abs (cylinder - t.current_cylinder));
+    Obs.observe m_seek_distance (abs (cylinder - t.current_cylinder))
+  end;
+  t.current_cylinder <- cylinder;
+  us
+
+let charge_motion t index =
+  let cylinder, _, sector = Disk_address.chs t.geometry (Disk_address.of_index index) in
+  let from = t.current_cylinder in
+  let seek_us = seek t cylinder in
+  if seek_us > 0 then
     Obs.event ~clock:t.clock
       ~fields:
         [
           ("pack", Obs.I t.pack_id);
-          ("from", Obs.I t.current_cylinder);
+          ("from", Obs.I from);
           ("to", Obs.I cylinder);
           ("us", Obs.I seek_us);
         ]
-      "disk.seek"
-  end;
-  (* The request tracer keeps the same books as the span profiler:
-     identical amounts at identical sites, so the two accountings can
-     be balanced against each other and against [disk.*]. *)
-  Prof.charge_seek seek_us;
-  Trace.charge_seek seek_us;
-  t.current_cylinder <- cylinder;
+      "disk.seek";
   let rotation = t.geometry.Geometry.rotation_us in
   let sector_time = Geometry.sector_time_us t.geometry in
   let angle = Sim_clock.now_us t.clock mod rotation in
   let slot_start = sector * sector_time in
   let wait = (slot_start - angle + rotation) mod rotation in
-  Sim_clock.advance_us t.clock wait;
-  t.stats <-
-    { t.stats with rotational_wait_us = t.stats.rotational_wait_us + wait };
-  Obs.add m_rotational_wait_us wait;
-  Prof.charge_rotation wait;
-  Trace.charge_rotation wait;
-  Sim_clock.advance_us t.clock sector_time;
-  t.stats <- { t.stats with transfer_us = t.stats.transfer_us + sector_time };
-  Obs.add m_transfer_us sector_time;
-  Prof.charge_transfer sector_time;
-  Trace.charge_transfer sector_time;
+  book t m_rotational_wait_us Prof.charge_rotation Trace.charge_rotation wait;
+  book t m_transfer_us Prof.charge_transfer Trace.charge_transfer sector_time;
   Obs.observe m_op_us (seek_us + wait + sector_time)
 
 (* Perform one part's action; [Error _] aborts the rest of the sector.
@@ -266,14 +239,12 @@ let perform t part action (disk_words : Word.t array) (buf : Word.t array) =
       for i = 0 to n - 1 do
         Array.unsafe_set buf i (Array.unsafe_get disk_words i)
       done;
-      t.stats <- { t.stats with words_read = t.stats.words_read + n };
       Obs.add m_words_read n;
       Ok ()
   | Write ->
       for i = 0 to n - 1 do
         Array.unsafe_set disk_words i (Array.unsafe_get buf i)
       done;
-      t.stats <- { t.stats with words_written = t.stats.words_written + n };
       Obs.add m_words_written n;
       Ok ()
   | Check ->
@@ -285,7 +256,6 @@ let perform t part action (disk_words : Word.t array) (buf : Word.t array) =
         end
         else if Word.equal buf.(i) disk_words.(i) then scan (i + 1)
         else begin
-          t.stats <- { t.stats with check_failures = t.stats.check_failures + 1 };
           Obs.incr m_check_failures;
           Obs.event ~clock:t.clock
             ~fields:
@@ -324,7 +294,6 @@ let is_torn t addr = t.torn.(check_address t addr) <> 0
    is dead when this returns, so it never returns: {!Power_failure}. *)
 let crash_torn t index op ?header ?label ?value tear =
   charge_motion t index;
-  t.stats <- { t.stats with operations = t.stats.operations + 1 };
   Obs.incr m_operations;
   if not t.bad.(index) then begin
     let sector = t.sectors.(index) in
@@ -415,7 +384,6 @@ let soft_error_trips t index part =
   rate > 0.
   && Splitmix.float t.soft_rng < rate
   && begin
-       t.stats <- { t.stats with soft_errors = t.stats.soft_errors + 1 };
        t.label_gen.(index) <- t.label_gen.(index) + 1;
        Obs.incr m_soft_errors;
        Obs.event ~clock:t.clock
@@ -469,7 +437,6 @@ let run t addr op ?header ?label ?value () =
     | None -> ()
   end;
   charge_motion t index;
-  t.stats <- { t.stats with operations = t.stats.operations + 1 };
   Obs.incr m_operations;
   if t.bad.(index) then begin
     Obs.incr m_bad_sector_errors;
@@ -519,8 +486,6 @@ let run t addr op ?header ?label ?value () =
         step Sector.Label op.label label (fun () ->
             step Sector.Value op.value value (fun () -> Ok ())))
 
-let stats t = t.stats
-let reset_stats t = t.stats <- zero_stats
 let current_cylinder t = t.current_cylinder
 
 (* Rotational position sensing: the controller watches the sector marks
@@ -606,20 +571,6 @@ let soft_failures t addr =
   | Some m -> m.m_failures
 
 let restore t =
-  let seek_us =
-    Geometry.seek_time_us t.geometry ~from_cylinder:t.current_cylinder
-      ~to_cylinder:0
-  in
-  if seek_us > 0 then begin
-    Sim_clock.advance_us t.clock seek_us;
-    t.stats <-
-      { t.stats with seeks = t.stats.seeks + 1; seek_us = t.stats.seek_us + seek_us };
-    Obs.incr m_seeks;
-    Obs.add m_seek_us seek_us;
-    Obs.observe m_seek_distance t.current_cylinder
-  end;
-  Prof.charge_seek seek_us;
-  Trace.charge_seek seek_us;
-  t.current_cylinder <- 0;
+  let (_ : int) = seek t 0 in
   Obs.incr m_restores;
   Obs.event ~clock:t.clock ~fields:[ ("pack", Obs.I t.pack_id) ] "disk.restore"

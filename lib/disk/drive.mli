@@ -15,7 +15,11 @@
     for allocate/free falls out of this model: two successive operations
     on the same sector must wait almost a full revolution between them,
     while an operation on the next sector of the same track starts
-    immediately. *)
+    immediately.
+
+    The drive keeps no books of its own: operations, seeks, motion time,
+    words moved, check failures and soft errors are the registry's
+    [disk.*] counters ({!Alto_obs.Obs}), summed over every drive. *)
 
 module Word = Alto_machine.Word
 
@@ -52,18 +56,6 @@ type error =
           retries. Only read and check actions can fail this way. *)
 
 val pp_error : Format.formatter -> error -> unit
-
-type stats = {
-  operations : int;
-  seeks : int;
-  seek_us : int;
-  rotational_wait_us : int;
-  transfer_us : int;
-  words_read : int;
-  words_written : int;
-  check_failures : int;
-  soft_errors : int;
-}
 
 val create : ?clock:Alto_machine.Sim_clock.t -> pack_id:int -> Geometry.t -> t
 (** A formatted pack: every sector's header holds the pack id and its own
@@ -113,9 +105,6 @@ val attach : t -> attachment -> fence:(Disk_address.t -> Word.t array option -> 
     fence does nothing. *)
 
 val attachment : t -> attachment option
-
-val stats : t -> stats
-val reset_stats : t -> unit
 
 val current_cylinder : t -> int
 (** Where the heads are right now — the anchor from which {!Sched}

@@ -3,8 +3,8 @@ module Obs = Alto_obs.Obs
 module Prof = Alto_obs.Prof
 module Trace = Alto_obs.Trace
 
-(* Process-wide scheduler metrics; per-batch figures are visible to
-   callers through [Drive.stats] deltas. *)
+(* Process-wide scheduler metrics; a caller reads a batch's figures as
+   deltas of these and of the drive's [disk.*] counters. *)
 let m_batches = Obs.counter "disk.sched.batches"
 let m_requests = Obs.counter "disk.sched.requests"
 let m_cylinder_runs = Obs.counter "disk.sched.cylinder_runs"

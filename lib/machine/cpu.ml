@@ -45,5 +45,3 @@ let load_registers cpu ws =
     cpu.frame_pointer <- ws.(1);
     Array.blit ws 2 cpu.ac 0 accumulator_count
   end
-
-let equal_registers a b = registers a = registers b

@@ -40,5 +40,3 @@ val register_count : int
 val load_registers : t -> Word.t array -> unit
 (** Inverse of {!registers}. Raises [Invalid_argument] on a wrong-length
     array. *)
-
-val equal_registers : t -> t -> bool

@@ -10,20 +10,6 @@ let pp_stop fmt = function
   | Out_of_fuel -> Format.pp_print_string fmt "out of fuel"
   | Fault msg -> Format.fprintf fmt "fault: %s" msg
 
-(* Instruction counters, per processor. A weak-ish side table keyed by
-   physical identity; processors are few and long-lived. *)
-let counters : (Cpu.t * int ref) list ref = ref []
-
-let counter cpu =
-  match List.find_opt (fun (c, _) -> c == cpu) !counters with
-  | Some (_, r) -> r
-  | None ->
-      let r = ref 0 in
-      counters := (cpu, r) :: !counters;
-      r
-
-let instructions_executed cpu = !(counter cpu)
-
 let push cpu w =
   let fp = Word.to_int (Cpu.frame_pointer cpu) in
   let fp' = (fp - 1) land 0xffff in
@@ -42,7 +28,6 @@ let step cpu ~handler =
   match Instr.decode ~fetch:(Memory.read memory) ~pc with
   | Error msg -> Error (Fault msg)
   | Ok (instr, next_pc) -> (
-      incr (counter cpu);
       Cpu.set_pc cpu (Word.of_int next_pc);
       let ac = Cpu.ac cpu and set = Cpu.set_ac cpu in
       let jump target = Cpu.set_pc cpu (Word.of_int target) in

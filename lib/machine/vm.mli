@@ -33,7 +33,3 @@ val step : Cpu.t -> handler:handler -> (unit, stop) result
 val run : ?fuel:int -> Cpu.t -> handler:handler -> stop
 (** Execute until something stops the machine; [fuel] (default 1_000_000)
     bounds the number of instructions. *)
-
-val instructions_executed : Cpu.t -> int
-(** Count of instructions this module has executed on this processor
-    since it first saw it. Used by benchmarks. *)

@@ -22,12 +22,10 @@ let mul a b = a * b land max_value
 let logand a b = a land b
 let logor a b = a lor b
 let logxor a b = a lxor b
-let lognot a = lnot a land max_value
 let shift_left a n = (a lsl n) land max_value
 let shift_right a n = a lsr n
 
 let succ a = add a 1
-let pred a = sub a 1
 
 let low_byte w = w land 0xff
 let high_byte w = (w lsr 8) land 0xff
@@ -56,7 +54,4 @@ let string_of_words ws ~len =
         Char.chr (if i mod 2 = 0 then high_byte w else low_byte w))
 
 let equal (a : int) b = a = b
-let compare (a : int) b = Stdlib.compare a b
-let hash (w : int) = Hashtbl.hash w
 let pp fmt w = Format.pp_print_int fmt w
-let pp_octal fmt w = Format.fprintf fmt "#%o" w

@@ -39,12 +39,10 @@ val mul : t -> t -> t
 val logand : t -> t -> t
 val logor : t -> t -> t
 val logxor : t -> t -> t
-val lognot : t -> t
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
 val succ : t -> t
-val pred : t -> t
 
 val low_byte : t -> int
 (** Low-order 8 bits, in [0, 255]. *)
@@ -71,10 +69,5 @@ val string_of_words : t array -> len:int -> string
     negative. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints as unsigned decimal. *)
-
-val pp_octal : Format.formatter -> t -> unit
-(** Prints as octal with a [#] prefix, the Alto convention. *)

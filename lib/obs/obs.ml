@@ -132,7 +132,7 @@ let summary h =
     p99 = percentile h 0.99;
   }
 
-(* {2 Event trace: a ring buffer plus sinks} *)
+(* {2 Event trace: a ring buffer} *)
 
 type field_value = I of int | S of string | B of bool
 
@@ -143,19 +143,14 @@ type event = {
   fields : (string * field_value) list;
 }
 
-type sink_id = int
-
 type trace_state = {
   ring : event option array;  (* The newest 1,024 events. *)
   mutable head : int;  (* Next write position. *)
   mutable stored : int;
   mutable next_seq : int;
-  mutable sinks : (sink_id * (event -> unit)) list;
-  mutable next_sink : int;
 }
 
-let tr =
-  { ring = Array.make 1024 None; head = 0; stored = 0; next_seq = 0; sinks = []; next_sink = 0 }
+let tr = { ring = Array.make 1024 None; head = 0; stored = 0; next_seq = 0 }
 
 let trace () =
   let cap = Array.length tr.ring in
@@ -165,14 +160,6 @@ let trace () =
       | Some e -> e
       | None -> assert false)
 
-let add_sink f =
-  let id = tr.next_sink in
-  tr.next_sink <- id + 1;
-  tr.sinks <- (id, f) :: tr.sinks;
-  id
-
-let remove_sink id = tr.sinks <- List.filter (fun (i, _) -> i <> id) tr.sinks
-
 let event ?clock ?(fields = []) name =
   let ts_us = match clock with Some c -> Sim_clock.now_us c | None -> 0 in
   let e = { seq = tr.next_seq; ts_us; name; fields } in
@@ -180,12 +167,7 @@ let event ?clock ?(fields = []) name =
   let cap = Array.length tr.ring in
   tr.ring.(tr.head) <- Some e;
   tr.head <- (tr.head + 1) mod cap;
-  if tr.stored < cap then tr.stored <- tr.stored + 1;
-  (* Feed the taps; a sink that raises is dropped rather than allowed to
-     take the instrumented subsystem down with it. *)
-  List.iter
-    (fun (id, f) -> try f e with _ -> remove_sink id)
-    tr.sinks
+  if tr.stored < cap then tr.stored <- tr.stored + 1
 
 (* {2 Spans} *)
 
@@ -279,7 +261,3 @@ let metrics_json () =
            | Counter v -> Json.Obj [ ("type", Json.String "counter"); ("value", Json.Int v) ]
            | Histogram s -> summary_json s ))
        (snapshot ()))
-
-let pp_summary fmt s =
-  Format.fprintf fmt "count %d, sum %d, min %d, max %d, mean %.1f, p50 %d, p90 %d, p99 %d"
-    s.count s.sum s.min s.max s.mean s.p50 s.p90 s.p99

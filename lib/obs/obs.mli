@@ -20,8 +20,9 @@
     same name with the other kind raises [Invalid_argument].
 
     The event trace is a ring buffer holding the most recent 1,024
-    events; {!add_sink} taps the stream as it flows (for live debugging
-    or custom aggregation), evicted events included.
+    events, numbered in order; a reader that wants only the events since
+    some moment (the flight recorder's seal) filters {!trace} by that
+    number.
 
     Everything here is deliberately global: the simulation is a
     single-user machine, and the registry plays the role of the
@@ -99,19 +100,11 @@ type event = {
 }
 
 val event : ?clock:Sim_clock.t -> ?fields:(string * field_value) list -> string -> unit
-(** Record one event: append to the ring (evicting the oldest when
-    full) and feed every sink. *)
+(** Record one event: append to the ring, evicting the oldest when
+    full. *)
 
 val trace : unit -> event list
 (** The retained events, oldest first. *)
-
-type sink_id
-
-val add_sink : (event -> unit) -> sink_id
-(** Sinks see every event at record time, including events the ring has
-    since evicted. A sink that raises is removed. *)
-
-val remove_sink : sink_id -> unit
 
 (** {1 The registry} *)
 
@@ -125,20 +118,16 @@ val find : string -> metric option
 val reset : unit -> unit
 (** Zero every counter, empty every histogram (buckets included), clear
     the trace, reset the event sequence to 0 and reset the {!Prof} span
-    tree. Registrations and sinks survive: a sink added before [reset]
-    keeps firing on events recorded after it, and is only ever removed
-    by {!remove_sink} or by raising. Finally runs every {!on_reset}
-    hook. *)
+    tree. Registrations survive. Finally runs every {!on_reset} hook. *)
 
 val on_reset : (unit -> unit) -> unit
 (** Register a hook run at the end of every {!reset}. Layers above this
     one (the request tracer) keep state tied to the registry's lifetime
     but cannot be reset from here without a dependency cycle; the hook
-    is how they ride along. Hooks are permanent, like registrations. *)
+    is how they (and the flight recorder's window) ride along. Hooks are
+    permanent, like registrations. *)
 
 val metrics_json : unit -> Json.t
 (** The snapshot as one JSON object keyed by metric name:
     [{"disk.seeks": {"type": "counter", "value": 12}, …}]; histograms
     carry their full summary. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -33,26 +33,11 @@ let h_get_us = Obs.histogram "server.get_us"
 let h_put_us = Obs.histogram "server.put_us"
 let h_list_us = Obs.histogram "server.list_us"
 
-type stats = {
-  gets : int;
-  puts : int;
-  lists : int;
-  errors : int;
-  naks : int;
-  send_errors : int;
-}
-
 type t = {
   fs : Fs.t;
   station : Net.station;
   clock : Sim_clock.t;
   acts : Activity.t;
-  mutable gets : int;
-  mutable puts : int;
-  mutable lists : int;
-  mutable errors : int;
-  mutable naks : int;
-  mutable send_errors : int;
 }
 
 let create ?(max_active = 16) fs station =
@@ -62,22 +47,6 @@ let create ?(max_active = 16) fs station =
     station;
     clock;
     acts = Activity.create ~max_active ~queue:(Sched.create (Fs.drive fs)) clock;
-    gets = 0;
-    puts = 0;
-    lists = 0;
-    errors = 0;
-    naks = 0;
-    send_errors = 0;
-  }
-
-let stats t =
-  {
-    gets = t.gets;
-    puts = t.puts;
-    lists = t.lists;
-    errors = t.errors;
-    naks = t.naks;
-    send_errors = t.send_errors;
   }
 
 let packet_string payload ~at =
@@ -94,49 +63,35 @@ let string_packet op s =
 
 (* A reply that cannot be delivered is not silently nothing: the station
    may have detached, the payload may be oversized — either way the
-   failure is counted where [stats] and the regression gate can see it. *)
+   failure is counted where the regression gate can see it. *)
 let net_send t ~to_ payload =
   match Net.send t.station ~to_ payload with
   | Ok () -> ()
-  | Error _ ->
-      t.send_errors <- t.send_errors + 1;
-      Obs.incr m_send_errors
+  | Error _ -> Obs.incr m_send_errors
 
 let net_send_file t ~to_ ~name contents =
   match Net.send_file t.station ~to_ ~name contents with
   | Ok () -> true
   | Error _ ->
-      t.send_errors <- t.send_errors + 1;
       Obs.incr m_send_errors;
       false
 
 let send_error t ~to_ msg =
-  t.errors <- t.errors + 1;
   Obs.incr m_errors;
   net_send t ~to_ (string_packet op_error msg)
 
 let send_nak t ~to_ =
-  t.naks <- t.naks + 1;
   Obs.incr m_naks;
   net_send t ~to_ [| Word.of_int op_nak |]
 
 (* Every admitted conversation ends exactly once: through [conclude] on
-   success (bumping the op's own counter and histogram) or through
-   [conclude_failed] after an error reply. *)
+   success (observing the op's own histogram, whose count is the op's
+   count) or through [conclude_failed] after an error reply. *)
 let conclude t ~t0 kind =
   let dt = Sim_clock.now_us t.clock - t0 in
   Obs.incr m_reqs;
   Obs.observe h_req_us dt;
-  match kind with
-  | `Get ->
-      t.gets <- t.gets + 1;
-      Obs.observe h_get_us dt
-  | `Put ->
-      t.puts <- t.puts + 1;
-      Obs.observe h_put_us dt
-  | `List ->
-      t.lists <- t.lists + 1;
-      Obs.observe h_list_us dt
+  Obs.observe (match kind with `Get -> h_get_us | `Put -> h_put_us | `List -> h_list_us) dt
 
 let conclude_failed t ~t0 =
   Obs.incr m_reqs;

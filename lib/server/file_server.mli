@@ -29,15 +29,6 @@ module Fs = Alto_fs.Fs
 
 type t
 
-type stats = {
-  gets : int;
-  puts : int;
-  lists : int;
-  errors : int;
-  naks : int;  (** Requests refused because the activity table was full. *)
-  send_errors : int;  (** Replies the network refused to carry. *)
-}
-
 val create : ?max_active:int -> Fs.t -> Net.station -> t
 (** Serve the given volume's root directory on the given station.
     [max_active] (default 16) bounds concurrently admitted requests;
@@ -48,9 +39,13 @@ val tick : t -> int
     NAKing above the bound), then run one activity scheduling round.
     Returns the amount of progress made (admissions plus steps run);
     0 means the server is idle. This is what the [ServerTick] level
-    service calls. *)
+    service calls.
 
-val stats : t -> stats
+    The server's books are the registry's, summed over every server:
+    the counts of [server.get_us], [server.put_us] and [server.list_us]
+    are the requests served, [server.naks] those refused at a full
+    table, [server.errors] the error replies and [server.send_errors]
+    the replies the network refused to carry. *)
 
 (** {2 The client side} *)
 

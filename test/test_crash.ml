@@ -1043,7 +1043,8 @@ let test_dirty_boot_reads_the_mapped_cylinders () =
   let drive = crashed_delete ~scattered:false () in
   let fs = match Fs.mount drive with Ok fs -> fs | Error msg -> failwith msg in
   let cylinders = Fs.mapped_cylinders fs in
-  let ops () = (Drive.stats drive).Drive.operations and writes () = Drive.write_ops drive in
+  let ops () = Alto_obs.Obs.(counter_value (counter "disk.operations")) in
+  let writes () = Drive.write_ops drive in
   let ops0 = ops () and writes0 = writes () in
   let report =
     match Scavenger.repair fs ~cylinders with

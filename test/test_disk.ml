@@ -8,6 +8,7 @@ module Disk_address = Alto_disk.Disk_address
 module Sector = Alto_disk.Sector
 module Drive = Alto_disk.Drive
 module Fault = Alto_disk.Fault
+module Obs = Alto_obs.Obs
 
 let tiny = { Geometry.diablo_31 with Geometry.model = "tiny"; cylinders = 3 }
 
@@ -248,17 +249,19 @@ let test_bad_sector () =
   | Error Drive.Bad_sector -> ()
   | Ok () | Error _ -> Alcotest.fail "bad sector readable"
 
+(* The drive's books are the registry's [disk.*] counters. *)
+let counter name = Obs.counter_value (Obs.counter name)
+
 let test_stats_accumulate () =
   let drive = make_drive () in
-  Drive.reset_stats drive;
+  Obs.reset ();
   write_sector drive (addr 0) ~label:(label_buf ()) ~value:(value_buf ());
   let lb = label_buf () in
   ignore (Drive.run drive (addr 0) { Drive.op_none with label = Some Drive.Read } ~label:lb ());
-  let s = Drive.stats drive in
-  Alcotest.(check int) "operations" 2 s.Drive.operations;
+  Alcotest.(check int) "operations" 2 (counter "disk.operations");
   Alcotest.(check int) "words written" (Sector.label_words + Sector.value_words)
-    s.Drive.words_written;
-  Alcotest.(check int) "words read" Sector.label_words s.Drive.words_read
+    (counter "disk.words_written");
+  Alcotest.(check int) "words read" Sector.label_words (counter "disk.words_read")
 
 (* {2 timing model} *)
 
@@ -300,19 +303,18 @@ let test_same_sector_costs_a_revolution () =
 let test_seek_charged_once () =
   let drive = make_drive () in
   read_value drive (addr 0);
-  Drive.reset_stats drive;
+  Obs.reset ();
   (* Sector on the last cylinder: exactly one seek. *)
   let far = Geometry.sector_count tiny - 1 in
   read_value drive (addr far);
-  let s = Drive.stats drive in
-  Alcotest.(check int) "one seek" 1 s.Drive.seeks;
+  Alcotest.(check int) "one seek" 1 (counter "disk.seeks");
   let expected =
     Geometry.seek_time_us tiny ~from_cylinder:0 ~to_cylinder:(tiny.Geometry.cylinders - 1)
   in
-  Alcotest.(check int) "seek time" expected s.Drive.seek_us;
+  Alcotest.(check int) "seek time" expected (counter "disk.seek_us");
   (* Same cylinder again: no more seeks. *)
   read_value drive (addr (far - 1));
-  Alcotest.(check int) "still one seek" 1 (Drive.stats drive).Drive.seeks
+  Alcotest.(check int) "still one seek" 1 (counter "disk.seeks")
 
 (* {2 fault injection} *)
 

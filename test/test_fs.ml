@@ -751,8 +751,6 @@ let test_free_run_refused_frees_nothing () =
 
 (* {2 checks the verified-label table answers} *)
 
-let ops drive = (Drive.stats drive).Drive.operations
-
 (* Whether the table holds a live label for the sector. *)
 let held fs addr =
   Alto_fs.Label_cache.check (Fs.label_cache fs) addr (Array.make Sector.label_words Word.zero)
@@ -772,25 +770,25 @@ let leave_free fs keep =
 let test_free_alone_is_its_write () =
   let drive, fs, file = run_subject 4 in
   let fn = file_ok "name" (File.page_name file 4) in
-  let ops0 = ops drive and writes0 = Drive.write_ops drive in
+  let ops0 = counted "disk.operations" and writes0 = Drive.write_ops drive in
   fs_ok "free" (Fs.free_pages fs [ fn ]);
-  Alcotest.(check int) "one drive operation" 1 (ops drive - ops0);
+  Alcotest.(check int) "one drive operation" 1 (counted "disk.operations" - ops0);
   Alcotest.(check int) "and it is the write" 1 (Drive.write_ops drive - writes0)
 
 (* The free records the free label it wrote, so allocating the sector
    again checks it in core. *)
 let test_allocating_freed_checks_nothing () =
-  let drive, fs, file = run_subject 4 in
+  let _drive, fs, file = run_subject 4 in
   let names = List.map (fun pn -> file_ok "name" (File.page_name file pn)) [ 2; 3 ] in
   fs_ok "free" (Fs.free_pages fs names);
   let freed = List.map (fun (fn : Page.full_name) -> fn.Page.addr) names in
   leave_free fs freed;
-  let ops0 = ops drive and misses0 = counted "fs.label_cache.misses" in
+  let ops0 = counted "disk.operations" and misses0 = counted "fs.label_cache.misses" in
   let got = fs_ok "reserve" (Fs.reserve_pages fs 2) in
   Alcotest.(check (list int)) "the freed sectors"
     (List.map Disk_address.to_index freed)
     (List.sort compare (List.map Disk_address.to_index got));
-  Alcotest.(check int) "no check operation" 0 (ops drive - ops0);
+  Alcotest.(check int) "no check operation" 0 (counted "disk.operations" - ops0);
   Alcotest.(check int) "no miss" misses0 (counted "fs.label_cache.misses")
 
 (* A label written behind the table's back kills its entry: the check

@@ -18,11 +18,15 @@ module Directory = Alto_fs.Directory
 module Fsck = Alto_fs.Fsck
 module Sweep = Alto_fs.Sweep
 module Scavenger = Alto_fs.Scavenger
+module Obs = Alto_obs.Obs
 
 let geometry = { Geometry.diablo_31 with Geometry.model = "fsck"; cylinders = 25 }
 
 let pattern seed n =
   String.init n (fun i -> Char.chr (32 + ((i + (seed * 13)) mod 90)))
+
+(* Drive operations so far, summed over every drive. *)
+let operations () = Obs.counter_value (Obs.counter "disk.operations")
 
 (* A committed pack: six catalogued files, every delayed write flushed,
    the descriptor marked clean — a consistency point. *)
@@ -221,10 +225,10 @@ let test_unreadable_value_stays_live () =
 let test_fsck_reads_each_sector_once () =
   let drive = Drive.create ~pack_id:23 Geometry.diablo_31 in
   let (_ : Fs.t) = Fs.format drive in
-  let before = (Drive.stats drive).Drive.operations in
+  let before = operations () in
   let r = Fsck.check drive in
   Alcotest.(check bool) "a fresh pack checks clean" true (Fsck.clean r);
-  let ops = (Drive.stats drive).Drive.operations - before in
+  let ops = operations () - before in
   let n = Drive.sector_count drive in
   if 10 * ops >= 11 * n then
     Alcotest.failf "fsck issued %d operations for %d sectors" ops n
@@ -344,8 +348,6 @@ let root_leader fs =
   | Some fn -> fn.Alto_fs.Page.addr
   | None -> Alcotest.fail "no root"
 
-let operations drive = (Drive.stats drive).Drive.operations
-
 let test_fsck_reads_only_the_descriptor_after_its_sweep () =
   let drive, fs, root, files = build () in
   let target = File.leader_name (snd (List.hd files)) in
@@ -360,9 +362,9 @@ let test_fsck_reads_only_the_descriptor_after_its_sweep () =
   Alcotest.(check bool) "the root spans three pages or more" true
     (File.last_page root >= 3);
   let counted f =
-    let before = operations drive in
+    let before = operations () in
     f ();
-    operations drive - before
+    operations () - before
   in
   let sweep = counted (fun () -> ignore (Sweep.run drive : Sweep.t)) in
   let mount = counted (fun () -> ignore (Fs.mount drive : (Fs.t, string) result)) in

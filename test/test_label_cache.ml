@@ -86,6 +86,7 @@ let test_retry_evidence_evicts () =
      error actually trips: that retry evidence must kill the entry even
      though no label was written. *)
   Fault.set_soft_errors drive ~seed:21 ~rate:0.9;
+  let soft0 = counter "disk.soft_errors" in
   let tripped = ref false in
   for _ = 1 to 20 do
     if not !tripped then begin
@@ -95,7 +96,7 @@ let test_retry_evidence_evicts () =
            ~value:(value_buf ()) ()
        with
       | Ok () | Error _ -> ());
-      if (Drive.stats drive).Drive.soft_errors > 0 then tripped := true
+      if counter "disk.soft_errors" > soft0 then tripped := true
     end
   done;
   Alcotest.(check bool) "a soft error tripped" true !tripped;
@@ -263,7 +264,7 @@ let test_relinks_check_in_core () =
   | Error e -> Alcotest.failf "write: %a" File.pp_error e);
   ignore (Alto_fs.Bio.flush (Fs.bio fs));
   let misses0 = counter "fs.label_cache.misses" in
-  let reads () = (Drive.stats drive).Drive.operations - Drive.write_ops drive in
+  let reads () = counter "disk.operations" - Drive.write_ops drive in
   let reads0 = reads () in
   (match File.append_bytes file (String.make (24 * Sector.bytes_per_page) 'h') with
   | Ok () -> ()
@@ -295,10 +296,10 @@ let test_every_label_kept () =
   in
   read_all ();
   let hits0 = counter "fs.label_cache.hits" in
-  let ops0 = (Drive.stats drive).Drive.operations in
+  let ops0 = counter "disk.operations" in
   read_all ();
   Alcotest.(check int) "every label a hit" (hits0 + n) (counter "fs.label_cache.hits");
-  Alcotest.(check int) "no disk operation" ops0 (Drive.stats drive).Drive.operations
+  Alcotest.(check int) "no disk operation" ops0 (counter "disk.operations")
 
 let test_outside_pack_misses () =
   let drive = make_drive () in
@@ -369,7 +370,7 @@ let test_cached_run_matches_uncached () =
         ~label:(Label.to_words (page_label pn))
         ~value:(page_value 0 pn)
     done;
-    Drive.reset_stats drive;
+    let ops0 = counter "disk.operations" in
     (* Three chain walks (the read_label path the hint ladder uses)... *)
     for _pass = 1 to 3 do
       for pn = 0 to pages - 1 do
@@ -404,7 +405,7 @@ let test_cached_run_matches_uncached () =
             Array.to_list (Sector.part_of s Sector.Label),
             Array.to_list (Sector.part_of s Sector.Value) ))
     in
-    (image, (Drive.stats drive).Drive.operations)
+    (image, counter "disk.operations" - ops0)
   in
   let uncached_image, uncached_ops = run ~with_cache:false () in
   let hits0 = counter "fs.label_cache.hits" in

@@ -49,10 +49,16 @@ let find_exn tree name =
   | Some s -> s
   | None -> Alcotest.failf "span %s missing from the tree" name
 
-let contains haystack needle =
+let occurrences haystack needle =
   let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
+  let rec go i n =
+    if i + nl > hl then n
+    else if String.sub haystack i nl = needle then go (i + nl) (n + 1)
+    else go (i + 1) n
+  in
+  go 0 0
+
+let contains haystack needle = occurrences haystack needle > 0
 
 (* {2 The span tree} *)
 
@@ -239,6 +245,48 @@ let test_flight_record_round_trip () =
   Alcotest.(check bool) "blackbox prints the record" true
     (contains (Display.contents (System.display reborn)) "altos.flight/1")
 
+(* A seal holds the events recorded since arming, at most the newest
+   256: none from before a disable/enable pair, and none from before an
+   [Obs.reset], which forgets them. *)
+let test_seal_holds_the_window_since_arming () =
+  fresh ();
+  Flight.disable ();
+  let fs = Fs.format (Drive.create ~pack_id:8 tiny) in
+  let seal () =
+    Flight.flush ~reason:"test" fs;
+    match Flight.adopt fs with
+    | Some record -> record
+    | None -> Alcotest.fail "no record sealed"
+  in
+  Obs.event "test.unarmed";
+  Flight.enable ();
+  Obs.event "test.first_arming";
+  Flight.disable ();
+  Flight.enable ();
+  Obs.event "test.armed";
+  let record = seal () in
+  Alcotest.(check bool) "the events since arming" true (contains record "test.armed");
+  Alcotest.(check bool) "none from before arming" false (contains record "test.unarmed");
+  Alcotest.(check bool) "none from before a disable/enable pair" false
+    (contains record "test.first_arming");
+  for i = 0 to 299 do
+    Obs.event ~fields:[ ("i", Obs.I i) ] "test.tick"
+  done;
+  let record = seal () in
+  Alcotest.(check int) "the newest 256 events" 256
+    (occurrences record "\"name\":\"test.tick\"");
+  Alcotest.(check bool) "the oldest of them kept" true (contains record "{\"i\":44}");
+  Alcotest.(check bool) "older ones dropped" false (contains record "{\"i\":43}");
+  Obs.event "test.before_reset";
+  Obs.reset ();
+  Obs.event "test.after_reset";
+  let record = seal () in
+  Alcotest.(check bool) "the events since the reset" true
+    (contains record "test.after_reset");
+  Alcotest.(check bool) "none from before the reset" false
+    (contains record "test.before_reset" || contains record "test.tick");
+  Flight.disable ()
+
 (* {2 Determinism} *)
 
 let test_fixed_seed_runs_are_identical () =
@@ -291,6 +339,8 @@ let () =
         [
           ("old pack without a record", `Quick, test_old_pack_without_a_record_boots);
           ("round trip across a crash", `Quick, test_flight_record_round_trip);
+          ("a seal holds the window since arming", `Quick,
+            test_seal_holds_the_window_since_arming);
         ] );
       ( "determinism",
         [ ("fixed-seed runs identical", `Quick, test_fixed_seed_runs_are_identical) ] );

@@ -58,6 +58,7 @@ let test_transient_recovery () =
   let want = Array.init Sector.value_words (fun i -> Word.of_int (i land 0xFFFF)) in
   write_sector drive (addr 5) ~label:(label_buf ()) ~value:want;
   Fault.set_soft_errors drive ~seed:42 ~rate:0.4;
+  let soft0 = counter "disk.soft_errors" in
   let retries0 = counter "disk.retries" in
   let recovered0 = counter "disk.retry_recovered" in
   let exhausted0 = counter "disk.retry_exhausted" in
@@ -67,7 +68,7 @@ let test_transient_recovery () =
     | Error e, _ -> Alcotest.failf "read: %a" Drive.pp_error e
   done;
   Alcotest.(check bool) "soft errors tripped" true
-    ((Drive.stats drive).Drive.soft_errors > 0);
+    (counter "disk.soft_errors" > soft0);
   Alcotest.(check bool) "retries happened" true (counter "disk.retries" > retries0);
   Alcotest.(check bool) "recoveries recorded" true
     (counter "disk.retry_recovered" > recovered0);
@@ -76,12 +77,13 @@ let test_transient_recovery () =
 let test_writes_never_transient () =
   let drive = make_drive () in
   Fault.set_soft_errors drive ~seed:7 ~rate:1.0;
+  let soft0 = counter "disk.soft_errors" in
   (* Write-only operations draw no soft errors even at rate 1.0. *)
   for i = 0 to 11 do
     write_sector drive (addr i) ~label:(label_buf ()) ~value:(value_buf ())
   done;
-  Alcotest.(check int) "no soft errors on writes" 0
-    (Drive.stats drive).Drive.soft_errors
+  Alcotest.(check int) "no soft errors on writes" soft0
+    (counter "disk.soft_errors")
 
 let test_hard_errors_not_retried () =
   let drive = make_drive () in
@@ -106,6 +108,7 @@ let test_hard_errors_not_retried () =
 let test_determinism () =
   let run_once () =
     let drive = make_drive () in
+    let soft0 = counter "disk.soft_errors" in
     let value = Array.init Sector.value_words (fun i -> Word.of_int (i * 3)) in
     for i = 0 to Drive.sector_count drive - 1 do
       write_sector drive (addr i) ~label:(label_buf ()) ~value
@@ -123,7 +126,7 @@ let test_determinism () =
           | Error e -> Alcotest.failf "read: %a" Drive.pp_error e);
           n)
     in
-    (retries, (Drive.stats drive).Drive.soft_errors, drive)
+    (retries, counter "disk.soft_errors" - soft0, drive)
   in
   let r1, soft1, d1 = run_once () in
   let r2, soft2, d2 = run_once () in
@@ -322,6 +325,7 @@ let test_fs_traffic_under_soak () =
   let drive = make_drive ~geometry:{ tiny with Geometry.cylinders = 8 } () in
   let fs = Fs.format drive in
   Fault.set_soft_errors drive ~seed:99 ~rate:0.05;
+  let soft0 = counter "disk.soft_errors" in
   let exhausted0 = counter "disk.retry_exhausted" in
   let root =
     match Directory.open_root fs with
@@ -361,7 +365,7 @@ let test_fs_traffic_under_soak () =
       | Error e -> Alcotest.failf "lookup: %a" Directory.pp_error e)
     expected;
   Alcotest.(check bool) "the soak actually exercised the ladder" true
-    ((Drive.stats drive).Drive.soft_errors > 0);
+    (counter "disk.soft_errors" > soft0);
   Alcotest.(check int) "no ladder ran dry" exhausted0
     (counter "disk.retry_exhausted")
 

@@ -38,10 +38,16 @@ let make_file fs root name n seed =
   check_ok File.pp_error "flush" (File.flush_leader file);
   check_ok Directory.pp_error "add" (Directory.add root ~name (File.leader_name file))
 
-let counter name =
+(* A registry metric's count: a counter's value, or how many values a
+   histogram observed. The server's books are there, summed over every
+   server, so a test reads what they gain while it runs. *)
+let count name =
   match Obs.find name with
   | Some (Obs.Counter v) -> v
-  | Some (Obs.Histogram _) | None -> 0
+  | Some (Obs.Histogram s) -> s.Obs.count
+  | None -> 0
+
+let served () = count "server.get_us" + count "server.put_us" + count "server.list_us"
 
 let pack_image drive =
   List.init (Drive.sector_count drive) (fun i ->
@@ -154,6 +160,7 @@ let run_script ~clients ~slots ~rounds ~op_of () =
   let net = Net.create ~clock () in
   let server_station = Net.attach net ~name:"fs" in
   let srv = File_server.create ~max_active:slots fs server_station in
+  let served0 = served () and naks0 = count "server.naks" in
   let stations =
     Array.init clients (fun i -> Net.attach net ~name:(Printf.sprintf "c%02d" i))
   in
@@ -203,13 +210,12 @@ let run_script ~clients ~slots ~rounds ~op_of () =
     done;
     Array.iteri (fun i f -> if f then poll i) inflight
   done;
-  let s = File_server.stats srv in
   Alcotest.(check int) "server and clients agree on completions"
     (Array.fold_left ( + ) 0 completed)
-    (s.File_server.gets + s.File_server.puts + s.File_server.lists);
+    (served () - served0);
   Alcotest.(check int) "server and clients agree on naks"
     (Array.fold_left ( + ) 0 naks)
-    s.File_server.naks;
+    (count "server.naks" - naks0);
   {
     r_completed = completed;
     r_naks = naks;
@@ -264,6 +270,7 @@ let nak_setup () =
 let test_naks_when_table_full () =
   let fs, net, station = nak_setup () in
   let srv = File_server.create ~max_active:2 fs station in
+  let naks0 = count "server.naks" and gets0 = count "server.get_us" in
   let clients = Array.init 5 (fun i -> Net.attach net ~name:(Printf.sprintf "c%d" i)) in
   Array.iter
     (fun st -> client_ok "send" (File_server.Client.send_get st ~server:"fs" ~name:"A.dat"))
@@ -271,9 +278,8 @@ let test_naks_when_table_full () =
   (* One tick admits everything pending: two spawn, three are refused at
      the door — before any of the admitted conversations completes. *)
   ignore (File_server.tick srv : int);
-  let s = File_server.stats srv in
-  Alcotest.(check int) "three naks" 3 s.File_server.naks;
-  Alcotest.(check int) "nothing completed yet" 0 s.File_server.gets;
+  Alcotest.(check int) "three naks" 3 (count "server.naks" - naks0);
+  Alcotest.(check int) "nothing completed yet" 0 (count "server.get_us" - gets0);
   let busy, files =
     Array.fold_left
       (fun (busy, files) st ->
@@ -299,30 +305,29 @@ let test_naks_when_table_full () =
       0 clients
   in
   Alcotest.(check int) "the two admitted conversations complete" 2 served;
-  Alcotest.(check int) "two gets" 2 (File_server.stats srv).File_server.gets
+  Alcotest.(check int) "two gets" 2 (count "server.get_us" - gets0)
 
 (* {2 The send-error counter}
 
-   A reply the network refuses to carry must land in [server.send_errors]
-   and the stats record, not vanish. A GET for a 500-character name fits
-   in a request packet, but the server's "no file" error reply does not —
-   the send fails, and the failure is counted. *)
+   A reply the network refuses to carry must land in [server.send_errors],
+   not vanish. A GET for a 500-character name fits in a request packet,
+   but the server's "no file" error reply does not — the send fails, and
+   the failure is counted. *)
 
 let test_send_failures_counted () =
   let fs, net, station = nak_setup () in
   let srv = File_server.create fs station in
   let client = Net.attach net ~name:"long" in
-  let before = counter "server.send_errors" in
+  let before = count "server.send_errors" and errors0 = count "server.errors" in
   let name = String.make 500 'x' in
   client_ok "send" (File_server.Client.send_get client ~server:"fs" ~name);
   while File_server.tick srv > 0 do
     ()
   done;
-  let s = File_server.stats srv in
-  Alcotest.(check int) "the error reply failed to send" 1 s.File_server.send_errors;
-  Alcotest.(check int) "the failure reached the metric registry" (before + 1)
-    (counter "server.send_errors");
-  Alcotest.(check int) "the request still counts as an error" 1 s.File_server.errors;
+  Alcotest.(check int) "the error reply failed to send" (before + 1)
+    (count "server.send_errors");
+  Alcotest.(check int) "the request still counts as an error" (errors0 + 1)
+    (count "server.errors");
   (match File_server.Client.poll_reply client with
   | None -> ()
   | Some _ -> Alcotest.fail "no reply should have made it onto the wire");
@@ -356,8 +361,8 @@ let test_timeout_abandons_trace () =
   | Error File_server.Client.Timeout -> ()
   | Ok _ -> Alcotest.fail "an unpumped server cannot have answered"
   | Error e -> Alcotest.failf "expected Timeout, got %a" File_server.Client.pp_error e);
-  Alcotest.(check int) "abandonment counted" 1 (counter "server.traces_abandoned");
-  Alcotest.(check int) "timeout counted" 1 (counter "server.client_timeouts");
+  Alcotest.(check int) "abandonment counted" 1 (count "server.traces_abandoned");
+  Alcotest.(check int) "timeout counted" 1 (count "server.client_timeouts");
   Alcotest.(check bool) "no open trace left behind" true
     (Trace.find_active ~origin:"patient" = None);
   (match Trace.infos () with
@@ -376,7 +381,7 @@ let test_timeout_abandons_trace () =
       Alcotest.(check string) "late reply still correct" (body 1 800) contents
   | _ -> Alcotest.fail "the late reply never surfaced");
   Alcotest.(check int) "late reply resurrects nothing" 0 (Trace.active_count ());
-  Alcotest.(check int) "abandoned, not completed" 0 (counter "trace.completed");
+  Alcotest.(check int) "abandoned, not completed" 0 (count "trace.completed");
   (* A later request on the same station gets a fresh trace and a clean
      completion. *)
   let got =
@@ -386,9 +391,9 @@ let test_timeout_abandons_trace () =
   in
   Alcotest.(check string) "service intact" (body 1 800) got;
   Alcotest.(check int) "the fresh conversation completed" 1
-    (counter "trace.completed");
+    (count "trace.completed");
   Alcotest.(check int) "still exactly one abandonment" 1
-    (counter "server.traces_abandoned")
+    (count "server.traces_abandoned")
 
 (* {2 PUT}
 
@@ -400,7 +405,7 @@ let test_put_bad_name_leaks_nothing () =
   let fs, net, station = nak_setup () in
   let srv = File_server.create fs station in
   let client = Net.attach net ~name:"cli" in
-  let free0 = Fs.free_count fs in
+  let free0 = Fs.free_count fs and errors0 = count "server.errors" in
   (match
      File_server.Client.store client ~server:"fs" ~name:"" "doomed"
        ~pump:(fun () -> ignore (File_server.tick srv : int))
@@ -409,7 +414,7 @@ let test_put_bad_name_leaks_nothing () =
   | Ok () -> Alcotest.fail "a PUT named \"\" must be refused"
   | Error e -> Alcotest.failf "expected an error reply, got %a" File_server.Client.pp_error e);
   Alcotest.(check int) "no pages leaked" free0 (Fs.free_count fs);
-  Alcotest.(check int) "counted as an error" 1 (File_server.stats srv).File_server.errors
+  Alcotest.(check int) "counted as an error" (errors0 + 1) (count "server.errors")
 
 let test_put_durable_at_ack () =
   let fs, net, station = nak_setup () in
@@ -463,6 +468,7 @@ let test_serve_command_pumps_server () =
   let srv = File_server.create fs (Net.attach net ~name:"fs") in
   System.set_server_tick system (fun () -> File_server.tick srv);
   let client = Net.attach net ~name:"cli" in
+  let puts0 = count "server.put_us" in
   client_ok "send_put"
     (File_server.Client.send_put client ~server:"fs" ~name:"Remote.txt" "from the wire");
   Keyboard.feed (System.keyboard system) "serve\nls\ntype Remote.txt\nquit\n";
@@ -477,8 +483,7 @@ let test_serve_command_pumps_server () =
   Alcotest.(check bool) "serve reported progress" true (contains_sub text "units of progress");
   Alcotest.(check bool) "ls shows the stored file" true (contains_sub text "Remote.txt");
   Alcotest.(check bool) "type reads it back" true (contains_sub text "from the wire");
-  let s = File_server.stats srv in
-  Alcotest.(check int) "one put served" 1 s.File_server.puts
+  Alcotest.(check int) "one put served" (puts0 + 1) (count "server.put_us")
 
 let () =
   Alcotest.run "alto server"
