@@ -366,6 +366,13 @@ let e5 () =
       [ "InLoad"; us_to_string in_us ];
       [ "coroutine transfer (both)"; us_to_string roundtrip_us ];
     ];
+  List.iter
+    (fun (what, us) ->
+      if us < 500_000 || us > 2_000_000 then
+        failwith (Printf.sprintf "E5: %s takes %s, not about a second" what (us_to_string us)))
+    [ ("a steady-state OutLoad", out_us); ("an InLoad", in_us) ];
+  if first_us < out_us then
+    failwith "E5: the first OutLoad, which lays the file down, costs less than a steady one";
   print_endline "shape: about a second each way once the state file exists."
 
 (* E6 — §2: the drive "can store 2.5 megabytes … and can transfer 64k
@@ -402,15 +409,18 @@ let e6 () =
     let drive = Drive.create ~pack_id:1 geometry in
     let clock = Drive.clock drive in
     let bio = Bio.create ~label_cache:(Label_cache.create drive) drive in
+    let value = Array.make Sector.value_words Word.zero in
     let (), us =
       timed clock (fun () ->
           for i = 0 to sectors - 1 do
             let addr = Disk_address.of_index i in
-            match Bio.lookup bio addr with
+            (* An all-wildcard pattern: any label passes the check. *)
+            let label = Array.make Sector.label_words Word.zero in
+            match Bio.lookup bio addr ~label ~value with
             | Some _ -> ()
             | None -> (
                 Bio.fill bio addr;
-                match Bio.peek bio addr with
+                match Bio.peek bio addr ~label ~value with
                 | Some _ -> ()
                 | None -> failwith "e6: track fill left the sector unbuffered")
           done)
@@ -479,77 +489,77 @@ let e7 () =
 let e8 () =
   heading "E8  arithmetic addressing of consecutive files (§3.6)";
   claim "a program may compute a(j) = a(i) + j - i; the label check makes misses harmless";
+  let file_bytes = 20_000 and seed = 5 in
+  let expected = body seed file_bytes in
+  (* Read every data page at its computed address, falling back to the
+     file machinery on a miss; every page read either way must hold the
+     file's bytes. *)
+  let arithmetic drive fs name =
+    let file = reopen fs "Target.dat" in
+    let base = ok File.pp_error (File.page_name file 1) in
+    let last = File.last_page file in
+    let check pn value plen =
+      let at = (pn - 1) * Sector.bytes_per_page in
+      if Word.string_of_words value ~len:plen <> String.sub expected at plen then
+        failwith (Printf.sprintf "E8 %s: page %d does not hold the file's bytes" name pn)
+    in
+    let hits = ref 0 in
+    let (), us =
+      timed (Drive.clock drive) (fun () ->
+          for pn = 1 to last do
+            let guess = Disk_address.offset base.Page.addr (pn - 1) in
+            match Page.read drive (Page.full_name (File.fid file) ~page:pn ~addr:guess) with
+            | Ok (label, value) ->
+                incr hits;
+                check pn value label.Label.length
+            | Error _ -> (
+                (* Fall back to the file machinery. *)
+                match File.read_page file pn with
+                | Ok (value, plen) -> check pn value plen
+                | Error e -> Format.kasprintf failwith "%a" File.pp_error e)
+          done)
+    in
+    ( !hits,
+      last,
+      [ name; Printf.sprintf "%d/%d" !hits last; us_to_string us; us_to_string (us / last) ] )
+  in
   let trial name ~prepare =
     let drive, fs = fresh () in
     let root = ok Directory.pp_error (Directory.open_root fs) in
     prepare fs;
-    let (_ : File.t) = make_file fs root "Target.dat" 20_000 5 in
-    let file = reopen fs "Target.dat" in
-    let clock = Drive.clock drive in
-    let base = ok File.pp_error (File.page_name file 1) in
-    let last = File.last_page file in
-    let hits = ref 0 and misses = ref 0 in
-    let (), us =
-      timed clock (fun () ->
-          for pn = 1 to last do
-            let guess = Disk_address.offset base.Page.addr (pn - 1) in
-            match Page.read drive (Page.full_name (File.fid file) ~page:pn ~addr:guess) with
-            | Ok _ -> incr hits
-            | Error _ -> (
-                incr misses;
-                (* Fall back to the file machinery. *)
-                match File.read_page file pn with
-                | Ok _ -> ()
-                | Error e -> Format.kasprintf failwith "%a" File.pp_error e)
-          done)
-    in
-    [
-      name;
-      Printf.sprintf "%d/%d" !hits (!hits + !misses);
-      us_to_string us;
-      us_to_string (us / last);
-    ]
+    let (_ : File.t) = make_file fs root "Target.dat" file_bytes seed in
+    arithmetic drive fs name
   in
   (* The compacted case needs its own flow: the file must exist before
      the compactor runs. *)
-  let compacted_row =
+  let compacted =
     let drive, fs = fresh () in
     Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 3));
     let root = ok Directory.pp_error (Directory.open_root fs) in
-    let (_ : File.t) = make_file fs root "Target.dat" 20_000 5 in
+    let (_ : File.t) = make_file fs root "Target.dat" file_bytes seed in
     let fs =
       match Compactor.compact fs with Ok (fs, _) -> fs | Error msg -> failwith msg
     in
-    let file = reopen fs "Target.dat" in
-    let clock = Drive.clock drive in
-    let base = ok File.pp_error (File.page_name file 1) in
-    let last = File.last_page file in
-    let hits = ref 0 in
-    let (), us =
-      timed clock (fun () ->
-          for pn = 1 to last do
-            let guess = Disk_address.offset base.Page.addr (pn - 1) in
-            match Page.read drive (Page.full_name (File.fid file) ~page:pn ~addr:guess) with
-            | Ok _ -> incr hits
-            | Error _ -> (
-                match File.read_page file pn with
-                | Ok _ -> ()
-                | Error e -> Format.kasprintf failwith "%a" File.pp_error e)
-          done)
-    in
-    [ "after compaction"; Printf.sprintf "%d/%d" !hits last; us_to_string us; us_to_string (us / last) ]
+    arithmetic drive fs "after compaction"
   in
-  let rows =
-    [
-      trial "fresh quiet disk" ~prepare:(fun _ -> ());
-      trial "scattered allocation" ~prepare:(fun fs ->
-          Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 3)));
-      compacted_row;
-    ]
+  let fresh_quiet = trial "fresh quiet disk" ~prepare:(fun _ -> ()) in
+  let scattered =
+    trial "scattered allocation" ~prepare:(fun fs ->
+        Fs.set_policy fs (Fs.Scattered (Alto_machine.Splitmix.of_seed 3)))
   in
+  let rows = List.map (fun (_, _, row) -> row) [ fresh_quiet; scattered; compacted ] in
   print_table [ 24; 10; 12; 12 ]
     [ "layout"; "hits"; "whole file"; "per page" ]
     rows;
+  List.iter
+    (fun (hits, pages, row) ->
+      if hits <> pages then
+        failwith
+          (Printf.sprintf "E8 %s: %d/%d hits on a consecutive layout" (List.hd row) hits pages))
+    [ fresh_quiet; compacted ];
+  (let hits, pages, _ = scattered in
+   if hits >= pages then
+     failwith "E8: arithmetic addressing never missed on a scattered layout");
   print_endline
     "shape: arithmetic addressing hits everything on consecutive layouts,\n\
      collapses on scattered ones — and every miss is caught by the label\n\
@@ -1023,11 +1033,6 @@ let e13 () =
 let e14 () =
   heading "E14  soft-error soak: bounded retry absorbs transients";
   claim "transient read errors are retried and recovered; no data is lost";
-  let counter name =
-    match Alto_obs.Obs.find name with
-    | Some (Alto_obs.Obs.Counter v) -> v
-    | Some (Alto_obs.Obs.Histogram _) | None -> 0
-  in
   (* (a) Sweep the soft-error rate. Each round: fresh volume, transient
      mode on, 20 files written and read back twice, every byte compared
      against what was written. *)
@@ -1416,11 +1421,6 @@ let e17 () =
   (* The whole-tree disk components against the drive's own counters.
      Both are cumulative over the process, so the comparison holds no
      matter which experiments ran before this one. *)
-  let counter name =
-    match Obs.find name with
-    | Some (Obs.Counter n) -> n
-    | Some (Obs.Histogram _) | None -> 0
-  in
   let t = Prof.disk_totals () in
   let prof_disk_us =
     t.Prof.t_seek_us + t.Prof.t_rotation_us + t.Prof.t_transfer_us
@@ -1566,20 +1566,14 @@ let e18 () =
         completed.(i) <- completed.(i) + 1;
         inflight.(i) <- false
   in
-  let count name =
-    match Obs.find name with
-    | Some (Obs.Counter n) -> n
-    | Some (Obs.Histogram s) -> s.Obs.count
-    | None -> 0
-  in
   (* The server's books are the registry's [server.*] metrics: this
      run's share is what they gain while it runs. *)
   let books0 =
     List.map
-      (fun name -> (name, count name))
+      (fun name -> (name, counter name))
       [ "server.get_us"; "server.put_us"; "server.list_us"; "server.naks"; "server.send_errors" ]
   in
-  let gained name = count name - List.assoc name books0 in
+  let gained name = counter name - List.assoc name books0 in
   let t0 = Sim_clock.now_us clock in
   (* One full rotation of the send order: every client leads the queue
      an equal number of rounds, so fairness is a property the admission
@@ -1618,12 +1612,6 @@ let e18 () =
     failwith "E18: the server's books disagree with the clients'";
   if gained "server.naks" <> total_naks then
     failwith "E18: NAK counts disagree between server and clients";
-  let hist_p name p =
-    match Obs.find name with
-    | Some (Obs.Histogram s) ->
-        if p = 50 then s.Obs.p50 else if p = 90 then s.Obs.p90 else s.Obs.p99
-    | _ -> 0
-  in
   print_table [ 30; 16 ]
     [ "measure"; "value" ]
     [
@@ -1642,8 +1630,8 @@ let e18 () =
       [ "client wait p99"; us_to_string (hist_p "e18.client_wait_us" 99) ];
       [ "server req p99"; us_to_string (hist_p "server.req_us" 99) ];
       [ "disk.op_us p99 under load"; us_to_string (hist_p "disk.op_us" 99) ];
-      [ "shared sweeps"; string_of_int (count "server.activities.shared_sweeps") ];
-      [ "merged batches"; string_of_int (count "disk.sched.merged_batches") ];
+      [ "shared sweeps"; string_of_int (counter "server.activities.shared_sweeps") ];
+      [ "merged batches"; string_of_int (counter "disk.sched.merged_batches") ];
     ];
   if n_clients < 200 then failwith "E18: the acceptance floor is 200 clients";
   if total_naks = 0 then
@@ -1652,7 +1640,7 @@ let e18 () =
     Format.kasprintf failwith
       "E18: fairness %.2f exceeds the 2.0 ceiling (min %d, max %d)" fairness
       c_min c_max;
-  if count "disk.sched.merged_batches" = 0 then
+  if counter "disk.sched.merged_batches" = 0 then
     failwith "E18: concurrent conversations never shared an elevator sweep";
   print_endline
     "shape: overload is refused at the door, not absorbed: the table\n\
@@ -1822,15 +1810,6 @@ let e19 () =
             "E19: pack %d is not byte-identical to pack 0 after the rebuild" i)
     drives;
   let lost = Array.fold_left (fun acc n -> acc + Replica.pages_lost n) 0 nodes in
-  let counter name =
-    match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0
-  in
-  let hist_p name p =
-    match Obs.find name with
-    | Some (Obs.Histogram s) ->
-        if p = 50 then s.Obs.p50 else if p = 90 then s.Obs.p90 else s.Obs.p99
-    | _ -> 0
-  in
   let dropped, duped, delayed = Net.fault_census net in
   (* The CI gate's handles: rebuild time (15% band) and pages lost
      (absolute zero), recorded as counters so the JSON carries them. *)
@@ -2067,15 +2046,6 @@ let e22 () =
      replica repair over a faulty net, and the traces decompose each \
      request's life into queue wait vs service";
   let module Trace = Alto_obs.Trace in
-  let counter name =
-    match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0
-  in
-  let hist_p name p =
-    match Obs.find name with
-    | Some (Obs.Histogram s) ->
-        if p = 50 then s.Obs.p50 else if p = 90 then s.Obs.p90 else s.Obs.p99
-    | _ -> 0
-  in
   let started0 = counter "trace.started" in
   let completed0 = counter "trace.completed" in
   let dups0 = counter "trace.remote_dups" in

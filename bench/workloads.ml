@@ -9,6 +9,7 @@ module Fs = Alto_fs.Fs
 module File = Alto_fs.File
 module Directory = Alto_fs.Directory
 module Json = Alto_obs.Json
+module Obs = Alto_obs.Obs
 
 let ok pp = function
   | Ok x -> x
@@ -63,6 +64,21 @@ let reopen fs name =
   match ok Directory.pp_error (Directory.lookup root name) with
   | Some e -> ok File.pp_error (File.open_leader fs e.Directory.entry_file)
   | None -> failwith (name ^ " not catalogued")
+
+(* A registry metric's count: a counter's value or a histogram's
+   sample count, 0 when nothing registered the name. *)
+let counter name =
+  match Obs.find name with
+  | Some (Obs.Counter n) -> n
+  | Some (Obs.Histogram s) -> s.Obs.count
+  | None -> 0
+
+(* A registry histogram's 50th, 90th or 99th percentile, 0 when absent. *)
+let hist_p name p =
+  match Obs.find name with
+  | Some (Obs.Histogram s) ->
+      if p = 50 then s.Obs.p50 else if p = 90 then s.Obs.p90 else s.Obs.p99
+  | Some (Obs.Counter _) | None -> 0
 
 (* Simulated time of running [f]. *)
 let timed clock f =

@@ -61,6 +61,3 @@ val pp_error : Format.formatter -> error -> unit
 val compile : ?origin:int -> string -> (Asm.program, error) result
 (** Source text to an assembled program, ready for
     {!Alto_os.Loader.save_program} (use [origin = Alto_os.System.user_base]). *)
-
-val items : string -> (Asm.item list, error) result
-(** Stop after code generation — the assembler input, for inspection. *)

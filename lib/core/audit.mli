@@ -41,7 +41,6 @@ val read_slice : Fs.t -> start:int -> k:int -> slice
 val sector_ok : slice -> int -> bool
 (** Did entry [j]'s read succeed (possibly after retries)? *)
 
-val digest_of_slice : slice -> int64
 val digest : Fs.t -> start:int -> k:int -> int64
 (** FNV-1a over sector index, label and value words; a hard-failed
     sector folds a sentinel instead of its (unknown) content. Counted

@@ -18,16 +18,19 @@ let m_evictions = Obs.counter "fs.bio.evictions"
 let m_invalidations = Obs.counter "fs.bio.invalidations"
 let m_write_conflicts = Obs.counter "fs.bio.write_conflicts"
 
-(* One whole-track buffer. Per relative sector: the label image and
-   value observed at fill/install time, the label generation that
-   polices their staleness, and the dirty bit for delayed writes. *)
+(* Drive generations start at 0 and only grow, so -1 marks a sector
+   the buffer holds nothing for. *)
+let empty = -1
+
+(* One whole-track buffer. Per relative sector: the value observed at
+   fill/install time, the label generation that polices its staleness
+   (the label is the verified-label table's), and the check pattern a
+   waiting delayed write was absorbed under. *)
 type slot = {
   base : int;  (* flat index of the track's sector 0 *)
-  labels : Word.t array array;
   values : Word.t array array;
   gens : int array;
-  valid : bool array;
-  dirty : bool array;
+  pending : Word.t array option array;
   mutable used : int;  (* LRU tick of the last hit *)
 }
 
@@ -61,7 +64,6 @@ let create ~label_cache drive =
     on_write = ignore;
   }
 
-let drive t = t.drive
 let enabled t = t.tracks > 0
 let set_on_write t f = t.on_write <- f
 let cached_tracks t = Hashtbl.length t.slots
@@ -69,7 +71,7 @@ let dirty_sectors t = t.dirty_count
 
 let cached_sectors t =
   Hashtbl.fold
-    (fun _ s acc -> acc + Array.fold_left (fun n v -> if v then n + 1 else n) 0 s.valid)
+    (fun _ s acc -> acc + Array.fold_left (fun n g -> if g = empty then n else n + 1) 0 s.gens)
     t.slots 0
 
 let next_tick t =
@@ -81,12 +83,14 @@ let rel_of t index = index mod t.spt
 
 (* {2 Write-back}
 
-   Dirty sectors reach the platter as label-[Check] + value-[Write]:
-   the stored label image was platter truth when the write was
-   absorbed, so if the check fails the sector was re-labelled
+   Dirty sectors reach the platter as label-[Check] + value-[Write]
+   against the pattern each write was absorbed under, which was
+   platter truth then; if the check fails the sector was re-labelled
    underneath the delayed write (freed, relocated, repaired) and the
    platter's version of events wins — the write is dropped and
-   counted, exactly as a stale hint would have been refused in-band. *)
+   counted, exactly as a stale hint would have been refused in-band.
+   The table's current label would not do: it may already name the
+   sector's next owner. *)
 
 type flush_report = { sectors : int; tracks : int; conflicts : int }
 
@@ -97,12 +101,11 @@ let flush_sectors t targets =
       let targets = Array.of_list targets in
       t.on_write
         (Array.to_list
-           (Array.map (fun (slot, rel) -> Disk_address.of_index (slot.base + rel)) targets));
+           (Array.map (fun (slot, rel, _) -> Disk_address.of_index (slot.base + rel)) targets));
       let requests =
         Array.map
-          (fun (slot, rel) ->
-            Sched.request
-              ~label:slot.labels.(rel) ~value:slot.values.(rel)
+          (fun (slot, rel, pattern) ->
+            Sched.request ~label:pattern ~value:slot.values.(rel)
               (Disk_address.of_index (slot.base + rel))
               { Drive.op_none with
                 Drive.label = Some Drive.Check;
@@ -114,28 +117,27 @@ let flush_sectors t targets =
       Prof.span (Drive.clock t.drive) "bio.flush" (fun () ->
           let outcomes = Sched.run_batch t.drive requests in
           Array.iteri
-            (fun i (slot, rel) ->
+            (fun i (slot, rel, pattern) ->
               (match outcomes.(i).Sched.result with
               | Ok () ->
                   (* The check re-verified the label against the platter
                      an instant ago; capture the generation after the op
                      so retry trips during the flush itself kill the
-                     entry rather than hide behind it. *)
-                  slot.gens.(rel) <-
-                    Drive.label_generation t.drive
-                      (Disk_address.of_index (slot.base + rel))
+                     entry rather than hide behind it, and record the
+                     label at that generation too. *)
+                  let here = Disk_address.of_index (slot.base + rel) in
+                  slot.gens.(rel) <- Drive.label_generation t.drive here;
+                  Label_cache.note_verified t.label_cache here pattern
               | Error _ ->
                   incr conflicts;
                   Obs.incr m_write_conflicts;
-                  slot.valid.(rel) <- false);
-              if slot.dirty.(rel) then begin
-                slot.dirty.(rel) <- false;
-                t.dirty_count <- t.dirty_count - 1
-              end)
+                  slot.gens.(rel) <- empty);
+              slot.pending.(rel) <- None;
+              t.dirty_count <- t.dirty_count - 1)
             targets);
       let tracks =
         let seen = Hashtbl.create 8 in
-        Array.iter (fun (slot, _) -> Hashtbl.replace seen slot.base ()) targets;
+        Array.iter (fun (slot, _, _) -> Hashtbl.replace seen slot.base ()) targets;
         Hashtbl.length seen
       in
       Obs.incr m_flushes;
@@ -149,11 +151,13 @@ let dirty_targets_of t pred =
     (fun _ slot acc ->
       let run = ref acc in
       for rel = t.spt - 1 downto 0 do
-        if slot.dirty.(rel) && pred slot then run := (slot, rel) :: !run
+        match slot.pending.(rel) with
+        | Some pattern when pred slot -> run := (slot, rel, pattern) :: !run
+        | Some _ | None -> ()
       done;
       !run)
     t.slots []
-  |> List.sort (fun ((a : slot), ra) (b, rb) -> compare (a.base + ra) (b.base + rb))
+  |> List.sort (fun ((a : slot), ra, _) (b, rb, _) -> compare (a.base + ra) (b.base + rb))
 
 let flush t = flush_sectors t (dirty_targets_of t (fun _ -> true))
 
@@ -163,10 +167,10 @@ let flush_slot t slot =
 (* {2 Residency} *)
 
 let drop_sector t slot rel =
-  if slot.valid.(rel) || slot.dirty.(rel) then begin
-    slot.valid.(rel) <- false;
-    if slot.dirty.(rel) then begin
-      slot.dirty.(rel) <- false;
+  if slot.gens.(rel) <> empty then begin
+    slot.gens.(rel) <- empty;
+    if Option.is_some slot.pending.(rel) then begin
+      slot.pending.(rel) <- None;
       t.dirty_count <- t.dirty_count - 1
     end;
     Obs.incr m_invalidations
@@ -176,16 +180,14 @@ let drop_sector t slot rel =
    platter arbitrates whether the delayed write still applies) so a
    legitimate pending write survives a mere retry trip on the sector. *)
 let live t slot rel =
-  slot.valid.(rel)
-  && begin
-       let here = Disk_address.of_index (slot.base + rel) in
-       if slot.gens.(rel) = Drive.label_generation t.drive here then true
-       else begin
-         if slot.dirty.(rel) then flush_slot t slot;
-         drop_sector t slot rel;
-         false
-       end
-     end
+  let gen = slot.gens.(rel) in
+  gen <> empty
+  && (gen = Drive.label_generation t.drive (Disk_address.of_index (slot.base + rel))
+     || begin
+          if Option.is_some slot.pending.(rel) then flush_slot t slot;
+          drop_sector t slot rel;
+          false
+        end)
 
 let evict_lru t =
   let victim =
@@ -206,11 +208,9 @@ let evict_lru t =
 let fresh_slot t track =
   {
     base = track * t.spt;
-    labels = Array.init t.spt (fun _ -> Array.make Sector.label_words Word.zero);
     values = Array.init t.spt (fun _ -> Array.make Sector.value_words Word.zero);
-    gens = Array.make t.spt 0;
-    valid = Array.make t.spt false;
-    dirty = Array.make t.spt false;
+    gens = Array.make t.spt empty;
+    pending = Array.make t.spt None;
     used = next_tick t;
   }
 
@@ -227,25 +227,34 @@ let slot_for t track =
 
 (* {2 The read side} *)
 
-let probe ~count t addr =
+(* The slot holding [addr]'s sector buffered and generation-live. *)
+let live_slot t addr =
   if not (enabled t) then None
   else
     let index = Disk_address.to_index addr in
     match Hashtbl.find_opt t.slots (track_of t index) with
-    | None -> None
-    | Some slot ->
-        let rel = rel_of t index in
-        if live t slot rel then begin
+    | Some slot as found when live t slot (rel_of t index) -> found
+    | Some _ | None -> None
+
+let resident t addr = Option.is_some (live_slot t addr)
+
+let probe ~count t addr ~label ~value =
+  match live_slot t addr with
+  | None -> None
+  | Some slot -> (
+      match Label_cache.confirm t.label_cache addr label with
+      | None -> None
+      | Some verdict as answer ->
           if count then begin
             slot.used <- next_tick t;
             Obs.incr m_hits
           end;
-          Some (slot.labels.(rel), slot.values.(rel))
-        end
-        else None
+          let rel = rel_of t (Disk_address.to_index addr) in
+          if Result.is_ok verdict then Array.blit slot.values.(rel) 0 value 0 Sector.value_words;
+          answer)
 
-let lookup t addr = probe ~count:true t addr
-let peek t addr = probe ~count:false t addr
+let lookup t addr ~label ~value = probe ~count:true t addr ~label ~value
+let peek t addr ~label ~value = probe ~count:false t addr ~label ~value
 
 let fill t addr =
   if enabled t then begin
@@ -257,16 +266,18 @@ let fill t addr =
     for rel = t.spt - 1 downto 0 do
       (* Dirty sectors hold content newer than the platter; live clean
          sectors are already right. Everything else is (re)read. *)
-      if not (slot.dirty.(rel) || live t slot rel) then wanted := rel :: !wanted
+      if Option.is_none slot.pending.(rel) && not (live t slot rel) then
+        wanted := rel :: !wanted
     done;
     match !wanted with
     | [] -> ()
     | wanted ->
         let wanted = Array.of_list wanted in
+        let labels = Array.map (fun _ -> Array.make Sector.label_words Word.zero) wanted in
         let requests =
-          Array.map
-            (fun rel ->
-              Sched.request ~label:slot.labels.(rel) ~value:slot.values.(rel)
+          Array.mapi
+            (fun i rel ->
+              Sched.request ~label:labels.(i) ~value:slot.values.(rel)
                 (Disk_address.of_index (slot.base + rel))
                 { Drive.op_none with
                   Drive.label = Some Drive.Read;
@@ -285,61 +296,58 @@ let fill t addr =
                     let here = Disk_address.of_index (slot.base + rel) in
                     (* Post-op generation: retries that tripped during
                        the fill already bumped it, so the entry is live
-                       from here until the next piece of evidence. *)
+                       from here until the next piece of evidence. The
+                       label goes to the table, which answers every name
+                       check against the buffered value. *)
                     slot.gens.(rel) <- Drive.label_generation t.drive here;
-                    slot.valid.(rel) <- true;
-                    (* A fill reads labels anyway — share them with the
-                       chain-walking paths. *)
-                    Label_cache.note_verified t.label_cache here slot.labels.(rel)
-                | Error _ -> slot.valid.(rel) <- false)
+                    Label_cache.note_verified t.label_cache here labels.(i)
+                | Error _ -> slot.gens.(rel) <- empty)
               wanted)
   end
 
 (* {2 The write side} *)
 
-let absorb t addr value =
-  if not (enabled t) then false
-  else
-    let index = Disk_address.to_index addr in
-    match Hashtbl.find_opt t.slots (track_of t index) with
-    | None -> false
-    | Some slot ->
-        let rel = rel_of t index in
-        if not (live t slot rel) then false
-        else begin
-          if not slot.dirty.(rel) then begin
-            (* The hook runs before the write is recorded: the owner's
-               map must hold the sector before the volume holds
-               acknowledged-but-unwritten state there. *)
-            t.on_write [ addr ];
-            slot.dirty.(rel) <- true;
-            t.dirty_count <- t.dirty_count + 1
-          end;
-          Array.blit value 0 slot.values.(rel) 0 (Array.length value);
+let absorb t addr ~label value =
+  match live_slot t addr with
+  | None -> None
+  | Some slot -> (
+      match Label_cache.confirm t.label_cache addr label with
+      | None -> None
+      | Some verdict as answer ->
           slot.used <- next_tick t;
-          Obs.incr m_absorbed;
-          if t.dirty_count >= t.high_water then ignore (flush t);
-          true
-        end
+          Obs.incr m_hits;
+          if Result.is_ok verdict then begin
+            let rel = rel_of t (Disk_address.to_index addr) in
+            if Option.is_none slot.pending.(rel) then begin
+              (* The hook runs before the write is recorded: the owner's
+                 map must hold the sector before the volume holds
+                 acknowledged-but-unwritten state there. *)
+              t.on_write [ addr ];
+              slot.pending.(rel) <- Some label;
+              t.dirty_count <- t.dirty_count + 1
+            end;
+            Array.blit value 0 slot.values.(rel) 0 (Array.length value);
+            Obs.incr m_absorbed;
+            if t.dirty_count >= t.high_water then ignore (flush t)
+          end;
+          answer)
 
-let install t addr ~label ~value =
+let install t addr ~value =
   if enabled t then
     let index = Disk_address.to_index addr in
     match Hashtbl.find_opt t.slots (track_of t index) with
     | None -> ()
     | Some slot ->
         let rel = rel_of t index in
-        if slot.dirty.(rel) then begin
+        if Option.is_some slot.pending.(rel) then begin
           (* The caller just wrote through: the platter is current and
              whatever delayed write was pending is superseded. *)
-          slot.dirty.(rel) <- false;
+          slot.pending.(rel) <- None;
           t.dirty_count <- t.dirty_count - 1;
           Obs.incr m_invalidations
         end;
-        Array.blit label 0 slot.labels.(rel) 0 (Array.length label);
         Array.blit value 0 slot.values.(rel) 0 (Array.length value);
         slot.gens.(rel) <- Drive.label_generation t.drive addr;
-        slot.valid.(rel) <- true;
         slot.used <- next_tick t
 
 let invalidate t addr =

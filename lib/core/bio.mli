@@ -16,15 +16,18 @@
 
     {2 Coherence}
 
-    Every buffered sector stores the {!Drive.label_generation} observed
-    when its content was read or written, and is dead the moment the
-    generation moves — the exact discipline of {!Label_cache}, so
-    quarantine, retry evidence and patrol relocation can never be
-    masked by the cache. Delayed writes carry the label image that was
-    verified when the write was absorbed and are flushed as
-    label-[Check] + value-[Write]: if anything re-labelled the sector
-    in the meantime the platter wins, the stale write is dropped and
-    counted ([fs.bio.write_conflicts]).
+    A buffered sector keeps only its value and the
+    {!Drive.label_generation} observed when that value was read or
+    written, and is dead the moment the generation moves — the exact
+    discipline of {!Label_cache}, so quarantine, retry evidence and
+    patrol relocation can never be masked by the cache. Its label is
+    the verified-label table's: a fill records every label it reads
+    there, and every name check against a buffered sector is answered
+    from there. A delayed write keeps the check pattern it was absorbed
+    under, and is flushed as label-[Check] + value-[Write] against it:
+    if anything re-labelled the sector in the meantime (the table then
+    names its next owner) the platter wins, the stale write is dropped
+    and counted ([fs.bio.write_conflicts]).
 
     {2 Crash safety}
 
@@ -50,11 +53,10 @@ type t
 val create : label_cache:Label_cache.t -> Drive.t -> t
 (** An empty cache of at most 16 whole-track buffers ({!set_tracks}
     resizes it). Half the cache's sector capacity is the dirty-sector
-    count that triggers an automatic full flush. Labels read by track
-    fills are shared with [label_cache], so a fill also warms the
-    chain-walking paths. *)
+    count that triggers an automatic full flush. [label_cache] holds
+    the labels of the buffered sectors: fills and flushes record them
+    there, so a fill also warms the chain-walking paths. *)
 
-val drive : t -> Drive.t
 val enabled : t -> bool
 
 val set_tracks : t -> int -> unit
@@ -63,39 +65,54 @@ val set_tracks : t -> int -> unit
     absorbed). The flush threshold follows the new capacity. Raises
     [Invalid_argument] on a negative count. *)
 
-val lookup : t -> Disk_address.t -> (Word.t array * Word.t array) option
-(** [(label, value)] for the sector if it is buffered and its
-    generation is still live; counts a hit. The arrays are the cache's
-    own storage — callers must copy, not mutate. A generation-dead
-    dirty sector is flushed (platter arbitrates) and dropped before
-    reporting a miss; misses are counted by {!fill}, so probe-then-fill
-    reads count one miss each. *)
+val lookup :
+  t ->
+  Disk_address.t ->
+  label:Word.t array ->
+  value:Word.t array ->
+  (unit, Drive.error) result option
+(** When the sector is buffered and generation-live, [Some] verdict of
+    [label]'s name check against the verified-label table
+    ({!Label_cache.confirm}), with the value copied into [value] on
+    [Ok]; counts a hit. A generation-dead dirty sector is flushed
+    (platter arbitrates) and dropped before reporting a miss; misses are
+    counted by {!fill}, so probe-then-fill reads count one miss each. *)
 
 val fill : t -> Disk_address.t -> unit
 (** Read every unbuffered, non-dirty sector of the address's track in
-    one elevator batch and install the survivors (sectors whose read
-    hard-fails stay unbuffered — the caller's per-sector fallback path
-    sees the true error). Counts one miss and one fill. May evict (and
-    so flush) the least-recently-used track. No-op when disabled. *)
+    one elevator batch, keep the survivors' values and record their
+    labels in the table (sectors whose read hard-fails stay unbuffered —
+    the caller's per-sector fallback path sees the true error). Counts
+    one miss and one fill. May evict (and so flush) the least-recently-
+    used track. No-op when disabled. *)
 
-val peek : t -> Disk_address.t -> (Word.t array * Word.t array) option
+val peek :
+  t ->
+  Disk_address.t ->
+  label:Word.t array ->
+  value:Word.t array ->
+  (unit, Drive.error) result option
 (** {!lookup} without touching the hit/miss counters or the LRU clock —
     for the second probe after a {!fill}. *)
 
-val absorb : t -> Disk_address.t -> Word.t array -> bool
-(** Absorb a value write into the buffer: only when the sector is
-    buffered and generation-live (so the stored label image is platter
-    truth and the caller has already checked its name against it). On
-    success the value is copied in, the sector marked dirty, the
-    [on_write] hook run, and the write is delayed until a flush —
-    [false] means the caller must write through (and then {!install}
-    or {!invalidate}). *)
+val resident : t -> Disk_address.t -> bool
+(** Whether the sector is buffered and generation-live; counts nothing. *)
 
-val install : t -> Disk_address.t -> label:Word.t array -> value:Word.t array -> unit
+val absorb :
+  t -> Disk_address.t -> label:Word.t array -> Word.t array -> (unit, Drive.error) result option
+(** A value write, delayed in the buffer when {!lookup} would serve the
+    sector, and counted as its hit: on [Ok] the value is copied in, to
+    be flushed against [label] as the name check filled it in (the
+    buffer keeps the array), the [on_write] hook run first if the sector
+    was clean. [None] means the caller must write through (and then
+    {!install} or {!invalidate}). *)
+
+val install : t -> Disk_address.t -> value:Word.t array -> unit
 (** Record the outcome of a write-through or direct read as a clean
     buffered sector — only if its track is already resident (a write
-    never allocates a buffer). Supersedes any pending dirty content for
-    that sector. *)
+    never allocates a buffer). The caller has just recorded the
+    sector's label in the table. Supersedes any pending dirty content
+    for that sector. *)
 
 val invalidate : t -> Disk_address.t -> unit
 (** Drop the sector's buffered content {e without} flushing — for
@@ -114,7 +131,8 @@ val flush : t -> flush_report
 (** Write every dirty sector back through one elevator batch —
     label-[Check] + value-[Write], coalesced by the C-SCAN sweep into
     contiguous track runs. Conflicted sectors (the platter was
-    re-labelled since the write was absorbed) are dropped and counted.
+    re-labelled since the write was absorbed) are dropped and counted;
+    a landed write records the label it re-verified in the table.
     Buffers stay resident and clean. *)
 
 val set_on_write : t -> (Disk_address.t list -> unit) -> unit

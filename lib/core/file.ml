@@ -336,8 +336,7 @@ let write_run t ~first ~prev ~before run pages =
             match Fs.write_reserved t.fs addr label value with
             | Error `Quarantined -> place pn prev before pages
             | Ok () ->
-                if not (Disk_address.is_nil next) then
-                  Bio.install (bio t) addr ~label:(Label.to_words label) ~value;
+                if not (Disk_address.is_nil next) then Bio.install (bio t) addr ~value;
                 let* () =
                   match before with
                   | Some b when not (Disk_address.equal b.names addr) -> relink (pn - 1) b addr
@@ -615,7 +614,7 @@ let plan_read t =
           let b = bio t in
           let acc = ref [] in
           for i = n - 1 downto 0 do
-            if Bio.peek b addrs.(i) = None then acc := i :: !acc
+            if not (Bio.resident b addrs.(i)) then acc := i :: !acc
           done;
           Array.of_list !acc
         in
@@ -656,23 +655,16 @@ let finish_read p outcomes =
       ~values:p.plan_values outcome
   in
   let dst = Bytes.create p.plan_total in
-  let rec assemble pn dst_off =
-    if dst_off >= p.plan_total then Ok (Bytes.to_string dst)
-    else if pn > n then
-      Error (Structure "file shorter than its leader implies")
-    else
-      let value, plen = pages.(pn - 1) in
-      let here = min plen (p.plan_total - dst_off) in
-      if here <= 0 then
-        Error (Structure (Printf.sprintf "page %d shorter than the file length implies" pn))
-      else begin
-        bytes_of_page value ~page_off:0 ~len:here ~dst ~dst_off;
-        assemble (pn + 1) (dst_off + here)
-      end
+  let page pn =
+    if pn <= n then Ok pages.(pn - 1)
+    else Error (Structure "file shorter than its leader implies")
   in
-  let result = assemble 1 0 in
-  if Result.is_ok result then touch_read t;
-  result
+  let* () =
+    walk_span ~page ~pos:0 ~n:p.plan_total (fun value ~page_off ~len ~dst_off ->
+        bytes_of_page value ~page_off ~len ~dst ~dst_off)
+  in
+  touch_read t;
+  Ok (Bytes.to_string dst)
 
 (* {2 Writing} *)
 
@@ -702,9 +694,7 @@ let write_value ?(through = false) t pn value =
          if not through then Page.write ~cache:(cache t) ~bio:(bio t) (drive t) fn value
          else
            let written = Page.write ~cache:(cache t) (drive t) fn value in
-           Result.iter
-             (fun label -> Bio.install (bio t) fn.Page.addr ~label:(Label.to_words label) ~value)
-             written;
+           Result.iter (fun _ -> Bio.install (bio t) fn.Page.addr ~value) written;
            written))
 
 (* One elevator pass of label-checked full-page value writes; a refuted
@@ -731,7 +721,7 @@ let write_pages_batched ?through t ~first addrs values =
           (* A value write moves no label generation, so a buffered copy
              of this sector would survive it stale — record the written
              value (supersedes any delayed write the buffer held). *)
-          Bio.install (bio t) addrs.(i) ~label:labels.(i) ~value:values.(i);
+          Bio.install (bio t) addrs.(i) ~value:values.(i);
           set_hint t (first + i) addrs.(i);
           finish (i + 1)
       | Error _ ->

@@ -117,7 +117,6 @@ let root_dir t = t.root
 let set_root_dir t fn = t.root <- Some fn
 
 let set_policy t p = t.policy <- p
-let label_checking t = t.label_checking
 let set_label_checking t flag = t.label_checking <- flag
 let next_serial t = t.next_serial
 let set_next_serial t n = t.next_serial <- n

@@ -120,7 +120,6 @@ val fresh_fid : ?directory:bool -> t -> File_id.t
     handed out only after a descriptor write ({!flush}, best effort). *)
 
 val set_policy : t -> allocation_policy -> unit
-val label_checking : t -> bool
 val set_label_checking : t -> bool -> unit
 
 (** {2 Allocation} *)

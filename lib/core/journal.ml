@@ -130,7 +130,6 @@ let remove t name =
   dir_err (Directory.remove t.dir name)
 
 let lookup t name = dir_err (Directory.lookup t.dir name)
-let entries t = dir_err (Directory.entries t.dir)
 
 type recovery = { entries_restored : int; records_replayed : int }
 

@@ -36,11 +36,6 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val journal_name : string -> string
-(** ["<name>;journal"] — the journal file's catalogue name. *)
-
-val snapshot_name : string -> string
-
 val create : Fs.t -> parent:File.t -> name:string -> (t, error) result
 (** Make a fresh journaled directory called [name], cataloguing it and
     its journal and snapshot files in [parent]. *)
@@ -54,7 +49,6 @@ val directory : t -> File.t
 val add : t -> name:string -> Page.full_name -> (unit, error) result
 val remove : t -> string -> (bool, error) result
 val lookup : t -> string -> (Directory.entry option, error) result
-val entries : t -> (Directory.entry list, error) result
 
 val take_snapshot : t -> (unit, error) result
 (** Copy the directory's current contents to the snapshot file and

@@ -24,7 +24,6 @@ let create drive =
   let n = Drive.sector_count drive in
   { drive; words = Array.make (n * label_words) Word.zero; gens = Array.make n empty }
 
-let drive t = t.drive
 let length t = Array.fold_left (fun n g -> if g = empty then n else n + 1) 0 t.gens
 
 (* The slot of a sector, or -1 when the address names none. *)
@@ -71,6 +70,12 @@ let check t addr pattern =
     Obs.incr m_misses;
     None
   end
+
+let confirm t addr pattern =
+  let i = slot t addr in
+  if i >= 0 && t.gens.(i) = Drive.label_generation t.drive addr then
+    Some (replay pattern t.words ~at:(i * label_words))
+  else None
 
 let note_verified t addr (words : Word.t array) =
   let i = slot t addr in

@@ -21,13 +21,15 @@
     that made it suspect also killed the entry. {!check} detects dead
     entries lazily and counts them as [fs.label_cache.invalidations].
 
-    The table answers the label checks of {!Page}'s label-only accesses
-    and of {!Fs}'s allocations and frees, which send only its misses to
-    the platter; it is primed by {!Page}, by {!Fs}'s allocation and free
-    writes, by {!Bio}'s track fills and by {!File}'s batched transfers.
-    One instance hangs off each {!Fs.t} handle. Counters:
-    [fs.label_cache.{hits,misses,invalidations}]: a hit is a check the
-    table answered, a miss one it sent to the platter. *)
+    The table is the only in-core copy of a label. It answers the label
+    checks of {!Page}'s label-only accesses, of {!Fs}'s allocations and
+    frees (which send only its misses to the platter) and of {!Bio}'s
+    buffered reads and absorbed writes; it is primed by {!Page}, by
+    {!Fs}'s allocation and free writes, by {!Bio}'s fills and flushes
+    and by {!File}'s batched transfers. One instance hangs off each
+    {!Fs.t} handle. Counters: [fs.label_cache.{hits,misses,invalidations}]:
+    a hit is a check the table answered, a miss one it sent to the
+    platter. *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -38,26 +40,22 @@ type t
 val create : Drive.t -> t
 (** An empty table with one slot for every sector of the drive. *)
 
-val drive : t -> Drive.t
-
-val replay : Word.t array -> Word.t array -> at:int -> (unit, Drive.error) result
-(** [replay pattern image ~at] replays the controller's check action
-    for the label pattern [pattern] against the label image that starts
-    at [image.(at)]: a zero pattern word learns the image's word, a
-    non-zero one must equal it. It fills [pattern] as the disk check
-    would and reports the first difference as the disk does, a
-    [Check_mismatch] in the label part, so a caller cannot tell a verdict
-    from core from one read off the platter. {!check} replays against
-    the table; {!Page} also replays against {!Bio}'s buffered labels. *)
-
 val check : t -> Disk_address.t -> Word.t array -> (unit, Drive.error) result option
-(** [check t addr pattern] answers a label check from the table:
-    [Some verdict] when the sector's entry is live, the {!replay} of
-    [pattern] against it (counted as a hit, a refusal included), and
-    [None] when the table cannot answer, which leaves [pattern] as it
-    was and counts a miss. An address outside the pack (nil included)
-    is a miss. A stored entry whose generation has moved is removed,
-    counted as an invalidation, and reported as a miss. *)
+(** [check t addr pattern] answers a label check from a live entry:
+    [Some verdict], the controller's check action replayed against it (a
+    zero pattern word learns the entry's word, a non-zero one must equal
+    it, and the first difference is a label [Check_mismatch], as on the
+    platter), counted as a hit, a refusal included. [None] when the table
+    cannot answer, leaving [pattern] as it was and counting a miss. An
+    address outside the pack (nil included) is a miss; a stored entry
+    whose generation has moved is removed, counted as an invalidation,
+    and reported as a miss. *)
+
+val confirm : t -> Disk_address.t -> Word.t array -> (unit, Drive.error) result option
+(** {!check} for a sector whose value {!Bio} holds: the same verdict
+    from a live entry, counted as neither hit nor miss (the track
+    buffer counts the access), and [None], with nothing counted or
+    removed, when the entry is absent or dead. *)
 
 val note_verified : t -> Disk_address.t -> Word.t array -> unit
 (** Remember a label image the caller has {e just} verified against the

@@ -74,26 +74,22 @@ let check_label cache drive fn label_buf =
       if Result.is_ok checked then note cache fn.addr label_buf;
       checked
 
+let with_value value = function Ok label -> Ok (label, value) | Error e -> Error e
+
 let read ?cache ?bio drive fn =
   on_pack drive fn @@ fun () ->
   Prof.span (Drive.clock drive) "page.read" @@ fun () ->
   let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
   let value = Array.make Sector.value_words Word.zero in
-  (* Serve from a buffered track sector: replay the check against the
-     buffered label image (platter truth while the generation is live),
-     copy the value out of core. Mismatch verdicts are reproduced
-     exactly — a stale hint is refused whether the track is buffered or
-     not. *)
-  let serve cached_label cached_value =
-    match Label_cache.replay label_buf cached_label ~at:0 with
+  (* A buffered track sector answers from core: the name check comes
+     from the verified-label table (platter truth while the generation
+     is live), mismatch verdicts included, so a stale hint is refused
+     whether the track is buffered or not. *)
+  let served = function
     | Error e -> hint_failed e
-    | Ok () -> (
-        Array.blit cached_value 0 value 0 Sector.value_words;
-        note cache fn.addr label_buf;
+    | Ok () ->
         Prof.note "page.bio_hit";
-        match decode_checked_label label_buf with
-        | Ok label -> Ok (label, value)
-        | Error e -> Error e)
+        with_value value (decode_checked_label label_buf)
   in
   let direct () =
     match
@@ -102,24 +98,20 @@ let read ?cache ?bio drive fn =
         ~label:label_buf ~value ()
     with
     | Error e -> hint_failed e
-    | Ok () -> (
+    | Ok () ->
         note cache fn.addr label_buf;
-        (match bio with
-        | Some b -> Bio.install b fn.addr ~label:label_buf ~value
-        | None -> ());
-        match decode_checked_label label_buf with
-        | Ok label -> Ok (label, value)
-        | Error e -> Error e)
+        Option.iter (fun b -> Bio.install b fn.addr ~value) bio;
+        with_value value (decode_checked_label label_buf)
   in
   match bio with
   | None -> direct ()
   | Some b -> (
-      match Bio.lookup b fn.addr with
-      | Some (l, v) -> serve l v
+      match Bio.lookup b fn.addr ~label:label_buf ~value with
+      | Some verdict -> served verdict
       | None -> (
           Bio.fill b fn.addr;
-          match Bio.peek b fn.addr with
-          | Some (l, v) -> serve l v
+          match Bio.peek b fn.addr ~label:label_buf ~value with
+          | Some verdict -> served verdict
           | None ->
               (* The fill could not read this sector (or the cache is
                  disabled): the direct path reports the true error and
@@ -144,30 +136,19 @@ let write ?cache ?bio drive fn value =
   Prof.span (Drive.clock drive) "page.write" @@ fun () ->
   let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
   (* Delayed write-back: when the sector's track is buffered and
-     generation-live, the buffered label image is platter truth, so the
-     name check can replay against it and the value can sit in the
-     buffer until the next coalesced flush — no disk operation at all. A
-     check refusal here is a real refusal: the platter's label does not
-     carry the asserted name. *)
+     generation-live, the name check comes from the verified-label table
+     and the value can sit in the buffer until the next coalesced flush,
+     which checks the label this check filled in — no disk operation
+     now. A check refusal here is a real refusal: the platter's label
+     does not carry the asserted name. *)
   let absorbed =
-    match bio with
-    | None -> None
-    | Some b -> (
-        match Bio.lookup b fn.addr with
-        | None -> None
-        | Some (cached_label, _) -> (
-            match Label_cache.replay label_buf cached_label ~at:0 with
-            | Error e -> Some (hint_failed e)
-            | Ok () ->
-                if Bio.absorb b fn.addr value then begin
-                  note cache fn.addr label_buf;
-                  Prof.note "page.bio_hit";
-                  Some (decode_checked_label label_buf)
-                end
-                else None))
+    match bio with None -> None | Some b -> Bio.absorb b fn.addr ~label:label_buf value
   in
   match absorbed with
-  | Some result -> result
+  | Some (Error e) -> hint_failed e
+  | Some (Ok ()) ->
+      Prof.note "page.bio_hit";
+      decode_checked_label label_buf
   | None -> (
       match
         Reliable.run drive fn.addr
@@ -177,9 +158,7 @@ let write ?cache ?bio drive fn value =
       | Error e -> hint_failed e
       | Ok () ->
           note cache fn.addr label_buf;
-          (match bio with
-          | Some b -> Bio.install b fn.addr ~label:label_buf ~value
-          | None -> ());
+          Option.iter (fun b -> Bio.install b fn.addr ~value) bio;
           decode_checked_label label_buf)
 
 let rewrite_label ?cache ?bio drive fn ~new_label ~value =
@@ -202,10 +181,8 @@ let rewrite_label ?cache ?bio drive fn ~new_label ~value =
              now postdates the write's bump, so the entry is live. *)
           note cache fn.addr new_words;
           (* The label write killed the buffered generation; re-install
-             the fresh image (and supersede any delayed value write). *)
-          (match bio with
-          | Some b -> Bio.install b fn.addr ~label:new_words ~value
-          | None -> ());
+             the value (and supersede any delayed value write). *)
+          Option.iter (fun b -> Bio.install b fn.addr ~value) bio;
           Ok ())
 
 let read_raw drive addr =

@@ -42,19 +42,19 @@ val read :
     check rides free, so [cache] is only {e primed} here, never
     consulted — a hit could not save an operation. With [bio] the value
     {e can} come from memory: a buffered, generation-live track sector
-    answers without touching the disk (the check replays against the
-    buffered label image, mismatch verdicts included), and a miss fills
-    the whole track in one elevator batch before serving. *)
+    answers without touching the disk (the name check comes from the
+    table, {!Label_cache.confirm}, mismatch verdicts included), and a
+    miss fills the whole track in one elevator batch before serving. *)
 
 val read_label : ?cache:Label_cache.t -> Drive.t -> full_name -> (Label.t, error) result
 (** As {!read} but without transferring the value. With [cache], a valid
     cached image answers without any disk operation at all — including
     reproducing a {!Drive.Check_mismatch} verdict when the cached label
     refutes the caller's absolute name; this is where the hint ladder's
-    chain walks get cheap. The table is the only label source consulted:
-    every label a live track buffer holds was recorded in it when the
-    buffer was filled or installed, and a label-only access never fills
-    a track — a fill would cost more than the one operation it saves. *)
+    chain walks get cheap. The table is the only in-core copy of a
+    label (track buffers keep values), and a label-only access never
+    fills a track — a fill would cost more than the one operation it
+    saves. *)
 
 val write :
   ?cache:Label_cache.t ->
@@ -69,11 +69,11 @@ val write :
     (the value write leaves the label untouched, so the entry stays
     live). Raises [Invalid_argument] on a wrong-sized value. With [bio],
     a write whose sector is buffered and generation-live is
-    {e absorbed}: the name check replays against the buffered label
-    image and the value is delayed in the buffer until the next
-    coalesced flush — zero disk operations now, one amortized elevator
-    write later. A write that cannot be absorbed goes through as before
-    and refreshes the buffered copy. *)
+    {e absorbed}: the name check comes from the table and the value is
+    delayed in the buffer until the next coalesced flush, which checks
+    the label this check filled in — zero disk operations now, one
+    amortized elevator write later. A write that cannot be absorbed
+    goes through as before and refreshes the buffered copy. *)
 
 val rewrite_label :
   ?cache:Label_cache.t ->
@@ -92,7 +92,7 @@ val rewrite_label :
     recorded after the write. A
     relink of a freshly allocated page finds its entry, since
     {!Fs.write_reserved} records the label it writes. With [bio], the
-    written label and value are re-installed clean in the track buffer —
+    written value is re-installed clean in the track buffer —
     superseding any delayed value write the buffer held for the
     sector. *)
 

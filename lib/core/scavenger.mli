@@ -23,7 +23,7 @@
       a leader, its last-page hint and consecutive flag — parking a
       page in the way and staging a twin before any sector holding a
       page's only copy is overwritten. A scavenge's plan
-      ({!evacuation}) moves the pages squatting on the descriptor's
+      ({!scavenge}) moves the pages squatting on the descriptor's
       standard addresses or sitting on marginal sectors; a compaction's
       lays the files out back to back ({!Compactor});
     + (5-6) free stale copies, the staging twin and garbage-labelled
@@ -117,11 +117,6 @@ type plan = layout -> ((File_id.t * int) * int) list
     [usable] or already taken, is ignored; a page in the way of a target
     is moved aside: a plan says where pages go, never which survive. *)
 
-val evacuation : plan
-(** A scavenge's plan: pages on the descriptor's standard addresses or
-    on marginal sectors take the lowest free sectors; the boot page at
-    sector 0 stays. *)
-
 val rebuild : ?suspect_retries:int -> plan -> Drive.t -> (Fs.t * report, string) result
 (** One whole-pack scavenge, placing pages by [plan]. The only fatal
     error is a disk so broken that a fresh descriptor cannot be written.
@@ -143,8 +138,10 @@ val rebuild : ?suspect_retries:int -> plan -> Drive.t -> (Fs.t * report, string)
 
 val scavenge :
   ?verify_values:bool -> ?suspect_retries:int -> Drive.t -> (Fs.t * report, string) result
-(** [rebuild evacuation]. [verify_values] is accepted and ignored:
-    every scavenge verifies values. *)
+(** {!rebuild} with the scavenge's plan: pages on the descriptor's
+    standard addresses or on marginal sectors take the lowest free
+    sectors; the boot page at sector 0 stays. [verify_values] is
+    accepted and ignored: every scavenge verifies values. *)
 
 val root_needs_repair : string
 (** The reason {!repair} gives when the root directory itself is among

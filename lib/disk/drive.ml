@@ -146,7 +146,6 @@ let create ?clock ~pack_id geometry =
 
 let geometry t = t.geometry
 let clock t = t.clock
-let pack_id t = t.pack_id
 let sector_count t = Array.length t.sectors
 
 let has_sector t addr =

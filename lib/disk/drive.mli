@@ -64,7 +64,6 @@ val create : ?clock:Alto_machine.Sim_clock.t -> pack_id:int -> Geometry.t -> t
 
 val geometry : t -> Geometry.t
 val clock : t -> Alto_machine.Sim_clock.t
-val pack_id : t -> int
 val sector_count : t -> int
 
 val has_sector : t -> Disk_address.t -> bool

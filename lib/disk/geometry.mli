@@ -30,9 +30,6 @@ val diablo_44 : t
 val sector_count : t -> int
 (** Total sectors on one pack. *)
 
-val capacity_words : t -> int
-(** Data capacity in 16-bit words (256 data words per sector). *)
-
 val capacity_bytes : t -> int
 
 val sector_time_us : t -> int

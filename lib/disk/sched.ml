@@ -79,7 +79,6 @@ type t = {
 }
 
 let create drive = { drive; pending = []; next_seq = 0; next_batch = 0 }
-let drive t = t.drive
 let queued t = List.length t.pending
 
 let submit_batch ?policy ?ctx t requests ~on_done =

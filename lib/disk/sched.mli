@@ -57,8 +57,6 @@ val create : Drive.t -> t
     server keeps one for the life of the volume, [run_batch] makes one
     per call. *)
 
-val drive : t -> Drive.t
-
 val submit_batch :
   ?policy:Reliable.policy ->
   ?ctx:Trace.context ->

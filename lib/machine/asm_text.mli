@@ -11,8 +11,6 @@
            JSR @Exit
        msg: .string "hello"; directives: .word N  .string "…"  .block N v} *)
 
-val parse : string -> (Asm.item list, string) result
-(** Errors name the offending line. *)
-
 val assemble : ?origin:int -> string -> (Asm.program, string) result
-(** {!parse} then {!Asm.assemble}. *)
+(** Parse, then {!Asm.assemble}. Parse errors name the offending
+    line. *)

@@ -8,9 +8,6 @@
 
 type t
 
-val accumulator_count : int
-(** Four accumulators, AC0–AC3. *)
-
 val create : Memory.t -> t
 (** A processor attached to the given memory, registers zeroed. *)
 
@@ -21,7 +18,7 @@ val set_pc : t -> Word.t -> unit
 
 val ac : t -> int -> Word.t
 (** [ac cpu i] reads accumulator [i]; raises [Invalid_argument] unless
-    [0 <= i < accumulator_count]. *)
+    [0 <= i < 4] (AC0–AC3). *)
 
 val set_ac : t -> int -> Word.t -> unit
 

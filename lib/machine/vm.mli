@@ -27,9 +27,6 @@ type stop =
 
 val pp_stop : Format.formatter -> stop -> unit
 
-val step : Cpu.t -> handler:handler -> (unit, stop) result
-(** Execute one instruction. *)
-
 val run : ?fuel:int -> Cpu.t -> handler:handler -> stop
 (** Execute until something stops the machine; [fuel] (default 1_000_000)
     bounds the number of instructions. *)

@@ -12,9 +12,6 @@ type t = private int
 val bits : int
 (** Number of bits in a word (16). *)
 
-val max_value : int
-(** Largest representable word value, [0xffff]. *)
-
 val zero : t
 val one : t
 

@@ -35,9 +35,6 @@ type error = Unknown_station of string | Payload_too_long
 
 val pp_error : Format.formatter -> error -> unit
 
-val max_payload_words : int
-(** 256 — one page per packet, like the Alto's pup-sized frames. *)
-
 val create : ?clock:Sim_clock.t -> ?latency_us:int -> unit -> t
 (** [latency_us] (default 500) is charged to [clock] per packet sent,
     when a clock is given. *)

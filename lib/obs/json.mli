@@ -18,8 +18,6 @@ val to_string : t -> string
 (** Compact one-line rendering. Strings are escaped per RFC 8259;
     non-finite floats render as [null]. *)
 
-val pp : Format.formatter -> t -> unit
-(** Indented rendering for humans (two-space indent). *)
-
 val to_channel : out_channel -> t -> unit
-(** {!pp} onto a channel, with a trailing newline. *)
+(** Indented rendering for humans (two-space indent) onto a channel,
+    with a trailing newline. *)

@@ -46,15 +46,9 @@ val save_program : System.t -> name:string -> Asm.program -> (File.t, error) res
     the user area they will live (§5.2: programs short of memory are
     "organized in overlays"). *)
 
-val load : System.t -> File.t -> (int, error) result
-(** Read a code file into memory at its recorded origin, bind its
-    fixups, and return the entry address. *)
-
-val load_by_name : System.t -> string -> (int, error) result
-(** {!load} through a root-directory lookup — the overlay service. *)
-
 val run : ?fuel:int -> System.t -> File.t -> (Vm.stop, error) result
-(** {!load}, point the processor at the entry with a fresh stack just
+(** Read a code file into memory at its recorded origin and bind its
+    fixups, point the processor at the entry with a fresh stack just
     below the resident system, and interpret under {!System.handler}. *)
 
 val run_by_name : ?fuel:int -> System.t -> string -> (Vm.stop, error) result

@@ -170,8 +170,3 @@ val peer_report : t -> (unit -> string list) option
 val register_file : t -> File.t -> int
 (** Issue a word-sized handle for a file (e.g. a world file a program
     will OutLoad to). *)
-
-val file_of_handle : t -> int -> File.t option
-
-val read_vm_string : t -> int -> string
-(** Read a length-prefixed packed string from VM memory. *)

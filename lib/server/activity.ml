@@ -49,15 +49,12 @@ let create ~max_active ~queue clock =
     next_id = 0;
   }
 
-let live t = t.live
-let blocked t = t.blocked
 let idle t = t.live = 0
 
-let spawn ?ctx t ~name body =
+let spawn t ~name body =
   if t.live >= t.max_active then false
   else begin
-    let ctx = match ctx with Some _ as c -> c | None -> Trace.current () in
-    let act = { act_id = t.next_id; act_name = name; act_ctx = ctx } in
+    let act = { act_id = t.next_id; act_name = name; act_ctx = Trace.current () } in
     t.next_id <- t.next_id + 1;
     t.live <- t.live + 1;
     Obs.incr m_spawned;

@@ -40,10 +40,10 @@ val create : max_active:int -> queue:Sched.t -> Sim_clock.t -> t
 (** An empty table of at most [max_active] activities. Raises
     [Invalid_argument] on a non-positive bound. *)
 
-val spawn : ?ctx:Trace.context -> t -> name:string -> (unit -> step) -> bool
+val spawn : t -> name:string -> (unit -> step) -> bool
 (** Enter a new activity, [false] when the table is full. [name] labels
-    the [server.activity.spawn] trace event. [ctx] is the request trace
-    the activity works for (default: {!Trace.current} at spawn); the
+    the [server.activity.spawn] trace event. The activity works for the
+    request trace current at spawn ({!Trace.current}); the
     scheduler installs it as the current context around every step —
     saved and restored at each [Yield]/[Await_disk] switch like machine
     registers — and its disk batches park and bill against it. *)
@@ -58,10 +58,3 @@ val round : t -> int
 
 val run_until_idle : t -> unit
 (** Rounds until no activity is live. *)
-
-val live : t -> int
-(** Activities spawned and not yet finished. *)
-
-val blocked : t -> int
-(** Live activities currently parked on a disk wait. *)
-

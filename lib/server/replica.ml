@@ -163,7 +163,6 @@ let join fleet ~name ?(on_new_fs = fun _ -> ()) fs =
   fleet.nodes <- fleet.nodes @ [ node ];
   node
 
-let nodes fleet = fleet.nodes
 let name t = t.name
 let fs t = t.fs
 let cursor t = t.cursor

@@ -73,7 +73,6 @@ val report : fleet -> string list
 
 (** {2 Accessors} *)
 
-val nodes : fleet -> node list
 val name : node -> string
 val fs : node -> Fs.t
 (** The node's current volume handle — replaced by {!rejoin}/remount,

@@ -19,4 +19,3 @@ val contents : t -> string
 (** Everything currently on the screen, lines separated by ['\n']. *)
 
 val lines : t -> string list
-val clear : t -> unit

@@ -65,7 +65,5 @@ val get_line : t -> string option
 val get_all : t -> string
 (** Everything until end of input. *)
 
-val iter : t -> (item -> unit) -> unit
-
 val copy : src:t -> dst:t -> int
 (** Pump items from [src] to [dst] until [src] ends; returns the count. *)

@@ -28,9 +28,6 @@ val pp_error : Format.formatter -> error -> unit
 val install : Fs.t -> File.t -> (unit, error) result
 (** Make the given state file the boot world. *)
 
-val boot_file : Fs.t -> (Page.full_name, error) result
-(** Read the boot record: the boot world's leader full name. *)
-
 val boot : Fs.t -> Cpu.t -> (unit, error) result
 (** Press the button: recover the volume as every boot does
     ({!Alto_fs.Recovery.recover}), then restore the machine from the boot

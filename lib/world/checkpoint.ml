@@ -49,7 +49,6 @@ let state_file fs ~directory ~name =
 
 let save cpu file = world (World.out_load cpu file)
 
-let resume cpu file ~message = world (World.in_load cpu file ~message)
 
 let transfer cpu ~save_to ~restore_from ~message =
   let* () = world (World.out_load cpu save_to) in

@@ -23,8 +23,6 @@ val save : Cpu.t -> File.t -> (unit, error) result
 (** Checkpoint: record the world. "The computation may be resumed later
     by restoring the machine state from the checkpoint file." *)
 
-val resume : Cpu.t -> File.t -> message:Word.t array -> (unit, error) result
-
 val transfer :
   Cpu.t -> save_to:File.t -> restore_from:File.t -> message:Word.t array ->
   (unit, error) result

@@ -71,8 +71,6 @@ let attach ?(name = "zone") memory ~pos =
   if len < min_region_words || pos + len > Memory.size then corrupt z "bad region length";
   z
 
-let base z = z.base
-let name z = z.name
 
 let block_end z a = a + rd z a
 

@@ -25,29 +25,16 @@ exception Corrupt of string
 
 type t
 
-val overhead_words : int
-(** Words of the region consumed by the zone descriptor. *)
-
-val block_overhead_words : int
-(** Words of bookkeeping consumed per allocated block. *)
-
-val min_region_words : int
-(** Smallest region over which a zone can be created. *)
-
 val format : ?name:string -> Memory.t -> pos:int -> len:int -> t
 (** [format memory ~pos ~len] initializes a fresh zone over
     [\[pos, pos + len)]. Raises [Invalid_argument] if the region does not
-    lie inside memory or is smaller than {!min_region_words}. *)
+    lie inside memory or is smaller than 6 words (the 4-word descriptor
+    and one minimum block). *)
 
 val attach : ?name:string -> Memory.t -> pos:int -> t
 (** Re-attach to a zone previously created by {!format} at [pos] — e.g.
     after a world swap restored the memory image. Raises {!Corrupt} if no
     valid zone descriptor is found there. *)
-
-val base : t -> int
-(** The region's starting address (what you pass back to {!attach}). *)
-
-val name : t -> string
 
 val allocate : t -> int -> int
 (** [allocate z n] returns the address of a fresh block of [n >= 1] words.

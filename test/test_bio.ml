@@ -15,6 +15,8 @@ module Fs = Alto_fs.Fs
 module Bio = Alto_fs.Bio
 module Label_cache = Alto_fs.Label_cache
 module File = Alto_fs.File
+module Label = Alto_fs.Label
+module Page = Alto_fs.Page
 module Directory = Alto_fs.Directory
 module Scavenger = Alto_fs.Scavenger
 
@@ -42,6 +44,19 @@ let distinct_label tag =
 
 let distinct_value tag = Array.make Sector.value_words (Word.of_int tag)
 
+(* An all-wildcard name check: any label passes, as for a raw sector. *)
+let wildcard () = Array.make Sector.label_words Word.zero
+
+(* The value [probe] ({!Bio.lookup} or {!Bio.peek}) serves for a
+   sector, if the cache holds it. *)
+let served probe bio a =
+  let value = Array.make Sector.value_words Word.zero in
+  match probe bio a ~label:(wildcard ()) ~value with
+  | Some (Ok ()) -> Some value
+  | Some (Error _) | None -> None
+
+let absorbed bio a value = Bio.absorb bio a ~label:(wildcard ()) value = Some (Ok ())
+
 (* {2 Fills and hits} *)
 
 let test_fill_serves_whole_track () =
@@ -52,14 +67,14 @@ let test_fill_serves_whole_track () =
     Drive.poke drive (addr s) Sector.Value (distinct_value (100 + s))
   done;
   let hits0 = counter "fs.bio.hits" and misses0 = counter "fs.bio.misses" in
-  (match Bio.lookup bio (addr 0) with
+  (match served Bio.lookup bio (addr 0) with
   | Some _ -> Alcotest.fail "cold cache should miss"
   | None -> Bio.fill bio (addr 0));
   (* Every sector of the track is now a memory hit with the true bytes. *)
   for s = 0 to spt - 1 do
-    match Bio.lookup bio (addr s) with
+    match served Bio.lookup bio (addr s) with
     | None -> Alcotest.failf "sector %d not served after the track fill" s
-    | Some (_, value) ->
+    | Some value ->
         Alcotest.(check int)
           (Printf.sprintf "sector %d value" s)
           (100 + s) (Word.to_int value.(0))
@@ -76,9 +91,9 @@ let test_disabled_cache_is_inert () =
   Bio.fill bio (addr 0);
   Alcotest.(check (option reject)) "nothing buffered"
     None
-    (Option.map (fun _ -> ()) (Bio.peek bio (addr 0)));
+    (Option.map (fun _ -> ()) (served Bio.peek bio (addr 0)));
   Alcotest.(check bool) "absorb refuses" false
-    (Bio.absorb bio (addr 0) (distinct_value 7))
+    (absorbed bio (addr 0) (distinct_value 7))
 
 (* {2 Delayed writes} *)
 
@@ -97,7 +112,7 @@ let test_absorb_and_coalesced_flush () =
       Alcotest.(check bool)
         (Printf.sprintf "absorb %d" s)
         true
-        (Bio.absorb bio (addr s) (distinct_value (200 + s))))
+        (absorbed bio (addr s) (distinct_value (200 + s))))
     [ 0; 3; 7; spt ];
   Alcotest.(check int) "four dirty sectors" 4 (Bio.dirty_sectors bio);
   (* Nothing has reached the platter yet — the writes are delayed. *)
@@ -122,17 +137,17 @@ let test_generation_kills_buffered_sector () =
   let drive, bio = raw_bio () in
   Drive.poke drive (addr 5) Sector.Value (distinct_value 42);
   Bio.fill bio (addr 0);
-  (match Bio.peek bio (addr 5) with
+  (match served Bio.peek bio (addr 5) with
   | Some _ -> ()
   | None -> Alcotest.fail "sector 5 should be buffered");
   (* Out-of-band mutation bumps the label generation; the buffered copy
      must die rather than mask it. *)
   Drive.poke drive (addr 5) Sector.Value (distinct_value 43);
-  (match Bio.lookup bio (addr 5) with
+  (match served Bio.lookup bio (addr 5) with
   | Some _ -> Alcotest.fail "stale sector served after an out-of-band poke"
   | None -> ());
   (* Unpoked neighbours on the same track stay served. *)
-  match Bio.lookup bio (addr 4) with
+  match served Bio.lookup bio (addr 4) with
   | Some _ -> ()
   | None -> Alcotest.fail "neighbour sector wrongly invalidated"
 
@@ -140,7 +155,7 @@ let test_conflicted_delayed_write_is_dropped () =
   let drive, bio = raw_bio () in
   Drive.poke drive (addr 2) Sector.Label (distinct_label 0x2000);
   Bio.fill bio (addr 0);
-  Alcotest.(check bool) "absorbed" true (Bio.absorb bio (addr 2) (distinct_value 9));
+  Alcotest.(check bool) "absorbed" true (absorbed bio (addr 2) (distinct_value 9));
   (* Someone re-labels the sector underneath the delayed write. *)
   Drive.poke drive (addr 2) Sector.Label (distinct_label 0x3000);
   Drive.poke drive (addr 2) Sector.Value (distinct_value 77);
@@ -155,7 +170,7 @@ let test_eviction_flushes_dirty_track () =
   let spt = (Drive.geometry drive).Geometry.sectors_per_track in
   Bio.fill bio (addr 0);
   Alcotest.(check bool) "dirty on track 0" true
-    (Bio.absorb bio (addr 1) (distinct_value 55));
+    (absorbed bio (addr 1) (distinct_value 55));
   (* Touch two more tracks; the LRU (dirty) track must be flushed, not
      dropped. *)
   Bio.fill bio (addr spt);
@@ -341,6 +356,46 @@ let test_cached_and_uncached_packs_identical () =
       if c <> u then Alcotest.failf "sector %d differs between the two packs" s)
     (List.combine cached uncached)
 
+(* A delayed write keeps the owner it was absorbed for. Once its page is
+   freed and the sector handed to another file, the verified-label table
+   names the new owner, so a flush checked against the table's label
+   would overwrite the new owner's page; checked against the pattern the
+   write was absorbed under, the platter refuses it. *)
+let test_delayed_write_keeps_its_owner () =
+  let drive = Drive.create ~pack_id:9 small_geometry in
+  let fs = Fs.format drive in
+  let bio = Fs.bio fs in
+  let file = ok File.pp_error (File.create fs ~name:"Gone.dat") in
+  ok File.pp_error (File.write_bytes file ~pos:0 (page_string 0 100));
+  ignore (Bio.flush bio : Bio.flush_report);
+  let target = (ok File.pp_error (File.page_name file 1)).Page.addr in
+  (* Buffer the page's track, then overwrite part of the page. *)
+  ignore (ok File.pp_error (File.read_bytes file ~pos:0 ~len:100) : Bytes.t);
+  ok File.pp_error (File.write_bytes file ~pos:10 (page_string 1 20));
+  Alcotest.(check int) "the overwrite is delayed" 1 (Bio.dirty_sectors bio);
+  ok File.pp_error (File.delete file);
+  (* Every other free sector busy: the next reservation takes the page. *)
+  for i = 0 to Drive.sector_count drive - 1 do
+    if i <> Disk_address.to_index target && Fs.is_free_in_map fs (addr i) then
+      Fs.mark_busy fs (addr i)
+  done;
+  (match Fs.reserve_pages fs 1 with
+  | Ok [ a ] when Disk_address.equal a target -> ()
+  | Ok _ | Error _ -> Alcotest.fail "the freed sector was not handed out");
+  let label =
+    Label.make ~fid:(Fs.fresh_fid fs) ~page:1 ~length:Sector.bytes_per_page
+      ~next:Disk_address.nil ~prev:Disk_address.nil
+  in
+  (match Fs.write_reserved fs target label (distinct_value 0x77) with
+  | Ok () -> ()
+  | Error `Quarantined -> Alcotest.fail "the new owner's write failed");
+  let conflicts0 = counter "fs.bio.write_conflicts" in
+  let report = Bio.flush bio in
+  Alcotest.(check int) "the flush refuses the stale write" 1 report.Bio.conflicts;
+  Alcotest.(check int) "and counts it" 1 (counter "fs.bio.write_conflicts" - conflicts0);
+  Alcotest.(check int) "the new owner's value stands" 0x77
+    (Word.to_int (Sector.part_of (Drive.peek drive target) Sector.Value).(0))
+
 let () =
   Alcotest.run "alto bio"
     [
@@ -352,6 +407,7 @@ let () =
           ("generation bump kills the buffer", `Quick, test_generation_kills_buffered_sector);
           ("conflicted delayed write dropped", `Quick, test_conflicted_delayed_write_is_dropped);
           ("eviction flushes a dirty track", `Quick, test_eviction_flushes_dirty_track);
+          ("a delayed write keeps its owner", `Quick, test_delayed_write_keeps_its_owner);
         ] );
       ( "crash and transparency",
         [

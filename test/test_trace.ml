@@ -199,14 +199,15 @@ let run_two_activities () =
   let spawn ctx name sectors =
     if
       not
-        (Activity.spawn ~ctx acts ~name (fun () ->
-             Activity.Yield
-               (fun () ->
-                 Activity.Await_disk
-                   {
-                     requests = Array.of_list (List.map read_req sectors);
-                     resume = (fun _ -> Activity.Finished);
-                   })))
+        (Trace.with_current (Some ctx) (fun () ->
+             Activity.spawn acts ~name (fun () ->
+                 Activity.Yield
+                   (fun () ->
+                     Activity.Await_disk
+                       {
+                         requests = Array.of_list (List.map read_req sectors);
+                         resume = (fun _ -> Activity.Finished);
+                       }))))
     then Alcotest.fail "spawn refused"
   in
   spawn ctx_a "a" [ 120; 121 ];
