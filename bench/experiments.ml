@@ -97,12 +97,14 @@ let e2 () =
   in
   let clock = Drive.clock drive in
   let read_all fs () =
-    List.iter
-      (fun name ->
+    List.iteri
+      (fun i name ->
         let file = reopen fs name in
         let s = Disk_stream.open_file ~mode:Disk_stream.Read_only file in
-        let (_ : string) = Stream.get_all s in
-        s.Stream.close ())
+        let bytes = Stream.get_all s in
+        s.Stream.close ();
+        if bytes <> body i file_bytes then
+          failwith (Printf.sprintf "E2: %s does not read back its bytes" name))
       names
   in
   let frag_before =
@@ -113,7 +115,9 @@ let e2 () =
     timed clock (fun () ->
         match Compactor.compact fs with Ok r -> r | Error msg -> failwith msg)
   in
+  let written = counter "disk.words_written" in
   let (), consecutive_us = timed clock (read_all fs) in
+  let reread_wrote = counter "disk.words_written" - written in
   print_table [ 34; 14 ]
     [ "configuration"; "read time" ]
     [
@@ -123,10 +127,14 @@ let e2 () =
       ];
       [ "consecutive (after compaction)"; us_to_string consecutive_us ];
     ];
+  let speedup = float_of_int scattered_us /. float_of_int consecutive_us in
   Printf.printf "speedup: %.1fx  (compaction itself: %s, %d moves, %d/%d files consecutive)\n"
-    (float_of_int scattered_us /. float_of_int consecutive_us)
-    (us_to_string compact_us) report.Scavenger.relocated_pages
-    report.Scavenger.files_consecutive report.Scavenger.files_found
+    speedup (us_to_string compact_us) report.Scavenger.relocated_pages
+    report.Scavenger.files_consecutive report.Scavenger.files_found;
+  if speedup < 8. then
+    failwith (Printf.sprintf "E2: the consecutive read is only %.1fx faster" speedup);
+  if reread_wrote <> 0 then
+    failwith (Printf.sprintf "E2: the read after compaction wrote %d words" reread_wrote)
 
 (* E3 — §3.3: "This scheme costs a disk revolution each time a page is
    allocated or freed … On any other write the label is checked, at no
@@ -458,32 +466,48 @@ let e6 () =
 let e7 () =
   heading "E7  resident memory per retained level (§5.2)";
   claim "a program selects exactly the levels it retains; the rest is its memory";
-  let rows =
+  let resident =
     List.map
-      (fun (level : Level.t) ->
-        let keep = level.Level.index in
-        let resident = Level.resident_words ~keep in
-        [
-          Printf.sprintf "junta %2d" keep;
-          level.Level.level_name;
-          string_of_int resident;
-          Printf.sprintf "%d" (Level.boundary ~keep - System.user_base);
-        ])
+      (fun (level : Level.t) -> (level, Level.resident_words ~keep:level.Level.index))
       Level.all
   in
   print_table [ 9; 36; 10; 12 ]
     [ "keep"; "highest retained level"; "resident"; "user words" ]
-    rows;
+    (List.map
+       (fun ((level : Level.t), words) ->
+         let keep = level.Level.index in
+         [
+           Printf.sprintf "junta %2d" keep;
+           level.Level.level_name;
+           string_of_int words;
+           Printf.sprintf "%d" (Level.boundary ~keep - System.user_base);
+         ])
+       resident);
   (* And the machinery actually works: remove, fail, restore, succeed. *)
   let system = System.boot () in
+  let boundary_13 = System.user_boundary system in
   System.junta system ~keep:7;
   let boundary_7 = System.user_boundary system in
   System.counter_junta system;
-  let boundary_13 = System.user_boundary system in
+  let restored = System.resident_level system in
   Printf.printf
     "verified live: junta 7 raises the user boundary from %d to %d words\n\
      and CounterJunta restores every level (resident level %d).\n"
-    boundary_13 boundary_7 (System.resident_level system)
+    boundary_13 boundary_7 restored;
+  let (_ : int) =
+    List.fold_left
+      (fun below ((level : Level.t), words) ->
+        if words <= below then
+          failwith
+            (Printf.sprintf "E7: retaining level %d adds no resident words"
+               level.Level.index);
+        words)
+      0 resident
+  in
+  if boundary_7 <= boundary_13 then
+    failwith "E7: a live junta to level 7 did not raise the user boundary";
+  if restored <> 13 then
+    failwith (Printf.sprintf "E7: CounterJunta restored level %d, not 13" restored)
 
 (* E8 — §3.6: consecutive-file address arithmetic. *)
 let e8 () =
@@ -811,20 +835,30 @@ let e11 () =
     in
     (files, scavenger_only, with_journal)
   in
-  let rows =
-    List.map
-      (fun aliases ->
-        let files, scav, journal = run ~aliases in
-        [
-          (if aliases then "half the entries are aliases" else "entry names = leader names");
-          Printf.sprintf "%d/%d" scav files;
-          Printf.sprintf "%d/%d" journal files;
-        ])
-      [ false; true ]
-  in
+  let results = List.map (fun aliases -> (aliases, run ~aliases)) [ false; true ] in
   print_table [ 30; 18; 18 ]
     [ "workload"; "scavenger alone*"; "journal+snapshot" ]
-    rows;
+    (List.map
+       (fun (aliases, (files, scav, journal)) ->
+         [
+           (if aliases then "half the entries are aliases" else "entry names = leader names");
+           Printf.sprintf "%d/%d" scav files;
+           Printf.sprintf "%d/%d" journal files;
+         ])
+       results);
+  List.iter
+    (fun (aliases, (files, scav, journal)) ->
+      let row = if aliases then "aliases" else "leader names" in
+      if journal <> files then
+        failwith
+          (Printf.sprintf "E11 %s: the journal recovered %d/%d names" row journal files);
+      if aliases && scav >= files then
+        failwith "E11: the scavenger alone recovered every alias";
+      if (not aliases) && scav <> files then
+        failwith
+          (Printf.sprintf "E11: the scavenger alone recovered %d/%d leader names" scav
+             files))
+    results;
   print_endline
     "*names findable in the root after scavenging (orphans adopted under\n\
      leader names land there; aliases are simply gone). The journal\n\
@@ -1292,7 +1326,7 @@ let e16 () =
     victims;
   let patrol = Patrol.create fs in
   let drained () =
-    List.for_all (fun a -> Fs.quarantined fs a || Fs.spilled fs a) victims
+    List.for_all (Fs.quarantined fs) victims
   in
   (* The soak: one workload step (read a file; every sixth step write a
      scratch file), then one idle-moment patrol tick. *)

@@ -118,11 +118,8 @@ let apply_page fs ~index ~label ~value =
       | Label.Valid _ | Label.Bad | Label.Garbage _ ->
           if Fs.is_free_in_map fs addr then Fs.mark_busy fs addr
       | Label.Free ->
-          if
-            (not (Fs.is_free_in_map fs addr))
-            && (not (Fs.quarantined fs addr))
-            && not (Fs.spilled fs addr)
-          then Fs.mark_free fs addr);
+          if (not (Fs.is_free_in_map fs addr)) && not (Fs.quarantined fs addr) then
+            Fs.mark_free fs addr);
       Obs.incr m_applied
   | Apply_failed _ | Verify_mismatch -> Obs.incr m_apply_failures);
   outcome

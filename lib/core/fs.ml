@@ -59,14 +59,10 @@ type t = {
   mutable placed : bool;
       (** The descriptor file stands: mounted, formatted or rebuilt. The
           scavenger's handle is unplaced until its rebuild. *)
-  mutable bad_table : int list;
-      (** Quarantined sector indexes, oldest first — the persistent
-          bad-sector table, flushed with the descriptor. *)
-  mutable spill : int list;
-      (** Quarantined sectors beyond the descriptor table's 64 entries,
-          oldest first. They stay busy and refuse {!mark_free} exactly
-          like table members, but persistence is {!Bad_sectors}' job —
-          the descriptor has no room for them. *)
+  mutable bad : int list;
+      (** Every quarantine verdict of this mount, oldest first. The
+          first [bad_capacity] are the persistent bad-sector table,
+          flushed with the descriptor; the rest hold for the mount. *)
   intent : intent;  (** The pack's write-ahead cylinder map. *)
   mutable patrol_cursor : int;
       (** Where the verify sweep will resume, persisted with the
@@ -86,18 +82,20 @@ let descriptor_leader_address = Disk_address.of_index 1
      17     allocation-map word count W
      18     bad-sector table entry count B
      19..   allocation map, 16 sectors per word, MSB first
-     19+W.. bad-sector table: B quarantined disk addresses, in room
-            reserved for [max_bad_sectors] of them
-     19+W+64    reserved, written zero
-     19+W+65    patrol cursor: the sector index where the verify sweep
+     19+W   reserved, written zero
+     20+W   patrol cursor: the sector index where the verify sweep
             resumes
+     21+W.. bad-sector table: B quarantined disk addresses, in every
+            word the record's pages leave beside the rest
    The content travels in every descriptor record, followed by the
    write-ahead map (see below). *)
 let desc_magic = 0xA170
-let desc_version = 3
+let desc_version = 4
 let map_offset = 19
 
-let max_bad_sectors = 64
+(* A record is sized to hold this many table entries beside the rest of
+   its words; the table then takes every word its pages leave. *)
+let min_bad_sectors = 64
 
 (* How far the in-core serial counter may run ahead of the one the
    descriptor last recorded. A crash can lose every create since that
@@ -129,19 +127,18 @@ let free_count t =
 let is_free_in_map t addr = not t.busy.(Disk_address.to_index addr)
 let mark_busy t addr = t.busy.(Disk_address.to_index addr) <- true
 
-let quarantined t addr = List.mem (Disk_address.to_index addr) t.bad_table
+let quarantined t addr = List.mem (Disk_address.to_index addr) t.bad
 
 let mark_free t addr =
-  (* A quarantined sector never rejoins the free pool — whether its
-     verdict sits in the descriptor table or spilled beyond it. *)
+  (* A quarantined sector never rejoins the free pool, whether or not
+     its verdict fits the descriptor's table. *)
   let i = Disk_address.to_index addr in
-  if not (List.mem i t.bad_table) && not (List.mem i t.spill) then
-    t.busy.(i) <- false
-
-let content_words n = map_offset + ((n + 15) / 16) + max_bad_sectors + 2
+  if not (List.mem i t.bad) then t.busy.(i) <- false
 
 (* Bitmaps (the allocation map, the cylinder map) pack 16 bits a word,
    MSB first. *)
+let bitmap_words bits = (bits + 15) / 16
+
 let bit i = 1 lsl (15 - (i mod 16))
 
 let pack_bits bits =
@@ -170,10 +167,21 @@ let unpack_bit words ~at i = Word.to_int words.(at + (i / 16)) land bit i <> 0
 
 let page_payload = Sector.value_words - 2
 
+(* The content's words ahead of the bad-sector table. *)
+let head_words drive = map_offset + bitmap_words (Drive.sector_count drive) + 2
+
+(* The write-ahead map's words: the cylinder count, then its bits. *)
+let intent_words drive = 1 + bitmap_words (Drive.geometry drive).Geometry.cylinders
+
 let record_pages drive =
-  let cylinders = (Drive.geometry drive).Geometry.cylinders in
-  let words = content_words (Drive.sector_count drive) + 1 + ((cylinders + 15) / 16) in
-  (words + page_payload - 1) / page_payload
+  (head_words drive + min_bad_sectors + intent_words drive + page_payload - 1)
+  / page_payload
+
+(* The table takes every word the record's pages leave. *)
+let bad_capacity drive =
+  (record_pages drive * page_payload) - head_words drive - intent_words drive
+
+let content_words drive = head_words drive + bad_capacity drive
 
 let descriptor_pages drive = 2 * record_pages drive
 
@@ -302,7 +310,7 @@ let intent_of drive =
         {
           mapped = Array.make g.Geometry.cylinders false;
           per_cylinder = g.Geometry.heads * g.Geometry.sectors_per_track;
-          content = Array.make (content_words (Drive.sector_count drive)) Word.zero;
+          content = Array.make (content_words drive) Word.zero;
           seq = 0;
           newest = 1;
           known = false;
@@ -358,39 +366,24 @@ let quarantine t addr =
      delayed write to a sector just declared bad would be absurd). *)
   Label_cache.invalidate t.cache addr;
   Bio.invalidate t.bio addr;
-  if not (List.mem i t.bad_table) then begin
-    if List.length t.bad_table >= max_bad_sectors then begin
-      (* The descriptor table is full: spill. The sector refuses the
-         free pool exactly like a table member; persistence across
-         remounts is {!Bad_sectors}' job (a catalogued file), since the
-         descriptor has no room left. *)
-      if not (List.mem i t.spill) then begin
-        t.spill <- t.spill @ [ i ];
-        Obs.incr m_quarantine_overflow
-      end
-    end
+  if not (List.mem i t.bad) then begin
+    (* Past the table's capacity the verdict holds for this mount alone;
+       the sector's bad marker convicts it again after a remount. *)
+    if List.length t.bad >= bad_capacity t.drive then Obs.incr m_quarantine_overflow
     else begin
-      t.bad_table <- t.bad_table @ [ i ];
       Obs.incr m_quarantined;
       Obs.event ~clock:(Drive.clock t.drive)
         ~fields:[ ("addr", Obs.I i) ]
         "fs.sector_quarantined"
-    end
+    end;
+    t.bad <- t.bad @ [ i ]
   end
 
-let bad_sector_table t = List.map Disk_address.of_index t.bad_table
-let spilled t addr = List.mem (Disk_address.to_index addr) t.spill
-let spilled_table t = List.map Disk_address.of_index t.spill
+let bad_sector_capacity t = bad_capacity t.drive
 
-let adopt_spilled t addr =
-  (* A spill-file entry read back at mount: the verdict predates this
-     handle, so it enters the spill list without re-counting. *)
-  let i = Disk_address.to_index addr in
-  t.busy.(i) <- true;
-  Label_cache.invalidate t.cache addr;
-  Bio.invalidate t.bio addr;
-  if not (List.mem i t.bad_table) && not (List.mem i t.spill) then
-    t.spill <- t.spill @ [ i ]
+let bad_sector_table t =
+  let capacity = bad_capacity t.drive in
+  List.filteri (fun k _ -> k < capacity) (List.map Disk_address.of_index t.bad)
 
 (* {2 Allocation} *)
 
@@ -604,11 +597,11 @@ let free_page t fn = free_pages t [ fn ]
 
 (* {2 Descriptor encoding} *)
 
-let map_word_count t = (sector_count t + 15) / 16
+let map_word_count t = bitmap_words (sector_count t)
 let descriptor_page_count t = descriptor_pages t.drive
 
 let assemble_descriptor t =
-  let words = Array.make (content_words (sector_count t)) Word.zero in
+  let words = Array.make (content_words t.drive) Word.zero in
   words.(0) <- Word.of_int desc_magic;
   words.(1) <- Word.of_int desc_version;
   Array.blit (Geometry.to_words t.shape) 0 words 2 Geometry.encoded_words;
@@ -624,15 +617,12 @@ let assemble_descriptor t =
   words.(16) <- Word.of_int t.next_serial;
   let map_words = map_word_count t in
   words.(17) <- Word.of_int_exn map_words;
-  words.(18) <- Word.of_int_exn (List.length t.bad_table);
+  let table = bad_sector_table t in
+  words.(18) <- Word.of_int_exn (List.length table);
   Array.blit (pack_bits t.busy) 0 words map_offset map_words;
-  List.iteri
-    (fun j i ->
-      words.(map_offset + map_words + j) <-
-        Disk_address.to_word (Disk_address.of_index i))
-    t.bad_table;
-  let tail = map_offset + map_words + max_bad_sectors in
-  words.(tail + 1) <- Word.of_int_exn t.patrol_cursor;
+  words.(map_offset + map_words + 1) <- Word.of_int_exn t.patrol_cursor;
+  let at = head_words t.drive in
+  List.iteri (fun j addr -> words.(at + j) <- Disk_address.to_word addr) table;
   words
 
 (* Read a record's payload into the handle, and return its map. *)
@@ -640,7 +630,7 @@ let parse_descriptor t payload =
   let ( let* ) = Result.bind in
   let map_words = map_word_count t in
   let cylinders = Array.length t.intent.mapped in
-  let at_map = content_words (sector_count t) in
+  let at_map = content_words t.drive in
   if Word.to_int payload.(0) <> desc_magic then Error "bad descriptor magic"
   else if Word.to_int payload.(1) <> desc_version then Error "unknown descriptor version"
   else
@@ -658,17 +648,17 @@ let parse_descriptor t payload =
       | Error _ -> t.root <- None);
       t.recorded_serial <- (Word.to_int payload.(15) lsl 16) lor Word.to_int payload.(16);
       Array.iteri (fun i _ -> t.busy.(i) <- unpack_bit payload ~at:map_offset i) t.busy;
-      t.bad_table <- [];
-      for j = min (Word.to_int payload.(18)) max_bad_sectors - 1 downto 0 do
-        let addr = Disk_address.of_word payload.(map_offset + map_words + j) in
+      let cursor = Word.to_int payload.(map_offset + map_words + 1) in
+      t.patrol_cursor <- (if cursor < sector_count t then cursor else 0);
+      t.bad <- [];
+      for j = min (Word.to_int payload.(18)) (bad_capacity t.drive) - 1 downto 0 do
+        let addr = Disk_address.of_word payload.(head_words t.drive + j) in
         let i = Disk_address.to_index addr in
         if i < sector_count t then begin
           t.busy.(i) <- true;
-          t.bad_table <- i :: t.bad_table
+          t.bad <- i :: t.bad
         end
       done;
-      let cursor = Word.to_int payload.(map_offset + map_words + max_bad_sectors + 1) in
-      t.patrol_cursor <- (if cursor < sector_count t then cursor else 0);
       Ok (Array.init cylinders (unpack_bit payload ~at:(at_map + 1)))
     end
 
@@ -754,8 +744,7 @@ let make_handle drive =
       policy = Near_previous;
       label_checking = true;
       placed = false;
-      bad_table = [];
-      spill = [];
+      bad = [];
       intent = intent_of drive;
       patrol_cursor = 0;
     }

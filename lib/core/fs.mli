@@ -28,18 +28,21 @@
 
     The leader sits at DA 1 and the data pages follow it at consecutive
     addresses: two record slots of equal size. A record holds the whole
-    descriptor — magic, format version (3), disk shape, root directory
-    name, serial counter, allocation map (16 sectors a word), the
-    64-entry bad-sector table, a reserved word and the patrol cursor —
-    followed by the write-ahead cylinder map (the cylinder count, then
-    one bit per cylinder), and every page of it starts with the record's
-    32-bit sequence number. Every descriptor write after the leader is
-    one whole record into the slot that does not hold the newest. On a
-    Model 31 a record is 404 words, two pages; a torn record write leaves
-    the other slot whole. A mount reads the records alone: each page is
-    label-checked as the descriptor's and the record carries the magic,
-    version and shape, so a leader a crash tore does not keep the pack
-    from mounting. *)
+    descriptor — magic, format version (4), disk shape, root directory
+    name, serial counter, allocation map (16 sectors a word), a reserved
+    word, the patrol cursor and the bad-sector table — followed by the
+    write-ahead cylinder map (the cylinder count, then one bit per
+    cylinder), and every page of it starts with the record's 32-bit
+    sequence number. A record is sized as if the table held 64 entries,
+    and the table then takes every word its pages leave, so a record
+    fills its pages: two full pages on a Model 31. Every descriptor write
+    after the leader is one whole record into the slot that does not hold
+    the newest; a torn record write leaves the other slot whole. A mount
+    reads the records alone: each page is label-checked as the
+    descriptor's and the record carries the magic, version and shape, so
+    a leader a crash tore does not keep the pack from mounting. A record
+    of another format version is refused like any record that does not
+    parse. *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -175,41 +178,37 @@ val mark_busy : t -> Disk_address.t -> unit
     from labels. *)
 
 val mark_free : t -> Disk_address.t -> unit
-(** Map-only freeing. A quarantined sector is left busy: the bad-sector
-    table overrides the map so the allocator can never hand it out. *)
+(** Map-only freeing. A {!quarantined} sector is left busy: its verdict
+    overrides the map so the allocator can never hand it out. *)
 
 (** {2 The bad-sector table}
 
     Sectors whose retry ladder ran dry ({!Alto_disk.Reliable}) are
     quarantined: permanently marked busy in the map and recorded in a
     table that travels with the descriptor, so the verdict survives
-    remounts. The table holds at most 64 entries; overflow is counted
-    ([fs.quarantine_overflow]) and the extra sectors stay busy only for
-    the current mount. *)
+    remounts. The table takes every word the record's pages leave
+    ({!bad_sector_capacity}: 168 entries on a Model 31, 105 on a Model
+    44). A verdict past it is counted ([fs.quarantine_overflow]) and
+    holds for the current mount alone: the sector stays busy and
+    {!mark_free} refuses it. Its bad marker stays on the surface, so
+    the patrol's rejoin rule and every scavenge convict it again after
+    a remount. *)
 
 val quarantine : t -> Disk_address.t -> unit
 (** Mark the sector busy forever and append it to the persistent
-    bad-sector table (idempotent; flushed with the descriptor). When the
-    table is full the sector spills instead: still busy, still refusing
-    {!mark_free}, counted as [fs.quarantine_overflow] — and surviving
-    remount only once {!Bad_sectors} writes the spill file. *)
+    bad-sector table (idempotent; flushed with the descriptor), or, with
+    the table full, hold the verdict for this mount. *)
 
 val quarantined : t -> Disk_address.t -> bool
-(** Membership in the descriptor table proper (spilled sectors answer
-    [false] here; ask {!spilled}). *)
+(** The sector holds a quarantine verdict this mount, in the table or
+    past it. *)
 
 val bad_sector_table : t -> Disk_address.t list
-(** The quarantined sectors, oldest first. *)
+(** The table as the descriptor holds it: the persistent verdicts,
+    oldest first. *)
 
-val spilled : t -> Disk_address.t -> bool
-
-val spilled_table : t -> Disk_address.t list
-(** Quarantine verdicts that overflowed the descriptor table, oldest
-    first — what {!Bad_sectors} persists. *)
-
-val adopt_spilled : t -> Disk_address.t -> unit
-(** Re-enter one spill-file entry read back at mount: busy forever,
-    label cache evicted, no overflow counted. *)
+val bad_sector_capacity : t -> int
+(** The table's room on this pack's geometry. *)
 
 val flush : t -> (unit, error) result
 (** Write the track cache's delayed writes back, then one descriptor

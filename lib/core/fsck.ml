@@ -210,7 +210,7 @@ let check drive =
       for i = 1 to n - 1 do
         let addr = Disk_address.of_index i in
         let map_free = Fs.is_free_in_map fs addr in
-        let quarantined = Fs.quarantined fs addr || Fs.spilled fs addr in
+        let quarantined = Fs.quarantined fs addr in
         match sweep.Sweep.classes.(i) with
         | Sweep.Live _ when map_free ->
             finding ~addr:i "map-lie-busy" "live page marked free in the map"

@@ -230,7 +230,7 @@ let note_quarantined t tally addr ~lost =
    page moves, anything else is quarantined where it stands. *)
 let handle_hard_failure t tally addr =
   let drive = Fs.drive t.fs in
-  let already = Fs.quarantined t.fs addr || Fs.spilled t.fs addr in
+  let already = Fs.quarantined t.fs addr in
   let label_buf = Array.make Sector.label_words Word.zero in
   let salvage_label () =
     Reliable.run ~policy:Reliable.salvage_policy drive addr
@@ -300,8 +300,7 @@ let settle_sectors t tally ~sectors (read : Sweep.t) ~values =
           if
             (not reserved)
             && (not (Fs.is_free_in_map t.fs addr))
-            && (not (Fs.quarantined t.fs addr))
-            && not (Fs.spilled t.fs addr)
+            && not (Fs.quarantined t.fs addr)
           then begin
             Fs.mark_free t.fs addr;
             tally.c_map <- tally.c_map + 1;
@@ -311,7 +310,7 @@ let settle_sectors t tally ~sectors (read : Sweep.t) ~values =
       | Sweep.Read_back _, Sweep.Marked_bad ->
           (* A marker without a table entry: a crash separated the two
              verdicts. Rejoin them. *)
-          if not (Fs.quarantined t.fs addr || Fs.spilled t.fs addr) then begin
+          if not (Fs.quarantined t.fs addr) then begin
             Fs.quarantine t.fs addr;
             tally.c_quarantined <- tally.c_quarantined + 1;
             tally.c_changed <- true;
@@ -368,15 +367,10 @@ let report_of tally ~first_sector ~scanned ~wrapped =
     wrapped;
   }
 
-(* Persist spilled quarantine verdicts (rare) and the descriptor. Both
-   best effort: a failed flush costs freshness, never consistency — the
-   labels already carry the truth. *)
+(* Persist the descriptor, best effort: a failed flush costs freshness,
+   never consistency — the labels already carry the truth. *)
 let persist t tally ~wrapped =
-  if tally.c_changed || wrapped then begin
-    if Fs.spilled_table t.fs <> [] then
-      (match Bad_sectors.flush t.fs with Ok _ | Error _ -> ());
-    match Fs.flush t.fs with Ok () | Error _ -> ()
-  end
+  if tally.c_changed || wrapped then match Fs.flush t.fs with Ok () | Error _ -> ()
 
 let tick t =
   let n = Drive.sector_count (Fs.drive t.fs) in

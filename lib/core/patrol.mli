@@ -59,10 +59,10 @@ type report = {
 
 val tick : t -> report
 (** Verify the next slice and heal what needs healing. Advances the
-    cursor (wrapping); persists cursor, map and bad-sector spill when
-    the tick changed anything or completed a lap — between those points
-    the in-core cursor may run ahead of the disk's copy, which only
-    restarts the lap a few sectors early. *)
+    cursor (wrapping); persists the descriptor (cursor, map and
+    bad-sector table) when the tick changed anything or completed a lap
+    — between those points the in-core cursor may run ahead of the
+    disk's copy, which only restarts the lap a few sectors early. *)
 
 (** {2 Cumulative instance totals (the [health] command's view)} *)
 

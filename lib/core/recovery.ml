@@ -33,11 +33,8 @@ let scavenge drive cause =
   Result.map (fun (fs, report) -> (fs, Scavenged (cause, report))) (Scavenger.scavenge drive)
 
 let recover fs =
-  let load_spill () = match Bad_sectors.load fs with Ok _ | Error _ -> () in
   match Fs.mapped_cylinders fs with
-  | [] ->
-      load_spill ();
-      (fs, Clean)
+  | [] -> (fs, Clean)
   | cylinders -> (
       (* Recovery writes over the volume: read the black box first. *)
       ignore (Flight.adopt fs : string option);
@@ -45,15 +42,13 @@ let recover fs =
       let scavenged =
         if List.length cylinders = (Drive.geometry drive).cylinders then
           scavenge drive Whole_pack
-        else begin
-          load_spill ();
+        else
           match Scavenger.repair fs ~cylinders with
           | Ok report ->
               Obs.incr m_through_map;
               Obs.add m_cylinders (List.length cylinders);
               Ok (fs, Through_map (cylinders, report))
           | Error why -> scavenge drive (Unsettled why)
-        end
       in
       match scavenged with Ok r -> r | Error why -> (fs, Unrecovered why))
 

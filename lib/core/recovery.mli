@@ -46,8 +46,8 @@ val counter_of : cause -> Alto_obs.Obs.counter
 
 val recover : Fs.t -> Fs.t * outcome
 (** Recover a mounted volume; the handle returned is the one to use (a
-    scavenge builds a new one). A volume that is not scavenged re-enters
-    its spilled bad-sector verdicts ({!Bad_sectors.load}). Never
+    scavenge builds a new one). A clean volume is used as it mounted, so
+    a clean boot costs only the mount's record reads. Never
     [Formatted]. *)
 
 val boot : Drive.t -> Fs.t * outcome

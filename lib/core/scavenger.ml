@@ -1030,14 +1030,10 @@ let scavenge_run ~suspect_retries plan drive =
       match pass "rebuild" (fun () -> Fs.rebuild_descriptor fs) with
       | Error e -> Error (Format.asprintf "cannot write a fresh descriptor: %a" Fs.pp_error e)
       | Ok () ->
-          (* The rebuilt volume is a consistency point: persist any
-             quarantine verdicts that overflowed the descriptor table,
-             seal a flight record, and empty the write-ahead map. Best
-             effort — failure costs only a redundant recovery at the next
-             boot. *)
+          (* The rebuilt volume is a consistency point: seal a flight
+             record and empty the write-ahead map. Best effort — failure
+             costs only a redundant recovery at the next boot. *)
           pass "rebuild" (fun () ->
-              if Fs.spilled_table fs <> [] then
-                (match Bad_sectors.flush fs with Ok _ | Error _ -> ());
               Flight.flush ~reason:"scavenge" fs;
               match Fs.mark_clean fs with Ok () | Error _ -> ());
           Ok
@@ -1328,7 +1324,6 @@ let repair fs ~cylinders =
   pass "orphans" (fun () ->
       adopt_orphans st ~open_root:(fun () -> Ok root) ~names:(ref (Some (names_of surviving)))
         orphans);
-  if Fs.spilled_table fs <> [] then (match Bad_sectors.flush fs with Ok _ | Error _ -> ());
   let* () =
     Result.map_error
       (Format.asprintf "cannot declare the consistency point: %a" Fs.pp_error)

@@ -118,8 +118,10 @@ let plant fs root ~name ~seed ~len =
 
 (* Seal a flight record (so a dirty boot has something to adopt), push
    every delayed write to the platter, and declare a consistency point.
-   The recorder's ring was cleared at trial start, so the sealed bytes
-   depend only on this build. *)
+   The recorder's ring was cleared at trial start, but the seal embeds
+   the process's metric registry, so the sealed bytes depend on
+   everything the process ran before this trial, not only on this
+   build. *)
 let commit fs =
   Flight.enable ();
   Flight.flush ~reason:"harness" fs;

@@ -6,7 +6,6 @@ module Directory = Alto_fs.Directory
 module Scavenger = Alto_fs.Scavenger
 module Compactor = Alto_fs.Compactor
 module Patrol = Alto_fs.Patrol
-module Bad_sectors = Alto_fs.Bad_sectors
 module Flight = Alto_fs.Flight
 module Obs = Alto_obs.Obs
 module Prof = Alto_obs.Prof
@@ -286,7 +285,7 @@ let cmd_sync system =
 
 (* The volume's self-healing at a glance: how boot recovered the pack,
    whether it would mount clean, where the patrol sweep stands and what
-   it has moved to safety, and how full the two bad-sector stores are. *)
+   it has moved to safety, and how full the bad-sector table is. *)
 let cmd_health system =
   let fs = System.fs system in
   let patrol = System.patrol system in
@@ -304,19 +303,9 @@ let cmd_health system =
     (Patrol.suspects_found patrol) (Patrol.relocated patrol)
     (Patrol.quarantined patrol) (Patrol.pages_lost patrol)
     (Patrol.map_repairs patrol);
-  say system "bad:     %d in the descriptor table, %d spilled"
+  say system "bad:     %d of %d bad-sector table entries"
     (List.length (Fs.bad_sector_table fs))
-    (List.length (Fs.spilled_table fs));
-  with_root system (fun root ->
-      match Directory.lookup root Bad_sectors.file_name with
-      | Ok (Some e) -> (
-          match File.open_leader fs e.Directory.entry_file with
-          | Ok f ->
-              say system "         %s: %d bytes" Bad_sectors.file_name
-                (File.byte_length f)
-          | Error _ -> say system "         %s: unreadable" Bad_sectors.file_name)
-      | Ok None -> say system "         no spill file"
-      | Error e -> say system "health: %a" Directory.pp_error e)
+    (Fs.bad_sector_capacity fs)
 
 (* Where the simulated time went, charged to the operation that caused
    it: the causal span tree, then the hottest spans by self time. *)

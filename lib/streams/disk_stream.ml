@@ -50,6 +50,7 @@ type state = {
   mutable buf_page : int;  (* 0 = nothing buffered *)
   mutable buf_len : int;
   mutable dirty : bool;
+  mutable wrote : bool;  (* a put reached the file, or a truncate *)
   mutable closed : bool;
 }
 
@@ -70,7 +71,8 @@ let flush s =
     (match File.write_bytes s.file ~pos:start data with
     | Ok () -> ()
     | Error e -> io_fail e);
-    s.dirty <- false
+    s.dirty <- false;
+    s.wrote <- true
   end
 
 let load s pn =
@@ -120,10 +122,13 @@ let put s item =
     s.pos <- s.pos + 1
   end
 
+(* Only a stream that changed the file rewrites its leader: a reader
+   leaves the pack as it found it. *)
 let close s () =
   if not s.closed then begin
     flush s;
-    (match File.flush_leader s.file with Ok () -> () | Error e -> io_fail e);
+    if s.wrote then
+      (match File.flush_leader s.file with Ok () -> () | Error e -> io_fail e);
     s.buffer.release ();
     s.closed <- true
   end
@@ -149,6 +154,7 @@ let control s op arg =
         invalid_arg "Disk_stream: truncate length out of range"
       else begin
         (match File.truncate s.file ~len:arg with Ok () -> () | Error e -> io_fail e);
+        s.wrote <- true;
         s.buf_page <- 0;
         s.buf_len <- 0;
         s.pos <- min s.pos arg;
@@ -162,7 +168,18 @@ let open_file ?workspace ~mode file =
     | None -> host_buffer ()
     | Some (memory, zone) -> zone_buffer memory zone
   in
-  let s = { file; buffer; pos = 0; buf_page = 0; buf_len = 0; dirty = false; closed = false } in
+  let s =
+    {
+      file;
+      buffer;
+      pos = 0;
+      buf_page = 0;
+      buf_len = 0;
+      dirty = false;
+      wrote = false;
+      closed = false;
+    }
+  in
   let name = Printf.sprintf "disk stream on %S" (File.leader file).Alto_fs.Leader.name in
   let readable = match mode with Read_only | Read_write -> true | Write_only -> false in
   let writable = match mode with Write_only | Read_write -> true | Read_only -> false in

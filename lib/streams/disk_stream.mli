@@ -9,9 +9,11 @@
 
     Standard operations: [get]/[put] move one byte at the shared
     position, [reset] rewinds to byte 0, [at_end] tests the position
-    against the file length, [close] flushes the buffer and the leader
-    page. Non-standard operations (via [control]): ["position"],
-    ["set-position"], ["length"], ["flush"], ["truncate"]. *)
+    against the file length, [close] flushes the buffer and, if the
+    stream changed the file (a put that reached it, or a truncate), the
+    leader page; a stream that only read writes nothing. Non-standard
+    operations (via [control]): ["position"], ["set-position"],
+    ["length"], ["flush"], ["truncate"]. *)
 
 module Memory = Alto_machine.Memory
 module Zone = Alto_zones.Zone

@@ -64,6 +64,38 @@ let test_mount_rejects_corrupt_descriptor () =
   | Ok _ -> Alcotest.fail "mounted despite a destroyed descriptor"
   | Error _ -> ()
 
+(* Format version 4 moved the bad-sector table to the end of the
+   content: a version-3 record is refused like any other unknown
+   version, and the pack goes to the scavenger. *)
+let test_mount_refuses_version_3 () =
+  let drive, fs = fresh_fs () in
+  List.iter
+    (fun i ->
+      let addr = Disk_address.of_index i in
+      let value = Array.copy (Drive.peek drive addr).Sector.value in
+      (* Words 0-1 carry the sequence number; the content's version
+         word follows the magic. *)
+      value.(3) <- Word.of_int 3;
+      Drive.poke drive addr Sector.Value value)
+    [ 2; 2 + (Fs.descriptor_page_count fs / 2) ];
+  match Fs.mount drive with
+  | Ok _ -> Alcotest.fail "mounted a version-3 record"
+  | Error msg -> Alcotest.(check string) "why" "unknown descriptor version" msg
+
+(* The bad-sector table takes every word the record's pages leave, and
+   no record grows a page: a Model 31's records stay two pages each, a
+   Model 44's three. *)
+let test_bad_sector_table_fills_the_record () =
+  List.iter
+    (fun (geometry, pages, capacity) ->
+      let _, fs = fresh_fs ~geometry () in
+      let model = geometry.Geometry.model in
+      Alcotest.(check int) (model ^ " descriptor pages") pages
+        (Fs.descriptor_page_count fs);
+      Alcotest.(check int) (model ^ " table entries") capacity
+        (Fs.bad_sector_capacity fs))
+    [ (Geometry.diablo_31, 4, 168); (Geometry.diablo_44, 6, 105) ]
+
 (* The records carry everything a mount needs, so a leader a crash tore
    (a scavenge's rebuild rewrites it in place) or junk overwrote does not
    keep the pack from mounting. *)
@@ -1301,6 +1333,8 @@ let suite =
     ("mount rejects unformatted", `Quick, test_mount_rejects_unformatted);
     ("mount rejects corrupt descriptor", `Quick, test_mount_rejects_corrupt_descriptor);
     ("mount needs no leader", `Quick, test_mount_needs_no_leader);
+    ("mount refuses a version-3 record", `Quick, test_mount_refuses_version_3);
+    ("bad-sector table fills the record", `Quick, test_bad_sector_table_fills_the_record);
     ("boot page never allocated", `Quick, test_boot_page_never_allocated);
     ("allocate writes label+value", `Quick, test_allocate_writes_label_and_value);
     ("stale map hint survived", `Quick, test_stale_map_hint_is_survived);

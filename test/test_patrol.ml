@@ -2,8 +2,8 @@
    sectors by retry evidence and moves their pages to safety before the
    sector dies; its slice rules settle the sectors an unsafe shutdown's
    write-ahead map names, so recovery reads those cylinders instead of
-   the whole pack; and quarantine verdicts that overflow the descriptor
-   table survive remount through the spill file. *)
+   the whole pack; and quarantine verdicts survive remount in the
+   descriptor's bad-sector table. *)
 
 module Word = Alto_machine.Word
 module Geometry = Alto_disk.Geometry
@@ -15,7 +15,6 @@ module Fs = Alto_fs.Fs
 module File = Alto_fs.File
 module Directory = Alto_fs.Directory
 module Patrol = Alto_fs.Patrol
-module Bad_sectors = Alto_fs.Bad_sectors
 module Scavenger = Alto_fs.Scavenger
 module Recovery = Alto_fs.Recovery
 module Page = Alto_fs.Page
@@ -112,7 +111,7 @@ let test_marginal_page_relocated () =
   Alcotest.(check bool) "caught before the sector went hard-bad" false
     (Drive.is_bad drive victim);
   Alcotest.(check bool) "old sector quarantined" true
-    (Fs.quarantined fs victim || Fs.spilled fs victim);
+    (Fs.quarantined fs victim);
   Alcotest.(check int) "no page was lost" 0 (Patrol.pages_lost patrol);
   (* A fresh handle (stale hints forgotten) finds the moved page. *)
   let fresh, _ = open_by_name fs "Victim.dat" in
@@ -269,6 +268,23 @@ let test_recovery_declares_a_consistency_point () =
   let _, _ = open_by_name crashed "Dirty.dat" in
   ()
 
+(* A clean pack is used as it mounts: boot reads both descriptor
+   records and nothing else — no directory, no file. *)
+let test_clean_boot_reads_only_the_records () =
+  let drive, fs = make_volume ~geometry:Geometry.diablo_31 () in
+  let _ = create_file fs "Keep.dat" (String.make 900 'k') in
+  (match Fs.mark_clean fs with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "mark_clean: %a" Fs.pp_error e);
+  let operations () = Alto_obs.Obs.(counter_value (counter "disk.operations")) in
+  let before = operations () in
+  match Recovery.boot drive with
+  | booted, Recovery.Clean ->
+      Alcotest.(check int) "one operation per record page"
+        (Fs.descriptor_page_count booted) (operations () - before)
+  | _, outcome ->
+      Alcotest.failf "a clean pack recovered by %a" Recovery.pp_outcome outcome
+
 (* A crash between reserving a page and writing it leaks the map bit;
    recovery through the map reclaims it (label free, map busy). *)
 let test_abandoned_reservation_reclaimed () =
@@ -317,44 +333,41 @@ let test_flush_keeps_the_map () =
   | Ok clean ->
       Alcotest.(check (list int)) "a consistency point empties it" [] (Fs.mapped_cylinders clean)
 
-(* {2 the spill file} *)
+(* {2 the bad-sector table} *)
 
-(* Quarantine verdicts beyond the descriptor table's 64 entries survive
-   a remount through the catalogued spill file, and the allocator still
-   refuses them. *)
-let test_spill_survives_remount () =
-  let drive, fs = make_volume ~geometry:{ tiny with Geometry.cylinders = 5 } () in
-  let free =
-    List.filter
-      (fun i -> Fs.is_free_in_map fs (addr i))
-      (List.init (Drive.sector_count drive) Fun.id)
+(* The descriptor record's table is the one store of quarantine
+   verdicts: on a Model 31, 70 of them survive a flush and a remount in
+   the table itself, no file is created for them, and the allocator
+   still refuses every one. *)
+let test_table_survives_remount () =
+  let drive, fs = make_volume ~geometry:Geometry.diablo_31 () in
+  let names fs =
+    match Result.bind (Directory.open_root fs) Directory.entries with
+    | Ok entries -> List.map (fun (e : Directory.entry) -> e.Directory.entry_name) entries
+    | Error e -> Alcotest.failf "root: %a" Directory.pp_error e
   in
-  Alcotest.(check bool) "room to overflow and still allocate" true
-    (List.length free > 80);
-  (* 64 fill the table; 6 spill. *)
-  List.iteri (fun k i -> if k < 70 then Fs.quarantine fs (addr i)) free;
-  Alcotest.(check int) "six spilled" 6 (List.length (Fs.spilled_table fs));
-  (match Bad_sectors.flush fs with
-  | Ok n -> Alcotest.(check int) "six written" 6 n
-  | Error e -> Alcotest.failf "spill flush: %a" Bad_sectors.pp_error e);
+  let catalogued = names fs in
+  let victims =
+    List.filteri
+      (fun k _ -> k < 70)
+      (List.filter
+         (fun i -> Fs.is_free_in_map fs (addr i))
+         (List.init (Drive.sector_count drive) Fun.id))
+  in
+  List.iter (fun i -> Fs.quarantine fs (addr i)) victims;
   (match Fs.flush fs with
   | Ok () -> ()
   | Error e -> Alcotest.failf "flush: %a" Fs.pp_error e);
   match Fs.mount drive with
   | Error msg -> Alcotest.failf "remount: %s" msg
   | Ok fs2 ->
-      let spilled = addr (List.nth free 64) in
-      (* Before the spill file is read, only the 64 tabled verdicts hold. *)
-      Alcotest.(check bool) "not yet re-entered" false (Fs.spilled fs2 spilled);
-      (match Bad_sectors.load fs2 with
-      | Ok n -> Alcotest.(check int) "six adopted" 6 n
-      | Error e -> Alcotest.failf "spill load: %a" Bad_sectors.pp_error e);
-      Alcotest.(check bool) "the verdict survived the remount" true
-        (Fs.spilled fs2 spilled);
-      Alcotest.(check bool) "busy in the map" false (Fs.is_free_in_map fs2 spilled);
-      Fs.mark_free fs2 spilled;
-      Alcotest.(check bool) "mark_free refuses a spilled sector" false
-        (Fs.is_free_in_map fs2 spilled)
+      Alcotest.(check (list int)) "all 70 verdicts, oldest first" victims
+        (List.map Disk_address.to_index (Fs.bad_sector_table fs2));
+      Alcotest.(check (list string)) "no file catalogued for them" catalogued (names fs2);
+      let last = addr (List.nth victims 69) in
+      Alcotest.(check bool) "busy in the map" false (Fs.is_free_in_map fs2 last);
+      Fs.mark_free fs2 last;
+      Alcotest.(check bool) "mark_free refuses it" false (Fs.is_free_in_map fs2 last)
 
 (* {2 the health command} *)
 
@@ -374,8 +387,10 @@ let test_health_command () =
   Alcotest.(check bool) "reports how boot recovered" true
     (contains "boot:    verifying scavenge (unmountable)");
   Alcotest.(check bool) "reports the patrol cursor" true (contains "patrol:");
-  Alcotest.(check bool) "reports the bad-sector stores" true (contains "spilled");
-  Alcotest.(check bool) "reports the spill file" true (contains "no spill file");
+  Alcotest.(check bool) "reports the bad-sector table's fill" true
+    (contains
+       (Printf.sprintf "bad:     0 of %d bad-sector table entries"
+          (Fs.bad_sector_capacity (System.fs system))));
   (* quit declared the consistency point: the pack reboots clean, with
      no recovery. *)
   Alcotest.(check bool) "quit left the volume clean" false
@@ -400,10 +415,13 @@ let () =
             `Quick,
             test_recovery_declares_a_consistency_point );
           ("flush keeps the map", `Quick, test_flush_keeps_the_map);
+          ( "a clean boot reads only the records",
+            `Quick,
+            test_clean_boot_reads_only_the_records );
           ( "abandoned reservation reclaimed",
             `Quick,
             test_abandoned_reservation_reclaimed );
         ] );
-      ("spill", [ ("spill survives remount", `Quick, test_spill_survives_remount) ]);
+      ("table", [ ("seventy verdicts survive remount", `Quick, test_table_survives_remount) ]);
       ("health", [ ("health command reports", `Quick, test_health_command) ]);
     ]

@@ -143,6 +143,29 @@ let test_disk_stream_modes () =
   Alcotest.(check string) "reads" "data" (Stream.get_all r);
   r.Stream.close ()
 
+(* A reader leaves a clean pack as it found it: reading a file to the
+   end and closing the stream writes nothing, not even a write-ahead
+   map record. A writer still persists the length it left. *)
+let test_disk_stream_reader_writes_nothing () =
+  let fs, file = fresh_file () in
+  let w = Disk_stream.open_file ~mode:Disk_stream.Write_only file in
+  Stream.put_string w (String.make 1200 'r');
+  w.Stream.close ();
+  Alcotest.(check int) "the writer persisted its length" 1200
+    (match File.open_leader fs (File.leader_name file) with
+    | Ok f -> File.byte_length f
+    | Error e -> Alcotest.failf "reopen: %a" File.pp_error e);
+  (match Fs.mark_clean fs with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "mark_clean: %a" Fs.pp_error e);
+  let drive = Fs.drive fs in
+  let writes = Drive.write_ops drive in
+  let r = Disk_stream.open_file ~mode:Disk_stream.Read_only file in
+  Alcotest.(check int) "read to the end" 1200 (String.length (Stream.get_all r));
+  r.Stream.close ();
+  Alcotest.(check int) "no write reached the drive" writes (Drive.write_ops drive);
+  Alcotest.(check bool) "the pack is still clean" false (Fs.dirty fs)
+
 let test_disk_stream_closed () =
   let _fs, file = fresh_file () in
   let s = Disk_stream.open_file ~mode:Disk_stream.Read_write file in
@@ -273,6 +296,7 @@ let () =
           ("overwrite", `Quick, test_disk_stream_overwrite);
           ("truncate control", `Quick, test_disk_stream_truncate_control);
           ("modes", `Quick, test_disk_stream_modes);
+          ("a reader writes nothing", `Quick, test_disk_stream_reader_writes_nothing);
           ("closed", `Quick, test_disk_stream_closed);
           ("zone workspace", `Quick, test_disk_stream_zone_workspace);
           property prop_disk_stream_matches_model;
