@@ -55,20 +55,27 @@ let e1 () =
     | Ok (_, r) -> (used, r.Scavenger.duration_us)
     | Error msg -> failwith msg
   in
+  let disks =
+    List.map
+      (fun geometry ->
+        ( geometry,
+          List.map (fun fraction -> (fraction, run geometry fraction)) [ 0.25; 0.50; 0.75; 0.98 ]
+        ))
+      [ Geometry.diablo_31; Geometry.diablo_44 ]
+  in
   let rows =
     List.concat_map
-      (fun geometry ->
+      (fun (geometry, levels) ->
         List.map
-          (fun fraction ->
-            let used, us = run geometry fraction in
+          (fun (fraction, (used, us)) ->
             [
               geometry.Geometry.model;
               Printf.sprintf "%.0f%%" (fraction *. 100.);
               string_of_int used;
               us_to_string us;
             ])
-          [ 0.25; 0.50; 0.75; 0.98 ])
-      [ Geometry.diablo_31; Geometry.diablo_44 ]
+          levels)
+      disks
   in
   print_table [ 16; 6; 12; 12 ] [ "disk"; "fill"; "busy pages"; "scavenge" ] rows;
   print_endline
@@ -77,7 +84,20 @@ let e1 () =
      time moves header, label and value alike) and keeps the leader\n\
      values, so only moved or rebuilt leaders are read again. The\n\
      bigger, faster Model 44 pays for twice the sectors at half the\n\
-     rotation."
+     rotation.";
+  List.iter
+    (fun (geometry, levels) ->
+      let times = List.map (fun (_, (_, us)) -> us) levels in
+      let slowest = List.fold_left max 0 times and fastest = List.fold_left min max_int times in
+      if slowest >= 60_000_000 then
+        failwith
+          (Printf.sprintf "E1: a %s scavenge took %s, not under a minute"
+             geometry.Geometry.model (us_to_string slowest));
+      if float_of_int (slowest - fastest) > 0.05 *. float_of_int fastest then
+        failwith
+          (Printf.sprintf "E1: %s scavenges span %s to %s over the fill levels, over 5%%"
+             geometry.Geometry.model (us_to_string fastest) (us_to_string slowest)))
+    disks
 
 (* E2 — §3.5: the compacting scavenger "typically increases the speed
    with which the files can be read sequentially by an order of
@@ -385,11 +405,11 @@ let e5 () =
 
 (* E6 — §2: the drive "can store 2.5 megabytes … and can transfer 64k
    words in about one second". One sector at a time the claim is out of
-   reach: every read pays its own rotational wait. Reading through the
-   track buffer cache, a miss fills the whole track in one elevator
-   batch (one revolution, now that the sweep is rotation-aware) and the
-   other eleven sectors are answered from memory — that is the
-   configuration the paper's rate describes. *)
+   reach: after every seek the read waits for slot 0. Reading through
+   the track buffer cache, a miss fills from the slot where the heads
+   land through the wanted sector, so each later sector of the track is
+   buffered already or under the heads when it is wanted: one
+   revolution a track — the configuration the paper's rate describes. *)
 let e6 () =
   heading "E6  raw disk rate and capacity (§2)";
   claim "2.5 MB per pack; 64K words transferred in about a second";
@@ -435,11 +455,14 @@ let e6 () =
     in
     us
   in
+  let disks =
+    List.map
+      (fun geometry -> (geometry, one_at_a_time geometry, through_track_cache geometry))
+      [ Geometry.diablo_31; Geometry.diablo_44 ]
+  in
   let rows =
     List.mapi
-      (fun i geometry ->
-        let direct_us = one_at_a_time geometry in
-        let cached_us = through_track_cache geometry in
+      (fun i (geometry, direct_us, cached_us) ->
         (* The headline number — the gated metric is the Model 31, the
            pack the paper's "about one second" describes. *)
         if i = 0 then
@@ -452,15 +475,31 @@ let e6 () =
           us_to_string cached_us;
           Printf.sprintf "%.0fk w/s" (rate cached_us /. 1000.);
         ])
-      [ Geometry.diablo_31; Geometry.diablo_44 ]
+      disks
   in
   print_table [ 16; 10; 13; 9; 13; 9 ]
     [ "disk"; "capacity"; "sector reads"; "rate"; "track fills"; "rate" ]
     rows;
   print_endline
-    "shape: sector-at-a-time reads pay a rotational wait per sector and\n\
-     miss the claim by about half; whole-track fills amortize the wait\n\
-     over twelve sectors and reach the paper's about-a-second rate."
+    "shape: sector-at-a-time reads stream along a cylinder but wait for\n\
+     slot 0 after each seek, and fall short of the claim. Through the\n\
+     track buffers a miss reads from where the heads land up to the\n\
+     wanted sector, so every later sector of the track is buffered or\n\
+     under the heads: one revolution a track, the paper's rate.";
+  List.iter
+    (fun ((geometry : Geometry.t), direct_us, cached_us) ->
+      if direct_us <= cached_us then
+        failwith
+          (Printf.sprintf "E6: on a %s, sector reads (%s) are no slower than the buffers (%s)"
+             geometry.model (us_to_string direct_us) (us_to_string cached_us)))
+    disks;
+  (* The first disk is the Model 31, the pack the claim describes. *)
+  match disks with
+  | (_, _, cached_us) :: _ when cached_us > 1_100_000 ->
+      failwith
+        (Printf.sprintf "E6: 64K words through the track buffers took %s, over 1.1 s"
+           (us_to_string cached_us))
+  | _ -> ()
 
 (* E7 — §5.2: Junta gives precise control over resident memory. *)
 let e7 () =
@@ -1899,9 +1938,10 @@ let e19 () =
    small record in the middle of every page of a database file — each
    update is a read-modify-write, the worst case for a write-through
    disk (two rotational waits per page). With the cache, the read side
-   hits after one track fill and the write side is absorbed and
-   delayed; the final flush coalesces a hundred page writes into a
-   handful of contiguous track sweeps. *)
+   takes each page as it passes under the heads (a miss fills from
+   where they land through the page wanted) and the write side is
+   absorbed and delayed; the final flush coalesces a hundred page
+   writes into a handful of contiguous track sweeps. *)
 let e20 () =
   heading "E20  write coalescing";
   claim "delayed track write-back coalesces read-modify-write traffic";

@@ -41,6 +41,7 @@ type t = {
   mutable tracks : int;  (* capacity in whole-track buffers; 0 disables *)
   mutable high_water : int;  (* dirty sectors that trigger a full flush *)
   slots : (int, slot) Hashtbl.t;  (* keyed by track number *)
+  ghosts : int Queue.t;  (* the last [tracks] evictions' tracks, oldest first *)
   mutable tick : int;
   mutable dirty_count : int;
   mutable on_write : Disk_address.t list -> unit;
@@ -59,6 +60,7 @@ let create ~label_cache drive =
     tracks;
     high_water = high_water_of ~tracks ~spt;
     slots = Hashtbl.create tracks;
+    ghosts = Queue.create ();
     tick = 0;
     dirty_count = 0;
     on_write = ignore;
@@ -189,6 +191,11 @@ let live t slot rel =
           false
         end)
 
+let trim_ghosts t =
+  while Queue.length t.ghosts > t.tracks do
+    ignore (Queue.pop t.ghosts)
+  done
+
 let evict_lru t =
   let victim =
     Hashtbl.fold
@@ -203,6 +210,8 @@ let evict_lru t =
   | Some (track, slot) ->
       flush_slot t slot;
       Hashtbl.remove t.slots track;
+      Queue.push track t.ghosts;
+      trim_ghosts t;
       Obs.incr m_evictions
 
 let fresh_slot t track =
@@ -256,14 +265,37 @@ let probe ~count t addr ~label ~value =
 let lookup t addr ~label ~value = probe ~count:true t addr ~label ~value
 let peek t addr ~label ~value = probe ~count:false t addr ~label ~value
 
+(* How much a miss reads. The heads land at [Drive.catch_slot], and
+   every sector from there up to the wanted one passes under them before
+   it does, so reading that prefix costs no more than the wanted sector
+   alone: the fill ends when the wanted sector's slot does, either way.
+   A track evicted within the last [tracks] evictions has come back
+   within one cache lifetime, so it is worth a revolution and is read
+   whole (2Q's admission rule, with the ghosts as its A1out queue).
+   The heads are sensed after [slot_for], whose eviction may flush. *)
+let fill_range t index =
+  let track = track_of t index in
+  let returning =
+    (not (Hashtbl.mem t.slots track))
+    && Queue.fold (fun seen g -> seen || g = track) false t.ghosts
+  in
+  let slot = slot_for t track in
+  if returning then (slot, 0, t.spt)
+  else
+    let cylinder, _, _ =
+      Disk_address.chs (Drive.geometry t.drive) (Disk_address.of_index index)
+    in
+    let first = Drive.catch_slot t.drive ~cylinder in
+    (slot, first, ((rel_of t index - first + t.spt) mod t.spt) + 1)
+
 let fill t addr =
   if enabled t then begin
     Obs.incr m_misses;
-    let index = Disk_address.to_index addr in
-    let slot = slot_for t (track_of t index) in
+    let slot, first, count = fill_range t (Disk_address.to_index addr) in
     slot.used <- next_tick t;
     let wanted = ref [] in
-    for rel = t.spt - 1 downto 0 do
+    for k = count - 1 downto 0 do
+      let rel = (first + k) mod t.spt in
       (* Dirty sectors hold content newer than the platter; live clean
          sectors are already right. Everything else is (re)read. *)
       if Option.is_none slot.pending.(rel) && not (live t slot rel) then
@@ -373,4 +405,5 @@ let set_tracks (t : t) n =
       done
   end;
   t.tracks <- n;
+  trim_ghosts t;
   t.high_water <- high_water_of ~tracks:n ~spt:t.spt

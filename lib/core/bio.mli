@@ -4,12 +4,18 @@
     staleness is policed by {!Drive.label_generation} pays for itself
     1:1 in saved disk operations. This module generalizes the idea from
     8-word labels to whole tracks, UNIX-v4-bio-style: a read that
-    misses fills the {e entire} track in one elevator batch (a full
-    track read costs one revolution from wherever the head lands, now
-    that the sweep is rotation-aware), and every later sector read on
-    that track is answered from memory. Writes are absorbed into the
-    buffer, marked dirty and {e delayed}; they reach the platter
-    coalesced into contiguous track sweeps through the same elevator —
+    misses fills the sectors that pass under the heads on the way to
+    it, in one elevator batch — from the slot where the heads land
+    ({!Drive.catch_slot}) through the wanted sector, which costs no
+    more than reading the wanted sector alone — and every later read of
+    a buffered sector is answered from memory. A sequential reader's
+    next miss finds the heads over its sector, so it waits for nothing.
+    A track that comes back within one cache lifetime (evicted within
+    the last [tracks] evictions, 2Q's admission rule) is read whole: a
+    revolution from wherever the heads land buys every later read of
+    it. Writes are absorbed into the buffer, marked dirty and
+    {e delayed}; they reach the platter coalesced into contiguous track
+    sweeps through the same elevator —
     on eviction, on {!Fs.flush}, on an explicit {!flush} (the
     executive's [sync], OutLoad, quit), or when the dirty count crosses
     the high-water mark.
@@ -62,7 +68,8 @@ val enabled : t -> bool
 val set_tracks : t -> int -> unit
 (** Resize (shrinking flushes and evicts; 0 flushes everything and
     disables the cache entirely — every probe misses and nothing is
-    absorbed). The flush threshold follows the new capacity. Raises
+    absorbed). The flush threshold and the count of recent evictions
+    whose tracks a miss reads whole follow the new capacity. Raises
     [Invalid_argument] on a negative count. *)
 
 val lookup :
@@ -79,12 +86,16 @@ val lookup :
     counted by {!fill}, so probe-then-fill reads count one miss each. *)
 
 val fill : t -> Disk_address.t -> unit
-(** Read every unbuffered, non-dirty sector of the address's track in
-    one elevator batch, keep the survivors' values and record their
-    labels in the table (sectors whose read hard-fails stay unbuffered —
-    the caller's per-sector fallback path sees the true error). Counts
-    one miss and one fill. May evict (and so flush) the least-recently-
-    used track. No-op when disabled. *)
+(** Read, in one elevator batch, every unbuffered, non-dirty sector of
+    the address's track from the slot where the heads will land
+    ({!Drive.catch_slot}, after any eviction's flush) up to and
+    including the address's own, or of the whole track when the track
+    was evicted within the last [tracks] evictions; keep the survivors'
+    values and record their labels in the table (sectors whose read
+    hard-fails stay unbuffered — the caller's per-sector fallback path
+    sees the true error). Counts one miss, and one fill when it reads
+    anything. May evict (and so flush) the least-recently-used track.
+    No-op when disabled. *)
 
 val peek :
   t ->

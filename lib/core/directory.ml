@@ -200,8 +200,7 @@ let remove dir name =
   match slot with
   | None -> Ok false
   | Some pos ->
-      let* words = wrap (File.read_words dir ~pos ~len:1) in
-      let len = Word.to_int words.(0) land 0xff in
+      let len = int_at v pos land 0xff in
       let* () = wrap (File.write_words dir ~pos [| Word.of_int_exn len |]) in
       Ok true
 

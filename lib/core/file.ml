@@ -164,6 +164,21 @@ let with_page t pn f =
 
 let batch_threshold = 4
 
+(* Page [pn]'s successor as the verified-label table names it, when the
+   table holds page [pn]'s label live at [addr]: a relocation rewrites
+   the predecessor's link without clearing the leader's consecutive
+   flag, so the link outranks the arithmetic. Counts nothing. *)
+let linked_next t pn addr =
+  if Disk_address.is_nil addr then None
+  else
+    let label = Label.check_name t.fid ~page:pn in
+    match Label_cache.confirm (cache t) addr label with
+    | Some (Ok ()) -> (
+        match Label.of_words label with
+        | Ok l when not (Disk_address.is_nil l.Label.next) -> Some l.Label.next
+        | Ok _ | Error _ -> None)
+    | Some (Error _) | None -> None
+
 let known_addresses t ~first ~last =
   let sectors = Drive.sector_count (drive t) in
   let addrs = Array.make (last - first + 1) Disk_address.nil in
@@ -174,18 +189,22 @@ let known_addresses t ~first ~last =
     let a =
       if not (Disk_address.is_nil a) then a
       else if consecutive then
-        (* Extrapolate from the nearest hinted page below; page 0 (the
-           leader) is always hinted, so the scan terminates. *)
-        let rec from k =
-          if k < 0 then Disk_address.nil
-          else
-            let h = hint t k in
-            if Disk_address.is_nil h then from (k - 1)
-            else
-              let i = Disk_address.to_index h + (pn - k) in
-              if i < sectors then Disk_address.of_index i else Disk_address.nil
-        in
-        from (pn - 1)
+        let before = if pn > first then addrs.(pn - 1 - first) else hint t (pn - 1) in
+        match linked_next t (pn - 1) before with
+        | Some next -> next
+        | None ->
+            (* Extrapolate from the nearest hinted page below; page 0
+               (the leader) is always hinted, so the scan terminates. *)
+            let rec from k =
+              if k < 0 then Disk_address.nil
+              else
+                let h = hint t k in
+                if Disk_address.is_nil h then from (k - 1)
+                else
+                  let i = Disk_address.to_index h + (pn - k) in
+                  if i < sectors then Disk_address.of_index i else Disk_address.nil
+            in
+            from (pn - 1)
       else Disk_address.nil
     in
     if Disk_address.is_nil a then all_known := false else addrs.(pn - first) <- a
@@ -266,8 +285,9 @@ let open_leader fs (fn : Page.full_name) =
    A label may name a page that is not yet written. A link is a hint
    (§3.3): the drive's fence maps the cylinder a label names before the
    label goes down, and recovery ends the file at the last page written.
-   A page whose label names a successor is left in the track buffer
-   cache; the last page is not. Installing the last page too would
+   A page whose label names a successor goes into the track buffer
+   cache when its track's buffer is resident (a write never allocates
+   one); the last page does not. Installing the last page too would
    change what a file server's GETs find buffered, a move the serve
    benchmark's ladder test does not yet allow. *)
 
@@ -529,7 +549,8 @@ let walk_span ~page ~pos ~n f =
    bytes [pos, pos + n), page by page, and walk them. When the addresses
    of four or more are known, each page's hint is seeded first, so no
    page spends operations chasing its address; the batching is the track
-   buffer cache's, whose fills pull a whole track through the elevator.
+   buffer cache's, whose fills read from where the heads land through
+   the page wanted, so the next page is buffered or under the heads.
    [n] is a {!span_length}. *)
 let read_span t ~pos ~n f =
   if n = 0 then Ok ()

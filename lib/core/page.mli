@@ -44,7 +44,8 @@ val read :
     {e can} come from memory: a buffered, generation-live track sector
     answers without touching the disk (the name check comes from the
     table, {!Label_cache.confirm}, mismatch verdicts included), and a
-    miss fills the whole track in one elevator batch before serving. *)
+    miss fills the track from where the heads land through the sector
+    ({!Bio.fill}) in one elevator batch before serving. *)
 
 val read_label : ?cache:Label_cache.t -> Drive.t -> full_name -> (Label.t, error) result
 (** As {!read} but without transferring the value. With [cache], a valid

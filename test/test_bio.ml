@@ -1,6 +1,7 @@
-(* The track buffer cache (bio): whole-track fills, absorbed delayed
-   writes, generation-policed coherence, and the two properties the
-   design hangs on — a crash with dirty buffers loses at most recent
+(* The track buffer cache (bio): fills of what the heads pass, whole
+   tracks for tracks that come back, absorbed delayed writes,
+   generation-policed coherence, and the two properties the design
+   hangs on — a crash with dirty buffers loses at most recent
    page contents (never structure, never a settled page), and a
    workload replayed with the cache disabled leaves a byte-identical
    pack. *)
@@ -57,6 +58,27 @@ let served probe bio a =
 
 let absorbed bio a value = Bio.absorb bio a ~label:(wildcard ()) value = Some (Ok ())
 
+let spt_of drive = (Drive.geometry drive).Geometry.sectors_per_track
+let now drive = Alto_machine.Sim_clock.now_us (Drive.clock drive)
+
+let cylinder_of drive a =
+  let cylinder, _, _ = Disk_address.chs (Drive.geometry drive) a in
+  cylinder
+
+(* The sector of [track] the heads would reach last: the one just before
+   the slot where they land. A miss there reads the whole track. *)
+let last_to_pass drive track =
+  let spt = spt_of drive in
+  let catch = Drive.catch_slot drive ~cylinder:(cylinder_of drive (addr (track * spt))) in
+  addr ((track * spt) + ((catch + spt - 1) mod spt))
+
+let fill_whole drive bio track = Bio.fill bio (last_to_pass drive track)
+
+(* The sectors of [track] the cache holds, in slot order. *)
+let resident_slots drive bio track =
+  let spt = spt_of drive in
+  List.filter (fun s -> Bio.resident bio (addr ((track * spt) + s))) (List.init spt Fun.id)
+
 (* {2 Fills and hits} *)
 
 let test_fill_serves_whole_track () =
@@ -67,9 +89,12 @@ let test_fill_serves_whole_track () =
     Drive.poke drive (addr s) Sector.Value (distinct_value (100 + s))
   done;
   let hits0 = counter "fs.bio.hits" and misses0 = counter "fs.bio.misses" in
-  (match served Bio.lookup bio (addr 0) with
+  (* The miss is on the sector the heads reach last, so every sector of
+     the track passes under them on the way. *)
+  let wanted = last_to_pass drive 0 in
+  (match served Bio.lookup bio wanted with
   | Some _ -> Alcotest.fail "cold cache should miss"
-  | None -> Bio.fill bio (addr 0));
+  | None -> Bio.fill bio wanted);
   (* Every sector of the track is now a memory hit with the true bytes. *)
   for s = 0 to spt - 1 do
     match served Bio.lookup bio (addr s) with
@@ -104,8 +129,8 @@ let test_absorb_and_coalesced_flush () =
     Drive.poke drive (addr s) Sector.Label (distinct_label 0x1000);
     Drive.poke drive (addr s) Sector.Value (distinct_value 1)
   done;
-  Bio.fill bio (addr 0);
-  Bio.fill bio (addr spt);
+  fill_whole drive bio 0;
+  fill_whole drive bio 1;
   (* Absorb three writes on the first track, one on the second. *)
   List.iter
     (fun s ->
@@ -136,7 +161,7 @@ let test_absorb_and_coalesced_flush () =
 let test_generation_kills_buffered_sector () =
   let drive, bio = raw_bio () in
   Drive.poke drive (addr 5) Sector.Value (distinct_value 42);
-  Bio.fill bio (addr 0);
+  fill_whole drive bio 0;
   (match served Bio.peek bio (addr 5) with
   | Some _ -> ()
   | None -> Alcotest.fail "sector 5 should be buffered");
@@ -154,7 +179,7 @@ let test_generation_kills_buffered_sector () =
 let test_conflicted_delayed_write_is_dropped () =
   let drive, bio = raw_bio () in
   Drive.poke drive (addr 2) Sector.Label (distinct_label 0x2000);
-  Bio.fill bio (addr 0);
+  fill_whole drive bio 0;
   Alcotest.(check bool) "absorbed" true (absorbed bio (addr 2) (distinct_value 9));
   (* Someone re-labels the sector underneath the delayed write. *)
   Drive.poke drive (addr 2) Sector.Label (distinct_label 0x3000);
@@ -168,7 +193,7 @@ let test_conflicted_delayed_write_is_dropped () =
 let test_eviction_flushes_dirty_track () =
   let drive, bio = raw_bio ~tracks:2 () in
   let spt = (Drive.geometry drive).Geometry.sectors_per_track in
-  Bio.fill bio (addr 0);
+  fill_whole drive bio 0;
   Alcotest.(check bool) "dirty on track 0" true
     (absorbed bio (addr 1) (distinct_value 55));
   (* Touch two more tracks; the LRU (dirty) track must be flushed, not
@@ -179,6 +204,94 @@ let test_eviction_flushes_dirty_track () =
   let sec = Drive.peek drive (addr 1) in
   Alcotest.(check int) "evicted dirty sector reached the platter" 55
     (Word.to_int (Sector.part_of sec Sector.Value).(0))
+
+(* {2 How much a miss reads} *)
+
+(* A drive in a fixed state, the clock mid-revolution and the heads
+   parked on cylinder 2; two calls make twins. *)
+let parked_drive () =
+  let drive, bio = raw_bio () in
+  let spt = spt_of drive in
+  let track = 2 * (Drive.geometry drive).Geometry.heads in
+  ignore (Drive.run drive (addr (track * spt)) Drive.op_none () : (unit, Drive.error) result);
+  Alto_machine.Sim_clock.advance_us (Drive.clock drive) 12_345;
+  (drive, bio)
+
+(* A cold miss reads from the slot where the heads land through the
+   wanted sector and no further, and ends when a read of the wanted
+   sector alone would. *)
+let test_cold_miss_reads_the_prefix () =
+  let drive, bio = parked_drive () in
+  let twin, _ = parked_drive () in
+  let spt = spt_of drive in
+  let track = 7 in
+  let catch = Drive.catch_slot drive ~cylinder:(cylinder_of drive (addr (track * spt))) in
+  let rel = (catch + 5) mod spt in
+  let wanted = addr ((track * spt) + rel) in
+  let t0 = now drive in
+  Alcotest.(check int) "the twin starts at the same instant" t0 (now twin);
+  Bio.fill bio wanted;
+  Alcotest.(check (list int)) "the catch slot through the wanted sector"
+    (List.sort compare (List.init 6 (fun k -> (catch + k) mod spt)))
+    (resident_slots drive bio track);
+  let label = Array.make Sector.label_words Word.zero
+  and value = Array.make Sector.value_words Word.zero in
+  (match
+     Drive.run twin wanted
+       { Drive.op_none with Drive.label = Some Drive.Read; value = Some Drive.Read }
+       ~label ~value ()
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "direct read: %a" Drive.pp_error e);
+  Alcotest.(check int) "costs what the wanted sector alone costs"
+    (now twin - t0) (now drive - t0)
+
+(* A track evicted within the last [tracks] evictions comes back whole;
+   one evicted longer ago gets the prefix like any cold track. The
+   misses land on the catch slot, so a prefix is one sector. *)
+let test_returning_track_is_read_whole () =
+  let drive, bio = raw_bio ~tracks:2 () in
+  let spt = spt_of drive in
+  let miss track =
+    let cylinder = cylinder_of drive (addr (track * spt)) in
+    Bio.fill bio (addr ((track * spt) + Drive.catch_slot drive ~cylinder));
+    List.length (resident_slots drive bio track)
+  in
+  let evictions0 = counter "fs.bio.evictions" in
+  Alcotest.(check int) "a cold track reads one sector" 1 (miss 0);
+  ignore (miss 1 : int);
+  ignore (miss 2 : int);
+  ignore (miss 3 : int);
+  ignore (miss 4 : int);
+  (* Evictions so far, oldest first: tracks 0, 1 and 2. *)
+  Alcotest.(check int) "three evictions" 3 (counter "fs.bio.evictions" - evictions0);
+  Alcotest.(check int) "evicted three evictions ago: the prefix" 1 (miss 0);
+  (* That miss evicted track 3, so track 2 left two evictions ago. *)
+  Alcotest.(check int) "evicted two evictions ago: the whole track" spt (miss 2)
+
+(* A sequential reader's next miss finds the heads over its sector: each
+   miss reads that one sector and waits for nothing. *)
+let test_sequential_misses_do_not_wait () =
+  let drive, bio = raw_bio () in
+  let spt = spt_of drive in
+  Alcotest.(check int) "the heads land on slot 0" 0 (Drive.catch_slot drive ~cylinder:0);
+  let t0 = now drive
+  and misses0 = counter "fs.bio.misses"
+  and read0 = counter "fs.bio.fill_sectors"
+  and wait0 = counter "disk.rotational_wait_us" in
+  for s = 0 to spt - 1 do
+    match served Bio.lookup bio (addr s) with
+    | Some _ -> Alcotest.failf "sector %d was buffered before its miss" s
+    | None -> Bio.fill bio (addr s)
+  done;
+  Alcotest.(check int) "a miss per sector" spt (counter "fs.bio.misses" - misses0);
+  Alcotest.(check int) "each miss read one sector" spt (counter "fs.bio.fill_sectors" - read0);
+  Alcotest.(check int) "no rotational wait" 0 (counter "disk.rotational_wait_us" - wait0);
+  Alcotest.(check int) "one sector time a sector"
+    (spt * Geometry.sector_time_us (Drive.geometry drive))
+    (now drive - t0);
+  Alcotest.(check int) "the whole track is buffered" spt
+    (List.length (resident_slots drive bio 0))
 
 (* {2 Crash with dirty buffers}
 
@@ -408,6 +521,12 @@ let () =
           ("conflicted delayed write dropped", `Quick, test_conflicted_delayed_write_is_dropped);
           ("eviction flushes a dirty track", `Quick, test_eviction_flushes_dirty_track);
           ("a delayed write keeps its owner", `Quick, test_delayed_write_keeps_its_owner);
+        ] );
+      ( "fills",
+        [
+          ("a cold miss reads the prefix", `Quick, test_cold_miss_reads_the_prefix);
+          ("a returning track is read whole", `Quick, test_returning_track_is_read_whole);
+          ("sequential misses do not wait", `Quick, test_sequential_misses_do_not_wait);
         ] );
       ( "crash and transparency",
         [

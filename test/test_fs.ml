@@ -985,6 +985,42 @@ let test_directory_add_lookup_remove () =
   Alcotest.(check bool) "remove again" false
     (dir_ok "remove" (Directory.remove root "Memo.txt"))
 
+(* A remove frees the slot its scan found, with the length word the scan
+   already holds: it reads what a lookup of the same name reads, plus
+   the one page its one-word write patches (a partial-page write reads
+   the page it lands in, as any does), and nothing else. *)
+let test_directory_remove_reads_only_its_scan () =
+  let _drive, fs = fresh_fs () in
+  let root = dir_ok "root" (Directory.open_root fs) in
+  List.iter
+    (fun name ->
+      let file = file_ok "create" (File.create fs ~name) in
+      dir_ok "add" (Directory.add root ~name (File.leader_name file)))
+    [ "First."; "Second."; "Third." ];
+  let page_reads () =
+    List.fold_left
+      (fun n (s : Alto_obs.Prof.snapshot) -> if s.name = "page.read" then n + s.calls else n)
+      0
+      (Alto_obs.Prof.flatten (Alto_obs.Prof.tree ()))
+  in
+  let reads f =
+    let before = page_reads () in
+    f ();
+    page_reads () - before
+  in
+  let scan = reads (fun () -> ignore (dir_ok "lookup" (Directory.lookup root "Second."))) in
+  Alcotest.(check bool) "the scan reads the directory" true (scan > 0);
+  let remove =
+    reads (fun () ->
+        Alcotest.(check bool) "removed" true
+          (dir_ok "remove" (Directory.remove root "Second.")))
+  in
+  Alcotest.(check int) "no page read after the scan but the write's" (scan + 1) remove;
+  let names =
+    List.map (fun e -> e.Directory.entry_name) (dir_ok "entries" (Directory.entries root))
+  in
+  Alcotest.(check (list string)) "the others stay" [ "First."; "Third." ] names
+
 let test_directory_slot_reuse () =
   let _drive, fs = fresh_fs () in
   let root = dir_ok "root" (Directory.open_root fs) in
@@ -1370,6 +1406,7 @@ let suite =
     ("refused write returns the run", `Quick, test_refused_write_returns_run);
     ("directory add/lookup/remove", `Quick, test_directory_add_lookup_remove);
     ("directory slot reuse", `Quick, test_directory_slot_reuse);
+    ("directory remove reads only its scan", `Quick, test_directory_remove_reads_only_its_scan);
     ("directory duplicate rejected", `Quick, test_directory_duplicate_rejected);
     ("directory graph", `Quick, test_directory_graph);
     ("directory update address", `Quick, test_update_address);

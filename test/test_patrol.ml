@@ -10,6 +10,7 @@ module Geometry = Alto_disk.Geometry
 module Disk_address = Alto_disk.Disk_address
 module Sector = Alto_disk.Sector
 module Drive = Alto_disk.Drive
+module Sched = Alto_disk.Sched
 module Fault = Alto_disk.Fault
 module Fs = Alto_fs.Fs
 module File = Alto_fs.File
@@ -26,6 +27,9 @@ module Display = Alto_streams.Display
 let tiny = { Geometry.diablo_31 with Geometry.model = "tiny"; cylinders = 3 }
 
 let addr i = Disk_address.of_index i
+
+let counter name =
+  match Alto_obs.Obs.find name with Some (Alto_obs.Obs.Counter n) -> n | _ -> 0
 
 let make_volume ?(geometry = tiny) ?(seed = 42) () =
   let drive = Drive.create ~pack_id:3 geometry in
@@ -133,6 +137,38 @@ let test_marginal_page_relocated () =
   | Ok (_, report) ->
       Alcotest.(check int) "scavenger agrees nothing was lost" 0
         report.Scavenger.pages_lost
+
+(* The patrol moves a page of a file whose leader still says
+   consecutive; its predecessor's label, rewritten by the move, names
+   the new home. A planned whole-file read takes that link from the
+   verified-label table instead of extrapolating to the retired sector,
+   so every request it parks succeeds. *)
+let test_plan_follows_relocated_link () =
+  let drive, fs = make_volume () in
+  let content = String.init (8 * Sector.bytes_per_page) (fun i -> Char.chr (33 + (i mod 90))) in
+  let file = create_file fs "Planned.dat" content in
+  let victim = page_addr file 2 in
+  Fault.make_marginal drive victim ~rate:0.8 ~growth:1.0 ~degrade_after:50;
+  let patrol = Patrol.create fs in
+  sweep_until patrol ~relocations:1;
+  let fresh, _ = open_by_name fs "Planned.dat" in
+  Alcotest.(check bool) "the leader still says consecutive" true
+    (File.leader fresh).Alto_fs.Leader.maybe_consecutive;
+  match File.plan_read fresh with
+  | Error e -> Alcotest.failf "plan: %a" File.pp_error e
+  | Ok None -> Alcotest.fail "an 8-page file planned nothing"
+  | Ok (Some plan) ->
+      let refused0 = counter "disk.check_failures" in
+      let outcomes = Sched.run_batch drive (File.plan_requests plan) in
+      Array.iteri
+        (fun j (o : Sched.outcome) ->
+          Alcotest.(check bool) (Printf.sprintf "request %d succeeds" j) true
+            (Result.is_ok o.Sched.result))
+        outcomes;
+      (match File.finish_read plan outcomes with
+      | Ok got -> Alcotest.(check string) "contents byte-identical" content got
+      | Error e -> Alcotest.failf "finish: %a" File.pp_error e);
+      Alcotest.(check int) "no label check refused" 0 (counter "disk.check_failures" - refused0)
 
 (* Relocating a leader page must re-point the catalogue: the directory
    entry's address hint follows the move. *)
@@ -406,6 +442,7 @@ let () =
             `Quick,
             test_leader_relocation_fixes_catalogue );
           ("deterministic under seed", `Quick, test_deterministic_under_seed);
+          ("a plan follows a relocated link", `Quick, test_plan_follows_relocated_link);
         ] );
       ( "shutdown",
         [
