@@ -634,20 +634,22 @@ let e8 () =
 let e9 () =
   heading "E9  robustness under faults, and the no-check ablation (§3.3, §6)";
   claim "label checking confines damage; a stale map never overwrites data";
-  (* (a) decay campaign: corrupt labels at random, scavenge, audit. *)
+  (* (a) decay campaign: corrupt labels at random, scavenge, audit. A
+     file counts as intact only when every byte reads back as written. *)
+  let trials = 3 in
   let campaign fraction =
-    let trials = 3 in
     let recovered = ref 0 and intact_total = ref 0 and files_total = ref 0 in
     for seed = 1 to trials do
       let drive, fs = fresh () in
       let root = ok Directory.pp_error (Directory.open_root fs) in
-      let names =
+      let files =
         List.init 20 (fun i ->
             let name = Printf.sprintf "D%02d.dat" i in
-            let (_ : File.t) = make_file fs root name (1000 + (300 * i)) (seed + i) in
-            name)
+            let n = 1000 + (300 * i) in
+            let (_ : File.t) = make_file fs root name n (seed + i) in
+            (name, body (seed + i) n))
       in
-      let rng = Random.State.make [| seed * 97 |] in
+      let rng = Alto_machine.Splitmix.of_seed (seed * 97) in
       let (_ : Disk_address.t list) = Fault.decay rng drive ~fraction in
       match Scavenger.scavenge drive with
       | Error _ -> ()
@@ -655,28 +657,31 @@ let e9 () =
           incr recovered;
           let root' = ok Directory.pp_error (Directory.open_root fs') in
           List.iter
-            (fun name ->
+            (fun (name, written) ->
               incr files_total;
               match Directory.lookup root' name with
               | Ok (Some e) -> (
                   match File.open_leader fs' e.Directory.entry_file with
                   | Ok f -> (
                       match File.read_bytes f ~pos:0 ~len:(File.byte_length f) with
-                      | Ok _ -> incr intact_total
-                      | Error _ -> ())
+                      | Ok got when String.equal (Bytes.to_string got) written ->
+                          incr intact_total
+                      | Ok _ | Error _ -> ())
                   | Error _ -> ())
               | Ok None | Error _ -> ())
-            names
+            files
     done;
-    [
-      Printf.sprintf "%.1f%%" (fraction *. 100.);
-      Printf.sprintf "%d/%d" !recovered trials;
-      Printf.sprintf "%d/%d" !intact_total !files_total;
-    ]
+    ( !recovered,
+      [
+        Printf.sprintf "%.1f%%" (fraction *. 100.);
+        Printf.sprintf "%d/%d" !recovered trials;
+        Printf.sprintf "%d/%d" !intact_total !files_total;
+      ] )
   in
+  let campaigns = List.map campaign [ 0.002; 0.01; 0.03; 0.08 ] in
   print_table [ 10; 12; 14 ]
-    [ "decay"; "recovered"; "files readable" ]
-    (List.map campaign [ 0.002; 0.01; 0.03; 0.08 ]);
+    [ "decay"; "recovered"; "files intact" ]
+    (List.map snd campaigns);
   (* (b) the ablation: a stale allocation map plus fresh allocations. The
      disk is filled first, so the lying map entries are the only pages
      the allocator can propose. *)
@@ -742,6 +747,16 @@ let e9 () =
       [ "label checking on"; string_of_int with_checks ];
       [ "label checking off"; string_of_int without ];
     ];
+  List.iter
+    (fun (recovered, row) ->
+      if recovered <> trials then
+        failwith
+          (Printf.sprintf "E9: %d/%d volumes recovered at %s decay" recovered trials
+             (List.hd row)))
+    campaigns;
+  if with_checks <> 0 then
+    failwith (Printf.sprintf "E9: the stale map destroyed %d pages with checks on" with_checks);
+  if without = 0 then failwith "E9: the stale map destroyed nothing with checks off";
   print_endline
     "shape: with checks the lying map costs only retries; without them the\n\
      allocator writes straight through live files."
@@ -847,7 +862,7 @@ let e11 () =
           else Printf.sprintf "Inner%02d." i)
     in
     (* Destroy the directory's data page. *)
-    let rng = Random.State.make [| 13 |] in
+    let rng = Alto_machine.Splitmix.of_seed 13 in
     let p1 = ok File.pp_error (File.page_name (Alto_fs.Journal.directory jd) 1) in
     Alto_disk.Fault.corrupt_part rng drive p1.Page.addr Sector.Value;
     let fs', _ = match Scavenger.scavenge drive with Ok x -> x | Error m -> failwith m in
@@ -985,14 +1000,14 @@ let e13 () =
     let clock = Drive.clock drive in
     (* A compaction hands back the rebuilt volume. *)
     let volume = ref (fs, ok Directory.pp_error (Directory.open_root fs)) in
-    let rng = Random.State.make [| 77 |] in
+    let rng = Alto_machine.Splitmix.of_seed 77 in
     let live = ref [] in
     let counter = ref 0 in
     let round r =
       let fs, root = !volume in
       (* Churn: delete a few files, create a few, append to some. *)
       let victims, keep =
-        List.partition (fun _ -> Random.State.int rng 3 = 0) !live
+        List.partition (fun _ -> Alto_machine.Splitmix.int rng 3 = 0) !live
       in
       List.iter
         (fun name ->
@@ -1010,7 +1025,7 @@ let e13 () =
         incr counter;
         let name = Printf.sprintf "Age%04d." !counter in
         let (_ : File.t) =
-          make_file fs root name (1000 + Random.State.int rng 6000) !counter
+          make_file fs root name (1000 + Alto_machine.Splitmix.int rng 6000) !counter
         in
         live := name :: !live
       done;
@@ -1053,23 +1068,25 @@ let e13 () =
           if fractions = [] then 1.0
           else List.fold_left ( +. ) 0.0 fractions /. float_of_int (List.length fractions)
         in
-        (* Sequential-read probe over every live file. *)
+        (* Sequential-read probe over every live file, timed from the
+           open: the leader read is where a scattered file's first seek
+           lands. *)
         let read_us =
           let total_us = ref 0 and total_bytes = ref 0 in
           List.iter
             (fun name ->
               match Directory.lookup root name with
-              | Ok (Some e) -> (
-                  match File.open_leader fs e.Directory.entry_file with
-                  | Ok f ->
-                      let (), us =
-                        timed clock (fun () ->
-                            match File.read_bytes f ~pos:0 ~len:(File.byte_length f) with
-                            | Ok _ | Error _ -> ())
-                      in
-                      total_us := !total_us + us;
-                      total_bytes := !total_bytes + File.byte_length f
-                  | Error _ -> ())
+              | Ok (Some e) ->
+                  let bytes, us =
+                    timed clock (fun () ->
+                        match File.open_leader fs e.Directory.entry_file with
+                        | Ok f ->
+                            ignore (File.read_bytes f ~pos:0 ~len:(File.byte_length f));
+                            File.byte_length f
+                        | Error _ -> 0)
+                  in
+                  total_us := !total_us + us;
+                  total_bytes := !total_bytes + bytes
               | Ok None | Error _ -> ())
             !live;
           !total_us * 1000 / max 1 !total_bytes
@@ -1093,6 +1110,16 @@ let e13 () =
   Printf.printf
     "steady-state sequential read cost: %d µs/KB untreated vs %d µs/KB compacted\n"
     (avg_cost without) (avg_cost with_compaction);
+  let adjacency rows r = List.assoc r (List.map (fun (r, a, _) -> (r, a)) rows) in
+  if adjacency without rounds >= adjacency without 1 then
+    failwith "E13: the untreated pack's adjacency did not fall from round 1";
+  List.iter
+    (fun r ->
+      if r mod 3 = 0 && adjacency with_compaction r < 0.99 then
+        failwith (Printf.sprintf "E13: round %d's compaction left adjacency below 99%%" r))
+    (List.init rounds (fun r -> r + 1));
+  if avg_cost with_compaction >= avg_cost without then
+    failwith "E13: compaction did not lower the steady-state read cost";
   print_endline
     "shape: adjacency decays steadily under churn (a real pack had months\n\
      of this — E2 shows where it ends up) and read costs climb with it; a\n\

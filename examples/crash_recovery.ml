@@ -47,7 +47,7 @@ let () =
     (Drive.sector_count drive - Fs.free_count fs);
 
   (* The miserable afternoon. *)
-  let rng = Random.State.make [| 20260706 |] in
+  let rng = Alto_machine.Splitmix.of_seed 20260706 in
   let victims = Fault.decay rng drive ~fraction:0.01 in
   Format.printf "media decay corrupted %d sector labels@." (List.length victims);
   let sub_page = ok File.pp_error (File.page_name sub 1) in

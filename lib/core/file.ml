@@ -422,8 +422,6 @@ let create_with_fid fs fid ~name =
 
 let create fs ~name = create_with_fid fs (Fs.fresh_fid fs) ~name
 
-let create_with_id fs fid ~name = create_with_fid fs fid ~name
-
 let create_directory_file fs ~name =
   create_with_fid fs (Fs.fresh_fid ~directory:true fs) ~name
 
@@ -938,17 +936,7 @@ let truncate t ~len =
   let new_plen = len - (Sector.bytes_per_page * (new_last - 1)) in
   let* value, _ = read_page t new_last in
   (* Force the next link to NIL: new_plen describes the new last page. *)
-  let* () =
-    with_page t new_last (fun fn ->
-        let ( let* ) = Result.bind in
-        let* old = Page.read_label ~cache:(cache t) (drive t) fn in
-        let new_label =
-          Label.make ~fid:t.fid ~page:new_last ~length:new_plen
-            ~next:Disk_address.nil ~prev:old.Label.prev
-        in
-        Page.rewrite_label ~cache:(cache t) ~bio:(bio t) (drive t) fn ~new_label ~value)
-  in
-  t.last_page <- new_last;
+  let* () = rewrite_page t new_last ~length:new_plen ~next:(Some Disk_address.nil) value in
   t.last_length <- new_plen;
   touch_written t;
   update_leader_last t;

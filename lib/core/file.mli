@@ -46,7 +46,7 @@ val create_directory_file : Fs.t -> name:string -> (t, error) result
 (** As {!create} but with a directory-flagged id, so the scavenger can
     tell the file holds directory entries. *)
 
-val create_with_id : Fs.t -> File_id.t -> name:string -> (t, error) result
+val create_with_fid : Fs.t -> File_id.t -> name:string -> (t, error) result
 (** As {!create} with a caller-chosen id — for system files with
     well-known ids (the scavenger rebuilding a root directory). *)
 

@@ -268,12 +268,12 @@ let write_record drive i content mapped =
   | Error _ -> Result.map (fun () -> landed i.newest) (write i.newest 0)
 
 let announce_cylinders drive i cylinders =
-  if List.exists (fun c -> not i.mapped.(c)) cylinders then begin
-    List.iter (fun c -> i.mapped.(c) <- true) cylinders;
-    (* Best effort: with neither slot written, the bits stay set in
-       core and the next write tries again. *)
-    if Result.is_ok (write_record drive i None i.mapped) then Obs.incr m_map_writes
-  end
+  if List.exists (fun c -> not i.mapped.(c)) cylinders then
+    Prof.span (Drive.clock drive) "fs.map_write" (fun () ->
+        List.iter (fun c -> i.mapped.(c) <- true) cylinders;
+        (* Best effort: with neither slot written, the bits stay set in
+           core and the next write tries again. *)
+        if Result.is_ok (write_record drive i None i.mapped) then Obs.incr m_map_writes)
 
 (* The drive's write fence: every write's cylinder, and for a label
    write the cylinders its links name, is mapped before the write
@@ -512,6 +512,7 @@ let reserve_pages t n =
   Prof.span (Drive.clock t.drive) "fs.allocate_page" @@ fun () -> reserve_run t n
 
 let write_reserved t addr label value =
+  Prof.span (Drive.clock t.drive) "fs.write_reserved" @@ fun () ->
   let words = Label.to_words label in
   match
     Reliable.run t.drive addr
@@ -821,6 +822,7 @@ let format drive =
   | Error e -> invalid_arg (Format.asprintf "Fs.format: %a" pp_error e)
 
 let mount drive =
+  Prof.span (Drive.clock drive) "fs.mount" @@ fun () ->
   let ( let* ) = Result.bind in
   let t = make_handle drive in
   (* The newest record that reads back whole, as the platter holds it: a

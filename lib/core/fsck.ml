@@ -2,6 +2,7 @@ module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
 module Disk_address = Alto_disk.Disk_address
 module Obs = Alto_obs.Obs
+module Prof = Alto_obs.Prof
 
 let m_runs = Obs.counter "fs.fsck.runs"
 let m_findings = Obs.counter "fs.fsck.findings"
@@ -119,6 +120,7 @@ let read_root drive ~label_at ~values (root : Page.full_name) =
    failure and stand down. *)
 
 let check drive =
+  Prof.span (Drive.clock drive) "fsck.check" @@ fun () ->
   Obs.incr m_runs;
   let t0 = Alto_machine.Sim_clock.now_us (Drive.clock drive) in
   let n = Drive.sector_count drive in

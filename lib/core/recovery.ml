@@ -1,5 +1,6 @@
 module Drive = Alto_disk.Drive
 module Obs = Alto_obs.Obs
+module Prof = Alto_obs.Prof
 
 let m_through_map = Obs.counter "fs.recovery.through_map"
 let m_cylinders = Obs.counter "fs.recovery.cylinders"
@@ -53,6 +54,7 @@ let recover fs =
       match scavenged with Ok r -> r | Error why -> (fs, Unrecovered why))
 
 let boot drive =
+  Prof.span (Drive.clock drive) "recovery.boot" @@ fun () ->
   match Fs.mount drive with
   | Ok fs -> recover fs
   | Error _ -> (

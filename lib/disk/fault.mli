@@ -3,17 +3,18 @@
     §3.5's scavenger exists because packs decay, programs crash mid-write
     and directories get scrambled. This module manufactures those
     misfortunes deterministically (all randomness comes from a caller-
-    supplied [Random.State.t]) so the robustness experiments (E9) and the
-    scavenger tests are reproducible. *)
+    supplied {!Alto_machine.Splitmix.t}, like every other simulated
+    fault) so the robustness experiments (E9) and the scavenger tests
+    replay the same damage on every compiler. *)
 
 val corrupt_part :
-  Random.State.t -> Drive.t -> Disk_address.t -> Sector.part -> unit
+  Alto_machine.Splitmix.t -> Drive.t -> Disk_address.t -> Sector.part -> unit
 (** Replace every word of the part with random junk. *)
 
 val zero_part : Drive.t -> Disk_address.t -> Sector.part -> unit
 
 val flip_word :
-  Random.State.t -> Drive.t -> Disk_address.t -> Sector.part -> unit
+  Alto_machine.Splitmix.t -> Drive.t -> Disk_address.t -> Sector.part -> unit
 (** Flip one random bit in one random word — a single soft error. *)
 
 val make_bad : Drive.t -> Disk_address.t -> unit
@@ -54,7 +55,7 @@ val cancel_crash : Drive.t -> unit
 (** Disarm a pending crash point (recovery runs on mains power). *)
 
 val decay :
-  Random.State.t -> Drive.t -> fraction:float -> Disk_address.t list
+  Alto_machine.Splitmix.t -> Drive.t -> fraction:float -> Disk_address.t list
 (** [decay rng drive ~fraction] corrupts the labels of roughly [fraction]
     of all sectors (each sector independently with that probability) and
     returns the victims. Raises [Invalid_argument] unless

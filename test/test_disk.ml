@@ -319,7 +319,7 @@ let test_seek_charged_once () =
 (* {2 fault injection} *)
 
 let test_fault_corrupt_and_decay () =
-  let rng = Random.State.make [| 42 |] in
+  let rng = Alto_machine.Splitmix.of_seed 42 in
   let drive = make_drive () in
   let good = Array.init Sector.label_words (fun i -> Word.of_int (i + 1)) in
   write_sector drive (addr 1) ~label:good ~value:(value_buf ());
@@ -332,7 +332,7 @@ let test_fault_corrupt_and_decay () =
   Alcotest.(check bool) "roughly half decayed" true (n > total / 4 && n < 3 * total / 4)
 
 let test_fault_flip_word () =
-  let rng = Random.State.make [| 7 |] in
+  let rng = Alto_machine.Splitmix.of_seed 7 in
   let drive = make_drive () in
   let value = Array.make Sector.value_words (Word.of_int 0x5555) in
   write_sector drive (addr 2) ~label:(label_buf ()) ~value;

@@ -87,7 +87,7 @@ let test_recovery_restores_lost_names () =
     (jr_ok "rm" (Journal.remove jd "Extra.txt"));
   jr_ok "re-add" (Journal.add jd ~name:"Extra2." (File.leader_name extra));
   (* Destroy the directory's data page contents. *)
-  let rng = Random.State.make [| 11 |] in
+  let rng = Alto_machine.Splitmix.of_seed 11 in
   let dir_file = Journal.directory jd in
   let p1 = file_ok "p1" (File.page_name dir_file 1) in
   Fault.corrupt_part rng drive p1.Page.addr Sector.Value;

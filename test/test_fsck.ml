@@ -104,7 +104,7 @@ let test_garbled_leader_label_then_scavenge () =
     | Ok None | Error _ -> failwith "lookup"
   in
   ignore fs;
-  Fault.corrupt_part (Random.State.make [| 41 |]) drive addr Sector.Label;
+  Fault.corrupt_part (Alto_machine.Splitmix.of_seed 41) drive addr Sector.Label;
   let r = Fsck.check drive in
   Alcotest.(check bool) "headless catalogued file is a violation" true
     (r.Fsck.violations <> []);

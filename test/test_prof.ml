@@ -183,6 +183,60 @@ let test_disk_charges_balance_the_counters () =
     (totals.Prof.t_seek_us + totals.Prof.t_rotation_us
     + totals.Prof.t_transfer_us + totals.Prof.t_retry_us)
 
+(* {2 No charge outside a span}
+
+   The root absorbs the disk time no span claims. Over a session's
+   operations and over a crash and its recovery, every drive motion
+   falls inside a named span, so the root holds none of its own. *)
+
+let small = { Geometry.diablo_31 with Geometry.model = "small"; cylinders = 25 }
+
+(* Creates, appends, rewrites and deletes, then a flush. *)
+let session fs =
+  let files =
+    List.init 6 (fun i -> create_file fs (Printf.sprintf "S%d.dat" i) (String.make (700 * (i + 1)) 's'))
+  in
+  List.iteri
+    (fun i file ->
+      ignore (File.append_bytes file (String.make 900 'a') : (unit, File.error) result);
+      if i mod 2 = 0 then ignore (File.replace file (String.make 1500 'r') : (unit, File.error) result);
+      if i mod 3 = 0 then ignore (File.delete file : (unit, File.error) result))
+    files;
+  ignore (Fs.flush fs : (unit, Fs.error) result)
+
+let check_root_uncharged what =
+  let root = Prof.tree () in
+  Alcotest.(check (list int))
+    (what ^ ": the root's own seek, rotation and transfer")
+    [ 0; 0; 0 ]
+    [ root.Prof.seek_us; root.Prof.rotation_us; root.Prof.transfer_us ]
+
+let test_session_charges_no_root_time () =
+  let fs = Fs.format (Drive.create ~pack_id:7 small) in
+  Obs.reset ();
+  session fs;
+  Alcotest.(check bool) "the session moved the disk" true ((Prof.disk_totals ()).Prof.t_transfer_us > 0);
+  check_root_uncharged "session"
+
+let test_recovery_charges_no_root_time () =
+  let drive = Drive.create ~pack_id:8 small in
+  let fs = Fs.format drive in
+  let (_ : File.t) = create_file fs "Kept.dat" (String.make 2000 'k') in
+  (match Fs.mark_clean fs with Ok () -> () | Error e -> Alcotest.failf "clean: %a" Fs.pp_error e);
+  Obs.reset ();
+  Fault.crash_after_writes drive 12;
+  (match session fs with
+  | () -> Alcotest.fail "the session outran its crash point"
+  | exception Drive.Power_failure -> ());
+  Fault.cancel_crash drive;
+  let system = System.boot ~drive () in
+  Flight.disable ();
+  Alcotest.(check bool) "boot recovered a dirty pack" true
+    (System.recovery system <> Alto_fs.Recovery.Clean);
+  Alcotest.(check (list string)) "fsck" []
+    (List.map (Format.asprintf "%a" Alto_fs.Fsck.pp_issue) (Alto_fs.Fsck.check drive).Alto_fs.Fsck.violations);
+  check_root_uncharged "recovery"
+
 (* {2 The flight recorder} *)
 
 (* Runs before any test adopts a record: a pack that predates the
@@ -334,6 +388,8 @@ let () =
           ("notes mark zero-cost causes", `Quick, test_notes_mark_zero_cost_causes);
           ("retry motion files under retry", `Quick, test_retry_motion_files_under_retry);
           ("charges balance the counters", `Quick, test_disk_charges_balance_the_counters);
+          ("a session charges the root nothing", `Quick, test_session_charges_no_root_time);
+          ("a recovery charges the root nothing", `Quick, test_recovery_charges_no_root_time);
         ] );
       ( "flight",
         [
