@@ -16,7 +16,9 @@
     + (1) reassemble files by absolute name and mark bad every live page
       whose data will not read back; (2) discard duplicate pages and
       pages beyond a gap in the chain, and give a headless page set a
-      fresh leader;
+      fresh leader; a page whose label decayed while its value still
+      reads is no gap when the links of the pages either side both
+      name its sector: it is relabelled in place;
     + (3) offer the kept files and the sectors a page may end on to a
       placement plan ({!plan}); (4) write each page the plan names at
       its target with the image it ends with — its final links and, for
