@@ -36,6 +36,8 @@ module Zone = Alto_zones.Zone
 
 (* {2 Micro-benchmarks: host wall time of the primitives} *)
 
+let sweep_probe = "sweep: whole Model 31 pack"
+
 (* Each probe is a name and one run of the primitive. *)
 let micro_tests () =
   (* Disk transfer. *)
@@ -185,6 +187,24 @@ let micro_tests () =
         | Ok _ -> ()
         | Error _ -> assert false)
   in
+  (* The read every scavenge and fsck begins with: a whole-pack sweep of
+     a Model 31 pack three quarters full. *)
+  let bench_sweep =
+    let drive = Drive.create ~pack_id:1 Geometry.diablo_31 in
+    let fs = Fs.format drive in
+    let total = Drive.sector_count drive in
+    let serial = ref 0 in
+    while 4 * (total - Fs.free_count fs) < 3 * total do
+      incr serial;
+      match File.create fs ~name:(Printf.sprintf "Fill%03d.dat" !serial) with
+      | Ok f -> (
+          match File.write_bytes f ~pos:0 (String.make (40 * Sector.bytes_per_page) 'f') with
+          | Ok () -> ()
+          | Error _ -> assert false)
+      | Error _ -> assert false
+    done;
+    (sweep_probe, fun () -> ignore (Alto_fs.Sweep.run drive : Alto_fs.Sweep.t))
+  in
   (* The compiler, source to code image. *)
   let bench_compile =
     let source =
@@ -221,7 +241,7 @@ let micro_tests () =
   in
   [
     bench_transfer; bench_alloc; bench_file_io; bench_dir_lookup; bench_read_8000;
-    bench_zone; bench_vm; bench_scavenge; bench_compile; bench_compiled_run;
+    bench_zone; bench_vm; bench_scavenge; bench_sweep; bench_compile; bench_compiled_run;
   ]
 
 let run_micro () =
@@ -250,21 +270,40 @@ let run_micro () =
     done;
     (Gc.minor_words () -. before) /. float_of_int runs
   in
-  let rows =
+  let measured =
     List.map
       (fun (name, run) ->
-        let name = "altos/" ^ name in
         let ns =
-          match Option.bind (Hashtbl.find_opt results name) Analyze.OLS.estimates with
-          | Some [ est ] -> Printf.sprintf "%12.1f ns/run" est
-          | Some _ | None -> "            n/a"
+          match Option.bind (Hashtbl.find_opt results ("altos/" ^ name)) Analyze.OLS.estimates with
+          | Some [ est ] -> Some est
+          | Some _ | None -> None
         in
-        [ name; ns; Printf.sprintf "%12.1f words/run" (minor_words run) ])
+        (name, ns, minor_words run))
       probes
   in
   Workloads.print_table [ 56; 18; 21 ]
     [ "primitive"; "host cost"; "minor heap" ]
-    (List.sort compare rows)
+    (List.sort compare
+       (List.map
+          (fun (name, ns, words) ->
+            [
+              "altos/" ^ name;
+              (match ns with
+              | Some est -> Printf.sprintf "%12.1f ns/run" est
+              | None -> "            n/a");
+              Printf.sprintf "%12.1f words/run" words;
+            ])
+          measured));
+  (* The sweep's cost a sector, the unit its allocation gate in
+     [dune runtest] is stated in. *)
+  let sectors = float_of_int (Geometry.sector_count Geometry.diablo_31) in
+  List.iter
+    (fun (name, ns, words) ->
+      if String.equal name sweep_probe then
+        Printf.printf "%s: %s µs and %.1f minor words a sector\n" name
+          (match ns with Some est -> Printf.sprintf "%.3f" (est /. 1000. /. sectors) | None -> "n/a")
+          (words /. sectors))
+    measured
 
 (* {2 Dispatch} *)
 

@@ -25,14 +25,13 @@ let classify label =
 
 (* Everything in one elevator batch, each request through the retry
    ladder, issued cylinder by cylinder from wherever the heads happen to
-   be. [on_done j outcome] fires as entry [j] completes, before the next
-   request is issued. *)
+   be. The requests share [op] and the buffers. [on_done j outcome] fires
+   as entry [j] completes, before the next request is issued. *)
 let batch ?policy drive sectors op ~label ?value on_done =
+  let label = Some label in
   ignore
     (Sched.run_batch ?policy drive ~on_done
-       (Array.map
-          (fun i -> Sched.request ~label ?value (Disk_address.of_index i) op)
-          sectors)
+       (Array.map (fun i -> Sched.request ?label ?value (Disk_address.of_index i) op) sectors)
       : Sched.outcome array)
 
 let sweep ?policy drive sectors ~on_value =
@@ -52,7 +51,9 @@ let sweep ?policy drive sectors ~on_value =
       | Ok () ->
           let cls = classify label in
           classes.(j) <- cls;
-          values.(j) <- Read_back outcome.Sched.retries;
+          (* A first-time read shares one verdict. *)
+          values.(j) <-
+            (match outcome.Sched.retries with 0 -> Read_back 0 | r -> Read_back r);
           on_value j cls label value
       | Error _ -> ());
   { classes; values }
@@ -62,14 +63,18 @@ let read ~on_value drive ~start ~k =
   sweep drive (Array.init k (fun j -> (start + j) mod n)) ~on_value
 
 let run_sectors ?policy ?(on_value = fun _ _ _ _ -> ()) drive sectors =
-  let t = sweep ?policy drive sectors ~on_value:(fun j -> on_value sectors.(j)) in
+  let t =
+    sweep ?policy drive sectors ~on_value:(fun j cls label value ->
+        on_value sectors.(j) cls label value)
+  in
   (* Which part failed is not reported, so a failed combined read says
      nothing about the label: read the label again on its own, after
      the pass, rather than judging the sector by its data. *)
-  let failed =
-    Array.of_list
-      (List.filter (fun j -> t.values.(j) = Unreadable) (List.init (Array.length sectors) Fun.id))
-  in
+  let failed = ref [] in
+  for j = Array.length sectors - 1 downto 0 do
+    if t.values.(j) = Unreadable then failed := j :: !failed
+  done;
+  let failed = Array.of_list !failed in
   let label = Array.make Sector.label_words Word.zero in
   batch ?policy drive
     (Array.map (fun j -> sectors.(j)) failed)

@@ -204,7 +204,9 @@ let seek t cylinder =
   us
 
 let charge_motion t index =
-  let cylinder, _, sector = Disk_address.chs t.geometry (Disk_address.of_index index) in
+  let g = t.geometry in
+  let cylinder = index / (g.Geometry.heads * g.Geometry.sectors_per_track) in
+  let sector = index mod g.Geometry.sectors_per_track in
   let from = t.current_cylinder in
   let seek_us = seek t cylinder in
   if seek_us > 0 then
@@ -414,6 +416,39 @@ let attach t a ~fence =
 
 let attachment t = t.attachment
 
+(* One part of an operation on a sector that is not bad; [Error _]
+   aborts the rest of the sector. *)
+let transfer t index sector part action buf =
+  match action with
+  | None -> Ok ()
+  | Some action ->
+      let reads = action = Read || action = Check in
+      if reads && t.torn.(index) land part_bit part <> 0 then begin
+        (* A torn part: the crash left its checksum invalid, so the
+           controller rejects the transfer without moving data. A full
+           rewrite of the part (below) heals it. *)
+        Obs.incr m_bad_sector_errors;
+        Error Bad_sector
+      end
+      else if reads && part = Sector.Value && t.value_unreadable.(index) then begin
+        Obs.incr m_bad_sector_errors;
+        Error Bad_sector
+      end
+      else if reads && soft_error_trips t index part then
+        (* The controller's checksum caught a misread before any data
+           moved: the buffers are untouched and a retry may well succeed.
+           Degradation may just have made the sector permanently bad, in
+           which case the retry reports that. *)
+        Error (Transient part)
+      else begin
+        let buf = Option.get buf in
+        if action = Write && t.torn.(index) land part_bit part <> 0 then
+          t.torn.(index) <- t.torn.(index) land lnot (part_bit part);
+        if part = Sector.Label && action = Write then
+          t.label_gen.(index) <- t.label_gen.(index) + 1;
+        perform t part action (Sector.part_of sector part) buf
+      end
+
 let run t addr op ?header ?label ?value () =
   (* The fence runs first, as an operation of its own would: whatever it
      writes reaches the platter before this operation begins. *)
@@ -443,47 +478,12 @@ let run t addr op ?header ?label ?value () =
   end
   else
     let sector = t.sectors.(index) in
-    let step part action buf k =
-      match action with
-      | None -> k ()
-      | Some action ->
-          if t.torn.(index) land part_bit part <> 0 && (action = Read || action = Check)
-          then begin
-            (* A torn part: the crash left its checksum invalid, so the
-               controller rejects the transfer without moving data. A
-               full rewrite of the part (below) heals it. *)
-            Obs.incr m_bad_sector_errors;
-            Error Bad_sector
-          end
-          else if
-            part = Sector.Value
-            && t.value_unreadable.(index)
-            && (action = Read || action = Check)
-          then begin
-            Obs.incr m_bad_sector_errors;
-            Error Bad_sector
-          end
-          else if
-            (action = Read || action = Check) && soft_error_trips t index part
-          then
-            (* The controller's checksum caught a misread before any data
-               moved: the buffers are untouched and a retry may well
-               succeed. Degradation may just have made the sector
-               permanently bad, in which case the retry reports that. *)
-            Error (Transient part)
-          else (
-            let buf = Option.get buf in
-            if action = Write && t.torn.(index) land part_bit part <> 0 then
-              t.torn.(index) <- t.torn.(index) land lnot (part_bit part);
-            if part = Sector.Label && action = Write then
-              t.label_gen.(index) <- t.label_gen.(index) + 1;
-            match perform t part action (Sector.part_of sector part) buf with
-            | Ok () -> k ()
-            | Error e -> Error e)
-    in
-    step Sector.Header op.header header (fun () ->
-        step Sector.Label op.label label (fun () ->
-            step Sector.Value op.value value (fun () -> Ok ())))
+    match transfer t index sector Sector.Header op.header header with
+    | Error _ as e -> e
+    | Ok () -> (
+        match transfer t index sector Sector.Label op.label label with
+        | Error _ as e -> e
+        | Ok () -> transfer t index sector Sector.Value op.value value)
 
 let current_cylinder t = t.current_cylinder
 
@@ -512,6 +512,14 @@ let bump_label_generation t addr =
 let peek t addr =
   let index = check_address t addr in
   Sector.copy t.sectors.(index)
+
+let read_part t addr part (buf : Word.t array) =
+  let words = Sector.part_of t.sectors.(check_address t addr) part in
+  let n = Array.length words in
+  if Array.length buf <> n then invalid_arg "Drive.read_part: wrong part size";
+  for i = 0 to n - 1 do
+    Array.unsafe_set buf i (Array.unsafe_get words i)
+  done
 
 let poke t addr part words =
   let index = check_address t addr in

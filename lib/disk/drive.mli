@@ -235,6 +235,12 @@ val is_torn : t -> Disk_address.t -> bool
 val peek : t -> Disk_address.t -> Sector.t
 (** A copy of the sector's current contents. *)
 
+val read_part : t -> Disk_address.t -> Sector.part -> Word.t array -> unit
+(** [read_part t addr part buf] copies one part of the sector into [buf],
+    which must be exactly that part's size, and allocates nothing: the
+    way to read many sectors out of band without copying each whole.
+    Raises [Invalid_argument] on a mis-sized buffer. *)
+
 val poke : t -> Disk_address.t -> Sector.part -> Word.t array -> unit
 (** Overwrite one part directly. Counts as out-of-band staleness
     evidence whatever the part: the sector's label generation is bumped

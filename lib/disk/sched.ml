@@ -24,47 +24,191 @@ let request ?header ?label ?value addr op = { addr; op; header; label; value }
 
 type outcome = { result : (unit, Drive.error) result; retries : int }
 
-(* C-SCAN: visit cylinders in ascending order starting from wherever the
+(* A first-attempt success, the one outcome every such request shares. *)
+let first_time = { result = Ok (); retries = 0 }
+
+let perform ?policy drive r =
+  match
+    Reliable.run_counted ?policy drive r.addr r.op ?header:r.header ?label:r.label
+      ?value:r.value ()
+  with
+  | Ok (), 0 -> first_time
+  | result, retries -> { result; retries }
+
+(* {2 The elevator}
+
+   C-SCAN: visit cylinders in ascending order starting from wherever the
    heads are, wrapping past the last cylinder back to the lowest — every
    request set costs at most one pass over the pack. Within a cylinder,
    requests stream track by track in rotational order: a head switch is
    free, and a full track read this way never waits, because the next
    track's first sector follows the previous track's last one angularly.
    (Sorting by slot across heads instead would park a whole revolution
-   at every duplicate slot on a dense cylinder.) The submission sequence
-   number is the final key, so duplicate addresses complete in arrival
-   order even when they came from different callers.
+   at every duplicate slot on a dense cylinder.) The submission number is
+   the final key, so duplicate addresses complete in arrival order even
+   when they came from different callers.
 
-   This static order fixes which cylinder comes when; [sweep] then
-   rotates each cylinder's sector order to start at the slot the heads
-   will actually catch ([Drive.catch_slot]), which the static sort
-   cannot know because it depends on when the sweep reaches that
-   cylinder. *)
-let schedule geometry ~start keyed =
-  let cylinders = geometry.Geometry.cylinders in
-  let n = Array.length keyed in
-  let order =
+   The order is one int per request. A sector index is cylinder-major,
+   so the index counted from the first sector of the heads' cylinder,
+   wrapping, orders by cylinder rank, then head, then slot; times the
+   request count, plus the submission number, it is a key no two
+   requests share, and the number reads back as [key mod n].
+
+   This static order fixes which cylinder comes when. Just before
+   committing to each cylinder we know exactly where the surface will be
+   when the heads settle ([Drive.catch_slot]), so each track's requests,
+   already in slot order, are rotated to start at the first catchable
+   slot and wrap — a full track costs one revolution from wherever the
+   head lands, instead of parking for slot 0. That is the order (head,
+   slot counted from the catch slot, submission number), so duplicate
+   addresses still complete in arrival order. *)
+
+(* Sort [keys] over [lo, hi): a merge sort that skips the merge of two
+   halves already in order, so the ascending runs a batch usually
+   arrives in cost about one pass; short ranges take an insertion sort.
+   [scratch] is as long as [keys] unless the range is short. *)
+let rec sort (keys : int array) (scratch : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let k = keys.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && keys.(!j) > k do
+        keys.(!j + 1) <- keys.(!j);
+        decr j
+      done;
+      keys.(!j + 1) <- k
+    done
+  else begin
+    let mid = (lo + hi) / 2 in
+    sort keys scratch lo mid;
+    sort keys scratch mid hi;
+    if keys.(mid - 1) > keys.(mid) then begin
+      for i = lo to mid - 1 do
+        scratch.(i) <- keys.(i)
+      done;
+      let i = ref lo and j = ref mid and k = ref lo in
+      while !i < mid do
+        if !j < hi && keys.(!j) < scratch.(!i) then begin
+          keys.(!k) <- keys.(!j);
+          incr j
+        end
+        else begin
+          keys.(!k) <- scratch.(!i);
+          incr i
+        end;
+        incr k
+      done
+    end
+  end
+
+(* Reverse [keys] over [lo, hi). *)
+let reverse (keys : int array) lo hi =
+  let lo = ref lo and hi = ref (hi - 1) in
+  while !lo < !hi do
+    let k = keys.(!lo) in
+    keys.(!lo) <- keys.(!hi);
+    keys.(!hi) <- k;
+    incr lo;
+    decr hi
+  done
+
+(* The one sweep core. Serve requests [0 .. n-1], numbered in submission
+   order: [addr i] is request [i]'s sector, [ctx i] the trace it bills,
+   and [serve i] performs it and delivers its outcome, before the next
+   request is issued. *)
+let elevator drive n ~addr ~ctx ~serve =
+  Obs.incr m_sweeps;
+  Prof.span (Drive.clock drive) "disk.sched.sweep" @@ fun () ->
+  let geometry = Drive.geometry drive in
+  let spt = geometry.Geometry.sectors_per_track in
+  let per_cylinder = geometry.Geometry.heads * spt in
+  let sectors = Geometry.sector_count geometry in
+  let origin = Drive.current_cylinder drive * per_cylinder in
+  let keys =
     Array.init n (fun i ->
-        let addr, seq = keyed.(i) in
-        let cylinder, head, sector = Disk_address.chs geometry addr in
-        ((cylinder - start + cylinders) mod cylinders, head, sector, seq, i))
+        let a = Disk_address.to_index (addr i) in
+        if a >= sectors then invalid_arg "Sched: address beyond disk";
+        (((a - origin + sectors) mod sectors) * n) + i)
   in
-  Array.sort compare order;
-  order
+  sort keys (if n > 16 then Array.make n 0 else [||]) 0 n;
+  let request j = keys.(j) mod n in
+  let counted j = keys.(j) / n in
+  let serve_in i =
+    let c = ctx i in
+    (* The first serve after a park closes that trace's wait window; the
+       drive's motion charges for this sector then flow to the trace the
+       request belongs to. *)
+    (match c with Some c -> Trace.served c | None -> ());
+    if Trace.current () == c then serve i else Trace.with_current c (fun () -> serve i)
+  in
+  let pos = ref 0 in
+  while !pos < n do
+    let rank = counted !pos / per_cylinder in
+    let stop = ref (!pos + 1) in
+    while !stop < n && counted !stop / per_cylinder = rank do
+      incr stop
+    done;
+    Obs.incr m_cylinder_runs;
+    let cylinder = Disk_address.to_index (addr (request !pos)) / per_cylinder in
+    let catch = Drive.catch_slot drive ~cylinder in
+    (* The run's entry seek is shared motion: the heads travel here once
+       for every request on this cylinder. The drive will charge the
+       whole move to whichever request is served first, so predict it
+       with the drive's own arithmetic and pro-rate it evenly across the
+       run after serving — per request ⌊S/k⌋, the remainder to the
+       earliest-served — so per-request totals still sum exactly to the
+       drive's counters. Seeks a retry ladder adds mid-run (restore and
+       return) stay on the request that needed them. *)
+    let entry_seek =
+      Geometry.seek_time_us geometry
+        ~from_cylinder:(Drive.current_cylinder drive)
+        ~to_cylinder:cylinder
+    in
+    let first = ref !pos in
+    while !first < !stop do
+      let track = counted !first / spt in
+      let last = ref (!first + 1) in
+      while !last < !stop && counted !last / spt = track do
+        incr last
+      done;
+      let split = ref !first in
+      while !split < !last && counted !split mod spt < catch do
+        incr split
+      done;
+      reverse keys !first !split;
+      reverse keys !split !last;
+      reverse keys !first !last;
+      first := !last
+    done;
+    for j = !pos to !stop - 1 do
+      serve_in (request j)
+    done;
+    let k = !stop - !pos in
+    if entry_seek > 0 && k > 1 then begin
+      let payer = ctx (request !pos) in
+      let share = entry_seek / k and rem = entry_seek mod k in
+      for j = 1 to k - 1 do
+        let amount = share + if j < rem then 1 else 0 in
+        Trace.rebill_seek ~from_:payer ~to_:(ctx (request (!pos + j))) amount;
+        Obs.add m_prorated amount
+      done
+    end;
+    pos := !stop
+  done
+
+let count_batch n =
+  Obs.incr m_batches;
+  Obs.add m_requests n
 
 (* {2 The standing queue}
 
    One queue outlives many callers: concurrent activities each submit
    their batch and block; whoever drives the queue then runs a single
    elevator sweep over everything pending, so requests that arrived from
-   different conversations share one pass over the pack. A synchronous
-   caller ([run_batch]) is simply a batch that submits and immediately
-   sweeps. *)
+   different conversations share one pass over the pack. *)
 
 type waiter = {
   w_req : request;
-  w_seq : int;
-  w_batch : int;
   w_policy : Reliable.policy option;
   w_index : int;  (* position within the submitting batch *)
   w_notify : int -> outcome -> unit;
@@ -74,40 +218,27 @@ type waiter = {
 type t = {
   drive : Drive.t;
   mutable pending : waiter list;  (* newest first *)
-  mutable next_seq : int;
-  mutable next_batch : int;
+  mutable batches : int;  (* submitted since the last sweep began *)
 }
 
-let create drive = { drive; pending = []; next_seq = 0; next_batch = 0 }
+let create drive = { drive; pending = []; batches = 0 }
 let queued t = List.length t.pending
 
 let submit_batch ?policy ?ctx t requests ~on_done =
   let n = Array.length requests in
   if n > 0 then begin
-    Obs.incr m_batches;
-    Obs.add m_requests n;
+    count_batch n;
     (* A batch submitted without an explicit context inherits whichever
        request the machine is working for right now — so the synchronous
        callers (File's auto-batch inside a conversation's step, the Bio
        fills it triggers) bill the conversation without knowing about
        tracing at all. *)
     let ctx = match ctx with Some _ as c -> c | None -> Trace.current () in
-    let batch = t.next_batch in
-    t.next_batch <- batch + 1;
+    t.batches <- t.batches + 1;
     Array.iteri
       (fun i r ->
-        let seq = t.next_seq in
-        t.next_seq <- seq + 1;
         t.pending <-
-          {
-            w_req = r;
-            w_seq = seq;
-            w_batch = batch;
-            w_policy = policy;
-            w_index = i;
-            w_notify = on_done;
-            w_ctx = ctx;
-          }
+          { w_req = r; w_policy = policy; w_index = i; w_notify = on_done; w_ctx = ctx }
           :: t.pending)
       requests
   end
@@ -120,127 +251,37 @@ let sweep t =
          callback is free to submit more work (or even run a nested
          batch); whatever arrives during this sweep rides the next one. *)
       t.pending <- [];
+      if t.batches > 1 then Obs.add m_merged (t.batches - 1);
+      t.batches <- 0;
       let waiters = Array.of_list (List.rev pending) in
-      let n = Array.length waiters in
-      Obs.incr m_sweeps;
-      let batches =
-        let seen = Hashtbl.create 8 in
-        Array.iter (fun w -> Hashtbl.replace seen w.w_batch ()) waiters;
-        Hashtbl.length seen
-      in
-      if batches > 1 then Obs.add m_merged (batches - 1);
-      Prof.span (Drive.clock t.drive) "disk.sched.sweep" (fun () ->
-          let geometry = Drive.geometry t.drive in
-          let spt = geometry.Geometry.sectors_per_track in
-          let order =
-            schedule geometry
-              ~start:(Drive.current_cylinder t.drive)
-              (Array.map (fun w -> (w.w_req.addr, w.w_seq)) waiters)
-          in
-          let serve i =
-            let w = waiters.(i) in
-            (* The first serve after a park closes that trace's wait
-               window; the drive's motion charges for this sector then
-               flow to the trace the request belongs to. *)
-            (match w.w_ctx with Some c -> Trace.served c | None -> ());
-            Trace.with_current w.w_ctx (fun () ->
-                let r = w.w_req in
-                let result, retries =
-                  Reliable.run_counted ?policy:w.w_policy t.drive r.addr r.op
-                    ?header:r.header ?label:r.label ?value:r.value ()
-                in
-                w.w_notify w.w_index { result; retries })
-          in
-          (* Execute one cylinder run at a time. Just before committing
-             to each cylinder we know exactly where the surface will be
-             when the heads settle ([Drive.catch_slot]), so each track's
-             requests are rotated to start at the first catchable slot
-             and wrap — a full track costs one revolution from wherever
-             the head lands, instead of parking for slot 0. The head
-             order and the seq tiebreak are untouched, so duplicate
-             addresses still complete in arrival order. *)
-          let total = Array.length order in
-          let pos = ref 0 in
-          while !pos < total do
-            let run, _, _, _, first = order.(!pos) in
-            let stop = ref !pos in
-            while
-              !stop < total
-              && (let r, _, _, _, _ = order.(!stop) in r = run)
-            do
-              incr stop
-            done;
-            Obs.incr m_cylinder_runs;
-            let cylinder, _, _ =
-              Disk_address.chs geometry waiters.(first).w_req.addr
-            in
-            let catch = Drive.catch_slot t.drive ~cylinder in
-            (* The run's entry seek is shared motion: the heads travel
-               here once for every request on this cylinder. The drive
-               will charge the whole move to whichever request is served
-               first, so predict it with the drive's own arithmetic and
-               pro-rate it evenly across the run after serving — per
-               request ⌊S/k⌋, the remainder to the earliest-served — so
-               per-request totals still sum exactly to the drive's
-               counters. Seeks a retry ladder adds mid-run (restore and
-               return) stay on the request that needed them. *)
-            let entry_seek =
-              Geometry.seek_time_us geometry
-                ~from_cylinder:(Drive.current_cylinder t.drive)
-                ~to_cylinder:cylinder
-            in
-            let slice = Array.sub order !pos (!stop - !pos) in
-            Array.sort
-              (fun (_, h1, s1, q1, _) (_, h2, s2, q2, _) ->
-                compare
-                  (h1, (s1 - catch + spt) mod spt, q1)
-                  (h2, (s2 - catch + spt) mod spt, q2))
-              slice;
-            Array.iter (fun (_, _, _, _, i) -> serve i) slice;
-            let k = Array.length slice in
-            if entry_seek > 0 && k > 1 then begin
-              let payer =
-                let _, _, _, _, i = slice.(0) in
-                waiters.(i).w_ctx
-              in
-              let share = entry_seek / k and rem = entry_seek mod k in
-              Array.iteri
-                (fun j (_, _, _, _, i) ->
-                  if j > 0 then begin
-                    let amount = share + if j < rem then 1 else 0 in
-                    Trace.rebill_seek ~from_:payer ~to_:waiters.(i).w_ctx amount;
-                    Obs.add m_prorated amount
-                  end)
-                slice
-            end;
-            pos := !stop
-          done);
-      n
+      elevator t.drive (Array.length waiters)
+        ~addr:(fun i -> waiters.(i).w_req.addr)
+        ~ctx:(fun i -> waiters.(i).w_ctx)
+        ~serve:(fun i ->
+          let w = waiters.(i) in
+          w.w_notify w.w_index (perform ?policy:w.w_policy t.drive w.w_req));
+      Array.length waiters
 
-(* {2 The one-shot compatibility path}
+(* {2 The one-shot path}
 
-   Every pre-existing caller — the scavenger's passes, world transfers,
-   [File]'s auto-batch — goes through here: a private standing queue
-   that lives for exactly one batch. The elevator order,
-   the retry ladder and the metrics are the standing queue's; only the
-   merging opportunity is absent, because a synchronous caller cannot
+   Every synchronous caller — the scavenger's passes, world transfers,
+   [File]'s auto-batch — hands its array straight to the elevator: the
+   order, the retry ladder and the metrics are the standing queue's; only
+   the merging opportunity is absent, because a synchronous caller cannot
    wait for company. *)
 
 let run_batch ?policy ?on_done drive requests =
   let n = Array.length requests in
-  let outcomes = Array.make n { result = Ok (); retries = 0 } in
+  let outcomes = Array.make n first_time in
   if n > 0 then begin
-    let q = create drive in
-    let remaining = ref n in
-    submit_batch ?policy q requests ~on_done:(fun i outcome ->
+    count_batch n;
+    let ctx = Trace.current () in
+    elevator drive n
+      ~addr:(fun i -> requests.(i).addr)
+      ~ctx:(fun _ -> ctx)
+      ~serve:(fun i ->
+        let outcome = perform ?policy drive requests.(i) in
         outcomes.(i) <- outcome;
-        (match on_done with None -> () | Some f -> f i outcome);
-        decr remaining);
-    while !remaining > 0 do
-      if sweep q = 0 then
-        (* Submitted work can only be waiting in this queue; an empty
-           sweep with completions outstanding is a scheduler bug. *)
-        invalid_arg "Sched.run_batch: outstanding requests vanished"
-    done
+        match on_done with None -> () | Some f -> f i outcome)
   end;
   outcomes

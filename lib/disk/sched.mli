@@ -20,10 +20,10 @@
     submission sequence is the sort's final key), so interleaving
     changes only the motion of the heads, never the data.
 
-    {!run_batch} is the synchronous face kept for one-shot callers: a
-    private queue that submits, sweeps once, and returns the outcomes in
-    the caller's order. Batching changes only the order of operations,
-    never their content; each request still goes through
+    {!run_batch} is the synchronous face kept for one-shot callers: it
+    hands its array to the same elevator a {!sweep} runs and returns the
+    outcomes in the caller's order. Batching changes only the order of
+    operations, never their content; each request still goes through
     {!Reliable.run_counted}, so the retry ladder, quarantine evidence
     and every [disk.*] counter behave exactly as they do on the naive
     path. *)
@@ -53,9 +53,8 @@ type outcome = {
 type t
 
 val create : Drive.t -> t
-(** An empty standing queue for this drive. Queues are cheap; the file
-    server keeps one for the life of the volume, [run_batch] makes one
-    per call. *)
+(** An empty standing queue for this drive. The file server keeps one
+    for the life of the volume. *)
 
 val submit_batch :
   ?policy:Reliable.policy ->
@@ -90,8 +89,9 @@ val sweep : t -> int
     for the next sweep. Returns the number of requests served; 0 means
     the queue was empty.
 
-    Raises [Invalid_argument] (via {!Drive.run}) on nil or out-of-range
-    addresses, missing buffers, or write-continuation violations. *)
+    Raises [Invalid_argument] on a nil or out-of-range address, before
+    any request is served, and (via {!Drive.run}) on missing buffers or
+    write-continuation violations. *)
 
 (** {2 The one-shot path} *)
 
@@ -101,9 +101,11 @@ val run_batch :
   Drive.t ->
   request array ->
   outcome array
-(** Issue every request in one elevator pass over a private standing
-    queue. [outcomes.(i)] belongs to [requests.(i)] regardless of the
-    order the disk saw them in. [on_done i outcome] fires immediately
-    after request [i] completes, {e before} the next request is issued.
+(** Issue every request in one elevator pass, the one a {!sweep} runs,
+    with no queue of its own. [outcomes.(i)] belongs to [requests.(i)]
+    regardless of the order the disk saw them in; a request that
+    succeeded at its first attempt shares one outcome value with every
+    other such request. [on_done i outcome] fires immediately after
+    request [i] completes, {e before} the next request is issued.
 
     Raises [Invalid_argument] as {!sweep} does. *)

@@ -21,6 +21,7 @@ type node = {
   mutable n_total_us : int;
   n_disk : disk_charges;
   n_children : (string, node) Hashtbl.t;
+  mutable n_kids : node list;  (* the same children, newest first *)
 }
 
 let make_node name =
@@ -30,6 +31,7 @@ let make_node name =
     n_total_us = 0;
     n_disk = { d_seek_us = 0; d_rotation_us = 0; d_transfer_us = 0; d_retry_us = 0 };
     n_children = Hashtbl.create 4;
+    n_kids = [];
   }
 
 let root = ref (make_node "root")
@@ -38,36 +40,45 @@ let retry_depth = ref 0
 
 let current () = match !stack with n :: _ -> n | [] -> !root
 
-let child parent name =
-  match Hashtbl.find_opt parent.n_children name with
-  | Some n -> n
-  | None ->
-      let n = make_node name in
-      Hashtbl.add parent.n_children name n;
-      n
+(* A span's name is nearly always a literal, so each entry through one
+   call site passes the same string: look the child up by the string's
+   address first, and hash the name only when that fails. *)
+let rec child_in parent name = function
+  | n :: rest -> if n.n_name == name then n else child_in parent name rest
+  | [] -> (
+      match Hashtbl.find_opt parent.n_children name with
+      | Some n -> n
+      | None ->
+          let n = make_node name in
+          Hashtbl.add parent.n_children name n;
+          parent.n_kids <- n :: parent.n_kids;
+          n)
+
+let child parent name = child_in parent name parent.n_kids
 
 let reset () =
   root := make_node "root";
   stack := [];
   retry_depth := 0
 
+let close node clock t0 =
+  (* Pop only our own frame: if the span's body called {!reset}, the
+     stack is already gone and the node is detached — charging it is
+     harmless. *)
+  (match !stack with n :: rest when n == node -> stack := rest | _ -> ());
+  node.n_total_us <- node.n_total_us + (Sim_clock.now_us clock - t0)
+
 let span clock name f =
   let node = child (current ()) name in
   node.n_calls <- node.n_calls + 1;
   let t0 = Sim_clock.now_us clock in
   stack := node :: !stack;
-  let close () =
-    (* Pop only our own frame: if [f] called {!reset}, the stack is
-       already gone and the node is detached — charging it is harmless. *)
-    (match !stack with n :: rest when n == node -> stack := rest | _ -> ());
-    node.n_total_us <- node.n_total_us + (Sim_clock.now_us clock - t0)
-  in
   match f () with
   | x ->
-      close ();
+      close node clock t0;
       x
   | exception exn ->
-      close ();
+      close node clock t0;
       raise exn
 
 let note name =

@@ -478,23 +478,33 @@ let rec same (image : image) base (words : Word.t array) k =
   || Bigarray.Array1.unsafe_get image (base + k) = (Array.unsafe_get words k :> int)
      && same image base words (k + 1)
 
+(* Buffers for one sector's label and value. *)
+let parts () = (Array.make Sector.label_words Word.zero, Array.make Sector.value_words Word.zero)
+
 let image drive =
   let n = Drive.sector_count drive in
   let image = Bigarray.Array1.create Bigarray.int16_unsigned Bigarray.c_layout (n * sector_words) in
+  let label, value = parts () in
   for i = 0 to n - 1 do
-    let s = Drive.peek drive (Disk_address.of_index i) in
-    store image (i * sector_words) s.Sector.label;
-    store image ((i * sector_words) + Sector.label_words) s.Sector.value
+    let addr = Disk_address.of_index i in
+    Drive.read_part drive addr Sector.Label label;
+    Drive.read_part drive addr Sector.Value value;
+    store image (i * sector_words) label;
+    store image ((i * sector_words) + Sector.label_words) value
   done;
   image
 
-let differs (before : image) drive i =
+(* Whether sector [i] differs from [before], read through [parts]. *)
+let differs (before : image) drive (label, value) i =
   if Bigarray.Array1.dim before <> Drive.sector_count drive * sector_words then
     invalid_arg "Crash_harness: an image of another pack";
-  let s = Drive.peek drive (Disk_address.of_index i) in
-  not
-    (same before (i * sector_words) s.Sector.label 0
-    && same before ((i * sector_words) + Sector.label_words) s.Sector.value 0)
+  let addr = Disk_address.of_index i and base = i * sector_words in
+  Drive.read_part drive addr Sector.Label label;
+  (not (same before base label 0))
+  || begin
+       Drive.read_part drive addr Sector.Value value;
+       not (same before (base + Sector.label_words) value 0)
+     end
 
 (* The sectors outside the descriptor's pages (they hold the map), in
    the cylinders [keep] admits, whose label or value differs from
@@ -504,9 +514,13 @@ let differing ~keep before fs =
   let g = Drive.geometry drive in
   let per_cylinder = g.Geometry.heads * g.Geometry.sectors_per_track in
   let top = 1 + Fs.descriptor_page_count fs in
-  List.filter
-    (fun i -> (i = 0 || i > top) && keep (i / per_cylinder) && differs before drive i)
-    (List.init (Drive.sector_count drive) Fun.id)
+  let buffers = parts () in
+  let found = ref [] in
+  for i = Drive.sector_count drive - 1 downto 0 do
+    if (i = 0 || i > top) && keep (i / per_cylinder) && differs before drive buffers i then
+      found := i :: !found
+  done;
+  !found
 
 let changed before fs = differing ~keep:(fun _ -> true) before fs
 
@@ -515,7 +529,10 @@ let changed before fs = differing ~keep:(fun _ -> true) before fs
 let recorded before fs =
   let drive = Fs.drive fs in
   let pages = Fs.descriptor_page_count fs / 2 in
-  let landed i = differs before drive i && not (Drive.is_torn drive (Disk_address.of_index i)) in
+  let buffers = parts () in
+  let landed i =
+    differs before drive buffers i && not (Drive.is_torn drive (Disk_address.of_index i))
+  in
   List.exists (fun k -> List.for_all landed (List.init pages (fun j -> 2 + (k * pages) + j))) [ 0; 1 ]
 
 (* A clean mount maps nothing; a newer whole record is a consistency
